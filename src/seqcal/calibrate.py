@@ -32,7 +32,7 @@ import numpy as np
 from .exact import (
     EnumerationBudget,
     FunctionalF,
-    enumerate_sequences,
+    _kl_from_log_probs,
     logsumexp,
     prefix_expansion,
     sequence_log_probs,
@@ -189,6 +189,63 @@ def _minimize_convex(evaluate, stop, bracket=(-1.0, 1.0), max_expansions=60, max
 # ---------------------------------------------------------------------------
 
 
+class _GlobalTiltProblem:
+    """The M**T lattice vectors of a sequence-level tilt, and its formulas.
+
+    Holds log B(w), f(w) and, when fitting, log P_true(w), all in
+    lexicographic order.  It is the one place that computes the tilted
+    log-probabilities alpha f + log B - log Z_alpha, the tilted feature
+    moments and the objective CE(truth || B_alpha) with its derivatives.
+    """
+
+    def __init__(self, lp_base: np.ndarray, fv: np.ndarray, T: int, lp_true: np.ndarray | None = None):
+        self.lp_base = lp_base
+        self.fv = fv
+        self.T = T
+        self.lp_true = lp_true
+        if lp_true is not None:
+            pw_true = np.exp(lp_true)
+            mask = pw_true > 0.0
+            if np.any(np.isneginf(lp_base[mask])):
+                raise CalibrationDivergenceError(
+                    "base assigns zero probability on the truth's support; the "
+                    "objective is infinite for every alpha"
+                )
+            self.mu_true = float(np.dot(pw_true, np.where(mask, fv, 0.0)))
+            self.ce_base_term = -float(np.dot(pw_true[mask], lp_base[mask]))
+
+    @classmethod
+    def build(cls, base, f, budget=None, truth=None) -> "_GlobalTiltProblem":
+        """One lattice walk per distinct model: base, f's model, truth."""
+        if truth is not None and truth.spec != base.spec:
+            raise ValueError("models must share the same sequence spec")
+        lp_base = sequence_log_probs(base, budget)
+        fv = f._on_lattice(base, lp_base, budget)
+        lp_true = None
+        if truth is not None:
+            lp_true = lp_base if truth is base else sequence_log_probs(truth, budget)
+        return cls(lp_base, fv, base.spec.T, lp_true)
+
+    def tilt(self, alpha: float) -> tuple[np.ndarray, float]:
+        """(log B_alpha(w) for every sequence, log Z_alpha)."""
+        weights = alpha * self.fv + self.lp_base
+        log_z = float(logsumexp(weights))
+        return weights - log_z, log_z
+
+    def moments(self, alpha: float) -> tuple[float, float, float]:
+        """(mean, variance) of f under B_alpha, and log Z_alpha."""
+        log_p, log_z = self.tilt(alpha)
+        pt = np.exp(log_p)
+        mu = float(np.dot(pt, self.fv))
+        return mu, float(np.dot(pt, (self.fv - mu) ** 2)), log_z
+
+    def evaluate(self, alpha: float) -> dict:
+        """Objective, gradient (mean mismatch / T) and curvature (variance / T)."""
+        mu, var, log_z = self.moments(alpha)
+        obj = (self.ce_base_term - alpha * self.mu_true + log_z) / self.T
+        return {"g": (mu - self.mu_true) / self.T, "c": var / self.T, "obj": obj, "mu": mu, "var": var}
+
+
 class GlobalTiltModel(ConditionalModel):
     """Sequence-level tilt: P_a(w) = exp(a f(w)) B(w) / Z_a.
 
@@ -196,7 +253,9 @@ class GlobalTiltModel(ConditionalModel):
     the full sequence distribution (budget-guarded) and precomputes a
     pyramid of prefix marginals; conditionals are then exact ratios of
     adjacent pyramid levels.  Contexts with zero probability under the
-    tilt get a uniform row; they are unreachable.
+    tilt get a uniform row; they are unreachable.  A fit passes the
+    lattice problem it already built as `_problem`; otherwise the model
+    builds the same problem itself.
     """
 
     kind = "global_tilt"
@@ -207,19 +266,17 @@ class GlobalTiltModel(ConditionalModel):
         f: FunctionalF,
         alpha: float,
         budget: EnumerationBudget | None = None,
+        *,
+        _problem: _GlobalTiltProblem | None = None,
     ):
         super().__init__(base.spec)
         self.base = base
         self.f = f
         self.alpha = float(alpha)
+        problem = _problem if _problem is not None else _GlobalTiltProblem.build(base, f, budget)
         M, T = self.spec.M, self.spec.T
-        seqs = enumerate_sequences(M, T, budget)
-        lp = sequence_log_probs(base, budget)
-        fv = f.values(seqs)
-        weights = self.alpha * fv + lp
-        self._log_partition = float(logsumexp(weights))
         levels = [None] * (T + 1)
-        levels[T] = weights - self._log_partition
+        levels[T], self._log_partition = problem.tilt(self.alpha)
         for t in range(T - 1, -1, -1):
             levels[t] = logsumexp(levels[t + 1].reshape(-1, M), axis=1)
         self._levels = levels
@@ -371,33 +428,13 @@ def fit_alpha_global(
     returned optimum the tilted feature mean matches the truth's within
     T * tolerance.
     """
-    if true_model.spec != base.spec:
-        raise ValueError("models must share the same sequence spec")
-    M, T = base.spec.M, base.spec.T
-    seqs = enumerate_sequences(M, T, budget)
-    lp_base = sequence_log_probs(base, budget)
-    fv = f.values(seqs)
-    pw_true = np.exp(sequence_log_probs(true_model, budget))
-    mask = pw_true > 0.0
-    if np.any(np.isneginf(lp_base[mask])):
-        raise CalibrationDivergenceError(
-            "base assigns zero probability on the truth's support; the "
-            "objective is infinite for every alpha"
-        )
-    mu_true = float(np.dot(pw_true, np.where(mask, fv, 0.0)))
-    ce_base_term = -float(np.dot(pw_true[mask], lp_base[mask]))
+    problem = _GlobalTiltProblem.build(base, f, budget, truth=true_model)
+    return _fit_global(problem, base, f, tolerance, provenance)
 
-    def evaluate(alpha: float) -> dict:
-        weights = alpha * fv + lp_base
-        log_z = float(logsumexp(weights))
-        pt = np.exp(weights - log_z)
-        mu = float(np.dot(pt, fv))
-        var = float(np.dot(pt, (fv - mu) ** 2))
-        obj = (ce_base_term - alpha * mu_true + log_z) / T
-        return {"g": (mu - mu_true) / T, "c": var / T, "obj": obj, "mu": mu, "var": var}
 
+def _fit_global(problem, base, f, tolerance, provenance) -> CalibrationResult:
     alpha_star, info, trace = _minimize_convex(
-        evaluate, lambda i: abs(i["g"]) <= tolerance
+        problem.evaluate, lambda i: abs(i["g"]) <= tolerance
     )
     baseline = next(i["obj"] for i in trace if i["alpha"] == 0.0)
     mu_base = next(i["mu"] for i in trace if i["alpha"] == 0.0)
@@ -409,7 +446,7 @@ def fit_alpha_global(
         baseline_objective=baseline,
         gradient=info["g"],
         curvature=info["c"],
-        mu_target=mu_true,
+        mu_target=problem.mu_true,
         mu_tilted=info["mu"],
         mode="exact",
         tolerance=tolerance,
@@ -441,16 +478,8 @@ def tilted_variance_max(
     budget: EnumerationBudget | None = None,
 ) -> float:
     """max over the given alphas of Var_{B_a}(f), by enumeration."""
-    seqs = enumerate_sequences(base.spec.M, base.spec.T, budget)
-    lp = sequence_log_probs(base, budget)
-    fv = f.values(seqs)
-    worst = 0.0
-    for alpha in np.asarray(alphas, dtype=float):
-        w = alpha * fv + lp
-        pt = np.exp(w - logsumexp(w))
-        mu = float(np.dot(pt, fv))
-        worst = max(worst, float(np.dot(pt, (fv - mu) ** 2)))
-    return worst
+    problem = _GlobalTiltProblem.build(base, f, budget)
+    return max([0.0] + [problem.moments(a)[1] for a in np.asarray(alphas, dtype=float)])
 
 
 def calibrate_entropy_rate(
@@ -473,17 +502,14 @@ def calibrate_entropy_rate(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    from .exact import kl_exact  # deferred: keeps module import order simple
-
     M, T = base.spec.M, base.spec.T
     mixture = MixtureModel(base, epsilon)
     f = FunctionalF.log_prob(mixture, bound=T * math.log(M) + math.log(1.0 / epsilon))
-    result = fit_alpha_global(
-        true_model, mixture, f, tolerance=tolerance, budget=budget, provenance=provenance
-    )
+    problem = _GlobalTiltProblem.build(mixture, f, budget, truth=true_model)
+    result = _fit_global(problem, mixture, f, tolerance, provenance)
     result.extras["epsilon"] = float(epsilon)
-    result.extras["measured_epsilon"] = kl_exact(true_model, mixture, budget) / T
-    model = GlobalTiltModel(mixture, f, result.alpha_star, budget)
+    result.extras["measured_epsilon"] = _kl_from_log_probs(problem.lp_true, problem.lp_base) / T
+    model = GlobalTiltModel(mixture, f, result.alpha_star, budget, _problem=problem)
     return model, result
 
 
@@ -771,36 +797,28 @@ def amplification_bound(epsilon: float, T: int, M: int) -> AmplificationBound:
 
 
 def _functional_to_doc(f: FunctionalF) -> dict:
-    if f.kind in ("log_prob", "neg_log_prob"):
-        return {
-            "kind": f.kind,
-            "bound": f.bound,
-            "p_min": f.p_min,
-            "model": model_to_dict(f.model),
-        }
     if f.kind == "table":
         return {"kind": "table", "bound": f.bound, "values": f.table.tolist()}
-    raise ValueError("callable functionals are not serializable")
+    return {"kind": f.kind, "bound": f.bound, "p_min": f.p_min, "model": model_to_dict(f.model)}
 
 
-def _functional_from_doc(doc: dict, spec) -> FunctionalF:
+def _global_tilt_from_params(spec, params) -> GlobalTiltModel:
+    base = model_from_dict(params["base"])
+    doc = params["f"]
     kind = doc["kind"]
-    if kind in ("log_prob", "neg_log_prob"):
-        model = model_from_dict(doc["model"])
-        return FunctionalF(kind, model=model, bound=doc.get("bound"), p_min=doc.get("p_min", 1e-300))
     if kind == "table":
-        return FunctionalF.from_table(doc["values"], spec, bound=doc.get("bound"))
-    raise ValueError(f"unknown functional kind {kind!r}")
+        f = FunctionalF.from_table(doc["values"], spec, bound=doc.get("bound"))
+    elif kind in ("log_prob", "neg_log_prob"):
+        # A functional scoring with the base itself shares its object, so
+        # the rebuilt tilt walks the base's lattice once, as the fit did.
+        model = base if doc["model"] == params["base"] else model_from_dict(doc["model"])
+        f = FunctionalF(kind, model=model, bound=doc.get("bound"), p_min=doc.get("p_min", 1e-300))
+    else:
+        raise ValueError(f"unknown functional kind {kind!r}")
+    return GlobalTiltModel(base, f, params["alpha"])
 
 
-register_model_kind(
-    "global_tilt",
-    lambda spec, params: GlobalTiltModel(
-        model_from_dict(params["base"]),
-        _functional_from_doc(params["f"], spec),
-        params["alpha"],
-    ),
-)
+register_model_kind("global_tilt", _global_tilt_from_params)
 register_model_kind(
     "local_tilt",
     lambda spec, params: LocalTiltModel(model_from_dict(params["base"]), params["alpha"]),

@@ -34,9 +34,10 @@ import numpy as np
 from . import __version__
 from .calibrate import (
     CalibrationDivergenceError,
+    _GlobalTiltProblem,
+    _fit_global,
     amplification_bound,
     calibrate_entropy_rate,
-    fit_alpha_global,
     fit_alpha_local,
     tilted_variance_max,
 )
@@ -47,18 +48,16 @@ from .exact import (
     FunctionalF,
     cross_entropy_exact,
     entropy_rate_exact,
-    enumerate_sequences,
     kl_exact,
     log_partition_exact,
-    logsumexp,
     mean_var_exact,
+    prefix_expansion,
     sequence_log_probs,
 )
 from .memory import (
     fit_limited_memory,
     memory_bound,
     memory_table_csv,
-    prediction_joint,
 )
 from .models import (
     ConditionalModel,
@@ -741,29 +740,6 @@ def _check_local_fit(rng, n, budget, tolerance):
     return _check_report("local_calibration", failures, n)
 
 
-def _global_objective_terms(truth, base, f, budget):
-    spec = base.spec
-    seqs = enumerate_sequences(spec.M, spec.T, budget)
-    lp_base = sequence_log_probs(base, budget)
-    fv = f.values(seqs)
-    pw = np.exp(sequence_log_probs(truth, budget))
-    mask = pw > 0.0
-    mu_true = float(np.dot(pw, np.where(mask, fv, 0.0)))
-    ce_term = -float(np.dot(pw[mask], lp_base[mask]))
-
-    def ce(alpha):
-        return (ce_term - alpha * mu_true + logsumexp(alpha * fv + lp_base)) / spec.T
-
-    def stats(alpha):
-        w = alpha * fv + lp_base
-        pt = np.exp(w - logsumexp(w))
-        mu = float(np.dot(pt, fv))
-        var = float(np.dot(pt, (fv - mu) ** 2))
-        return mu, var
-
-    return ce, stats, mu_true
-
-
 def _check_derivatives(rng, n, budget, tolerance):
     failures = []
     h1, h2 = 1e-4, 1e-3
@@ -773,12 +749,13 @@ def _check_derivatives(rng, n, budget, tolerance):
         base = truth.perturbed(rng, 0.3)
         mixture = MixtureModel(base, 0.05)
         f = FunctionalF.log_prob(mixture)
-        res = fit_alpha_global(truth, mixture, f, tolerance, budget)
-        ce, stats, mu_true = _global_objective_terms(truth, mixture, f, budget)
+        problem = _GlobalTiltProblem.build(mixture, f, budget, truth=truth)
+        res = _fit_global(problem, mixture, f, tolerance, None)
+        ce = lambda alpha: problem.evaluate(alpha)["obj"]  # noqa: E731
         for off in (-1.6, -1.2, -0.8, -0.5, -0.2, 0.2, 0.5, 0.8, 1.2, 1.6):
             a = res.alpha_star + off
-            mu, var = stats(a)
-            grad = (mu - mu_true) / spec.T
+            info = problem.evaluate(a)
+            mu, var, grad = info["mu"], info["var"], info["g"]
             fd1 = (ce(a + h1) - ce(a - h1)) / (2 * h1)
             fd2 = (ce(a + h2) - 2 * ce(a) + ce(a - h2)) / h2**2
             rel1 = abs(fd1 - grad) / abs(grad)
@@ -819,20 +796,20 @@ def _memory_chain_holds(truth, full, comparator, est, budget, tolerance):
     # Zero-gradient identity: under the joint with Z drawn from the
     # calibrated model, E[-log comparator] equals CE(truth||comparator);
     # Jensen then caps H(Z|Y) by the same quantity.
-    from .memory import MemoryTiltModel, _prefix_level
+    from .memory import MemoryTiltModel, _joint
 
     tilted = MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
     lhs_vals, ce_vals, hzy_vals = [], [], []
-    for t in est.steps:
-        ctx, w = _prefix_level(truth, t, budget or EnumerationBudget())
+    for t, ctx, w, true_rows in prefix_expansion(truth, budget):
+        if t not in est.steps:
+            continue
         mt_rows = tilted.next_dist_batch(ctx)
         comp_rows = comparator.next_dist_batch(ctx)
         with np.errstate(divide="ignore"):
             log_comp = np.log(comp_rows)
         lhs_vals.append(-float(np.dot(w, (mt_rows * log_comp).sum(axis=1))))
-        true_rows = truth.next_dist_batch(ctx)
         ce_vals.append(-float(np.dot(w, (true_rows * log_comp).sum(axis=1))))
-        joint = prediction_joint(truth, tilted, est.tau, t, budget)
+        joint = _joint(w, mt_rows, est.tau, t)
         pzy = joint.sum(axis=2)
         py = pzy.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -860,8 +837,7 @@ def _check_memory_decay(rng, n, budget, tolerance):
             bounds[i, j] = est.bound
         # A window-limited model must carry zero memory beyond its window.
         windowed = fit_limited_memory(truth, 1, budget=budget)
-        comparator = fit_limited_memory(truth, 1, budget=budget)
-        est = memory_bound(truth, windowed, comparator, budget=budget, tolerance=tolerance)
+        est = memory_bound(truth, windowed, windowed, budget=budget, tolerance=tolerance)
         if est.exact_mi is None or abs(est.exact_mi) > 1e-10:
             zero_mi_failures.append({"instance": i, "exact_mi": est.exact_mi})
     means = bounds.mean(axis=0)

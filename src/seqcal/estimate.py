@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import EnumerationBudget
-from .models import ConditionalModel, model_hash, row_entropies
+from .exact import EnumerationBudget, _grow_prefixes, default_budget
+from .models import ConditionalModel, _sample_rows, model_hash, row_entropies
 
 
 def _unit_scale(units: str) -> float:
@@ -235,10 +235,7 @@ def drift_curve(
     for t in range(start + 1, T + 1):
         rows = model.next_dist_batch(out[:, : t - 1])
         ent[:, t - 1 - start] = row_entropies(rows)
-        cdf = np.cumsum(rows, axis=1)
-        u = rng.random(n_gen)
-        idx = (cdf <= u[:, None]).sum(axis=1)
-        out[:, t - 1] = np.minimum(idx, M - 1)
+        out[:, t - 1] = _sample_rows(rows, rng)
         if token_ent is not None:
             counts = np.bincount(out[:, t - 1], minlength=M).astype(float)
             token_ent[t - 1 - start] = float(row_entropies(counts / n_gen))
@@ -281,8 +278,6 @@ def drift_curve_exact(
     zero.  With no seeding this is the model's pure self-generation
     curve.
     """
-    from .exact import default_budget
-
     T, M = model.spec.T, model.spec.M
     if not 0 <= prefix_len < T:
         raise ValueError(f"prefix_len must lie in 0..{T - 1}")
@@ -304,13 +299,7 @@ def drift_curve_exact(
                 (weights * row_entropies(rows)).tolist()
             )
         if t < T:
-            weights = (weights[:, None] * rows).reshape(-1)
-            ctx = np.hstack(
-                [
-                    np.repeat(ctx, M, axis=0),
-                    np.tile(np.arange(M, dtype=np.int64), ctx.shape[0])[:, None],
-                ]
-            )
+            ctx, weights = _grow_prefixes(ctx, weights, rows)
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_hash(model))
     return DriftCurve(

@@ -5,6 +5,14 @@ step) and is therefore only usable on small instances, guarded by an
 :class:`EnumerationBudget`.  These routines are the ground truth that
 the Monte-Carlo estimators and all fitted quantities are tested against.
 
+Every exact routine in the package walks the prefix lattice through
+:func:`prefix_expansion`: level t holds all length-(t-1) prefixes in
+lexicographic order with their probabilities and next-token rows, and
+the last level's rows give every sequence's log-probability
+(:func:`sequence_log_probs`).  Sequence functionals are evaluated on
+that lattice, never on an enumerated token array;
+:func:`enumerate_sequences` remains only as an independent oracle.
+
 Conventions: natural log everywhere (nats); an infinite cross entropy or
 divergence is returned as ``math.inf`` (never produced via floating
 overflow); reductions over enumerated terms use compensated summation so
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -97,23 +105,30 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
 
     Entries are -inf exactly where the model assigns zero probability.
     """
-    M, T = model.spec.M, model.spec.T
-    b = budget or DEFAULT_BUDGET
-    b.check(M**T, "sequence enumeration")
     lp = np.zeros(1)
-    ctx = np.zeros((1, 0), dtype=np.int64)
-    for t in range(1, T + 1):
-        rows = model.next_dist_batch(ctx)
+    for _t, _ctx, _weights, rows in prefix_expansion(model, budget):
         with np.errstate(divide="ignore"):
             lp = (lp[:, None] + np.log(rows)).reshape(-1)
-        if t < T:
-            ctx = np.hstack(
-                [
-                    np.repeat(ctx, M, axis=0),
-                    np.tile(np.arange(M, dtype=np.int64), ctx.shape[0])[:, None],
-                ]
-            )
     return lp
+
+
+def _grow_prefixes(
+    contexts: np.ndarray, weights: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One lattice step: extend every prefix by every token.
+
+    Takes the (n, L) prefixes, their probabilities and their next-token
+    rows; returns the (n*M, L+1) extended prefixes (lexicographic) and
+    their probabilities.
+    """
+    M = rows.shape[1]
+    contexts = np.hstack(
+        [
+            np.repeat(contexts, M, axis=0),
+            np.tile(np.arange(M, dtype=np.int64), contexts.shape[0])[:, None],
+        ]
+    )
+    return contexts, (weights[:, None] * rows).reshape(-1)
 
 
 def prefix_expansion(
@@ -134,13 +149,7 @@ def prefix_expansion(
         rows = model.next_dist_batch(ctx)
         yield t, ctx, weights, rows
         if t < T:
-            weights = (weights[:, None] * rows).reshape(-1)
-            ctx = np.hstack(
-                [
-                    np.repeat(ctx, M, axis=0),
-                    np.tile(np.arange(M, dtype=np.int64), ctx.shape[0])[:, None],
-                ]
-            )
+            ctx, weights = _grow_prefixes(ctx, weights, rows)
 
 
 class FunctionalF:
@@ -149,19 +158,32 @@ class FunctionalF:
     Kinds:
       * ``log_prob`` / ``neg_log_prob`` -- (+/-) log probability under a
         model, floored at ``p_min`` so values stay finite;
-      * ``table`` -- explicit values indexed by lexicographic sequence code;
-      * ``callable`` -- arbitrary Python function of a token tuple.
+      * ``table`` -- explicit values indexed by lexicographic sequence
+        code, one per sequence of ``spec``.
+
+    Exact routines evaluate a functional on the prefix lattice they
+    already walk (:meth:`_on_lattice`): a table is its own lattice
+    vector, and a log-probability reuses the walk's log-probabilities
+    when it scores with the walked model.  :meth:`values` evaluates
+    explicit token arrays and serves as the independent oracle.
 
     When a bound is declared, every evaluation checks |f(w)| <= bound.
     """
 
-    def __init__(self, kind, *, model=None, table=None, fn=None, bound=None, p_min=P_MIN):
-        if kind not in ("log_prob", "neg_log_prob", "table", "callable"):
+    def __init__(self, kind, *, model=None, table=None, spec=None, bound=None, p_min=P_MIN):
+        if kind not in ("log_prob", "neg_log_prob", "table"):
             raise ValueError(f"unknown functional kind {kind!r}")
         self.kind = kind
         self.model = model
         self.table = None if table is None else np.asarray(table, dtype=float)
-        self.fn = fn
+        self.spec = spec
+        if kind == "table":
+            size = None if spec is None else spec.M**spec.T
+            if self.table is None or self.table.shape != (size,):
+                raise ValueError(
+                    f"table must have one value per sequence of its spec ({size}), "
+                    f"got {None if self.table is None else self.table.shape}"
+                )
         self.bound = None if bound is None else float(bound)
         self.p_min = float(p_min)
 
@@ -175,31 +197,34 @@ class FunctionalF:
 
     @classmethod
     def from_table(cls, values, spec, bound=None) -> "FunctionalF":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (spec.M**spec.T,):
-            raise ValueError(
-                f"table must have one value per sequence ({spec.M**spec.T}), "
-                f"got shape {values.shape}"
-            )
-        f = cls("table", table=values, bound=bound)
-        f.spec = spec
-        return f
-
-    @classmethod
-    def from_callable(cls, fn: Callable, bound=None) -> "FunctionalF":
-        return cls("callable", fn=fn, bound=bound)
+        return cls("table", table=values, spec=spec, bound=bound)
 
     def values(self, seqs: np.ndarray) -> np.ndarray:
         seqs = np.asarray(seqs, dtype=np.int64)
-        if self.kind in ("log_prob", "neg_log_prob"):
-            lp = self.model.seq_log_prob_batch(seqs)
-            lp = np.maximum(lp, math.log(self.p_min))
-            out = lp if self.kind == "log_prob" else -lp
-        elif self.kind == "table":
+        if self.kind == "table":
             powers = self.spec.M ** np.arange(self.spec.T - 1, -1, -1, dtype=np.int64)
-            out = self.table[seqs @ powers]
-        else:
-            out = np.array([self.fn(tuple(int(x) for x in row)) for row in seqs], dtype=float)
+            return self._checked(self.table[seqs @ powers])
+        return self._from_log_probs(self.model.seq_log_prob_batch(seqs))
+
+    def _on_lattice(self, model, lp, budget=None) -> np.ndarray:
+        """Values at every sequence of `model`'s spec, lexicographic order.
+
+        `lp` is ``sequence_log_probs(model)``, reused when this
+        functional scores with that same model.
+        """
+        if (self.spec if self.kind == "table" else self.model.spec) != model.spec:
+            raise ValueError("functional does not match the sequence spec")
+        if self.kind == "table":
+            return self._checked(self.table)
+        if self.model is not model:
+            lp = sequence_log_probs(self.model, budget)
+        return self._from_log_probs(lp)
+
+    def _from_log_probs(self, lp: np.ndarray) -> np.ndarray:
+        lp = np.maximum(lp, math.log(self.p_min))
+        return self._checked(lp if self.kind == "log_prob" else -lp)
+
+    def _checked(self, out: np.ndarray) -> np.ndarray:
         if self.bound is not None and out.size:
             worst = float(np.max(np.abs(out)))
             if worst > self.bound + 1e-12:
@@ -264,8 +289,11 @@ def kl_exact(
     """KL(p||q) in nats, total over the sequence (not per token)."""
     if p.spec != q.spec:
         raise ValueError("models must share the same sequence spec")
-    lpp = sequence_log_probs(p, budget)
-    lpq = sequence_log_probs(q, budget)
+    return _kl_from_log_probs(sequence_log_probs(p, budget), sequence_log_probs(q, budget))
+
+
+def _kl_from_log_probs(lpp: np.ndarray, lpq: np.ndarray) -> float:
+    """KL between two lattice log-probability vectors, as :func:`kl_exact`."""
     pw = np.exp(lpp)
     mask = pw > 0.0
     if np.any(np.isneginf(lpq[mask])):
@@ -277,9 +305,9 @@ def mean_var_exact(
     dist: "ConditionalModel", f: FunctionalF, budget: EnumerationBudget | None = None
 ) -> tuple[float, float]:
     """Exact mean and variance of f under `dist`."""
-    seqs = enumerate_sequences(dist.spec.M, dist.spec.T, budget)
-    pw = np.exp(sequence_log_probs(dist, budget))
-    fv = f.values(seqs)
+    lp = sequence_log_probs(dist, budget)
+    pw = np.exp(lp)
+    fv = f._on_lattice(dist, lp, budget)
     mu = _fsum(pw * fv)
     var = _fsum(pw * (fv - mu) ** 2)
     return mu, var
@@ -295,9 +323,8 @@ def log_partition_exact(
 
     Its derivatives in alpha are the tilted mean and variance of f.
     """
-    seqs = enumerate_sequences(base.spec.M, base.spec.T, budget)
     lp = sequence_log_probs(base, budget)
-    fv = f.values(seqs)
+    fv = f._on_lattice(base, lp, budget)
     return float(logsumexp(alpha * fv + lp))
 
 

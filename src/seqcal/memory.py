@@ -31,10 +31,11 @@ from .calibrate import CalibrationResult, fit_per_step_tilt
 from .exact import (
     P_MIN,
     EnumerationBudget,
-    BudgetExceededError,
+    _grow_prefixes,
     conditional_mi_exact,
     default_budget,
     logsumexp,
+    prefix_expansion,
 )
 from .models import (
     ConditionalModel,
@@ -303,20 +304,20 @@ def memory_table_csv(estimates, units: str = "nats") -> str:
 
 def _prefix_level(model: ConditionalModel, t: int, budget: EnumerationBudget):
     """All length-(t-1) prefixes with their probabilities under `model`."""
-    M = model.spec.M
-    budget.check(M**t, "prefix enumeration")
+    budget.check(model.spec.M**t, "prefix enumeration")
     ctx = np.zeros((1, 0), dtype=np.int64)
     weights = np.ones(1)
-    for step in range(1, t):
-        rows = model.next_dist_batch(ctx)
-        weights = (weights[:, None] * rows).reshape(-1)
-        ctx = np.hstack(
-            [
-                np.repeat(ctx, M, axis=0),
-                np.tile(np.arange(M, dtype=np.int64), ctx.shape[0])[:, None],
-            ]
-        )
+    for _ in range(1, t):
+        ctx, weights = _grow_prefixes(ctx, weights, model.next_dist_batch(ctx))
     return ctx, weights
+
+
+def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarray:
+    """(Z, Y, X) joint from one lattice level: prefix weights times step-t rows."""
+    M = rows.shape[1]
+    te = min(tau, t - 1)
+    joint = (weights[:, None] * rows).reshape(M ** (t - 1 - te), M**te, M)
+    return joint.transpose(2, 1, 0)
 
 
 def prediction_joint(
@@ -339,13 +340,8 @@ def prediction_joint(
     if tau < 1:
         raise ValueError("tau must be >= 1")
     b = budget if budget is not None else default_budget()
-    M = truth.spec.M
     ctx, weights = _prefix_level(truth, t, b)
-    rows = predictor.next_dist_batch(ctx)
-    te = min(tau, t - 1)
-    x_len = t - 1 - te
-    joint = (weights[:, None] * rows).reshape(M**x_len, M**te, M)
-    return joint.transpose(2, 1, 0)
+    return _joint(weights, predictor.next_dist_batch(ctx), tau, t)
 
 
 def memory_bound(
@@ -356,7 +352,7 @@ def memory_bound(
     tau: int | None = None,
     tolerance: float = 1e-10,
     budget: EnumerationBudget | None = None,
-    attach_exact_mi: bool | None = None,
+    attach_exact_mi: bool = True,
     min_samples: int = 1000,
     provenance: dict | None = None,
 ) -> MemoryEstimate:
@@ -366,9 +362,10 @@ def memory_bound(
     reports  bound = CE(truth || comparator) - H(calibrated next token |
     full past), each term averaged over the steps selected by
     `t_policy` ("average" pools t = tau+1..T; an integer selects a
-    single step).  In exact mode the exact conditional mutual
-    information is attached when the enumeration budget allows, and the
-    bound dominates it by construction.  In sample mode both terms carry
+    single step).  Exact mode walks the truth's prefix lattice once
+    over those steps and, unless `attach_exact_mi` is False, attaches
+    the exact conditional mutual information, which the bound dominates
+    by construction.  In sample mode both terms carry
     standard errors and a negative bound is reported as-is with the
     validity flag cleared rather than clamped.
     """
@@ -388,7 +385,6 @@ def memory_bound(
         raise ValueError(f"t_policy must be 'average' or a step index, got {t_policy!r}")
 
     exact_mode = isinstance(target, ConditionalModel)
-    b = budget if budget is not None else default_budget()
     tilted, calibration = calibrate_to_comparator(
         target,
         full,
@@ -403,10 +399,9 @@ def memory_bound(
     per_step: dict = {}
     if exact_mode:
         ce_vals, h_vals, mi_vals = [], [], []
-        want_mi = attach_exact_mi is not False
-        for t in steps:
-            ctx, weights = _prefix_level(target, t, b)
-            true_rows = target.next_dist_batch(ctx)
+        for t, ctx, weights, true_rows in prefix_expansion(target, budget):
+            if t not in steps:
+                continue
             comp_rows = comparator.next_dist_batch(ctx)
             with np.errstate(divide="ignore"):
                 log_comp = np.log(comp_rows)
@@ -416,26 +411,20 @@ def memory_bound(
             else:
                 terms = np.where(joint_mass > 0.0, joint_mass * log_comp, 0.0)
                 ce_t = -math.fsum(terms.ravel().tolist())
-            h_t = math.fsum(
-                (weights * row_entropies(tilted.next_dist_batch(ctx))).tolist()
-            )
+            tilted_rows = tilted.next_dist_batch(ctx)
+            h_t = math.fsum((weights * row_entropies(tilted_rows)).tolist())
             mi_t = None
-            if want_mi:
-                try:
-                    mi_t = conditional_mi_exact(prediction_joint(target, tilted, tau, t, b))
-                except BudgetExceededError:
-                    if attach_exact_mi is True:
-                        raise
-                    want_mi = False
-                    mi_vals = []
+            if attach_exact_mi:
+                mi_t = conditional_mi_exact(_joint(weights, tilted_rows, tau, t))
+                mi_vals.append(mi_t)
             ce_vals.append(ce_t)
             h_vals.append(h_t)
-            if mi_t is not None:
-                mi_vals.append(mi_t)
             per_step[t] = {"ce": ce_t, "cond_entropy": h_t, "mi": mi_t}
+            if t == steps[-1]:
+                break
         ce_term = float(np.mean(ce_vals))
         h_term = float(np.mean(h_vals))
-        exact_mi = float(np.mean(mi_vals)) if len(mi_vals) == len(steps) else None
+        exact_mi = float(np.mean(mi_vals)) if attach_exact_mi else None
         bound = ce_term - h_term
         return MemoryEstimate(
             tau=tau,

@@ -91,6 +91,21 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
+def _sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One token per row by inverting the CDF in ascending token-id order.
+
+    Draws ``rng.random(n)`` once.  A draw at or above a row's rounded
+    total mass falls to the row's last token of positive probability, so
+    a zero-probability token is never returned; every other draw already
+    lands on a token of positive probability.
+    """
+    M = rows.shape[1]
+    idx = (np.cumsum(rows, axis=1) <= rng.random(rows.shape[0])[:, None]).sum(axis=1)
+    over = np.flatnonzero(idx == M)
+    idx[over] = M - 1 - np.argmax(rows[over, ::-1] > 0.0, axis=1)
+    return idx
+
+
 def context_codes(contexts: np.ndarray, M: int) -> np.ndarray:
     """Lexicographic integer code of each row of a (n, L) token array."""
     contexts = np.asarray(contexts)
@@ -209,7 +224,7 @@ class ConditionalModel(ABC):
         generator state.  An optional seed prefix (length < T) is copied
         verbatim into every sample.
         """
-        T, M = self.spec.T, self.spec.M
+        T = self.spec.T
         start = 0
         out = np.empty((n, T), dtype=np.int64)
         if prefix is not None:
@@ -217,11 +232,7 @@ class ConditionalModel(ABC):
             start = pfx.size
             out[:, :start] = pfx
         for t in range(start, T):
-            rows = self.next_dist_batch(out[:, :t])
-            cdf = np.cumsum(rows, axis=1)
-            u = rng.random(n)
-            idx = (cdf <= u[:, None]).sum(axis=1)
-            out[:, t] = np.minimum(idx, M - 1)
+            out[:, t] = _sample_rows(self.next_dist_batch(out[:, :t]), rng)
         return out
 
     def sample_sequence(self, rng: np.random.Generator, prefix=None) -> np.ndarray:
@@ -638,31 +649,17 @@ def marginalize_to_window(
     their own exact tables.  Contexts with zero probability get uniform
     rows; they are never reached under `model`.
     """
-    from .exact import default_budget  # deferred: avoids a module cycle
+    from .exact import prefix_expansion  # deferred: avoids a module cycle
 
     if window < 1:
         raise ValueError("window must be >= 1")
     M, T = model.spec.M, model.spec.T
     eff = min(window, T - 1)
-    b = budget if budget is not None else default_budget()
-    b.check(M**T, "window marginalization")
-
     acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
-    ctx = np.zeros((1, 0), dtype=np.int64)
-    weights = np.ones(1)
-    for t in range(1, T + 1):
-        rows = model.next_dist_batch(ctx)
+    for t, ctx, weights, rows in prefix_expansion(model, budget):
         ell = min(eff, t - 1)
         codes = context_codes(ctx[:, ctx.shape[1] - ell :], M)
         np.add.at(acc[ell], codes, weights[:, None] * rows)
-        if t < T:
-            weights = (weights[:, None] * rows).reshape(-1)
-            ctx = np.hstack(
-                [
-                    np.repeat(ctx, M, axis=0),
-                    np.tile(np.arange(M, dtype=np.int64), ctx.shape[0])[:, None],
-                ]
-            )
 
     tables = []
     for table in acc:

@@ -34,13 +34,3 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
         raise ValueError("seed must be an integer")
     key = ((seed & _MASK64) << 64) | _name_hash(name)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def derive_seed(seed: int, name: str) -> int:
-    """Deterministic 64-bit sub-seed for spawning per-worker streams."""
-    return ((seed & _MASK64) ^ _name_hash(name)) & _MASK64
-
-
-def stream_provenance(seed: int, name: str) -> dict:
-    """The record written next to any result produced from this stream."""
-    return {"seed": int(seed), "stream": name}

@@ -192,6 +192,48 @@ class TestEntropyRateCalibration:
             assert res.improvement >= claim - 1e-12
 
 
+    def test_one_lattice_walk_per_model(self, rng, monkeypatch):
+        import seqcal.calibrate as cal
+        import seqcal.exact as ex
+
+        walked, calls = [], {"enumerate_sequences": 0, "values": 0}
+        real_walk, real_enum, real_values = (
+            ex.sequence_log_probs, ex.enumerate_sequences, ex.FunctionalF.values
+        )
+
+        def counting_walk(model, budget=None):
+            walked.append(model)
+            return real_walk(model, budget)
+
+        def counting_enum(*args, **kwargs):
+            calls["enumerate_sequences"] += 1
+            return real_enum(*args, **kwargs)
+
+        def counting_values(*args, **kwargs):
+            calls["values"] += 1
+            return real_values(*args, **kwargs)
+
+        for module in (cal, ex):
+            monkeypatch.setattr(module, "sequence_log_probs", counting_walk)
+            monkeypatch.setattr(module, "enumerate_sequences", counting_enum, raising=False)
+        monkeypatch.setattr(ex.FunctionalF, "values", counting_values)
+        truth, base = random_pair(rng, T=4, scale=0.3)
+        tilted, _ = sc.calibrate_entropy_rate(truth, base, 0.05)
+        mixture = tilted.base
+        assert [m is truth for m in walked].count(True) == 1
+        assert [m is mixture for m in walked].count(True) == 1
+        assert len(walked) == 2
+        assert calls == {"enumerate_sequences": 0, "values": 0}
+
+    def test_rebuilt_model_has_bitwise_equal_levels(self, rng):
+        truth, base = random_pair(rng, T=4, scale=0.3)
+        tilted, _ = sc.calibrate_entropy_rate(truth, base, 0.05)
+        rebuilt = sc.model_from_dict(sc.model_to_dict(tilted))
+        assert len(rebuilt._levels) == len(tilted._levels)
+        for ours, theirs in zip(tilted._levels, rebuilt._levels):
+            assert ours.tobytes() == theirs.tobytes()
+
+
 class TestLookahead:
     def test_uniform_base(self):
         base = sc.MarkovModel.uniform(sc.make_spec(4, 3))

@@ -180,13 +180,18 @@ class TestMainEntry:
         assert manifest["overrides"] == {"seed": 99}
         assert manifest["seed"] == 99
 
-    def test_replay_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize(
+        "pipeline", ["drift", "calibrate-global", "calibrate-local", "memory"]
+    )
+    def test_replay_bit_exact(self, tmp_path, pipeline):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["drift", "--config", str(cfg), "--out", str(a)]) == 0
-        assert main(["drift", "--config", str(cfg), "--out", str(b)]) == 0
-        for name in ("drift_curve.csv", "drift_curve.json", "ent_rate_gap.json",
-                     "manifest.json"):
+        assert main([pipeline, "--config", str(cfg), "--out", str(a)]) == 0
+        assert main([pipeline, "--config", str(cfg), "--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir() if p.name != "runinfo.json")
+        assert "manifest.json" in names and len(names) >= 3
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "runinfo.json")
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

@@ -150,6 +150,34 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
 
+class _TopOfUnitInterval:
+    """Generator stub whose every uniform draw is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def _rounded_short_model():
+    # The row [0.1]*10 + [0] sums to 0.9999999999999999 in a cumsum, so a
+    # draw just below 1 lands past the last positive-mass token.  Token
+    # 10 is never emitted; if it were, the next row would be one-hot.
+    row = [0.1] * 10 + [0.0]
+    transition = [row] * 10 + [[0.0] * 10 + [1.0]]
+    return sc.MarkovModel(sc.make_spec(11, 2), 1, [[row], transition])
+
+
+class TestZeroMassDraws:
+    def test_sample_batch_never_emits_zero_mass_token(self):
+        model = _rounded_short_model()
+        seqs = model.sample_batch(4, _TopOfUnitInterval())
+        np.testing.assert_array_equal(seqs, np.full((4, 2), 9))
+        assert np.all(np.isfinite(model.seq_log_prob_batch(seqs)))
+
+    def test_drift_curve_never_emits_zero_mass_token(self):
+        curve = sc.drift_curve(_rounded_short_model(), 4, _TopOfUnitInterval())
+        np.testing.assert_allclose(curve.means, [math.log(10)] * 2, rtol=1e-12)
+
+
 class TestMarginalizeToWindow:
     def test_order1_window1_recovers_transitions(self, rng):
         truth = random_markov(rng, 3, 5, 1)
