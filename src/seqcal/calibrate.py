@@ -39,9 +39,8 @@ from .exact import (
 )
 from .models import (
     ConditionalModel,
-    MarkovModel,
     MixtureModel,
-    context_codes,
+    check_samples,
     model_from_dict,
     model_to_dict,
     register_model_kind,
@@ -251,8 +250,8 @@ class GlobalTiltModel(ConditionalModel):
 
     The tilt does not factor across steps, so construction enumerates
     the full sequence distribution (budget-guarded) and precomputes a
-    pyramid of prefix marginals; conditionals are then exact ratios of
-    adjacent pyramid levels.  Contexts with zero probability under the
+    pyramid of prefix marginals; the state is the prefix's lexicographic
+    code, and its rows are exact ratios of adjacent pyramid levels.  Contexts with zero probability under the
     tilt get a uniform row; they are unreachable.  A fit passes the
     lattice problem it already built as `_problem`; otherwise the model
     builds the same problem itself.
@@ -285,37 +284,23 @@ class GlobalTiltModel(ConditionalModel):
     def log_partition(self) -> float:
         return self._log_partition
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        M = self.spec.M
-        L = len(context)
-        code = int(context_codes(np.asarray(context)[None, :], M)[0])
-        parent = self._levels[L][code] if L > 0 else self._levels[0][0]
-        children = self._levels[L + 1][code * M : (code + 1) * M]
-        if not np.isfinite(parent):
-            return np.full(M, 1.0 / M)
-        return np.exp(children - parent)
+    def init_state(self, n: int):
+        # Step count and the lexicographic code of the whole prefix.
+        return 0, np.zeros(n, dtype=np.int64)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        contexts = np.asarray(contexts, dtype=np.int64)
+    def advance(self, state, tokens):
+        t, code = state
+        return t + 1, code * self.spec.M + tokens
+
+    def rows(self, state) -> np.ndarray:
+        t, codes = state
         M = self.spec.M
-        L = contexts.shape[1]
-        codes = context_codes(contexts, M)
-        parents = self._levels[L][codes]
-        children = self._levels[L + 1].reshape(-1, M)[codes]
+        parents = self._levels[t][codes]
+        children = self._levels[t + 1].reshape(-1, M)[codes]
         safe = np.isfinite(parents)
-        out = np.full((contexts.shape[0], M), 1.0 / M)
+        out = np.full((codes.shape[0], M), 1.0 / M)
         out[safe] = np.exp(children[safe] - parents[safe, None])
         return out
-
-    def seq_log_prob(self, seq) -> float:
-        s = self._check_sequence(seq)
-        code = int(context_codes(s[None, :], self.spec.M)[0])
-        return float(self._levels[self.spec.T][code])
-
-    def seq_log_prob_batch(self, seqs: np.ndarray) -> np.ndarray:
-        seqs = np.asarray(seqs, dtype=np.int64)
-        codes = context_codes(seqs, self.spec.M)
-        return self._levels[self.spec.T][codes]
 
     def params_dict(self) -> dict:
         return {
@@ -325,20 +310,21 @@ class GlobalTiltModel(ConditionalModel):
         }
 
 
+def _tilt_rows(base_rows: np.ndarray, feats: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows proportional to base_rows * exp(alpha * feats)."""
+    with np.errstate(divide="ignore"):
+        logits = np.log(base_rows) + alpha * feats
+    return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+
+
 def lookahead_entropy_vector(base: ConditionalModel, context) -> np.ndarray:
     """Entropy of the base's next conditional after appending each token.
 
     Entry j is H(B(. | context + [j])) in nats; at the final step (where
     no next conditional exists) every entry is 0.
     """
-    ctx = base._check_context(context)
-    M, T = base.spec.M, base.spec.T
-    if ctx.size + 1 == T:
-        return np.zeros(M)
-    ext = np.hstack(
-        [np.repeat(ctx[None, :], M, axis=0), np.arange(M, dtype=np.int64)[:, None]]
-    )
-    return row_entropies(base.next_dist_batch(ext))
+    tilt = LocalTiltModel(base, 0.0)
+    return tilt._step(tilt._state_at(base._check_context(context)[None, :]))[1][0]
 
 
 class LocalTiltModel(ConditionalModel):
@@ -348,7 +334,8 @@ class LocalTiltModel(ConditionalModel):
     exp(a * H(next step | context + candidate)) and renormalized over
     the M candidates; the final step is untilted (feature 0).  Positive
     a favors candidates whose continuation has high entropy, negative a
-    suppresses them.
+    suppresses them.  The state is the base's state and the step count;
+    the feature takes M one-step advances of the base.
     """
 
     kind = "local_tilt"
@@ -357,52 +344,34 @@ class LocalTiltModel(ConditionalModel):
         super().__init__(base.spec)
         self.base = base
         self.alpha = float(alpha)
-        # Lookahead vectors for a Markov base depend only on a short
-        # context tail; memoize them.
-        self._memo: dict | None = {} if isinstance(base, MarkovModel) else None
 
-    def _feature(self, context: np.ndarray) -> np.ndarray:
-        T = self.spec.T
-        if len(context) + 1 == T:
-            return np.zeros(self.spec.M)
-        if self._memo is None:
-            return lookahead_entropy_vector(self.base, context)
-        k = self.base.order
-        L = len(context)
-        if L + 1 <= k:
-            key = (L, tuple(int(x) for x in context))
-        else:
-            tail = context[L - (k - 1) :] if k >= 1 else context[:0]
-            key = (-1, tuple(int(x) for x in tail))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = lookahead_entropy_vector(self.base, context)
-            self._memo[key] = hit
-        return hit
+    def init_state(self, n: int):
+        return 0, self.base.init_state(n)
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        base_row = np.asarray(self.base._row(context), dtype=float)
-        if self.alpha == 0.0 or len(context) + 1 == self.spec.T:
-            return base_row
-        h = self._feature(context)
-        with np.errstate(divide="ignore"):
-            logits = np.log(base_row) + self.alpha * h
-        return np.exp(logits - logsumexp(logits))
+    def advance(self, state, tokens):
+        t, base_state = state
+        return t + 1, self.base.advance(base_state, tokens)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        contexts = np.asarray(contexts, dtype=np.int64)
-        base_rows = self.base.next_dist_batch(contexts)
-        n, L = contexts.shape
-        if self.alpha == 0.0 or L + 1 == self.spec.T:
-            return base_rows
-        M = self.spec.M
-        h = np.empty((n, M))
-        for j in range(M):
-            ext = np.hstack([contexts, np.full((n, 1), j, dtype=np.int64)])
-            h[:, j] = row_entropies(self.base.next_dist_batch(ext))
-        with np.errstate(divide="ignore"):
-            logits = np.log(base_rows) + self.alpha * h
-        return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+    def _step(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """The base rows at `state` and the lookahead entropy of every candidate."""
+        t, base_state = state
+        base_rows = self.base.rows(base_state)
+        n, M = base_rows.shape
+        feats = np.zeros((n, M))
+        if t + 1 < self.spec.T:
+            for j in range(M):
+                ahead = self.base.advance(base_state, np.full(n, j, dtype=np.int64))
+                feats[:, j] = row_entropies(self.base.rows(ahead))
+        return base_rows, feats
+
+    def rows(self, state) -> np.ndarray:
+        t, base_state = state
+        if self.alpha == 0.0 or t + 1 == self.spec.T:
+            return self.base.rows(base_state)
+        return _tilt_rows(*self._step(state), self.alpha)
+
+    def _fit_extras(self, feats: np.ndarray) -> dict:
+        return {}
 
     def params_dict(self) -> dict:
         return {"alpha": self.alpha, "base": model_to_dict(self.base)}
@@ -562,13 +531,13 @@ class _StepTiltProblem:
         return info
 
 
-def _exact_step_problem(truth, base, feature_fn, active, budget):
+def _exact_step_problem(truth, tilt, active, budget):
     T = truth.spec.T
     w_parts, lr_parts, f_parts = [], [], []
     target_sum = 0.0
     xent_sum = 0.0
-    for t, ctx, weights, true_rows in prefix_expansion(truth, budget):
-        base_rows = base.next_dist_batch(ctx)
+    for t, (_, state), weights, true_rows in prefix_expansion(truth, budget, tilt):
+        base_rows, feats = tilt._step(state)
         with np.errstate(divide="ignore"):
             log_rows = np.log(base_rows)
         support = (weights[:, None] * true_rows) > 0.0
@@ -577,7 +546,8 @@ def _exact_step_problem(truth, base, feature_fn, active, budget):
                 "base assigns zero probability on the truth's support; the "
                 "objective is infinite for every alpha"
             )
-        feats = feature_fn(t, ctx) if t in active else np.zeros_like(base_rows)
+        if t not in active:
+            feats = np.zeros_like(base_rows)
         xent_sum += -float(
             np.dot(weights, np.where(support, true_rows * log_rows, 0.0).sum(axis=1))
         )
@@ -595,20 +565,18 @@ def _exact_step_problem(truth, base, feature_fn, active, budget):
     )
 
 
-def _sample_step_problem(samples, base, feature_fn, active, min_samples):
-    samples = np.asarray(samples, dtype=np.int64)
+def _sample_step_problem(samples, tilt, active, min_samples):
+    samples = check_samples(samples, tilt.spec)
     n, T = samples.shape
-    if T != base.spec.T:
-        raise ValueError(f"samples have length {T}, expected {base.spec.T}")
     if n < min_samples:
         raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n}")
     lr_parts, f_parts = [], []
     obs = np.empty((T, n))
     xent_sum = 0.0
     idx = np.arange(n)
+    state = tilt.init_state(n)
     for t in range(1, T + 1):
-        ctx = samples[:, : t - 1]
-        base_rows = base.next_dist_batch(ctx)
+        base_rows, feats = tilt._step(state)
         with np.errstate(divide="ignore"):
             log_rows = np.log(base_rows)
         chosen = log_rows[idx, samples[:, t - 1]]
@@ -617,11 +585,14 @@ def _sample_step_problem(samples, base, feature_fn, active, min_samples):
                 "base assigns zero probability to a sampled sequence; the "
                 "objective is infinite for every alpha"
             )
-        feats = feature_fn(t, ctx) if t in active else np.zeros_like(base_rows)
+        if t not in active:
+            feats = np.zeros_like(base_rows)
         xent_sum += -float(chosen.sum()) / n
         obs[t - 1] = feats[idx, samples[:, t - 1]]
         lr_parts.append(log_rows)
         f_parts.append(feats)
+        if t < T:
+            state = tilt.advance(state, samples[:, t - 1])
     return _StepTiltProblem(
         np.full(n * T, 1.0 / n),
         np.vstack(lr_parts),
@@ -636,8 +607,7 @@ def _sample_step_problem(samples, base, feature_fn, active, min_samples):
 
 def fit_per_step_tilt(
     target,
-    base: ConditionalModel,
-    feature_fn,
+    tilt: ConditionalModel,
     active_steps=None,
     tolerance: float = 1e-10,
     budget: EnumerationBudget | None = None,
@@ -647,13 +617,16 @@ def fit_per_step_tilt(
 ) -> CalibrationResult:
     """Fit a shared per-step tilt exponent against a truth model or samples.
 
-    `feature_fn(t, contexts)` returns the per-candidate feature rows at
-    step t.  Steps outside `active_steps` stay untilted.  With a
-    ConditionalModel target the fit is exact (stop at |gradient| <=
-    tolerance); with an (n, T) sample array it is a sample-average
+    `tilt` is a per-step tilt model (:class:`LocalTiltModel`,
+    :class:`seqcal.memory.MemoryTiltModel`); the fit reads the base rows
+    and the per-candidate feature from its own step, ``tilt._step``, and
+    ignores its exponent.  Steps outside `active_steps` stay untilted.
+    With a ConditionalModel target the fit is exact (stop at |gradient|
+    <= tolerance); with an (n, T) sample array it is a sample-average
     approximation over the fixed sample (stop at |gradient| <= 0.1 *
     stderr(gradient)).
     """
+    base = tilt.base
     T = base.spec.T
     active = frozenset(active_steps) if active_steps is not None else frozenset(range(1, T + 1))
     if not active or not active.issubset(range(1, T + 1)):
@@ -662,11 +635,11 @@ def fit_per_step_tilt(
     if isinstance(target, ConditionalModel):
         if target.spec != base.spec:
             raise ValueError("models must share the same sequence spec")
-        problem = _exact_step_problem(target, base, feature_fn, active, budget)
+        problem = _exact_step_problem(target, tilt, active, budget)
         mode = "exact"
         stop = lambda info: abs(info["g"]) <= tolerance  # noqa: E731
     else:
-        problem = _sample_step_problem(target, base, feature_fn, active, min_samples)
+        problem = _sample_step_problem(target, tilt, active, min_samples)
         mode = "sample-average"
         stop = lambda info: abs(info["g"]) <= max(0.1 * info["g_stderr"], 1e-13)  # noqa: E731
 
@@ -678,6 +651,7 @@ def fit_per_step_tilt(
         "sigma2_tilted_at_opt": info["var"],
         "sigma2_path_max": max(i["var"] for i in trace),
         "active_steps": sorted(active),
+        **tilt._fit_extras(problem.feats),
     }
     if "g_stderr" in info:
         extras["gradient_stderr"] = info["g_stderr"]
@@ -715,22 +689,9 @@ def fit_alpha_local(
     `target` is either the true model (exact mode, enumeration) or an
     (n, T) array of sequences drawn from it (sample-average mode).
     """
-    M, T = base.spec.M, base.spec.T
-
-    def feature_fn(t, contexts):
-        n = contexts.shape[0]
-        if t == T:
-            return np.zeros((n, M))
-        h = np.empty((n, M))
-        for j in range(M):
-            ext = np.hstack([contexts, np.full((n, 1), j, dtype=np.int64)])
-            h[:, j] = row_entropies(base.next_dist_batch(ext))
-        return h
-
     result = fit_per_step_tilt(
         target,
-        base,
-        feature_fn,
+        LocalTiltModel(base, 0.0),
         tolerance=tolerance,
         budget=budget,
         min_samples=min_samples,

@@ -800,13 +800,13 @@ def _memory_chain_holds(truth, full, comparator, est, budget, tolerance):
 
     tilted = MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
     lhs_vals, ce_vals, hzy_vals = [], [], []
-    for t, ctx, w, true_rows in prefix_expansion(truth, budget):
+    walk = prefix_expansion(truth, budget, tilted, comparator)
+    for t, (_, tilted_state, comp_state), w, true_rows in walk:
         if t not in est.steps:
             continue
-        mt_rows = tilted.next_dist_batch(ctx)
-        comp_rows = comparator.next_dist_batch(ctx)
+        mt_rows = tilted.rows(tilted_state)
         with np.errstate(divide="ignore"):
-            log_comp = np.log(comp_rows)
+            log_comp = np.log(comparator.rows(comp_state))
         lhs_vals.append(-float(np.dot(w, (mt_rows * log_comp).sum(axis=1))))
         ce_vals.append(-float(np.dot(w, (true_rows * log_comp).sum(axis=1))))
         joint = _joint(w, mt_rows, est.tau, t)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import EnumerationBudget, _grow_prefixes, default_budget
-from .models import ConditionalModel, _sample_rows, model_hash, row_entropies
+from .models import ConditionalModel, check_tokens, model_hash, row_entropies
 
 
 def _unit_scale(units: str) -> float:
@@ -220,7 +220,7 @@ def drift_curve(
     start = 0
     policy = "none"
     if prefixes is not None:
-        pfx = np.asarray(prefixes, dtype=np.int64)
+        pfx = check_tokens(prefixes, M)
         if pfx.ndim == 1:
             pfx = pfx[None, :]
         if pfx.shape[1] >= T:
@@ -232,13 +232,11 @@ def drift_curve(
 
     ent = np.empty((n_gen, T - start))
     token_ent = np.empty(T - start) if token_entropy_diagnostic else None
-    for t in range(start + 1, T + 1):
-        rows = model.next_dist_batch(out[:, : t - 1])
-        ent[:, t - 1 - start] = row_entropies(rows)
-        out[:, t - 1] = _sample_rows(rows, rng)
+    for t, rows in model._generate(out, start, rng):
+        ent[:, t - start] = row_entropies(rows)
         if token_ent is not None:
-            counts = np.bincount(out[:, t - 1], minlength=M).astype(float)
-            token_ent[t - 1 - start] = float(row_entropies(counts / n_gen))
+            counts = np.bincount(out[:, t], minlength=M).astype(float)
+            token_ent[t - start] = float(row_entropies(counts / n_gen))
 
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_hash(model))
@@ -288,18 +286,23 @@ def drift_curve_exact(
     b.check(M**T, "prefix enumeration")
     t_max = _check_t_max(t_max, prefix_len + 1, T)
 
+    # The model's states ride along the seeder's lattice until the model
+    # drives the walk after the seed; the seeder's states are then dropped.
+    models = (model,) if seeder is model else (model, seeder)
+    states = tuple(m.init_state(1) for m in models)
     means = np.empty(T - prefix_len)
-    ctx = np.zeros((1, 0), dtype=np.int64)
     weights = np.ones(1)
     for t in range(1, T + 1):
-        driver = seeder if t <= prefix_len else model
-        rows = driver.next_dist_batch(ctx)
-        if t > prefix_len:
+        if t <= prefix_len:
+            rows = seeder.rows(states[-1])
+        else:
+            models, states = models[:1], states[:1]
+            rows = model.rows(states[0])
             means[t - 1 - prefix_len] = math.fsum(
                 (weights * row_entropies(rows)).tolist()
             )
         if t < T:
-            ctx, weights = _grow_prefixes(ctx, weights, rows)
+            states, weights = _grow_prefixes(models, states, weights, rows)
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_hash(model))
     return DriftCurve(

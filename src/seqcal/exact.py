@@ -7,7 +7,8 @@ the Monte-Carlo estimators and all fitted quantities are tested against.
 
 Every exact routine in the package walks the prefix lattice through
 :func:`prefix_expansion`: level t holds all length-(t-1) prefixes in
-lexicographic order with their probabilities and next-token rows, and
+lexicographic order (prefix i has code i) as model states, with their
+probabilities and next-token rows, and
 the last level's rows give every sequence's log-probability
 (:func:`sequence_log_probs`).  Sequence functionals are evaluated on
 that lattice, never on an enumerated token array;
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .models import ConditionalModel
+from .models import ConditionalModel, take_state
 
 # Probability floor used only when a logarithm of an exactly-zero entry
 # must be finite (tilt features, comparator scoring).  Sampling and plain
@@ -106,50 +106,49 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
     Entries are -inf exactly where the model assigns zero probability.
     """
     lp = np.zeros(1)
-    for _t, _ctx, _weights, rows in prefix_expansion(model, budget):
+    for _t, _states, _weights, rows in prefix_expansion(model, budget):
         with np.errstate(divide="ignore"):
             lp = (lp[:, None] + np.log(rows)).reshape(-1)
     return lp
 
 
-def _grow_prefixes(
-    contexts: np.ndarray, weights: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _grow_prefixes(models, states, weights: np.ndarray, rows: np.ndarray):
     """One lattice step: extend every prefix by every token.
 
-    Takes the (n, L) prefixes, their probabilities and their next-token
-    rows; returns the (n*M, L+1) extended prefixes (lexicographic) and
-    their probabilities.
+    Takes a level's n prefixes as the batch states of `models`, their
+    probabilities and the driving model's (n, M) rows there.  Each state
+    is repeated M times and advanced by the tiled tokens, so prefix i
+    followed by token j becomes prefix i*M + j of the next level
+    (lexicographic order).  Returns the new states and probabilities.
     """
-    M = rows.shape[1]
-    contexts = np.hstack(
-        [
-            np.repeat(contexts, M, axis=0),
-            np.tile(np.arange(M, dtype=np.int64), contexts.shape[0])[:, None],
-        ]
-    )
-    return contexts, (weights[:, None] * rows).reshape(-1)
+    n, M = rows.shape
+    idx = np.repeat(np.arange(n), M)
+    tokens = np.tile(np.arange(M, dtype=np.int64), n)
+    states = tuple(m.advance(take_state(s, idx), tokens) for m, s in zip(models, states))
+    return states, (weights[:, None] * rows).reshape(-1)
 
 
 def prefix_expansion(
-    model: "ConditionalModel", budget: EnumerationBudget | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (t, contexts, prefix_probs, next_rows) for t = 1..T.
+    model: "ConditionalModel", budget: EnumerationBudget | None = None, *others: "ConditionalModel"
+) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
+    """Yield (t, states, prefix_probs, next_rows) for t = 1..T.
 
-    ``contexts`` holds every length-(t-1) prefix (lexicographic),
-    ``prefix_probs`` their probabilities under `model`, and ``next_rows``
-    the conditional rows at those contexts.
+    Level t holds every length-(t-1) prefix in lexicographic order, so
+    prefix i has code i.  ``states`` holds the batch state of `model`,
+    then of each of `others`, at those prefixes; ``prefix_probs`` are
+    their probabilities under `model` and ``next_rows`` its rows there.
     """
     M, T = model.spec.M, model.spec.T
     b = budget or DEFAULT_BUDGET
     b.check(M**T, "prefix enumeration")
-    ctx = np.zeros((1, 0), dtype=np.int64)
+    models = (model, *others)
+    states = tuple(m.init_state(1) for m in models)
     weights = np.ones(1)
     for t in range(1, T + 1):
-        rows = model.next_dist_batch(ctx)
-        yield t, ctx, weights, rows
+        rows = model.rows(states[0])
+        yield t, states, weights, rows
         if t < T:
-            ctx, weights = _grow_prefixes(ctx, weights, rows)
+            states, weights = _grow_prefixes(models, states, weights, rows)
 
 
 class FunctionalF:

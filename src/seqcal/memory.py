@@ -27,20 +27,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationResult, fit_per_step_tilt
+from .calibrate import CalibrationResult, _tilt_rows, fit_per_step_tilt
 from .exact import (
     P_MIN,
     EnumerationBudget,
     _grow_prefixes,
     conditional_mi_exact,
     default_budget,
-    logsumexp,
     prefix_expansion,
 )
 from .models import (
     ConditionalModel,
     LimitedMemoryModel,
-    context_codes,
+    check_samples,
     marginalize_to_window,
     model_from_dict,
     model_hash,
@@ -56,7 +55,8 @@ class MemoryTiltModel(ConditionalModel):
     On the active steps each conditional row is reweighted by
     comparator_row ** alpha and renormalized; other steps pass the full
     model through unchanged.  Comparator zeros are floored in log space
-    so the tilt stays well defined for any alpha.
+    so the tilt stays well defined for any alpha.  The state is the step
+    count with the full model's and the comparator's states.
     """
 
     kind = "memory_tilt"
@@ -71,7 +71,7 @@ class MemoryTiltModel(ConditionalModel):
         super().__init__(full.spec)
         if comparator.spec != full.spec:
             raise ValueError("comparator must share the full model's sequence spec")
-        self.full = full
+        self.base = full
         self.comparator = comparator
         self.alpha = float(alpha)
         self.active_steps = (
@@ -81,33 +81,42 @@ class MemoryTiltModel(ConditionalModel):
     def _active(self, t: int) -> bool:
         return self.active_steps is None or t in self.active_steps
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        full_row = np.asarray(self.full._row(context), dtype=float)
-        if self.alpha == 0.0 or not self._active(len(context) + 1):
-            return full_row
-        comp_row = np.asarray(self.comparator._row(context), dtype=float)
-        with np.errstate(divide="ignore"):
-            logits = np.log(full_row) + self.alpha * np.log(np.maximum(comp_row, P_MIN))
-        return np.exp(logits - logsumexp(logits))
+    def init_state(self, n: int):
+        return 0, self.base.init_state(n), self.comparator.init_state(n)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        contexts = np.asarray(contexts, dtype=np.int64)
-        full_rows = self.full.next_dist_batch(contexts)
-        if self.alpha == 0.0 or not self._active(contexts.shape[1] + 1):
-            return full_rows
-        comp_rows = self.comparator.next_dist_batch(contexts)
-        with np.errstate(divide="ignore"):
-            logits = np.log(full_rows) + self.alpha * np.log(np.maximum(comp_rows, P_MIN))
-        return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+    def advance(self, state, tokens):
+        t, full_state, comp_state = state
+        return (
+            t + 1,
+            self.base.advance(full_state, tokens),
+            self.comparator.advance(comp_state, tokens),
+        )
+
+    def _step(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """The full model's rows at `state` and the floored log-comparator rows."""
+        _, full_state, comp_state = state
+        feats = np.log(np.maximum(self.comparator.rows(comp_state), P_MIN))
+        return self.base.rows(full_state), feats
+
+    def rows(self, state) -> np.ndarray:
+        if self.alpha == 0.0 or not self._active(state[0] + 1):
+            return self.base.rows(state[1])
+        return _tilt_rows(*self._step(state), self.alpha)
+
+    def _fit_extras(self, feats: np.ndarray) -> dict:
+        # A feature at the floor marks a comparator entry floored to P_MIN.
+        return {"feature_floored": bool(np.any(feats <= _LOG_P_MIN))}
 
     def params_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "base": model_to_dict(self.full),
+            "base": model_to_dict(self.base),
             "comparator": model_to_dict(self.comparator),
             "steps": sorted(self.active_steps) if self.active_steps is not None else None,
         }
 
+
+_LOG_P_MIN = float(np.log(P_MIN))
 
 register_model_kind(
     "memory_tilt",
@@ -150,9 +159,7 @@ def fit_limited_memory(
         raise ValueError("spec is required for empirical-ngram mode")
     if smoothing < 0.0:
         raise ValueError("smoothing must be nonnegative")
-    samples = np.asarray(source, dtype=np.int64)
-    if samples.ndim != 2 or samples.shape[1] != spec.T:
-        raise ValueError(f"samples must be an (n, {spec.T}) array")
+    samples = check_samples(source, spec)
     if samples.shape[0] < min_samples:
         raise ValueError(
             f"empirical-ngram mode needs at least {min_samples} samples, "
@@ -161,10 +168,10 @@ def fit_limited_memory(
     M, T = spec.M, spec.T
     eff = min(window, T - 1)
     counts = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
+    codes = np.zeros(samples.shape[0], dtype=np.int64)  # code of the last ell tokens
     for t in range(1, T + 1):
-        ell = min(eff, t - 1)
-        codes = context_codes(samples[:, t - 1 - ell : t - 1], M)
-        np.add.at(counts[ell], (codes, samples[:, t - 1]), 1.0)
+        np.add.at(counts[min(eff, t - 1)], (codes, samples[:, t - 1]), 1.0)
+        codes = (codes * M + samples[:, t - 1]) % M ** min(eff, t)
     tables = []
     for table in counts:
         smoothed = table + smoothing
@@ -206,22 +213,11 @@ def calibrate_to_comparator(
     objective blows up there and the convex fit simply stays in the
     finite region (the flooring is recorded in the result).
     """
-    T = full.spec.T
     if steps is None:
-        steps = _default_steps(comparator, T)
-    floored = [False]
-
-    def feature_fn(t, contexts):
-        rows = comparator.next_dist_batch(contexts)
-        if np.any(rows <= 0.0):
-            floored[0] = True
-        with np.errstate(divide="ignore"):
-            return np.log(np.maximum(rows, P_MIN))
-
+        steps = _default_steps(comparator, full.spec.T)
     result = fit_per_step_tilt(
         target,
-        full,
-        feature_fn,
+        MemoryTiltModel(full, comparator, 0.0, active_steps=steps),
         active_steps=steps,
         tolerance=tolerance,
         budget=budget,
@@ -232,7 +228,6 @@ def calibrate_to_comparator(
         },
         provenance=provenance,
     )
-    result.extras["feature_floored"] = floored[0]
     model = MemoryTiltModel(full, comparator, result.alpha_star, active_steps=steps)
     return model, result
 
@@ -302,14 +297,19 @@ def memory_table_csv(estimates, units: str = "nats") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prefix_level(model: ConditionalModel, t: int, budget: EnumerationBudget):
-    """All length-(t-1) prefixes with their probabilities under `model`."""
+def _prefix_level(model: ConditionalModel, t: int, budget: EnumerationBudget, *others):
+    """Probabilities under `model` of all length-(t-1) prefixes (lexicographic).
+
+    Also returns the batch states of `model` and of each of `others` at
+    those prefixes, as :func:`seqcal.exact.prefix_expansion` does.
+    """
     budget.check(model.spec.M**t, "prefix enumeration")
-    ctx = np.zeros((1, 0), dtype=np.int64)
+    models = (model, *others)
+    states = tuple(m.init_state(1) for m in models)
     weights = np.ones(1)
     for _ in range(1, t):
-        ctx, weights = _grow_prefixes(ctx, weights, model.next_dist_batch(ctx))
-    return ctx, weights
+        states, weights = _grow_prefixes(models, states, weights, model.rows(states[0]))
+    return weights, states
 
 
 def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarray:
@@ -340,8 +340,8 @@ def prediction_joint(
     if tau < 1:
         raise ValueError("tau must be >= 1")
     b = budget if budget is not None else default_budget()
-    ctx, weights = _prefix_level(truth, t, b)
-    return _joint(weights, predictor.next_dist_batch(ctx), tau, t)
+    weights, (_, state) = _prefix_level(truth, t, b, predictor)
+    return _joint(weights, predictor.rows(state), tau, t)
 
 
 def memory_bound(
@@ -385,6 +385,8 @@ def memory_bound(
         raise ValueError(f"t_policy must be 'average' or a step index, got {t_policy!r}")
 
     exact_mode = isinstance(target, ConditionalModel)
+    if not exact_mode:
+        samples = check_samples(target, full.spec)
     tilted, calibration = calibrate_to_comparator(
         target,
         full,
@@ -399,19 +401,19 @@ def memory_bound(
     per_step: dict = {}
     if exact_mode:
         ce_vals, h_vals, mi_vals = [], [], []
-        for t, ctx, weights, true_rows in prefix_expansion(target, budget):
+        walk = prefix_expansion(target, budget, comparator, tilted)
+        for t, (_, comp_state, tilted_state), weights, true_rows in walk:
             if t not in steps:
                 continue
-            comp_rows = comparator.next_dist_batch(ctx)
             with np.errstate(divide="ignore"):
-                log_comp = np.log(comp_rows)
+                log_comp = np.log(comparator.rows(comp_state))
             joint_mass = weights[:, None] * true_rows
             if np.any((joint_mass > 0.0) & np.isneginf(log_comp)):
                 ce_t = math.inf
             else:
                 terms = np.where(joint_mass > 0.0, joint_mass * log_comp, 0.0)
                 ce_t = -math.fsum(terms.ravel().tolist())
-            tilted_rows = tilted.next_dist_batch(ctx)
+            tilted_rows = tilted.rows(tilted_state)
             h_t = math.fsum((weights * row_entropies(tilted_rows)).tolist())
             mi_t = None
             if attach_exact_mi:
@@ -442,28 +444,30 @@ def memory_bound(
             provenance=dict(provenance or {}),
         )
 
-    samples = np.asarray(target, dtype=np.int64)
     n = samples.shape[0]
     idx = np.arange(n)
     ce_seq = np.zeros(n)
     h_seq = np.zeros(n)
     infinite = False
-    for t in steps:
-        ctx = samples[:, : t - 1]
-        comp_rows = comparator.next_dist_batch(ctx)
-        chosen = comp_rows[idx, samples[:, t - 1]]
-        if np.any(chosen <= 0.0):
-            infinite = True
-            chosen = np.maximum(chosen, P_MIN)
-        nll = -np.log(chosen)
-        ent = row_entropies(tilted.next_dist_batch(ctx))
-        ce_seq += nll
-        h_seq += ent
-        per_step[t] = {
-            "ce": float(nll.mean()),
-            "cond_entropy": float(ent.mean()),
-            "mi": None,
-        }
+    comp_state, tilted_state = comparator.init_state(n), tilted.init_state(n)
+    for t in range(1, steps[-1] + 1):
+        if t in steps:
+            chosen = comparator.rows(comp_state)[idx, samples[:, t - 1]]
+            if np.any(chosen <= 0.0):
+                infinite = True
+                chosen = np.maximum(chosen, P_MIN)
+            nll = -np.log(chosen)
+            ent = row_entropies(tilted.rows(tilted_state))
+            ce_seq += nll
+            h_seq += ent
+            per_step[t] = {
+                "ce": float(nll.mean()),
+                "cond_entropy": float(ent.mean()),
+                "mi": None,
+            }
+        if t < steps[-1]:
+            comp_state = comparator.advance(comp_state, samples[:, t - 1])
+            tilted_state = tilted.advance(tilted_state, samples[:, t - 1])
     ce_seq /= len(steps)
     h_seq /= len(steps)
     diff = ce_seq - h_seq

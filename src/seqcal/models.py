@@ -10,18 +10,24 @@ through its per-step conditional distributions.  Concrete families:
   last ``window`` tokens of the context.
 * :class:`MixtureModel` -- sequence-level mixture with the uniform
   distribution over all ``M**T`` sequences.  The mixture does not factor
-  per step; conditionals are computed exactly as ratios of prefix
-  probabilities.
+  per step; conditionals are exact ratios of prefix probabilities, and
+  the state carries the base prefix's log-probability.
 * :class:`PerTokenMixture` -- mixes each conditional row with uniform
   instead.  This is a different distribution from :class:`MixtureModel`
   and is provided for comparison only.
 * :class:`DriftModel` -- starts faithful to a base model and at each
   step may permanently switch (before emitting) into a mode that emits
-  uniformly at random forever.  Scoring marginalizes the latent mode
-  with a two-hypothesis forward recursion.
+  uniformly at random forever.  The state carries the posterior of the
+  faithful mode, updated by a two-hypothesis forward recursion.
 
-Models are immutable after construction and safe to share across
-threads; sampling consumes an externally owned generator.
+Every model is read through one stateful step (:class:`ConditionalModel`):
+``init_state(n)`` starts n empty prefixes, ``advance(state, tokens)``
+appends one token to each, and ``rows(state)`` gives their next-token
+rows.  Scoring, sampling and every exact lattice walk drive these three
+methods, so each costs one step per token.  States are tuples of ints
+and arrays and are never mutated; models are immutable after
+construction and safe to share across threads; sampling consumes an
+externally owned generator.
 """
 
 from __future__ import annotations
@@ -91,6 +97,22 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
+def check_tokens(tokens, M: int) -> np.ndarray:
+    """`tokens` as an int64 array; ValueError if one lies outside ``{0, ..., M-1}``."""
+    arr = np.asarray(tokens, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= M):
+        raise ValueError("tokens contain a token outside the vocabulary")
+    return arr
+
+
+def check_samples(samples, spec: SequenceSpec) -> np.ndarray:
+    """An (n, T) sample array of `spec` as int64, checked by :func:`check_tokens`."""
+    arr = np.asarray(samples)
+    if arr.ndim != 2 or arr.shape[1] != spec.T:
+        raise ValueError(f"samples must be an (n, {spec.T}) array")
+    return check_tokens(arr, spec.M)
+
+
 def _sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One token per row by inverting the CDF in ascending token-id order.
 
@@ -106,22 +128,31 @@ def _sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return idx
 
 
-def context_codes(contexts: np.ndarray, M: int) -> np.ndarray:
-    """Lexicographic integer code of each row of a (n, L) token array."""
-    contexts = np.asarray(contexts)
-    n, L = contexts.shape
-    if L == 0:
-        return np.zeros(n, dtype=np.int64)
-    powers = M ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    return contexts.astype(np.int64) @ powers
+def take_state(state, idx: np.ndarray):
+    """The batch state of the prefixes `idx` of `state` (arrays indexed, ints kept)."""
+    if isinstance(state, tuple):
+        return tuple(take_state(part, idx) for part in state)
+    if isinstance(state, np.ndarray):
+        return state[idx]
+    return state
 
 
 class ConditionalModel(ABC):
     """A distribution over length-T sequences given by next-token conditionals.
 
-    Subclasses implement ``_row`` (unvalidated single-context conditional)
-    and may override the batch methods with vectorized versions; the
-    generic fallbacks loop over ``_row``.
+    Subclasses implement one stateful step over a batch of n equal-length
+    prefixes:
+
+    * ``init_state(n)`` -- the state of n empty prefixes;
+    * ``advance(state, tokens)`` -- a new state with ``tokens[i]``
+      appended to prefix i (the input state is left untouched);
+    * ``rows(state)`` -- the (n, M) next-token rows of the prefixes.
+
+    States exist for prefix lengths 0..T-1 and are tuples of ints and
+    arrays whose leading axis is the batch, so :func:`take_state` can
+    select or repeat prefixes.  None of the three validates its input.
+    The public scoring and sampling methods below are drivers of this
+    step: they validate once per call and cost one step per token.
     """
 
     kind: str = "abstract"
@@ -129,110 +160,112 @@ class ConditionalModel(ABC):
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
 
-    # -- validation ----------------------------------------------------
-
-    def _check_context(self, context) -> np.ndarray:
-        ctx = np.asarray(context, dtype=np.int64).reshape(-1)
-        if ctx.size > self.spec.T - 1:
-            raise ValueError(
-                f"context of length {ctx.size} exceeds maximum {self.spec.T - 1}"
-            )
-        if ctx.size and (ctx.min() < 0 or ctx.max() >= self.spec.M):
-            raise ValueError("context contains a token outside the vocabulary")
-        return ctx
-
-    def _check_sequence(self, seq) -> np.ndarray:
-        s = np.asarray(seq, dtype=np.int64).reshape(-1)
-        if s.size != self.spec.T:
-            raise ValueError(f"sequence has length {s.size}, expected {self.spec.T}")
-        if s.min() < 0 or s.max() >= self.spec.M:
-            raise ValueError("sequence contains a token outside the vocabulary")
-        return s
-
-    # -- single-context interface --------------------------------------
+    # -- the step ------------------------------------------------------
 
     @abstractmethod
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        """Conditional distribution of the next token; no validation."""
+    def init_state(self, n: int):
+        """State of n empty prefixes."""
+
+    @abstractmethod
+    def advance(self, state, tokens: np.ndarray):
+        """State after appending ``tokens[i]`` to prefix i; no validation."""
+
+    @abstractmethod
+    def rows(self, state) -> np.ndarray:
+        """(n, M) next-token rows at `state`; no validation."""
+
+    def _state_at(self, contexts: np.ndarray):
+        """State after reading every row of an (n, L) token array."""
+        state = self.init_state(contexts.shape[0])
+        for t in range(contexts.shape[1]):
+            state = self.advance(state, contexts[:, t])
+        return state
+
+    # -- validation ----------------------------------------------------
+
+    def _check_batch(self, batch, what: str, max_length: int) -> np.ndarray:
+        arr = check_tokens(batch, self.spec.M)
+        if arr.ndim != 2:
+            raise ValueError(f"{what} must be a 2-d array of token rows")
+        if arr.shape[1] > max_length:
+            raise ValueError(
+                f"{what} of length {arr.shape[1]} exceeds maximum {max_length}"
+            )
+        return arr
+
+    def _check_context(self, context) -> np.ndarray:
+        return self._check_batch(np.reshape(context, (1, -1)), "context", self.spec.T - 1)[0]
+
+    def _check_sequences(self, seqs) -> np.ndarray:
+        seqs = self._check_batch(seqs, "sequences", self.spec.T)
+        if seqs.shape[1] != self.spec.T:
+            raise ValueError(f"sequences have length {seqs.shape[1]}, expected {self.spec.T}")
+        return seqs
+
+    # -- drivers -------------------------------------------------------
 
     def next_dist(self, context) -> np.ndarray:
         """P(W_t = . | W_{<t} = context) as a length-M probability vector."""
         ctx = self._check_context(context)
-        return np.array(self._row(ctx), dtype=float, copy=True)
+        return self.rows(self._state_at(ctx[None, :]))[0].copy()
+
+    def next_dist_batch(self, contexts) -> np.ndarray:
+        """Rows for an (n, L) array of equal-length contexts; (n, M) output."""
+        contexts = self._check_batch(contexts, "contexts", self.spec.T - 1)
+        return self.rows(self._state_at(contexts))
 
     def seq_log_prob(self, seq) -> float:
         """log P(w_{1:T}) in nats; -inf iff some step probability is exactly 0."""
-        s = self._check_sequence(seq)
-        total = 0.0
-        for t in range(self.spec.T):
-            p = float(self._row(s[:t])[s[t]])
-            if p == 0.0:
-                return -math.inf
-            total += math.log(p)
-        return total
+        return float(self.seq_log_prob_batch(np.reshape(seq, (1, -1)))[0])
 
-    def prefix_log_prob(self, context) -> float:
-        """log P(w_{1:L}) of a prefix, by the chain rule."""
-        ctx = self._check_context(context)
-        total = 0.0
-        for t in range(ctx.size):
-            p = float(self._row(ctx[:t])[ctx[t]])
-            if p == 0.0:
-                return -math.inf
-            total += math.log(p)
-        return total
-
-    # -- batch interface ------------------------------------------------
-
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        """Rows for an (n, L) array of equal-length contexts; (n, M) output."""
-        contexts = np.asarray(contexts, dtype=np.int64)
-        n = contexts.shape[0]
-        out = np.empty((n, self.spec.M), dtype=float)
-        for i in range(n):
-            out[i] = self._row(contexts[i])
-        return out
-
-    def prefix_log_prob_batch(self, prefixes: np.ndarray) -> np.ndarray:
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        n, L = prefixes.shape
-        total = np.zeros(n, dtype=float)
-        for t in range(L):
-            rows = self.next_dist_batch(prefixes[:, :t])
-            p = rows[np.arange(n), prefixes[:, t]]
+    def seq_log_prob_batch(self, seqs) -> np.ndarray:
+        """log P(w) of every row of an (n, T) sequence array, by the chain rule."""
+        seqs = self._check_sequences(seqs)
+        n, T = seqs.shape
+        idx = np.arange(n)
+        total = np.zeros(n)
+        state = self.init_state(n)
+        for t in range(T):
             with np.errstate(divide="ignore"):
-                total += np.log(p)
+                total += np.log(self.rows(state)[idx, seqs[:, t]])
+            if t + 1 < T:
+                state = self.advance(state, seqs[:, t])
         return total
 
-    def seq_log_prob_batch(self, seqs: np.ndarray) -> np.ndarray:
-        seqs = np.asarray(seqs, dtype=np.int64)
-        if seqs.shape[1] != self.spec.T:
-            raise ValueError(
-                f"sequences have length {seqs.shape[1]}, expected {self.spec.T}"
-            )
-        return self.prefix_log_prob_batch(seqs)
+    def _generate(self, out: np.ndarray, start: int, rng: np.random.Generator):
+        """Sample ``out[:, start:]`` after the given ``out[:, :start]``.
 
-    # -- sampling --------------------------------------------------------
+        Yields (t, rows) once the rows at 0-based step t have been
+        sampled into ``out[:, t]``.  Tokens are drawn by inverting the
+        CDF in ascending token-id order with one ``rng.random(n)`` per
+        step, so results are reproducible across platforms for a fixed
+        generator state.
+        """
+        T = self.spec.T
+        state = self._state_at(out[:, :start])
+        for t in range(start, T):
+            rows = self.rows(state)
+            out[:, t] = _sample_rows(rows, rng)
+            yield t, rows
+            if t + 1 < T:
+                state = self.advance(state, out[:, t])
 
     def sample_batch(
         self, n: int, rng: np.random.Generator, prefix=None
     ) -> np.ndarray:
         """Draw n sequences by iterated inverse-CDF sampling.
 
-        Tokens are drawn by inverting the CDF taken in ascending token-id
-        order, so results are reproducible across platforms for a fixed
-        generator state.  An optional seed prefix (length < T) is copied
-        verbatim into every sample.
+        An optional seed prefix (length < T) is copied verbatim into
+        every sample.
         """
-        T = self.spec.T
+        out = np.empty((n, self.spec.T), dtype=np.int64)
         start = 0
-        out = np.empty((n, T), dtype=np.int64)
         if prefix is not None:
             pfx = self._check_context(prefix)  # enforces length < T
             start = pfx.size
             out[:, :start] = pfx
-        for t in range(start, T):
-            out[:, t] = _sample_rows(self.next_dist_batch(out[:, :t]), rng)
+        for _ in self._generate(out, start, rng):
+            pass
         return out
 
     def sample_sequence(self, rng: np.random.Generator, prefix=None) -> np.ndarray:
@@ -290,30 +323,17 @@ class MarkovModel(ConditionalModel):
     def tables(self) -> tuple:
         return self._tables
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        ell = min(self.order, len(context))
-        if ell == 0:
-            return self._tables[0][0]
-        code = context_codes(context[-ell:][None, :], self.spec.M)[0]
-        return self._tables[ell][code]
+    def init_state(self, n: int):
+        # Step count and the code of the last min(order, t) tokens.
+        return 0, np.zeros(n, dtype=np.int64)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        contexts = np.asarray(contexts, dtype=np.int64)
-        ell = min(self.order, contexts.shape[1])
-        codes = context_codes(contexts[:, contexts.shape[1] - ell :], self.spec.M)
-        return self._tables[ell][codes]
+    def advance(self, state, tokens):
+        t, code = state
+        return t + 1, (code * self.spec.M + tokens) % self.spec.M ** min(self.order, t + 1)
 
-    def prefix_log_prob_batch(self, prefixes: np.ndarray) -> np.ndarray:
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        n, L = prefixes.shape
-        total = np.zeros(n, dtype=float)
-        for t in range(L):
-            ell = min(self.order, t)
-            codes = context_codes(prefixes[:, t - ell : t], self.spec.M)
-            p = self._tables[ell][codes, prefixes[:, t]]
-            with np.errstate(divide="ignore"):
-                total += np.log(p)
-        return total
+    def rows(self, state) -> np.ndarray:
+        t, code = state
+        return self._tables[min(self.order, t)][code]
 
     # -- constructors ---------------------------------------------------
 
@@ -389,8 +409,8 @@ class MixtureModel(ConditionalModel):
         P(w_t | w_{<t}) = [(1-g) B(w_{1:t}) + g M^{-t}]
                         / [(1-g) B(w_{<t}) + g M^{-(t-1)}],
 
-    with the base prefix probability B obtained from the base model's
-    chain rule.
+    so the state carries the base prefix's log-probability log B(w_{<t})
+    next to the base state and its rows.
     """
 
     kind = "mixture"
@@ -403,77 +423,31 @@ class MixtureModel(ConditionalModel):
         self.base = base
         self.gamma = gamma
 
-    def _mix_terms(self):
-        return math.log1p(-self.gamma), math.log(self.gamma), math.log(self.spec.M)
+    def init_state(self, n: int):
+        base_state = self.base.init_state(n)
+        return 0, base_state, np.zeros(n), self.base.rows(base_state)
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        if self.gamma == 0.0:
-            return self.base._row(context)
-        M = self.spec.M
-        if self.gamma == 1.0:
-            return np.full(M, 1.0 / M)
-        log1mg, logg, logM = self._mix_terms()
-        t = len(context) + 1
-        lp = self.base.prefix_log_prob(context)
-        base_row = np.asarray(self.base._row(context), dtype=float)
+    def advance(self, state, tokens):
+        t, base_state, lp, base_rows = state
         with np.errstate(divide="ignore"):
-            log_num = np.logaddexp(log1mg + lp + np.log(base_row), logg - t * logM)
-        log_den = np.logaddexp(log1mg + lp, logg - (t - 1) * logM)
-        return np.exp(log_num - log_den)
+            lp = lp + np.log(base_rows[np.arange(tokens.shape[0]), tokens])
+        base_state = self.base.advance(base_state, tokens)
+        return t + 1, base_state, lp, self.base.rows(base_state)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        if self.gamma == 0.0:
-            return self.base.next_dist_batch(contexts)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        n, L = contexts.shape
+    def rows(self, state) -> np.ndarray:
+        t, _, lp, base_rows = state
         M = self.spec.M
+        if self.gamma == 0.0:
+            return base_rows
         if self.gamma == 1.0:
-            return np.full((n, M), 1.0 / M)
-        log1mg, logg, logM = self._mix_terms()
-        lp = self.base.prefix_log_prob_batch(contexts)
-        rows = self.base.next_dist_batch(contexts)
+            return np.full((lp.shape[0], M), 1.0 / M)
+        log1mg, logg, logM = math.log1p(-self.gamma), math.log(self.gamma), math.log(M)
         with np.errstate(divide="ignore"):
             log_num = np.logaddexp(
-                log1mg + lp[:, None] + np.log(rows), logg - (L + 1) * logM
+                log1mg + lp[:, None] + np.log(base_rows), logg - (t + 1) * logM
             )
-        log_den = np.logaddexp(log1mg + lp, logg - L * logM)
+        log_den = np.logaddexp(log1mg + lp, logg - t * logM)
         return np.exp(log_num - log_den[:, None])
-
-    def prefix_log_prob(self, context) -> float:
-        ctx = self._check_context(context)
-        if self.gamma == 0.0:
-            return self.base.prefix_log_prob(ctx)
-        if self.gamma == 1.0:
-            return -ctx.size * math.log(self.spec.M)
-        log1mg, logg, logM = self._mix_terms()
-        return float(
-            np.logaddexp(
-                log1mg + self.base.prefix_log_prob(ctx), logg - ctx.size * logM
-            )
-        )
-
-    def prefix_log_prob_batch(self, prefixes: np.ndarray) -> np.ndarray:
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        L = prefixes.shape[1]
-        if self.gamma == 0.0:
-            return self.base.prefix_log_prob_batch(prefixes)
-        if self.gamma == 1.0:
-            return np.full(prefixes.shape[0], -L * math.log(self.spec.M))
-        log1mg, logg, logM = self._mix_terms()
-        return np.logaddexp(
-            log1mg + self.base.prefix_log_prob_batch(prefixes), logg - L * logM
-        )
-
-    def seq_log_prob(self, seq) -> float:
-        s = self._check_sequence(seq)
-        if self.gamma == 0.0:
-            return self.base.seq_log_prob(s)
-        if self.gamma == 1.0:
-            return -self.spec.T * math.log(self.spec.M)
-        log1mg, logg, logM = self._mix_terms()
-        return float(
-            np.logaddexp(log1mg + self.base.seq_log_prob(s), logg - self.spec.T * logM)
-        )
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -496,17 +470,14 @@ class PerTokenMixture(ConditionalModel):
         self.base = base
         self.gamma = gamma
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        M = self.spec.M
-        return (1.0 - self.gamma) * np.asarray(
-            self.base._row(context), dtype=float
-        ) + self.gamma / M
+    def init_state(self, n: int):
+        return self.base.init_state(n)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
-        M = self.spec.M
-        return (1.0 - self.gamma) * self.base.next_dist_batch(
-            contexts
-        ) + self.gamma / M
+    def advance(self, state, tokens):
+        return self.base.advance(state, tokens)
+
+    def rows(self, state) -> np.ndarray:
+        return (1.0 - self.gamma) * self.base.rows(state) + self.gamma / self.spec.M
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -518,10 +489,10 @@ class DriftModel(ConditionalModel):
     Generation: starting in the faithful mode, each step first decides
     (with probability ``switch_prob``) to enter the uniform mode
     permanently, then emits -- from the base conditional while faithful,
-    uniformly otherwise.  Scoring a fixed sequence marginalizes the
-    latent mode exactly via the normalized two-hypothesis forward
-    recursion, so ``seq_log_prob`` matches the chain rule over
-    ``next_dist`` by construction.
+    uniformly otherwise.  The state carries q = P(still faithful | prefix),
+    updated by the normalized two-hypothesis forward recursion, next to
+    the base state and its rows; scoring a sequence therefore
+    marginalizes the latent mode exactly.
     """
 
     kind = "drift"
@@ -536,76 +507,26 @@ class DriftModel(ConditionalModel):
         self.base = base
         self.switch_prob = switch_prob
 
-    def _posterior_faithful(self, context: np.ndarray) -> float:
-        """P(still faithful after emitting `context`)."""
-        p = self.switch_prob
-        q = 1.0
-        for t in range(len(context)):
-            beta_f = q * (1.0 - p)
-            pf = float(self.base._row(context[:t])[context[t]])
-            num = beta_f * pf
-            den = num + (1.0 - beta_f) / self.spec.M
-            q = num / den if den > 0.0 else 0.0
-        return q
+    def init_state(self, n: int):
+        base_state = self.base.init_state(n)
+        return base_state, np.ones(n), self.base.rows(base_state)
 
-    def _row(self, context: np.ndarray) -> np.ndarray:
-        if self.switch_prob == 0.0:
-            return self.base._row(context)
-        beta_f = self._posterior_faithful(context) * (1.0 - self.switch_prob)
-        base_row = np.asarray(self.base._row(context), dtype=float)
-        return beta_f * base_row + (1.0 - beta_f) / self.spec.M
+    def advance(self, state, tokens):
+        base_state, q, base_rows = state
+        pf = base_rows[np.arange(tokens.shape[0]), tokens]
+        beta_f = q * (1.0 - self.switch_prob)
+        num = beta_f * pf
+        den = num + (1.0 - beta_f) / self.spec.M
+        q = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+        base_state = self.base.advance(base_state, tokens)
+        return base_state, q, self.base.rows(base_state)
 
-    def next_dist_batch(self, contexts: np.ndarray) -> np.ndarray:
+    def rows(self, state) -> np.ndarray:
+        _, q, base_rows = state
         if self.switch_prob == 0.0:
-            return self.base.next_dist_batch(contexts)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        n, L = contexts.shape
-        p, M = self.switch_prob, self.spec.M
-        q = np.ones(n)
-        for t in range(L):
-            rows = self.base.next_dist_batch(contexts[:, :t])
-            pf = rows[np.arange(n), contexts[:, t]]
-            beta_f = q * (1.0 - p)
-            num = beta_f * pf
-            den = num + (1.0 - beta_f) / M
-            q = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        beta_f = q * (1.0 - p)
-        rows = self.base.next_dist_batch(contexts)
-        return beta_f[:, None] * rows + ((1.0 - beta_f) / M)[:, None]
-
-    def seq_log_prob(self, seq) -> float:
-        s = self._check_sequence(seq)
-        if self.switch_prob == 0.0:
-            return self.base.seq_log_prob(s)
-        p, M = self.switch_prob, self.spec.M
-        q, total = 1.0, 0.0
-        for t in range(self.spec.T):
-            beta_f = q * (1.0 - p)
-            pf = float(self.base._row(s[:t])[s[t]])
-            step = beta_f * pf + (1.0 - beta_f) / M
-            if step == 0.0:
-                return -math.inf
-            q = beta_f * pf / step
-            total += math.log(step)
-        return total
-
-    def prefix_log_prob_batch(self, prefixes: np.ndarray) -> np.ndarray:
-        if self.switch_prob == 0.0:
-            return self.base.prefix_log_prob_batch(prefixes)
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        n, L = prefixes.shape
-        p, M = self.switch_prob, self.spec.M
-        q = np.ones(n)
-        total = np.zeros(n)
-        for t in range(L):
-            rows = self.base.next_dist_batch(prefixes[:, :t])
-            pf = rows[np.arange(n), prefixes[:, t]]
-            beta_f = q * (1.0 - p)
-            step = beta_f * pf + (1.0 - beta_f) / M
-            with np.errstate(divide="ignore", invalid="ignore"):
-                total += np.log(step)
-                q = np.where(step > 0.0, beta_f * pf / np.where(step > 0.0, step, 1.0), 0.0)
-        return total
+            return base_rows
+        beta_f = q * (1.0 - self.switch_prob)
+        return beta_f[:, None] * base_rows + ((1.0 - beta_f) / self.spec.M)[:, None]
 
     def params_dict(self) -> dict:
         return {"switch_prob": self.switch_prob, "base": model_to_dict(self.base)}
@@ -656,9 +577,10 @@ def marginalize_to_window(
     M, T = model.spec.M, model.spec.T
     eff = min(window, T - 1)
     acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
-    for t, ctx, weights, rows in prefix_expansion(model, budget):
+    for t, _states, weights, rows in prefix_expansion(model, budget):
+        # Prefix i of level t has code i; its last ell tokens, code i mod M**ell.
         ell = min(eff, t - 1)
-        codes = context_codes(ctx[:, ctx.shape[1] - ell :], M)
+        codes = np.arange(weights.shape[0], dtype=np.int64) % M**ell
         np.add.at(acc[ell], codes, weights[:, None] * rows)
 
     tables = []

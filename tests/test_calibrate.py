@@ -302,6 +302,14 @@ class TestFitAlphaLocal:
         with pytest.raises(ValueError, match="at least"):
             sc.fit_alpha_local(truth.sample_batch(100, rng), base)
 
+    def test_sample_mode_rejects_out_of_vocabulary_tokens(self, rng):
+        truth, base = random_pair(rng, M=2, T=3)
+        samples = truth.sample_batch(1000, rng)
+        for bad in (-1, 2):
+            samples[11, 1] = bad
+            with pytest.raises(ValueError, match="vocabulary"):
+                sc.fit_alpha_local(samples, base)
+
     def test_quadratic_improvement_floor(self, rng):
         # Stated floor for the lookahead tilt of a mixture-floored base:
         # improvement >= (mean mismatch / (log M + log(1/eps)/T))^2 / 2.
@@ -374,11 +382,11 @@ def _mu_bar(truth, feature_base, sampler):
     """(1/T) sum_t E_{ctx~truth} E_{w_t~sampler}[lookahead entropy]."""
     from seqcal.exact import prefix_expansion
 
-    T = truth.spec.T
+    M, T = truth.spec.M, truth.spec.T
     total = 0.0
-    levels = {t: (ctx, w) for t, ctx, w, _rows in prefix_expansion(truth)}
+    levels = {t: w for t, _states, w, _rows in prefix_expansion(truth)}
     for t in range(1, T + 1):
-        ctx, w = levels[t]
+        ctx, w = enumerate_sequences(M, t - 1), levels[t]
         rows = sampler.next_dist_batch(ctx)
         feats = np.vstack([sc.lookahead_entropy_vector(feature_base, c) for c in ctx])
         total += float(np.dot(w, (rows * feats).sum(axis=1)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import seqcal as sc
-from seqcal.exact import sequence_log_probs
+from seqcal.exact import enumerate_sequences, sequence_log_probs
 from seqcal.memory import _prefix_level
 
 from conftest import all_seqs, random_markov, random_pair
@@ -15,7 +15,8 @@ def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1
     alphas = np.arange(lo, hi + step / 2, step)
     total = np.zeros_like(alphas)
     for t in steps:
-        ctx, w = _prefix_level(truth, t, sc.EnumerationBudget())
+        w, _ = _prefix_level(truth, t, sc.EnumerationBudget())
+        ctx = enumerate_sequences(truth.spec.M, t - 1)
         true_rows = truth.next_dist_batch(ctx)
         log_full = np.log(full.next_dist_batch(ctx))
         log_comp = np.log(np.maximum(comparator.next_dist_batch(ctx), 1e-300))
@@ -60,6 +61,16 @@ class TestFitLimitedMemory:
         spec = sc.make_spec(2, 3)
         with pytest.raises(ValueError, match="at least"):
             sc.fit_limited_memory(np.zeros((3, 3), dtype=int), 1, spec=spec)
+
+    def test_empirical_rejects_out_of_vocabulary_tokens(self):
+        spec = sc.make_spec(3, 4)
+        samples = np.zeros((20, 4), dtype=int)
+        samples[5, 2] = -1
+        with pytest.raises(ValueError, match="vocabulary"):
+            sc.fit_limited_memory(samples, 1, spec=spec)
+        samples[5, 2] = 3
+        with pytest.raises(ValueError, match="vocabulary"):
+            sc.fit_limited_memory(samples, 1, spec=spec)
 
     def test_spec_required_for_empirical(self):
         with pytest.raises(ValueError, match="spec"):
@@ -189,6 +200,16 @@ class TestMemoryBound:
         assert abs(mc.bound - exact.bound) <= 4 * mc.bound_stderr + 2e-3
         assert mc.n_samples == 10**5
 
+    def test_mc_mode_rejects_out_of_vocabulary_tokens(self, rng):
+        truth = random_markov(rng, 2, 4, 1)
+        comparator = sc.fit_limited_memory(truth, 1)
+        samples = truth.sample_batch(2000, rng)
+        samples[7, 3] = -1
+        with pytest.raises(ValueError, match="vocabulary"):
+            sc.memory_bound(samples, truth, comparator)
+        with pytest.raises(ValueError, match="vocabulary"):
+            sc.calibrate_to_comparator(samples, truth, comparator)
+
     def test_calibrated_condition_chain(self, rng):
         # Zero gradient makes E[-log comparator] under the calibrated
         # prediction equal CE(truth || comparator); Jensen then bounds
@@ -200,7 +221,8 @@ class TestMemoryBound:
         steps = res.extras["active_steps"]
         lhs, ce, hzy = [], [], []
         for t in steps:
-            ctx, w = _prefix_level(truth, t, sc.EnumerationBudget())
+            w, _ = _prefix_level(truth, t, sc.EnumerationBudget())
+            ctx = enumerate_sequences(truth.spec.M, t - 1)
             mt_rows = tilted.next_dist_batch(ctx)
             comp_rows = comparator.next_dist_batch(ctx)
             true_rows = truth.next_dist_batch(ctx)

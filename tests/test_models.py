@@ -60,11 +60,21 @@ class TestNextDist:
         model = random_markov(rng, 3, 3, 1)
         with pytest.raises(ValueError, match="length"):
             model.next_dist([0, 1, 2])
+        with pytest.raises(ValueError, match="length"):
+            model.next_dist_batch(np.zeros((2, 3), dtype=int))
 
     def test_token_domain_error(self, rng):
-        model = random_markov(rng, 3, 3, 1)
-        with pytest.raises(ValueError, match="vocabulary"):
-            model.next_dist([3])
+        # Every public entry point rejects a token outside {0, ..., M-1}.
+        model = random_markov(rng, 3, 4, 1)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="vocabulary"):
+                model.next_dist([bad])
+            with pytest.raises(ValueError, match="vocabulary"):
+                model.next_dist_batch([[bad]])
+            with pytest.raises(ValueError, match="vocabulary"):
+                model.seq_log_prob_batch([[0, 1, 2, bad]])
+            with pytest.raises(ValueError, match="vocabulary"):
+                model.sample_batch(2, rng, prefix=[bad])
 
 
 class TestSeqLogProb:
@@ -212,19 +222,26 @@ class TestMarginalizeToWindow:
             sc.marginalize_to_window(truth, 2, budget=sc.EnumerationBudget(10))
 
 
-class TestInvariants:
-    def _model_zoo(self, rng):
-        base = random_markov(rng, 3, 4, 1)
-        return [
-            base,
-            sc.MixtureModel(base, 0.3),
-            sc.PerTokenMixture(base, 0.3),
-            sc.DriftModel(base, 0.25),
-            sc.marginalize_to_window(random_markov(rng, 3, 4, 2), 1),
-        ]
+def _zoo(rng, M=3, T=4, gamma=0.3, switch_prob=0.25, alpha=-0.8):
+    """One model of every kind on a random order-1 base, tilts included."""
+    base = random_markov(rng, M, T, 1)
+    mixture = sc.MixtureModel(base, gamma)
+    drift = sc.DriftModel(base, switch_prob)
+    return [
+        base,
+        sc.marginalize_to_window(random_markov(rng, M, T, 2), 1),
+        mixture,
+        sc.PerTokenMixture(base, gamma),
+        drift,
+        sc.GlobalTiltModel(mixture, sc.FunctionalF.log_prob(mixture), alpha),
+        sc.LocalTiltModel(drift, alpha),
+        sc.MemoryTiltModel(drift, sc.marginalize_to_window(base, 1), alpha, active_steps=(2, 3)),
+    ]
 
+
+class TestInvariants:
     def test_rows_are_distributions_on_random_contexts(self, rng):
-        models = self._model_zoo(rng)
+        models = _zoo(rng)
         for _ in range(1000 // len(models)):
             for model in models:
                 L = int(rng.integers(0, model.spec.T))
@@ -234,14 +251,14 @@ class TestInvariants:
                 assert abs(row.sum() - 1.0) <= 1e-12
 
     def test_chain_rule_sums_to_one(self, rng):
-        for model in self._model_zoo(rng):
+        for model in _zoo(rng):
             total = math.fsum(np.exp(sequence_log_probs(model)).tolist())
             assert abs(total - 1.0) <= 1e-9
 
     def test_seq_log_prob_matches_chain_of_conditionals(self, rng):
-        # Holds structurally for table models; the mixture and drift
-        # scorers use closed forms that must telescope to the same sum.
-        for model in self._model_zoo(rng):
+        # Scoring a whole sequence and reading one row at a time are two
+        # drivers of the same step; the mixture's product must telescope.
+        for model in _zoo(rng):
             for w in ([0, 1, 2, 0], [2, 2, 0, 1], [1, 0, 0, 0]):
                 chained = sum(
                     math.log(model.next_dist(w[:t])[w[t]]) for t in range(4)
@@ -249,7 +266,7 @@ class TestInvariants:
                 assert model.seq_log_prob(w) == pytest.approx(chained, abs=1e-10)
 
     def test_batch_matches_single(self, rng):
-        for model in self._model_zoo(rng):
+        for model in _zoo(rng):
             ctxs = rng.integers(0, 3, size=(20, 2))
             rows = model.next_dist_batch(ctxs)
             for i in range(20):
@@ -279,6 +296,29 @@ class TestInvariants:
         ]
         assert max(diffs) > 1e-3
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        M=st.integers(2, 3),
+        T=st.integers(1, 4),
+        gamma=st.sampled_from([0.0, 0.3, 1.0]),
+        switch_prob=st.sampled_from([0.0, 0.25, 1.0]),
+        alpha=st.sampled_from([0.0, 0.6, -0.8]),
+    )
+    def test_stepping_matches_next_dist(self, seed, M, T, gamma, switch_prob, alpha):
+        # A batch state advanced token by token gives, at every step, the
+        # rows that next_dist computes from the explicit context.
+        rng = np.random.default_rng(seed)
+        seqs = rng.integers(0, M, size=(5, T))
+        for model in _zoo(rng, M, T, gamma, switch_prob, alpha):
+            state = model.init_state(5)
+            for t in range(T):
+                rows = model.rows(state)
+                for w, row in zip(seqs, rows):
+                    np.testing.assert_allclose(row, model.next_dist(w[:t]), rtol=0, atol=1e-13)
+                if t + 1 < T:
+                    state = model.advance(state, seqs[:, t])
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), window=st.integers(1, 3))
     def test_limited_memory_truncation_invariance(self, seed, window):
@@ -291,6 +331,51 @@ class TestInvariants:
         np.testing.assert_array_equal(limited.next_dist(a), limited.next_dist(b))
 
 
+class TestLinearCost:
+    """Sampling and scoring cost one step per token, counted without timings.
+
+    Every composite model reads its innermost table model only through
+    ``rows``; counting those batches counts the steps.
+    """
+
+    @staticmethod
+    def _count_rows(inner):
+        calls = [0]
+        rows = inner.rows
+
+        def counting(state):
+            calls[0] += 1
+            return rows(state)
+
+        inner.rows = counting
+        return calls
+
+    @pytest.mark.parametrize("kind", ["drift", "mixture", "local_tilt", "memory_tilt"])
+    def test_rows_batches_grow_linearly_in_T(self, kind):
+        M = 3
+        for T in (16, 64):
+            rng = np.random.default_rng(T)
+            inner = random_markov(rng, M, T, 2)
+            drift = sc.DriftModel(inner, 0.1)
+            if kind == "drift":
+                model, expected = drift, T
+            elif kind == "mixture":
+                model, expected = sc.MixtureModel(inner, 0.1), T
+            elif kind == "local_tilt":
+                # M lookahead advances on every tilted step (all but the last).
+                model, expected = sc.LocalTiltModel(drift, 0.5), T + M * (T - 1)
+            else:
+                tables = random_markov(rng, M, T, 1).tables
+                comparator = sc.LimitedMemoryModel(inner.spec, 1, tables)
+                model, expected = sc.MemoryTiltModel(drift, comparator, 0.5), T
+            calls = self._count_rows(inner)
+            seqs = model.sample_batch(8, rng)
+            assert calls[0] == expected
+            calls[0] = 0
+            assert np.all(np.isfinite(model.seq_log_prob_batch(seqs)))
+            assert calls[0] == expected
+
+
 class TestStationary:
     def test_stationary_distribution(self, rng):
         transition = rng.dirichlet(np.ones(4), size=4)
@@ -300,23 +385,9 @@ class TestStationary:
 
 
 class TestSerialization:
-    def _zoo(self, rng):
-        base = random_markov(rng, 3, 4, 1)
-        mixture = sc.MixtureModel(base, 0.2)
-        f = sc.FunctionalF.log_prob(mixture)
-        yield base
-        yield sc.marginalize_to_window(random_markov(rng, 3, 4, 2), 1)
-        yield mixture
-        yield sc.PerTokenMixture(base, 0.15)
-        yield sc.DriftModel(base, 0.3)
-        yield sc.GlobalTiltModel(mixture, f, 0.37)
-        yield sc.LocalTiltModel(base, -0.8)
-        comparator = sc.marginalize_to_window(base, 1)
-        yield sc.MemoryTiltModel(base, comparator, 0.21, active_steps=(2, 3, 4))
-
     def test_round_trip_preserves_scores(self, rng):
         probe_rng = np.random.default_rng(0)
-        for model in self._zoo(rng):
+        for model in _zoo(rng, gamma=0.2, switch_prob=0.3, alpha=0.37):
             doc = sc.model_to_dict(model)
             clone = sc.model_from_dict(doc)
             probes = model.sample_batch(32, probe_rng)
