@@ -20,6 +20,11 @@ floored base raised to the power (1 + a), renormalized.  The local
 variant tilts each conditional by the one-step-lookahead entropy of the
 base after appending the candidate token; the lookahead feature is 0 at
 the final step, where no next step exists.
+
+A per-step fit has an exact and a sample-average mode.  The sample mode
+is the exact routine run on :func:`seqcal.exact.sample_expansion`, the
+lattice of the sample's empirical distribution, instead of the truth's
+:func:`seqcal.exact.prefix_expansion`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .exact import (
     _kl_from_log_probs,
     logsumexp,
     prefix_expansion,
+    sample_expansion,
     sequence_log_probs,
 )
 from .models import (
@@ -531,19 +537,26 @@ class _StepTiltProblem:
         return info
 
 
-def _exact_step_problem(truth, tilt, active, budget):
-    T = truth.spec.T
-    w_parts, lr_parts, f_parts = [], [], []
+def _step_problem(walk, tilt, active, n_seqs=None):
+    """The per-step problem over a walk whose last states are the tilt's.
+
+    `walk` is ``prefix_expansion(truth, budget, tilt)`` (exact) or
+    ``sample_expansion(samples, tilt)`` (sample-average over `n_seqs`
+    sequences).  In sample mode the target's rows are the realised
+    tokens, so its per-context feature means are the realised features;
+    they are kept for the gradient's standard error.
+    """
+    w_parts, lr_parts, f_parts, obs = [], [], [], []
     target_sum = 0.0
     xent_sum = 0.0
-    for t, (_, state), weights, true_rows in prefix_expansion(truth, budget, tilt):
-        base_rows, feats = tilt._step(state)
+    for t, states, weights, true_rows in walk:
+        base_rows, feats = tilt._step(states[-1])
         with np.errstate(divide="ignore"):
             log_rows = np.log(base_rows)
         support = (weights[:, None] * true_rows) > 0.0
         if np.any(support & np.isneginf(log_rows)):
             raise CalibrationDivergenceError(
-                "base assigns zero probability on the truth's support; the "
+                "base assigns zero probability on the target's support; the "
                 "objective is infinite for every alpha"
             )
         if t not in active:
@@ -551,57 +564,22 @@ def _exact_step_problem(truth, tilt, active, budget):
         xent_sum += -float(
             np.dot(weights, np.where(support, true_rows * log_rows, 0.0).sum(axis=1))
         )
-        target_sum += float(np.dot(weights, (true_rows * feats).sum(axis=1)))
+        target_feats = (true_rows * feats).sum(axis=1)
+        target_sum += float(np.dot(weights, target_feats))
         w_parts.append(weights)
         lr_parts.append(log_rows)
         f_parts.append(feats)
+        if n_seqs is not None:
+            obs.append(target_feats)
     return _StepTiltProblem(
         np.concatenate(w_parts),
         np.vstack(lr_parts),
         np.vstack(f_parts),
         target_sum,
         xent_sum,
-        T,
-    )
-
-
-def _sample_step_problem(samples, tilt, active, min_samples):
-    samples = check_samples(samples, tilt.spec)
-    n, T = samples.shape
-    if n < min_samples:
-        raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n}")
-    lr_parts, f_parts = [], []
-    obs = np.empty((T, n))
-    xent_sum = 0.0
-    idx = np.arange(n)
-    state = tilt.init_state(n)
-    for t in range(1, T + 1):
-        base_rows, feats = tilt._step(state)
-        with np.errstate(divide="ignore"):
-            log_rows = np.log(base_rows)
-        chosen = log_rows[idx, samples[:, t - 1]]
-        if np.any(np.isneginf(chosen)):
-            raise CalibrationDivergenceError(
-                "base assigns zero probability to a sampled sequence; the "
-                "objective is infinite for every alpha"
-            )
-        if t not in active:
-            feats = np.zeros_like(base_rows)
-        xent_sum += -float(chosen.sum()) / n
-        obs[t - 1] = feats[idx, samples[:, t - 1]]
-        lr_parts.append(log_rows)
-        f_parts.append(feats)
-        if t < T:
-            state = tilt.advance(state, samples[:, t - 1])
-    return _StepTiltProblem(
-        np.full(n * T, 1.0 / n),
-        np.vstack(lr_parts),
-        np.vstack(f_parts),
-        float(obs.sum()) / n,
-        xent_sum,
-        T,
-        n_seqs=n,
-        obs_feats=obs,
+        tilt.spec.T,
+        n_seqs=n_seqs,
+        obs_feats=None if n_seqs is None else np.array(obs),
     )
 
 
@@ -622,8 +600,8 @@ def fit_per_step_tilt(
     and the per-candidate feature from its own step, ``tilt._step``, and
     ignores its exponent.  Steps outside `active_steps` stay untilted.
     With a ConditionalModel target the fit is exact (stop at |gradient|
-    <= tolerance); with an (n, T) sample array it is a sample-average
-    approximation over the fixed sample (stop at |gradient| <= 0.1 *
+    <= tolerance); with an (n, T) sample array it is the same fit under
+    the sample's empirical distribution (stop at |gradient| <= 0.1 *
     stderr(gradient)).
     """
     base = tilt.base
@@ -635,11 +613,14 @@ def fit_per_step_tilt(
     if isinstance(target, ConditionalModel):
         if target.spec != base.spec:
             raise ValueError("models must share the same sequence spec")
-        problem = _exact_step_problem(target, tilt, active, budget)
+        problem = _step_problem(prefix_expansion(target, budget, tilt), tilt, active)
         mode = "exact"
         stop = lambda info: abs(info["g"]) <= tolerance  # noqa: E731
     else:
-        problem = _sample_step_problem(target, tilt, active, min_samples)
+        n = check_samples(target, base.spec).shape[0]
+        if n < min_samples:
+            raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n}")
+        problem = _step_problem(sample_expansion(target, tilt), tilt, active, n_seqs=n)
         mode = "sample-average"
         stop = lambda info: abs(info["g"]) <= max(0.1 * info["g_stderr"], 1e-13)  # noqa: E731
 

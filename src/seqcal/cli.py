@@ -46,6 +46,7 @@ from .exact import (
     BudgetExceededError,
     EnumerationBudget,
     FunctionalF,
+    _entropy_from_log_probs,
     cross_entropy_exact,
     entropy_rate_exact,
     kl_exact,
@@ -103,7 +104,6 @@ class ExperimentConfig:
     true_model: dict = field(default_factory=lambda: {"kind": "random_markov", "order": 1})
     model: dict = field(default_factory=lambda: {"recipe": "identity"})
     seed: int = 0
-    workers: int = 1
     out: str | None = None
     format: str = "csv"
     budget: int = 10**6
@@ -167,7 +167,7 @@ def _expect(raw: dict, key: str, kind, default=None, minimum=None, choices=None)
 
 
 _KNOWN_KEYS = {
-    "M", "T", "pipeline", "true_model", "model", "seed", "workers", "out",
+    "M", "T", "pipeline", "true_model", "model", "seed", "out",
     "format", "budget", "epsilon", "tau", "n_gen", "n_samples", "tolerance",
     "t_policy", "smoothing", "prefix_len", "n_prefixes", "instances", "units",
 }
@@ -194,7 +194,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         true_model=_expect(raw, "true_model", dict, default={"kind": "random_markov", "order": 1}),
         model=_expect(raw, "model", dict, default={"recipe": "identity"}),
         seed=_expect(raw, "seed", int, default=0, minimum=0),
-        workers=_expect(raw, "workers", int, default=1, minimum=1),
         out=_expect(raw, "out", str, default=None),
         format=_expect(raw, "format", str, default="csv", choices={"csv", "json"}),
         budget=_expect(raw, "budget", int, default=10**6, minimum=1),
@@ -362,9 +361,11 @@ def _pipeline_calibrate_global(cfg, truth, model, budget):
         budget=budget,
         provenance=_seed_prov(cfg, "calibrate-global"),
     )
+    # The fit's objective is CE(truth || tilted), and the tilted model
+    # already holds its own sequence log-probabilities.
     extra = {
-        "entropy_rate_tilted": entropy_rate_exact(tilted, budget),
-        "cross_entropy_tilted": cross_entropy_exact(truth, tilted, budget),
+        "entropy_rate_tilted": _entropy_from_log_probs(tilted._levels[cfg.T]) / cfg.T,
+        "cross_entropy_tilted": result.objective,
     }
     return 0, _calibration_artifacts(cfg, "calibration_global", tilted, result, extra)
 
@@ -800,13 +801,12 @@ def _memory_chain_holds(truth, full, comparator, est, budget, tolerance):
 
     tilted = MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
     lhs_vals, ce_vals, hzy_vals = [], [], []
-    walk = prefix_expansion(truth, budget, tilted, comparator)
-    for t, (_, tilted_state, comp_state), w, true_rows in walk:
+    for t, (_, tilted_state), w, true_rows in prefix_expansion(truth, budget, tilted):
         if t not in est.steps:
             continue
         mt_rows = tilted.rows(tilted_state)
         with np.errstate(divide="ignore"):
-            log_comp = np.log(comparator.rows(comp_state))
+            log_comp = np.log(comparator.rows(tilted_state[2]))
         lhs_vals.append(-float(np.dot(w, (mt_rows * log_comp).sum(axis=1))))
         ce_vals.append(-float(np.dot(w, (true_rows * log_comp).sum(axis=1))))
         joint = _joint(w, mt_rows, est.tau, t)
@@ -955,7 +955,6 @@ def run(cfg: ExperimentConfig, overrides: dict | None = None) -> tuple[int, Path
 def _add_common_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--config", type=str, default=None, help="JSON config file")
     sp.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    sp.add_argument("--workers", type=int, default=None, help="parallelism cap")
     sp.add_argument("--out", type=str, default=None, help="output directory")
     sp.add_argument("--format", type=str, choices=("csv", "json"), default=None,
                     help="table format (json documents are always written)")
@@ -998,7 +997,7 @@ def main(argv=None) -> int:
                 print("config must be a JSON object", file=sys.stderr)
                 return 2
         overrides = {}
-        for key in ("seed", "workers", "out", "format", "units", "M", "T", "epsilon",
+        for key in ("seed", "out", "format", "units", "M", "T", "epsilon",
                     "n_gen", "instances", "tolerance", "prefix_len"):
             value = getattr(args, key)
             if value is not None:

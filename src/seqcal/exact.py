@@ -13,6 +13,8 @@ the last level's rows give every sequence's log-probability
 (:func:`sequence_log_probs`).  Sequence functionals are evaluated on
 that lattice, never on an enumerated token array;
 :func:`enumerate_sequences` remains only as an independent oracle.
+:func:`sample_expansion` walks an (n, T) sample array the same way, as
+the lattice of its empirical distribution.
 
 Conventions: natural log everywhere (nats); an infinite cross entropy or
 divergence is returned as ``math.inf`` (never produced via floating
@@ -28,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import ConditionalModel, take_state
+from .models import ConditionalModel, check_samples, take_state
 
 # Probability floor used only when a logarithm of an exactly-zero entry
 # must be finite (tilt features, comparator scoring).  Sampling and plain
@@ -151,6 +153,30 @@ def prefix_expansion(
             states, weights = _grow_prefixes(models, states, weights, rows)
 
 
+def sample_expansion(
+    samples: np.ndarray, *models: "ConditionalModel"
+) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
+    """The sample counterpart of :func:`prefix_expansion`, for t = 1..T.
+
+    Level t holds the n sampled length-(t-1) prefixes of an (n, T)
+    sample array, each of probability 1/n; ``states`` holds the batch
+    state of each of `models` at those prefixes, and ``next_rows`` are
+    the one-hot realised tokens, i.e. the sample's empirical next-token
+    distribution.  An exact routine run on this walk is its
+    sample-average counterpart.
+    """
+    spec = models[0].spec
+    samples = check_samples(samples, spec)
+    n, T = samples.shape
+    one_hot = np.eye(spec.M)
+    states = tuple(m.init_state(n) for m in models)
+    weights = np.full(n, 1.0 / n)
+    for t in range(1, T + 1):
+        yield t, states, weights, one_hot[samples[:, t - 1]]
+        if t < T:
+            states = tuple(m.advance(s, samples[:, t - 1]) for m, s in zip(models, states))
+
+
 class FunctionalF:
     """A scalar function on length-T sequences used as a tilt feature.
 
@@ -252,10 +278,7 @@ class FunctionalF:
 
 def entropy_exact(model: "ConditionalModel", budget: EnumerationBudget | None = None) -> float:
     """H(model) in nats, total over the sequence: sum_w P(w) log 1/P(w)."""
-    lp = sequence_log_probs(model, budget)
-    p = np.exp(lp)
-    mask = p > 0.0
-    return -_fsum(p[mask] * lp[mask])
+    return _entropy_from_log_probs(sequence_log_probs(model, budget))
 
 
 def entropy_rate_exact(model: "ConditionalModel", budget: EnumerationBudget | None = None) -> float:
@@ -289,6 +312,13 @@ def kl_exact(
     if p.spec != q.spec:
         raise ValueError("models must share the same sequence spec")
     return _kl_from_log_probs(sequence_log_probs(p, budget), sequence_log_probs(q, budget))
+
+
+def _entropy_from_log_probs(lp: np.ndarray) -> float:
+    """Entropy of a lattice log-probability vector, as :func:`entropy_exact`."""
+    p = np.exp(lp)
+    mask = p > 0.0
+    return -_fsum(p[mask] * lp[mask])
 
 
 def _kl_from_log_probs(lpp: np.ndarray, lpq: np.ndarray) -> float:

@@ -18,6 +18,12 @@ Because a single exponent is shared across the time steps being
 measured, the tilt is applied only on those steps and every reported
 quantity is averaged over the same steps; that keeps the zero-gradient
 identity behind the bound aligned with what is reported.
+
+The calibration, the bound and the window fit each have an exact and a
+sample mode.  A sample mode is the exact routine run on
+:func:`seqcal.exact.sample_expansion`, the lattice of the sample's
+empirical distribution, instead of the truth's
+:func:`seqcal.exact.prefix_expansion`.
 """
 
 from __future__ import annotations
@@ -35,10 +41,13 @@ from .exact import (
     conditional_mi_exact,
     default_budget,
     prefix_expansion,
+    sample_expansion,
 )
 from .models import (
     ConditionalModel,
     LimitedMemoryModel,
+    MarkovModel,
+    _fit_window,
     check_samples,
     marginalize_to_window,
     model_from_dict,
@@ -165,22 +174,9 @@ def fit_limited_memory(
             f"empirical-ngram mode needs at least {min_samples} samples, "
             f"got {samples.shape[0]}"
         )
-    M, T = spec.M, spec.T
-    eff = min(window, T - 1)
-    counts = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
-    codes = np.zeros(samples.shape[0], dtype=np.int64)  # code of the last ell tokens
-    for t in range(1, T + 1):
-        np.add.at(counts[min(eff, t - 1)], (codes, samples[:, t - 1]), 1.0)
-        codes = (codes * M + samples[:, t - 1]) % M ** min(eff, t)
-    tables = []
-    for table in counts:
-        smoothed = table + smoothing
-        mass = smoothed.sum(axis=1, keepdims=True)
-        uniform = np.full_like(table, 1.0 / M)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rows = np.where(mass > 0.0, smoothed / np.where(mass > 0.0, mass, 1.0), uniform)
-        tables.append(rows)
-    return LimitedMemoryModel(spec, eff, tables)
+    # Counts weighted 1/n: smoothing/n per token keeps the count ratio.
+    tail = MarkovModel.uniform(spec, min(window, spec.T - 1))
+    return _fit_window(sample_expansion(samples, tail), tail, smoothing / samples.shape[0])
 
 
 def _default_steps(comparator: ConditionalModel, T: int):
@@ -362,12 +358,14 @@ def memory_bound(
     reports  bound = CE(truth || comparator) - H(calibrated next token |
     full past), each term averaged over the steps selected by
     `t_policy` ("average" pools t = tau+1..T; an integer selects a
-    single step).  Exact mode walks the truth's prefix lattice once
-    over those steps and, unless `attach_exact_mi` is False, attaches
-    the exact conditional mutual information, which the bound dominates
-    by construction.  In sample mode both terms carry
-    standard errors and a negative bound is reported as-is with the
-    validity flag cleared rather than clamped.
+    single step).  One loop walks the truth's prefix lattice, or the
+    samples, once over those steps.  Exact mode attaches, unless
+    `attach_exact_mi` is False, the exact conditional mutual
+    information, which the bound dominates by construction.  In sample
+    mode both terms carry standard errors; a sampled token the
+    comparator gives probability 0 makes the CE infinite, and a
+    negative or infinite bound is reported as-is with the validity flag
+    cleared rather than clamped.
     """
     T = full.spec.T
     if tau is None:
@@ -385,8 +383,6 @@ def memory_bound(
         raise ValueError(f"t_policy must be 'average' or a step index, got {t_policy!r}")
 
     exact_mode = isinstance(target, ConditionalModel)
-    if not exact_mode:
-        samples = check_samples(target, full.spec)
     tilted, calibration = calibrate_to_comparator(
         target,
         full,
@@ -398,97 +394,75 @@ def memory_bound(
         provenance=provenance,
     )
 
-    per_step: dict = {}
     if exact_mode:
-        ce_vals, h_vals, mi_vals = [], [], []
-        walk = prefix_expansion(target, budget, comparator, tilted)
-        for t, (_, comp_state, tilted_state), weights, true_rows in walk:
-            if t not in steps:
-                continue
-            with np.errstate(divide="ignore"):
-                log_comp = np.log(comparator.rows(comp_state))
+        walk = prefix_expansion(target, budget, tilted)
+    else:
+        walk = sample_expansion(target, tilted)
+    per_step: dict = {}
+    ce_parts, h_parts = [], []
+    for t, states, weights, true_rows in walk:
+        if t not in steps:
+            continue
+        tilted_state = states[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_comp = np.log(comparator.rows(tilted_state[2]))
             joint_mass = weights[:, None] * true_rows
-            if np.any((joint_mass > 0.0) & np.isneginf(log_comp)):
-                ce_t = math.inf
-            else:
-                terms = np.where(joint_mass > 0.0, joint_mass * log_comp, 0.0)
-                ce_t = -math.fsum(terms.ravel().tolist())
-            tilted_rows = tilted.rows(tilted_state)
-            h_t = math.fsum((weights * row_entropies(tilted_rows)).tolist())
-            mi_t = None
-            if attach_exact_mi:
-                mi_t = conditional_mi_exact(_joint(weights, tilted_rows, tau, t))
-                mi_vals.append(mi_t)
-            ce_vals.append(ce_t)
-            h_vals.append(h_t)
-            per_step[t] = {"ce": ce_t, "cond_entropy": h_t, "mi": mi_t}
-            if t == steps[-1]:
-                break
-        ce_term = float(np.mean(ce_vals))
-        h_term = float(np.mean(h_vals))
-        exact_mi = float(np.mean(mi_vals)) if attach_exact_mi else None
-        bound = ce_term - h_term
-        return MemoryEstimate(
-            tau=tau,
-            ce_comparator=ce_term,
-            cond_entropy=h_term,
-            bound=bound,
-            alpha_star=calibration.alpha_star,
-            exact_mi=exact_mi,
-            t_policy=t_policy,
-            steps=list(steps),
-            per_step=per_step,
-            mode="exact",
-            valid=bound >= -1e-9,
-            calibration=calibration,
-            provenance=dict(provenance or {}),
-        )
-
-    n = samples.shape[0]
-    idx = np.arange(n)
-    ce_seq = np.zeros(n)
-    h_seq = np.zeros(n)
-    infinite = False
-    comp_state, tilted_state = comparator.init_state(n), tilted.init_state(n)
-    for t in range(1, steps[-1] + 1):
-        if t in steps:
-            chosen = comparator.rows(comp_state)[idx, samples[:, t - 1]]
-            if np.any(chosen <= 0.0):
-                infinite = True
-                chosen = np.maximum(chosen, P_MIN)
-            nll = -np.log(chosen)
-            ent = row_entropies(tilted.rows(tilted_state))
-            ce_seq += nll
-            h_seq += ent
-            per_step[t] = {
-                "ce": float(nll.mean()),
-                "cond_entropy": float(ent.mean()),
-                "mi": None,
-            }
-        if t < steps[-1]:
-            comp_state = comparator.advance(comp_state, samples[:, t - 1])
-            tilted_state = tilted.advance(tilted_state, samples[:, t - 1])
-    ce_seq /= len(steps)
-    h_seq /= len(steps)
-    diff = ce_seq - h_seq
-    ce_term = math.inf if infinite else float(ce_seq.mean())
-    bound = math.inf if infinite else float(diff.mean())
+            # A comparator zero under positive mass makes the sum infinite.
+            terms = np.where(joint_mass > 0.0, joint_mass * log_comp, 0.0)
+        tilted_rows = tilted.rows(tilted_state)
+        h_terms = weights * row_entropies(tilted_rows)
+        mi_t = None
+        if exact_mode and attach_exact_mi:
+            mi_t = conditional_mi_exact(_joint(weights, tilted_rows, tau, t))
+        per_step[t] = {
+            "ce": -math.fsum(terms.ravel().tolist()),
+            "cond_entropy": math.fsum(h_terms.tolist()),
+            "mi": mi_t,
+        }
+        ce_parts.append(-terms.sum(axis=1))
+        h_parts.append(h_terms)
+        if t == steps[-1]:
+            break
+    ce_term = float(np.mean([v["ce"] for v in per_step.values()]))
+    h_term = float(np.mean([v["cond_entropy"] for v in per_step.values()]))
+    bound = ce_term - h_term
+    if exact_mode:
+        exact_mi = None
+        if attach_exact_mi:
+            exact_mi = float(np.mean([v["mi"] for v in per_step.values()]))
+        mode_fields = {"mode": "exact", "valid": bound >= -1e-9, "exact_mi": exact_mi}
+    else:
+        # Each part holds 1/n times one sequence's term at one step, so
+        # these are the per-sequence step averages behind the stderrs.
+        n = h_parts[0].shape[0]
+        ce_seq = np.sum(ce_parts, axis=0) * n / len(steps)
+        h_seq = np.sum(h_parts, axis=0) * n / len(steps)
+        mode_fields = {
+            "mode": "mc",
+            "valid": math.isfinite(bound) and bound >= 0.0,
+            "exact_mi": None,
+            "ce_stderr": _stderr(ce_seq),
+            "cond_entropy_stderr": _stderr(h_seq),
+            "bound_stderr": _stderr(ce_seq - h_seq),
+            "n_samples": n,
+        }
     return MemoryEstimate(
         tau=tau,
         ce_comparator=ce_term,
-        cond_entropy=float(h_seq.mean()),
+        cond_entropy=h_term,
         bound=bound,
         alpha_star=calibration.alpha_star,
-        exact_mi=None,
         t_policy=t_policy,
         steps=list(steps),
         per_step=per_step,
-        mode="mc",
-        valid=(not infinite) and bound >= 0.0,
-        ce_stderr=float(ce_seq.std(ddof=1) / math.sqrt(n)),
-        cond_entropy_stderr=float(h_seq.std(ddof=1) / math.sqrt(n)),
-        bound_stderr=float(diff.std(ddof=1) / math.sqrt(n)),
-        n_samples=n,
         calibration=calibration,
         provenance=dict(provenance or {}),
+        **mode_fields,
     )
+
+
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of `values`; infinite if one value is."""
+    if not np.all(np.isfinite(values)):
+        return math.inf
+    return float(values.std(ddof=1) / math.sqrt(values.shape[0]))

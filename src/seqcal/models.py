@@ -574,23 +574,31 @@ def marginalize_to_window(
 
     if window < 1:
         raise ValueError("window must be >= 1")
-    M, T = model.spec.M, model.spec.T
-    eff = min(window, T - 1)
-    acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
-    for t, _states, weights, rows in prefix_expansion(model, budget):
-        # Prefix i of level t has code i; its last ell tokens, code i mod M**ell.
-        ell = min(eff, t - 1)
-        codes = np.arange(weights.shape[0], dtype=np.int64) % M**ell
-        np.add.at(acc[ell], codes, weights[:, None] * rows)
+    tail = MarkovModel.uniform(model.spec, min(window, model.spec.T - 1))
+    return _fit_window(prefix_expansion(model, budget, tail), tail)
 
+
+def _fit_window(walk, tail: MarkovModel, smoothing: float = 0.0) -> LimitedMemoryModel:
+    """Window tables pooled over the levels of a lattice or sample walk.
+
+    `tail` is the uniform order-``window`` Markov model, walked last, so
+    its state code is the window of every prefix.  Each window's row
+    is its accumulated next-token mass plus `smoothing` per token,
+    normalized; a window without mass gets the uniform row.
+    """
+    M, eff = tail.spec.M, tail.order
+    acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
+    for t, states, weights, rows in walk:
+        np.add.at(acc[min(eff, t - 1)], states[-1][1], weights[:, None] * rows)
     tables = []
     for table in acc:
-        mass = table.sum(axis=1, keepdims=True)
+        smoothed = table + smoothing
+        mass = smoothed.sum(axis=1, keepdims=True)
         uniform = np.full_like(table, 1.0 / M)
         with np.errstate(invalid="ignore", divide="ignore"):
-            rows = np.where(mass > 0.0, table / np.where(mass > 0.0, mass, 1.0), uniform)
+            rows = np.where(mass > 0.0, smoothed / np.where(mass > 0.0, mass, 1.0), uniform)
         tables.append(rows)
-    return LimitedMemoryModel(model.spec, eff, tables)
+    return LimitedMemoryModel(tail.spec, eff, tables)
 
 
 # ---------------------------------------------------------------------------

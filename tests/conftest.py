@@ -97,6 +97,19 @@ def one_hot_model(spec, token=0):
     return MarkovModel(spec, 0, [row[None, :]])
 
 
+def count_advance(model):
+    """Count the model's `advance` batches, in a one-element list."""
+    calls = [0]
+    advance = model.advance
+
+    def counted(state, tokens):
+        calls[0] += 1
+        return advance(state, tokens)
+
+    model.advance = counted
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from seqcal.cli import ConfigError, main, parse_config, run, verify_suite
+from seqcal import MarkovModel, fit_limited_memory, make_spec, memory_bound
+from seqcal.cli import ConfigError, _memory_chain_holds, main, parse_config, run, verify_suite
+
+from conftest import count_advance
 
 
 BASE_CONFIG = {
@@ -37,6 +40,10 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="mm"):
             parse_config({"M": 2, "T": 2, "pipeline": "drift", "mm": 1})
+
+    def test_workers_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="'workers': unknown key"):
+            parse_config({"M": 2, "T": 2, "pipeline": "drift", "workers": 1})
 
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="'T'"):
@@ -181,21 +188,32 @@ class TestMainEntry:
         assert manifest["seed"] == 99
 
     @pytest.mark.parametrize(
-        "pipeline", ["drift", "calibrate-global", "calibrate-local", "memory"]
+        "pipeline", ["drift", "calibrate-global", "calibrate-local", "memory", "verify"]
     )
     def test_replay_bit_exact(self, tmp_path, pipeline):
-        cfg = write_config(tmp_path)
+        overrides = {"T": 4, "instances": 4} if pipeline == "verify" else None
+        cfg = write_config(tmp_path, overrides)
         a, b = tmp_path / "a", tmp_path / "b"
         assert main([pipeline, "--config", str(cfg), "--out", str(a)]) == 0
         assert main([pipeline, "--config", str(cfg), "--out", str(b)]) == 0
         names = sorted(p.name for p in a.iterdir() if p.name != "runinfo.json")
-        assert "manifest.json" in names and len(names) >= 3
+        # verify writes its report and the manifest; every other pipeline more.
+        assert "manifest.json" in names and len(names) >= (2 if pipeline == "verify" else 3)
         assert names == sorted(p.name for p in b.iterdir() if p.name != "runinfo.json")
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestVerifyPipeline:
+    def test_memory_chain_advances_comparator_once_per_level(self, rng):
+        truth = MarkovModel.random(make_spec(2, 5), 2, rng)
+        full = truth.perturbed(rng, 0.3)
+        comparator = fit_limited_memory(truth, 1)
+        est = memory_bound(truth, full, comparator)
+        calls = count_advance(comparator)
+        assert _memory_chain_holds(truth, full, comparator, est, None, 1e-10)
+        assert calls == [truth.spec.T - 1]
+
     def test_bundled_fixture_passes(self, tmp_path):
         from pathlib import Path
 

@@ -9,6 +9,7 @@ from seqcal.exact import (
     enumerate_sequences,
     log_partition_exact,
     logsumexp,
+    sample_expansion,
     sequence_log_probs,
 )
 
@@ -284,3 +285,25 @@ class TestLogSumExp:
     def test_enumerate_sequences_order(self):
         seqs = enumerate_sequences(2, 3)
         assert [tuple(s) for s in seqs] == all_seqs(2, 3)
+
+
+class TestSampleExpansion:
+    def test_levels_are_the_sampled_prefixes(self, rng):
+        truth = random_markov(rng, 3, 4, 2)
+        samples = truth.sample_batch(50, rng)
+        levels = list(sample_expansion(samples, truth))
+        assert [level[0] for level in levels] == [1, 2, 3, 4]
+        for t, (state,), weights, rows in levels:
+            np.testing.assert_array_equal(weights, np.full(50, 1 / 50))
+            np.testing.assert_array_equal(rows.sum(axis=1), np.ones(50))
+            np.testing.assert_array_equal(rows.argmax(axis=1), samples[:, t - 1])
+            np.testing.assert_array_equal(
+                truth.rows(state), truth.next_dist_batch(samples[:, : t - 1])
+            )
+
+    def test_rejects_out_of_vocabulary_tokens(self, rng):
+        truth = random_markov(rng, 2, 3, 1)
+        samples = truth.sample_batch(5, rng)
+        samples[2, 1] = 2
+        with pytest.raises(ValueError, match="vocabulary"):
+            next(sample_expansion(samples, truth))

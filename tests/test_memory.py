@@ -7,7 +7,7 @@ import seqcal as sc
 from seqcal.exact import enumerate_sequences, sequence_log_probs
 from seqcal.memory import _prefix_level
 
-from conftest import all_seqs, random_markov, random_pair
+from conftest import all_seqs, count_advance, random_markov, random_pair
 
 
 def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1e-4):
@@ -292,3 +292,82 @@ class TestPredictionJoint:
         truth = random_markov(rng, 2, 5, 2)
         with pytest.raises(sc.BudgetExceededError):
             sc.prediction_joint(truth, truth, tau=1, t=5, budget=sc.EnumerationBudget(4))
+
+
+class TestSampleModeOnEnumeratedSample:
+    # Every sequence once: the sample's empirical distribution is exactly
+    # the uniform truth, so sample mode must reproduce exact mode in every
+    # value that does not depend on where the optimizer stops.
+    spec = sc.make_spec(3, 4)
+
+    def _instance(self, rng):
+        truth = sc.MarkovModel.uniform(self.spec, 0)
+        samples = enumerate_sequences(3, 4)
+        full = sc.DriftModel(random_markov(rng, 3, 4, 1), 0.3)
+        comparator = sc.fit_limited_memory(random_markov(rng, 3, 4, 2), 1)
+        return truth, samples, full, comparator
+
+    @staticmethod
+    def _assert_same_fixed_values(exact, sample):
+        assert sample.mode == "sample-average" and exact.mode == "exact"
+        for name in ("mu_target", "baseline_objective"):
+            assert getattr(sample, name) == pytest.approx(getattr(exact, name), abs=1e-10)
+        assert sample.extras["mu_base"] == pytest.approx(exact.extras["mu_base"], abs=1e-10)
+
+    def test_per_step_fits(self, rng):
+        truth, samples, full, comparator = self._instance(rng)
+        _, exact = sc.fit_alpha_local(truth, full)
+        _, sample = sc.fit_alpha_local(samples, full, min_samples=1)
+        self._assert_same_fixed_values(exact, sample)
+        _, exact = sc.calibrate_to_comparator(truth, full, comparator)
+        _, sample = sc.calibrate_to_comparator(samples, full, comparator, min_samples=1)
+        self._assert_same_fixed_values(exact, sample)
+
+    def test_memory_bound_cross_entropy(self, rng):
+        truth, samples, full, comparator = self._instance(rng)
+        exact = sc.memory_bound(truth, full, comparator)
+        sample = sc.memory_bound(samples, full, comparator, min_samples=1)
+        assert sample.mode == "mc"
+        assert sample.ce_comparator == pytest.approx(exact.ce_comparator, abs=1e-10)
+
+    def test_window_tables(self, rng):
+        truth, samples, _, _ = self._instance(rng)
+        for window in (1, 2, 3):
+            exact = sc.fit_limited_memory(truth, window)
+            sample = sc.fit_limited_memory(
+                samples, window, spec=self.spec, smoothing=0.0, min_samples=1
+            )
+            assert sample.window == exact.window
+            for a, b in zip(sample.tables, exact.tables):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+
+
+class TestSampleModeZeroComparator:
+    def test_sampled_zero_makes_cross_entropy_infinite(self, rng):
+        # After token 1 the comparator never predicts token 1; the sample
+        # contains that transition at step 3.
+        spec = sc.make_spec(2, 3)
+        full = sc.MarkovModel.uniform(spec)
+        comparator = sc.LimitedMemoryModel(
+            spec, 1, [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [1.0, 0.0]])]
+        )
+        samples = sc.MarkovModel.uniform(spec).sample_batch(200, rng)
+        assert np.any((samples[:, 1] == 1) & (samples[:, 2] == 1))
+        est = sc.memory_bound(samples, full, comparator, min_samples=1)
+        assert est.per_step[3]["ce"] == math.inf
+        assert est.ce_comparator == math.inf
+        assert not est.valid
+
+
+class TestComparatorWalks:
+    def test_memory_bound_advances_comparator_once_per_level(self, rng):
+        # The comparator's state lives inside the tilted model's, so the
+        # calibration walk and the bound walk each advance it once per
+        # level: 2 (T - 1) batches in all.
+        truth = random_markov(rng, 2, 5, 2)
+        full = truth.perturbed(rng, 0.3)
+        comparator = sc.fit_limited_memory(truth, 1)
+        calls = count_advance(comparator)
+        sc.memory_bound(truth, full, comparator)
+        assert calls == [2 * (truth.spec.T - 1)]
+
