@@ -491,32 +491,76 @@ def calibrate_entropy_rate(
 # -- per-step tilts ----------------------------------------------------------
 
 
+def _sum_columns(x: np.ndarray) -> np.ndarray:
+    """Sum an (M, n) array over axis 0, adding each column as numpy adds a row.
+
+    numpy adds a row of fewer than 8 entries left to right, which is
+    what an axis-0 pass does elementwise; a longer row it adds pairwise,
+    so for M >= 8 the sum goes through the row layout.
+    """
+    if x.shape[0] < 8:
+        return x.sum(axis=0)
+    return np.ascontiguousarray(x.T).sum(axis=1)
+
+
+def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
+    """Rows proportional to exp(log_rows + alpha * feats), and their log Z.
+
+    The column-major twin of :func:`_tilt_rows`: both arguments and the
+    returned rows are (M, n), column i being context i.  Every operation
+    is the one :func:`_tilt_rows` makes, in the same order, so the rows
+    are bitwise the transpose of its rows.
+    """
+    logits = alpha * feats
+    logits += log_rows
+    shift = logits.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    rows = logits - shift
+    np.exp(rows, out=rows)
+    with np.errstate(divide="ignore"):
+        log_z = np.log(_sum_columns(rows))
+    log_z += shift
+    np.subtract(logits, log_z, out=rows)
+    return np.exp(rows, out=rows), log_z
+
+
 class _StepTiltProblem:
     """Flattened (step, context) data for fitting a shared per-step exponent.
 
-    Rows carry the log base conditional, the per-candidate feature
-    (zeroed on inactive steps, so those steps stay untilted and only add
-    constants), the context weight, and the target feature moments --
-    either exact conditional means under the truth or realized values
-    from samples.
+    The N contexts of all steps are columns: ``log_rows`` (the log base
+    conditional) and ``feats`` (the per-candidate feature, zeroed on
+    inactive steps, so those steps stay untilted and only add constants)
+    are C-contiguous (M, N) arrays, so every per-context reduction of a
+    probe is an elementwise pass over M rows of length N.  numpy adds an
+    (N, M) row of fewer than 8 entries left to right, as that pass does,
+    so the probe is bitwise the row-layout formula; :func:`_sum_columns`
+    keeps that for M >= 8.  Beside them: the context weights, the
+    column span of each step, and the target feature moments -- either
+    exact conditional means under the truth or realized values from
+    samples.
     """
 
-    def __init__(self, weights, log_rows, feats, target_feat_sum, xent_sum, T, n_seqs=None, obs_feats=None):
+    def __init__(self, tilt, active, weights, log_rows, feats, spans, target_feat_sum, xent_sum,
+                 n_seqs=None, obs_feats=None):
+        self.tilt = tilt
+        self.active = active
         self.weights = weights
         self.log_rows = log_rows
         self.feats = feats
+        self.spans = spans  # {t: slice of step t's columns}
         self.target_feat_sum = target_feat_sum
         self.xent_sum = xent_sum
-        self.T = T
+        self.T = tilt.spec.T
         self.n_seqs = n_seqs
         self.obs_feats = obs_feats  # (T, n) realized features, sample mode only
 
     def evaluate(self, alpha: float) -> dict:
-        logits = self.log_rows + alpha * self.feats
-        log_z = logsumexp(logits, axis=1)
-        rows = np.exp(logits - log_z[:, None])
-        m = (rows * self.feats).sum(axis=1)
-        var = (rows * (self.feats - m[:, None]) ** 2).sum(axis=1)
+        rows, log_z = _tilt_columns(self.log_rows, self.feats, alpha)
+        m = _sum_columns(rows * self.feats)
+        dev = self.feats - m
+        dev *= dev
+        dev *= rows
+        var = _sum_columns(dev)
         g = (float(np.dot(self.weights, m)) - self.target_feat_sum) / self.T
         c = float(np.dot(self.weights, var)) / self.T
         obj = (
@@ -536,17 +580,54 @@ class _StepTiltProblem:
             info["g_stderr"] = float(per_seq.std(ddof=1) / math.sqrt(self.n_seqs))
         return info
 
+    def tilted_rows(self, alpha: float, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step t's context weights and its (n, M) rows tilted by alpha.
 
-def _step_problem(walk, tilt, active, n_seqs=None):
-    """The per-step problem over a walk whose last states are the tilt's.
+        The rows are bitwise the tilt model's rows at alpha on an active
+        step, since both come from the same base rows and features.
+        """
+        span = self.spans[t]
+        rows, _ = _tilt_columns(self.log_rows[:, span], self.feats[:, span], alpha)
+        return self.weights[span], np.ascontiguousarray(rows.T)
 
-    `walk` is ``prefix_expansion(truth, budget, tilt)`` (exact) or
-    ``sample_expansion(samples, tilt)`` (sample-average over `n_seqs`
-    sequences).  In sample mode the target's rows are the realised
-    tokens, so its per-context feature means are the realised features;
-    they are kept for the gradient's standard error.
+
+def _columns(parts) -> np.ndarray:
+    """The (n_i, M) parts stacked as one C-contiguous (M, sum n_i) array."""
+    out = np.empty((parts[0].shape[1], sum(p.shape[0] for p in parts)))
+    return np.concatenate([p.T for p in parts], axis=1, out=out)
+
+
+def _step_problem(target, tilt, active_steps=None, budget=None, min_samples=1000, observe=None):
+    """The per-step problem of `tilt` against a truth model or samples.
+
+    Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
+    ``sample_expansion(target, tilt)`` (sample-average over the n
+    sequences) once, reading the base rows and the feature from
+    ``tilt._step``.  `observe`, if given, wraps the walk, so a caller
+    can read each level as it passes.  In sample mode the target's rows
+    are the realised tokens, so its per-context feature means are the
+    realised features; they are kept for the gradient's standard error.
     """
+    T = tilt.spec.T
+    active = frozenset(active_steps) if active_steps is not None else frozenset(range(1, T + 1))
+    if not active or not active.issubset(range(1, T + 1)):
+        raise ValueError("active_steps must be a nonempty subset of 1..T")
+    if isinstance(target, ConditionalModel):
+        if target.spec != tilt.spec:
+            raise ValueError("models must share the same sequence spec")
+        n_seqs = None
+        walk = prefix_expansion(target, budget, tilt)
+    else:
+        n_seqs = check_samples(target, tilt.spec).shape[0]
+        if n_seqs < min_samples:
+            raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n_seqs}")
+        walk = sample_expansion(target, tilt)
+    if observe is not None:
+        walk = observe(walk)
+
     w_parts, lr_parts, f_parts, obs = [], [], [], []
+    spans = {}
+    start = 0
     target_sum = 0.0
     xent_sum = 0.0
     for t, states, weights, true_rows in walk:
@@ -561,25 +642,83 @@ def _step_problem(walk, tilt, active, n_seqs=None):
             )
         if t not in active:
             feats = np.zeros_like(base_rows)
-        xent_sum += -float(
-            np.dot(weights, np.where(support, true_rows * log_rows, 0.0).sum(axis=1))
-        )
+        with np.errstate(invalid="ignore"):  # 0 * -inf off the support
+            xent_terms = np.where(support, true_rows * log_rows, 0.0)
+        xent_sum += -float(np.dot(weights, xent_terms.sum(axis=1)))
         target_feats = (true_rows * feats).sum(axis=1)
         target_sum += float(np.dot(weights, target_feats))
+        spans[t] = slice(start, start + weights.shape[0])
+        start += weights.shape[0]
         w_parts.append(weights)
         lr_parts.append(log_rows)
         f_parts.append(feats)
         if n_seqs is not None:
             obs.append(target_feats)
+    # Built after the walk, whose last level is its largest, and one at
+    # a time, so neither the walk's states nor two sets of parts are
+    # alive beside a column array.
+    log_rows = _columns(lr_parts)
+    del lr_parts
+    feats = _columns(f_parts)
+    del f_parts
     return _StepTiltProblem(
+        tilt,
+        active,
         np.concatenate(w_parts),
-        np.vstack(lr_parts),
-        np.vstack(f_parts),
+        log_rows,
+        feats,
+        spans,
         target_sum,
         xent_sum,
-        tilt.spec.T,
         n_seqs=n_seqs,
         obs_feats=None if n_seqs is None else np.array(obs),
+    )
+
+
+def _fit_step(problem, tolerance, f_descriptor=None, provenance=None) -> CalibrationResult:
+    """Fit the shared exponent of a per-step problem.
+
+    Stops at |gradient| <= tolerance (exact) or at |gradient| <= 0.1 *
+    stderr(gradient) (sample-average).
+    """
+    if problem.n_seqs is None:
+        mode = "exact"
+        stop = lambda info: abs(info["g"]) <= tolerance  # noqa: E731
+    else:
+        mode = "sample-average"
+        stop = lambda info: abs(info["g"]) <= max(0.1 * info["g_stderr"], 1e-13)  # noqa: E731
+
+    alpha_star, info, trace = _minimize_convex(problem.evaluate, stop)
+    baseline = next(i["obj"] for i in trace if i["alpha"] == 0.0)
+    mu_base = next(i["mu"] for i in trace if i["alpha"] == 0.0)
+    tilt = problem.tilt
+    extras = {
+        "mu_base": mu_base,
+        "sigma2_tilted_at_opt": info["var"],
+        "sigma2_path_max": max(i["var"] for i in trace),
+        "active_steps": sorted(problem.active),
+        **tilt._fit_extras(problem.feats),
+    }
+    if "g_stderr" in info:
+        extras["gradient_stderr"] = info["g_stderr"]
+        extras["n_sequences"] = problem.n_seqs
+    prov = dict(provenance or {})
+    prov.setdefault("base_model_hash", _try_model_hash(tilt.base))
+    return CalibrationResult(
+        alpha_star=alpha_star,
+        objective=info["obj"],
+        baseline_objective=baseline,
+        gradient=info["g"],
+        curvature=info["c"],
+        mu_target=problem.target_feat_sum / problem.T,
+        mu_tilted=info["mu"],
+        mode=mode,
+        tolerance=tolerance,
+        n_iterations=len(trace),
+        trace=[(i["alpha"], i["g"]) for i in trace],
+        f_descriptor=dict(f_descriptor or {}),
+        extras=extras,
+        provenance=prov,
     )
 
 
@@ -604,57 +743,8 @@ def fit_per_step_tilt(
     the sample's empirical distribution (stop at |gradient| <= 0.1 *
     stderr(gradient)).
     """
-    base = tilt.base
-    T = base.spec.T
-    active = frozenset(active_steps) if active_steps is not None else frozenset(range(1, T + 1))
-    if not active or not active.issubset(range(1, T + 1)):
-        raise ValueError("active_steps must be a nonempty subset of 1..T")
-
-    if isinstance(target, ConditionalModel):
-        if target.spec != base.spec:
-            raise ValueError("models must share the same sequence spec")
-        problem = _step_problem(prefix_expansion(target, budget, tilt), tilt, active)
-        mode = "exact"
-        stop = lambda info: abs(info["g"]) <= tolerance  # noqa: E731
-    else:
-        n = check_samples(target, base.spec).shape[0]
-        if n < min_samples:
-            raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n}")
-        problem = _step_problem(sample_expansion(target, tilt), tilt, active, n_seqs=n)
-        mode = "sample-average"
-        stop = lambda info: abs(info["g"]) <= max(0.1 * info["g_stderr"], 1e-13)  # noqa: E731
-
-    alpha_star, info, trace = _minimize_convex(problem.evaluate, stop)
-    baseline = next(i["obj"] for i in trace if i["alpha"] == 0.0)
-    mu_base = next(i["mu"] for i in trace if i["alpha"] == 0.0)
-    extras = {
-        "mu_base": mu_base,
-        "sigma2_tilted_at_opt": info["var"],
-        "sigma2_path_max": max(i["var"] for i in trace),
-        "active_steps": sorted(active),
-        **tilt._fit_extras(problem.feats),
-    }
-    if "g_stderr" in info:
-        extras["gradient_stderr"] = info["g_stderr"]
-        extras["n_sequences"] = problem.n_seqs
-    prov = dict(provenance or {})
-    prov.setdefault("base_model_hash", _try_model_hash(base))
-    return CalibrationResult(
-        alpha_star=alpha_star,
-        objective=info["obj"],
-        baseline_objective=baseline,
-        gradient=info["g"],
-        curvature=info["c"],
-        mu_target=problem.target_feat_sum / T,
-        mu_tilted=info["mu"],
-        mode=mode,
-        tolerance=tolerance,
-        n_iterations=len(trace),
-        trace=[(i["alpha"], i["g"]) for i in trace],
-        f_descriptor=dict(f_descriptor or {}),
-        extras=extras,
-        provenance=prov,
-    )
+    problem = _step_problem(target, tilt, active_steps, budget, min_samples)
+    return _fit_step(problem, tolerance, f_descriptor, provenance)
 
 
 def fit_alpha_local(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import EnumerationBudget, _grow_prefixes, default_budget
+from .exact import EnumerationBudget, _fsum, _grow_prefixes, default_budget
 from .models import ConditionalModel, check_tokens, model_hash, row_entropies
 
 
@@ -298,9 +298,7 @@ def drift_curve_exact(
         else:
             models, states = models[:1], states[:1]
             rows = model.rows(states[0])
-            means[t - 1 - prefix_len] = math.fsum(
-                (weights * row_entropies(rows)).tolist()
-            )
+            means[t - 1 - prefix_len] = _fsum(weights * row_entropies(rows))
         if t < T:
             states, weights = _grow_prefixes(models, states, weights, rows)
     prov = dict(provenance or {})

@@ -72,9 +72,11 @@ def default_budget() -> EnumerationBudget:
 
 
 def _fsum(values) -> float:
-    """Compensated (exact) sum; order-independent up to reordering ties."""
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(arr.ravel().tolist())
+    """Correctly rounded sum, so independent of the order of the values.
+
+    The values stream from a buffer; no list of Python floats is built.
+    """
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float).ravel()))
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):

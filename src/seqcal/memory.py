@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _tilt_rows, fit_per_step_tilt
+from .calibrate import CalibrationResult, _fit_step, _step_problem, _tilt_rows
 from .exact import (
     P_MIN,
     EnumerationBudget,
+    _fsum,
     _grow_prefixes,
     conditional_mi_exact,
     default_budget,
-    prefix_expansion,
     sample_expansion,
 )
 from .models import (
@@ -108,7 +108,9 @@ class MemoryTiltModel(ConditionalModel):
         return self.base.rows(full_state), feats
 
     def rows(self, state) -> np.ndarray:
-        if self.alpha == 0.0 or not self._active(state[0] + 1):
+        # Every active step goes through the tilt, alpha = 0 included, so
+        # these rows are bitwise the rows a fit's problem tilts.
+        if not self._active(state[0] + 1):
             return self.base.rows(state[1])
         return _tilt_rows(*self._step(state), self.alpha)
 
@@ -211,20 +213,24 @@ def calibrate_to_comparator(
     """
     if steps is None:
         steps = _default_steps(comparator, full.spec.T)
-    result = fit_per_step_tilt(
-        target,
-        MemoryTiltModel(full, comparator, 0.0, active_steps=steps),
-        active_steps=steps,
-        tolerance=tolerance,
-        budget=budget,
-        min_samples=min_samples,
+    tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
+    problem = _step_problem(target, tilt, steps, budget, min_samples)
+    return _fit_comparator(problem, tolerance, provenance)
+
+
+def _fit_comparator(problem, tolerance, provenance) -> tuple[MemoryTiltModel, CalibrationResult]:
+    """Fit a memory tilt's problem; the fitted tilt model and the result."""
+    tilt = problem.tilt
+    result = _fit_step(
+        problem,
+        tolerance,
         f_descriptor={
             "kind": "log_comparator",
-            "comparator_hash": model_hash(comparator),
+            "comparator_hash": model_hash(tilt.comparator),
         },
         provenance=provenance,
     )
-    model = MemoryTiltModel(full, comparator, result.alpha_star, active_steps=steps)
+    model = MemoryTiltModel(tilt.base, tilt.comparator, result.alpha_star, tilt.active_steps)
     return model, result
 
 
@@ -358,8 +364,11 @@ def memory_bound(
     reports  bound = CE(truth || comparator) - H(calibrated next token |
     full past), each term averaged over the steps selected by
     `t_policy` ("average" pools t = tau+1..T; an integer selects a
-    single step).  One loop walks the truth's prefix lattice, or the
-    samples, once over those steps.  Exact mode attaches, unless
+    single step).  The truth's prefix lattice, or the samples, is
+    walked once per estimate: the calibration's walk also yields the CE
+    terms of each measured level as it passes, and the calibrated rows
+    are the calibration problem's rows at the fitted exponent, bitwise
+    those of the returned tilt model.  Exact mode attaches, unless
     `attach_exact_mi` is False, the exact conditional mutual
     information, which the bound dominates by construction.  In sample
     mode both terms carry standard errors; a sampled token the
@@ -383,46 +392,29 @@ def memory_bound(
         raise ValueError(f"t_policy must be 'average' or a step index, got {t_policy!r}")
 
     exact_mode = isinstance(target, ConditionalModel)
-    tilted, calibration = calibrate_to_comparator(
+    tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
+    ce: dict = {}
+    problem = _step_problem(
         target,
-        full,
-        comparator,
-        tolerance=tolerance,
-        budget=budget,
-        steps=steps,
-        min_samples=min_samples,
-        provenance=provenance,
+        tilt,
+        steps,
+        budget,
+        min_samples,
+        observe=lambda walk: _comparator_ce(walk, comparator, steps, ce, not exact_mode),
     )
+    _, calibration = _fit_comparator(problem, tolerance, provenance)
 
-    if exact_mode:
-        walk = prefix_expansion(target, budget, tilted)
-    else:
-        walk = sample_expansion(target, tilted)
     per_step: dict = {}
     ce_parts, h_parts = [], []
-    for t, states, weights, true_rows in walk:
-        if t not in steps:
-            continue
-        tilted_state = states[-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_comp = np.log(comparator.rows(tilted_state[2]))
-            joint_mass = weights[:, None] * true_rows
-            # A comparator zero under positive mass makes the sum infinite.
-            terms = np.where(joint_mass > 0.0, joint_mass * log_comp, 0.0)
-        tilted_rows = tilted.rows(tilted_state)
+    for t in steps:
+        weights, tilted_rows = problem.tilted_rows(calibration.alpha_star, t)
         h_terms = weights * row_entropies(tilted_rows)
         mi_t = None
         if exact_mode and attach_exact_mi:
             mi_t = conditional_mi_exact(_joint(weights, tilted_rows, tau, t))
-        per_step[t] = {
-            "ce": -math.fsum(terms.ravel().tolist()),
-            "cond_entropy": math.fsum(h_terms.tolist()),
-            "mi": mi_t,
-        }
-        ce_parts.append(-terms.sum(axis=1))
+        per_step[t] = {"ce": ce[t][0], "cond_entropy": _fsum(h_terms), "mi": mi_t}
+        ce_parts.append(ce[t][1])
         h_parts.append(h_terms)
-        if t == steps[-1]:
-            break
     ce_term = float(np.mean([v["ce"] for v in per_step.values()]))
     h_term = float(np.mean([v["cond_entropy"] for v in per_step.values()]))
     bound = ce_term - h_term
@@ -459,6 +451,26 @@ def memory_bound(
         provenance=dict(provenance or {}),
         **mode_fields,
     )
+
+
+def _comparator_ce(walk, comparator, steps, ce: dict, per_context: bool):
+    """Pass `walk` through, putting each measured level's CE terms in `ce`.
+
+    ``ce[t]`` is -sum of mass * log comparator over level t's contexts
+    and tokens and, if `per_context`, the per-context sums (else None).
+    The comparator's state is the last walked model's, a
+    :class:`MemoryTiltModel`'s.
+    """
+    for level in walk:
+        t, states, weights, true_rows = level
+        if t in steps:
+            with np.errstate(divide="ignore"):
+                log_comp = np.log(comparator.rows(states[-1][2]))
+            terms = weights[:, None] * true_rows
+            # A comparator zero under positive mass makes the sum infinite.
+            np.multiply(terms, log_comp, out=terms, where=terms > 0.0)
+            ce[t] = (-_fsum(terms), -terms.sum(axis=1) if per_context else None)
+        yield level
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqcal as sc
-from seqcal.calibrate import fit_per_step_tilt, tilted_variance_max
+from seqcal.calibrate import _step_problem, fit_per_step_tilt, tilted_variance_max
 from seqcal.exact import FunctionalF, enumerate_sequences, logsumexp, sequence_log_probs
 
 from conftest import (
@@ -391,6 +393,74 @@ def _mu_bar(truth, feature_base, sampler):
         feats = np.vstack([sc.lookahead_entropy_vector(feature_base, c) for c in ctx])
         total += float(np.dot(w, (rows * feats).sum(axis=1)))
     return total / T
+
+
+def _row_layout_probe(problem, alpha):
+    """A per-step probe computed on (N, M) rows, one context per row."""
+    log_rows = np.ascontiguousarray(problem.log_rows.T)
+    feats = np.ascontiguousarray(problem.feats.T)
+    logits = log_rows + alpha * feats
+    peak = np.max(logits, axis=1, keepdims=True)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        log_z = np.log(np.sum(np.exp(logits - shift), axis=1)) + np.squeeze(shift, axis=1)
+    rows = np.exp(logits - log_z[:, None])
+    m = (rows * feats).sum(axis=1)
+    var = (rows * (feats - m[:, None]) ** 2).sum(axis=1)
+    T, w = problem.T, problem.weights
+    c = float(np.dot(w, var)) / T
+    out = {
+        "g": (float(np.dot(w, m)) - problem.target_feat_sum) / T,
+        "c": c,
+        "obj": (problem.xent_sum - alpha * problem.target_feat_sum + float(np.dot(w, log_z))) / T,
+        "mu": float(np.dot(w, m)) / T,
+        "var": c * T,
+    }
+    if problem.obs_feats is not None:
+        per_seq = (m.reshape(T, problem.n_seqs) - problem.obs_feats).sum(axis=0) / T
+        out["g_stderr"] = float(per_seq.std(ddof=1) / math.sqrt(problem.n_seqs))
+    return out
+
+
+class TestStepProblemLayout:
+    # M = 9 crosses the row length from which numpy sums a row pairwise.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        M=st.sampled_from([2, 3, 4, 9]),
+        T=st.integers(1, 4),
+        kind=st.sampled_from(["local", "memory"]),
+        sample=st.booleans(),
+        zero=st.booleans(),
+        active_mask=st.integers(1, 15),
+    )
+    def test_column_probe_is_bitwise_the_row_formula(
+        self, seed, M, T, kind, sample, zero, active_mask
+    ):
+        rng = np.random.default_rng(seed)
+        spec = sc.make_spec(M, T)
+        tables = [rng.dirichlet(np.ones(M), size=M**ell) for ell in (0, 1)]
+        comparator_row = rng.dirichlet(np.ones(M))
+        if zero:
+            # The truth never emits the last token first or after token
+            # 0; the base keeps that zero, so its log row is -inf off the
+            # target's support, and the comparator's zero is floored.
+            for row in (tables[0][0], tables[1][0], comparator_row):
+                row[-1] = 0.0
+                row /= row.sum()
+        truth = sc.MarkovModel(spec, 1, tables)
+        base = truth.perturbed(rng, 0.5)
+        active = {t for t in range(1, T + 1) if active_mask >> (t - 1) & 1} or {T}
+        if kind == "local":
+            tilt = sc.LocalTiltModel(base, 0.0)
+        else:
+            comparator = sc.MarkovModel(spec, 0, [comparator_row[None, :]])
+            tilt = sc.MemoryTiltModel(base, comparator, 0.0, active_steps=active)
+        target = truth.sample_batch(50, rng) if sample else truth
+        problem = _step_problem(target, tilt, active, min_samples=1)
+        assert problem.log_rows.flags.c_contiguous and problem.feats.flags.c_contiguous
+        for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
+            assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha)
 
 
 class TestAmplificationBound:

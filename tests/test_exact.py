@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import seqcal as sc
 from seqcal.exact import (
     FunctionalF,
+    _fsum,
     enumerate_sequences,
     log_partition_exact,
     logsumexp,
@@ -268,6 +270,37 @@ class TestPinskerProperties:
             mix = sc.MixtureModel(base, eps)
             worst = float(np.max(-sequence_log_probs(mix)))
             assert worst <= 4 * math.log(3) + math.log(1 / eps) + 1e-9
+
+
+class TestFsum:
+    def test_matches_fsum_of_a_list(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-12, 12, size=(40, 30))
+        cases = [
+            x,
+            x[::3, 1::2],
+            x.T,
+            np.empty((0, 4)),
+            np.append(x.ravel(), -np.inf),
+            [1.0, 1e100, 1.0, -1e100],
+        ]
+        for values in cases:
+            assert _fsum(values) == math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+    def test_opposite_infinities_raise(self):
+        with pytest.raises(ValueError):
+            _fsum(np.array([1.0, np.inf, -np.inf]))
+
+    def test_streams_without_a_list(self):
+        # A list of 2**20 Python floats would take about 32 MB.
+        values = np.random.default_rng(6).random(2**20)
+        tracemalloc.start()
+        try:
+            _fsum(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLogSumExp:

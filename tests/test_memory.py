@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 import seqcal as sc
-from seqcal.exact import enumerate_sequences, sequence_log_probs
-from seqcal.memory import _prefix_level
+from seqcal.calibrate import _step_problem
+from seqcal.exact import (
+    conditional_mi_exact,
+    enumerate_sequences,
+    prefix_expansion,
+    sample_expansion,
+    sequence_log_probs,
+)
+from seqcal.memory import _fit_comparator, _joint, _prefix_level
+from seqcal.models import row_entropies
 
 from conftest import all_seqs, count_advance, random_markov, random_pair
 
@@ -361,13 +369,72 @@ class TestSampleModeZeroComparator:
 
 class TestComparatorWalks:
     def test_memory_bound_advances_comparator_once_per_level(self, rng):
-        # The comparator's state lives inside the tilted model's, so the
-        # calibration walk and the bound walk each advance it once per
-        # level: 2 (T - 1) batches in all.
+        # The comparator's state lives inside the tilted model's, and the
+        # bound reads its terms from the calibration's own walk, so the
+        # comparator is advanced once per level: T - 1 batches in all.
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
         comparator = sc.fit_limited_memory(truth, 1)
         calls = count_advance(comparator)
         sc.memory_bound(truth, full, comparator)
-        assert calls == [2 * (truth.spec.T - 1)]
+        assert calls == [truth.spec.T - 1]
 
+    def test_memory_bound_walks_the_truth_once(self, rng):
+        # One lattice walk per estimate: the truth drives it and is
+        # advanced once per level, T - 1 batches in all.
+        truth = random_markov(rng, 2, 5, 2)
+        full = truth.perturbed(rng, 0.3)
+        comparator = sc.fit_limited_memory(truth, 1)
+        calls = count_advance(truth)
+        sc.memory_bound(truth, full, comparator)
+        assert calls == [truth.spec.T - 1]
+
+
+
+class TestBoundFromTheFitsWalk:
+    """The bound's terms come from the calibration's walk and problem.
+
+    Walking the truth (or the samples) again with the fitted tilt model,
+    as a separate bound walk would, gives bitwise the same rows and
+    per-step terms.
+    """
+
+    @pytest.mark.parametrize("case", ["exact", "alpha_zero", "pairwise_rows", "sample"])
+    def test_fitted_rows_and_terms_match_a_second_walk(self, rng, case):
+        M, T = (9, 3) if case == "pairwise_rows" else (3, 5)
+        truth = random_markov(rng, M, T, 2)
+        comparator = sc.fit_limited_memory(truth, 1)
+        # A full model equal to its comparator is already calibrated:
+        # the fit stops at alpha = 0.
+        full = comparator if case == "alpha_zero" else truth.perturbed(rng, 0.3)
+        target = truth.sample_batch(2000, rng) if case == "sample" else truth
+        steps = tuple(range(2, T + 1))
+        tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
+        problem = _step_problem(target, tilt, steps)
+        tilted, result = _fit_comparator(problem, 1e-10, None)
+        est = sc.memory_bound(target, full, comparator)
+        assert est.alpha_star == result.alpha_star
+        assert (result.alpha_star == 0.0) == (case == "alpha_zero")
+
+        if case == "sample":
+            walk = sample_expansion(target, tilted)
+        else:
+            walk = prefix_expansion(truth, None, tilted)
+        for t, states, weights, true_rows in walk:
+            if t not in steps:
+                continue
+            state = states[-1]
+            rows = tilted.rows(state)
+            w, problem_rows = problem.tilted_rows(result.alpha_star, t)
+            assert np.array_equal(w, weights)
+            assert np.array_equal(problem_rows, rows)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_comp = np.log(comparator.rows(state[2]))
+                mass = weights[:, None] * true_rows
+                terms = np.where(mass > 0.0, mass * log_comp, 0.0)
+            assert est.per_step[t]["ce"] == -math.fsum(terms.ravel().tolist())
+            h = math.fsum((weights * row_entropies(rows)).tolist())
+            assert est.per_step[t]["cond_entropy"] == h
+            if case != "sample":
+                mi = conditional_mi_exact(_joint(weights, rows, est.tau, t))
+                assert est.per_step[t]["mi"] == mi
