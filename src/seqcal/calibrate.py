@@ -46,6 +46,7 @@ from .exact import (
 from .models import (
     ConditionalModel,
     MixtureModel,
+    _try_model_hash,
     check_samples,
     model_from_dict,
     model_to_dict,
@@ -216,7 +217,7 @@ class _GlobalTiltProblem:
                     "base assigns zero probability on the truth's support; the "
                     "objective is infinite for every alpha"
                 )
-            self.mu_true = float(np.dot(pw_true, np.where(mask, fv, 0.0)))
+            self.mu_target = float(np.dot(pw_true, np.where(mask, fv, 0.0)))
             self.ce_base_term = -float(np.dot(pw_true[mask], lp_base[mask]))
 
     @classmethod
@@ -247,8 +248,8 @@ class _GlobalTiltProblem:
     def evaluate(self, alpha: float) -> dict:
         """Objective, gradient (mean mismatch / T) and curvature (variance / T)."""
         mu, var, log_z = self.moments(alpha)
-        obj = (self.ce_base_term - alpha * self.mu_true + log_z) / self.T
-        return {"g": (mu - self.mu_true) / self.T, "c": var / self.T, "obj": obj, "mu": mu, "var": var}
+        obj = (self.ce_base_term - alpha * self.mu_target + log_z) / self.T
+        return {"g": (mu - self.mu_target) / self.T, "c": var / self.T, "obj": obj, "mu": mu, "var": var}
 
 
 class GlobalTiltModel(ConditionalModel):
@@ -281,14 +282,10 @@ class GlobalTiltModel(ConditionalModel):
         problem = _problem if _problem is not None else _GlobalTiltProblem.build(base, f, budget)
         M, T = self.spec.M, self.spec.T
         levels = [None] * (T + 1)
-        levels[T], self._log_partition = problem.tilt(self.alpha)
+        levels[T], _ = problem.tilt(self.alpha)
         for t in range(T - 1, -1, -1):
             levels[t] = logsumexp(levels[t + 1].reshape(-1, M), axis=1)
         self._levels = levels
-
-    @property
-    def log_partition(self) -> float:
-        return self._log_partition
 
     def init_state(self, n: int):
         # Step count and the lexicographic code of the whole prefix.
@@ -317,10 +314,10 @@ class GlobalTiltModel(ConditionalModel):
 
 
 def _tilt_rows(base_rows: np.ndarray, feats: np.ndarray, alpha: float) -> np.ndarray:
-    """Rows proportional to base_rows * exp(alpha * feats)."""
+    """(n, M) rows proportional to base_rows * exp(alpha * feats), by :func:`_tilt_columns`."""
     with np.errstate(divide="ignore"):
-        logits = np.log(base_rows) + alpha * feats
-    return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+        log_rows = np.log(base_rows)
+    return _tilt_columns(log_rows.T, feats.T, alpha)[0].T
 
 
 def lookahead_entropy_vector(base: ConditionalModel, context) -> np.ndarray:
@@ -407,43 +404,46 @@ def fit_alpha_global(
     return _fit_global(problem, base, f, tolerance, provenance)
 
 
-def _fit_global(problem, base, f, tolerance, provenance) -> CalibrationResult:
-    alpha_star, info, trace = _minimize_convex(
-        problem.evaluate, lambda i: abs(i["g"]) <= tolerance
-    )
-    baseline = next(i["obj"] for i in trace if i["alpha"] == 0.0)
-    mu_base = next(i["mu"] for i in trace if i["alpha"] == 0.0)
+def _fit(problem, stop, mode, tolerance, base, f_descriptor, provenance, extras=None):
+    """Minimize a tilt problem's objective and report the fit.
+
+    `problem` is a :class:`_GlobalTiltProblem` or a
+    :class:`_StepTiltProblem`: ``evaluate(alpha)`` gives the objective
+    and its derivatives with the tilted feature moments, and
+    ``mu_target`` is the target's feature mean.  `extras(info)`, given
+    the optimum's probe, adds the fit's own entries to the shared ones.
+    """
+    alpha_star, info, trace = _minimize_convex(problem.evaluate, stop)
+    at_zero = trace[0]  # the optimizer probes alpha = 0 first
     prov = dict(provenance or {})
     prov.setdefault("base_model_hash", _try_model_hash(base))
     return CalibrationResult(
         alpha_star=alpha_star,
         objective=info["obj"],
-        baseline_objective=baseline,
+        baseline_objective=at_zero["obj"],
         gradient=info["g"],
         curvature=info["c"],
-        mu_target=problem.mu_true,
+        mu_target=problem.mu_target,
         mu_tilted=info["mu"],
-        mode="exact",
+        mode=mode,
         tolerance=tolerance,
         n_iterations=len(trace),
         trace=[(i["alpha"], i["g"]) for i in trace],
-        f_descriptor=f.descriptor(),
+        f_descriptor=f_descriptor,
         extras={
-            "mu_base": mu_base,
+            "mu_base": at_zero["mu"],
             "sigma2_tilted_at_opt": info["var"],
             "sigma2_path_max": max(i["var"] for i in trace),
+            **(extras(info) if extras is not None else {}),
         },
         provenance=prov,
     )
 
 
-def _try_model_hash(model):
-    from .models import model_hash
-
-    try:
-        return model_hash(model)
-    except (NotImplementedError, ValueError):
-        return None
+def _fit_global(problem, base, f, tolerance, provenance) -> CalibrationResult:
+    """Fit a global problem; stop at |gradient| <= tolerance."""
+    stop = lambda info: abs(info["g"]) <= tolerance  # noqa: E731
+    return _fit(problem, stop, "exact", tolerance, base, f.descriptor(), provenance)
 
 
 def tilted_variance_max(
@@ -506,10 +506,10 @@ def _sum_columns(x: np.ndarray) -> np.ndarray:
 def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
     """Rows proportional to exp(log_rows + alpha * feats), and their log Z.
 
-    The column-major twin of :func:`_tilt_rows`: both arguments and the
-    returned rows are (M, n), column i being context i.  Every operation
-    is the one :func:`_tilt_rows` makes, in the same order, so the rows
-    are bitwise the transpose of its rows.
+    The one tilt formula.  Both arguments and the returned rows are
+    (M, n), column i being context i; the result keeps the memory order
+    of the arguments, so the transpose of (n, M) rows tilts them in
+    their own layout (:func:`_tilt_rows`).
     """
     logits = alpha * feats
     logits += log_rows
@@ -531,13 +531,11 @@ class _StepTiltProblem:
     conditional) and ``feats`` (the per-candidate feature, zeroed on
     inactive steps, so those steps stay untilted and only add constants)
     are C-contiguous (M, N) arrays, so every per-context reduction of a
-    probe is an elementwise pass over M rows of length N.  numpy adds an
-    (N, M) row of fewer than 8 entries left to right, as that pass does,
-    so the probe is bitwise the row-layout formula; :func:`_sum_columns`
-    keeps that for M >= 8.  Beside them: the context weights, the
-    column span of each step, and the target feature moments -- either
-    exact conditional means under the truth or realized values from
-    samples.
+    probe is an elementwise pass over M rows of length N, bitwise the
+    row-layout one (:func:`_sum_columns`).  Beside them: the context
+    weights, the column span of each step, and the target feature
+    moments -- either exact conditional means under the truth or
+    realized values from samples.
     """
 
     def __init__(self, tilt, active, weights, log_rows, feats, spans, target_feat_sum, xent_sum,
@@ -551,6 +549,7 @@ class _StepTiltProblem:
         self.target_feat_sum = target_feat_sum
         self.xent_sum = xent_sum
         self.T = tilt.spec.T
+        self.mu_target = target_feat_sum / self.T
         self.n_seqs = n_seqs
         self.obs_feats = obs_feats  # (T, n) realized features, sample mode only
 
@@ -580,11 +579,19 @@ class _StepTiltProblem:
             info["g_stderr"] = float(per_seq.std(ddof=1) / math.sqrt(self.n_seqs))
         return info
 
+    def extras(self, info: dict) -> dict:
+        """The fit report's own entries, given the optimum's probe."""
+        out = {"active_steps": sorted(self.active), **self.tilt._fit_extras(self.feats)}
+        if self.n_seqs is not None:
+            out.update(gradient_stderr=info["g_stderr"], n_sequences=self.n_seqs)
+        return out
+
     def tilted_rows(self, alpha: float, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Step t's context weights and its (n, M) rows tilted by alpha.
 
         The rows are bitwise the tilt model's rows at alpha on an active
-        step, since both come from the same base rows and features.
+        step: both are :func:`_tilt_columns` of the same base rows and
+        features.
         """
         span = self.spans[t]
         rows, _ = _tilt_columns(self.log_rows[:, span], self.feats[:, span], alpha)
@@ -681,45 +688,10 @@ def _fit_step(problem, tolerance, f_descriptor=None, provenance=None) -> Calibra
     Stops at |gradient| <= tolerance (exact) or at |gradient| <= 0.1 *
     stderr(gradient) (sample-average).
     """
-    if problem.n_seqs is None:
-        mode = "exact"
-        stop = lambda info: abs(info["g"]) <= tolerance  # noqa: E731
-    else:
-        mode = "sample-average"
-        stop = lambda info: abs(info["g"]) <= max(0.1 * info["g_stderr"], 1e-13)  # noqa: E731
-
-    alpha_star, info, trace = _minimize_convex(problem.evaluate, stop)
-    baseline = next(i["obj"] for i in trace if i["alpha"] == 0.0)
-    mu_base = next(i["mu"] for i in trace if i["alpha"] == 0.0)
-    tilt = problem.tilt
-    extras = {
-        "mu_base": mu_base,
-        "sigma2_tilted_at_opt": info["var"],
-        "sigma2_path_max": max(i["var"] for i in trace),
-        "active_steps": sorted(problem.active),
-        **tilt._fit_extras(problem.feats),
-    }
-    if "g_stderr" in info:
-        extras["gradient_stderr"] = info["g_stderr"]
-        extras["n_sequences"] = problem.n_seqs
-    prov = dict(provenance or {})
-    prov.setdefault("base_model_hash", _try_model_hash(tilt.base))
-    return CalibrationResult(
-        alpha_star=alpha_star,
-        objective=info["obj"],
-        baseline_objective=baseline,
-        gradient=info["g"],
-        curvature=info["c"],
-        mu_target=problem.target_feat_sum / problem.T,
-        mu_tilted=info["mu"],
-        mode=mode,
-        tolerance=tolerance,
-        n_iterations=len(trace),
-        trace=[(i["alpha"], i["g"]) for i in trace],
-        f_descriptor=dict(f_descriptor or {}),
-        extras=extras,
-        provenance=prov,
-    )
+    exact = problem.n_seqs is None
+    stop = lambda i: abs(i["g"]) <= (tolerance if exact else max(0.1 * i["g_stderr"], 1e-13))  # noqa: E731
+    return _fit(problem, stop, "exact" if exact else "sample-average", tolerance, problem.tilt.base,
+                dict(f_descriptor or {}), provenance, problem.extras)
 
 
 def fit_per_step_tilt(

@@ -25,7 +25,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -113,7 +113,6 @@ class ExperimentConfig:
     n_samples: int = 100000
     tolerance: float = 1e-10
     t_policy: str | int = "average"
-    smoothing: float = 0.1
     prefix_len: int = 0
     n_prefixes: int = 128
     instances: int = 50
@@ -166,11 +165,7 @@ def _expect(raw: dict, key: str, kind, default=None, minimum=None, choices=None)
     return value
 
 
-_KNOWN_KEYS = {
-    "M", "T", "pipeline", "true_model", "model", "seed", "out",
-    "format", "budget", "epsilon", "tau", "n_gen", "n_samples", "tolerance",
-    "t_policy", "smoothing", "prefix_len", "n_prefixes", "instances", "units",
-}
+_KNOWN_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -203,7 +198,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         n_samples=_expect(raw, "n_samples", int, default=100000, minimum=2),
         tolerance=_expect(raw, "tolerance", float, default=1e-10, minimum=0.0),
         t_policy=t_policy,
-        smoothing=_expect(raw, "smoothing", float, default=0.1, minimum=0.0),
         prefix_len=_expect(raw, "prefix_len", int, default=0, minimum=0),
         n_prefixes=_expect(raw, "n_prefixes", int, default=128, minimum=1),
         instances=_expect(raw, "instances", int, default=50, minimum=1),
@@ -406,7 +400,7 @@ def _pipeline_calibrate_local(cfg, truth, model, budget):
 def _pipeline_memory(cfg, truth, model, budget):
     estimates = []
     for tau in cfg.tau:
-        comparator = fit_limited_memory(truth, tau, budget=budget, smoothing=cfg.smoothing)
+        comparator = fit_limited_memory(truth, tau, budget=budget)
         estimates.append(
             memory_bound(
                 truth,

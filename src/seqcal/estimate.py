@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import EnumerationBudget, _fsum, _grow_prefixes, default_budget
-from .models import ConditionalModel, check_tokens, model_hash, row_entropies
+from .exact import DEFAULT_BUDGET, EnumerationBudget, _fsum, _grow_prefixes
+from .models import ConditionalModel, _try_model_hash, check_tokens, row_entropies
 
 
 def _unit_scale(units: str) -> float:
@@ -39,13 +39,6 @@ class McEstimate:
     infinite: bool = False
     offending: tuple | None = None
     provenance: dict = field(default_factory=dict)
-
-    def to_csv_text(self, units: str = "nats") -> str:
-        scale = _unit_scale(units)
-        return (
-            "value,stderr,n\n"
-            f"{float(self.value) * scale!r},{float(self.stderr) * scale!r},{self.n_samples}\n"
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +68,6 @@ class DriftCurve:
     prefix_policy: str
     t_max: int
     mode: str = "mc"
-    token_entropies: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def at_step(self, t: int) -> float:
@@ -83,11 +75,6 @@ class DriftCurve:
         if not first <= t <= int(self.steps[-1]):
             raise ValueError(f"step {t} outside measured range {first}..{int(self.steps[-1])}")
         return float(self.means[t - first])
-
-    @property
-    def endpoint_gap(self) -> float:
-        """Mean at the asymptote proxy step t_max minus the first measured mean."""
-        return self.at_step(self.t_max) - float(self.means[0])
 
     def to_csv_text(self, units: str = "nats") -> str:
         scale = _unit_scale(units)
@@ -99,7 +86,7 @@ class DriftCurve:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "steps": [int(t) for t in self.steps],
             "means": [float(m) for m in self.means],
             "stderrs": [float(s) for s in self.stderrs],
@@ -109,9 +96,6 @@ class DriftCurve:
             "mode": self.mode,
             "provenance": self.provenance,
         }
-        if self.token_entropies is not None:
-            doc["token_entropies"] = [float(x) for x in self.token_entropies]
-        return doc
 
 
 @dataclass
@@ -161,7 +145,7 @@ def cross_entropy_mc(
     lq = q.seq_log_prob_batch(seqs)
     vals = -lq / T
     prov = dict(provenance or {})
-    prov.setdefault("q_model_hash", _try_hash(q))
+    prov.setdefault("q_model_hash", _try_model_hash(q))
     if np.any(np.isinf(vals)):
         bad = int(np.flatnonzero(np.isinf(vals))[0])
         return McEstimate(
@@ -183,20 +167,12 @@ def cross_entropy_mc(
     )
 
 
-def _try_hash(model: ConditionalModel) -> str | None:
-    try:
-        return model_hash(model)
-    except NotImplementedError:
-        return None
-
-
 def drift_curve(
     model: ConditionalModel,
     n_gen: int,
     rng: np.random.Generator,
     prefixes: np.ndarray | None = None,
     t_max: int | None = None,
-    token_entropy_diagnostic: bool = False,
     provenance: dict | None = None,
 ) -> DriftCurve:
     """Measure the conditional-entropy drift over `n_gen` self-generations.
@@ -208,19 +184,15 @@ def drift_curve(
     over generations.  The first measured step sits right after the seed,
     so its context is entirely real.  `t_max` marks the step used as the
     asymptote proxy (default: the final step).
-
-    `token_entropy_diagnostic` additionally reports the plug-in entropy
-    of the realized t-th tokens across generations -- a higher-variance
-    alternative reading of the same measurement.
     """
     if n_gen < 2:
         raise ValueError("need at least 2 generations")
-    T, M = model.spec.T, model.spec.M
+    T = model.spec.T
     out = np.empty((n_gen, T), dtype=np.int64)
     start = 0
     policy = "none"
     if prefixes is not None:
-        pfx = check_tokens(prefixes, M)
+        pfx = check_tokens(prefixes, model.spec.M)
         if pfx.ndim == 1:
             pfx = pfx[None, :]
         if pfx.shape[1] >= T:
@@ -231,15 +203,11 @@ def drift_curve(
     t_max = _check_t_max(t_max, start + 1, T)
 
     ent = np.empty((n_gen, T - start))
-    token_ent = np.empty(T - start) if token_entropy_diagnostic else None
     for t, rows in model._generate(out, start, rng):
         ent[:, t - start] = row_entropies(rows)
-        if token_ent is not None:
-            counts = np.bincount(out[:, t], minlength=M).astype(float)
-            token_ent[t - start] = float(row_entropies(counts / n_gen))
 
     prov = dict(provenance or {})
-    prov.setdefault("model_hash", _try_hash(model))
+    prov.setdefault("model_hash", _try_model_hash(model))
     return DriftCurve(
         steps=np.arange(start + 1, T + 1),
         means=ent.mean(axis=0),
@@ -247,7 +215,6 @@ def drift_curve(
         n_generations=n_gen,
         prefix_policy=policy,
         t_max=t_max,
-        token_entropies=token_ent,
         provenance=prov,
     )
 
@@ -282,8 +249,7 @@ def drift_curve_exact(
     seeder = seed_model if seed_model is not None else model
     if seeder.spec != model.spec:
         raise ValueError("seed model must share the sequence spec")
-    b = budget if budget is not None else default_budget()
-    b.check(M**T, "prefix enumeration")
+    (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
     t_max = _check_t_max(t_max, prefix_len + 1, T)
 
     # The model's states ride along the seeder's lattice until the model
@@ -302,7 +268,7 @@ def drift_curve_exact(
         if t < T:
             states, weights = _grow_prefixes(models, states, weights, rows)
     prov = dict(provenance or {})
-    prov.setdefault("model_hash", _try_hash(model))
+    prov.setdefault("model_hash", _try_model_hash(model))
     return DriftCurve(
         steps=np.arange(prefix_len + 1, T + 1),
         means=means,

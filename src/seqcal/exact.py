@@ -67,10 +67,6 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def default_budget() -> EnumerationBudget:
-    return DEFAULT_BUDGET
-
-
 def _fsum(values) -> float:
     """Correctly rounded sum, so independent of the order of the values.
 
@@ -97,8 +93,7 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
 
 def enumerate_sequences(M: int, T: int, budget: EnumerationBudget | None = None) -> np.ndarray:
     """All length-T sequences in lexicographic order, shape (M**T, T)."""
-    b = budget or DEFAULT_BUDGET
-    b.check(M**T, "sequence enumeration")
+    (budget or DEFAULT_BUDGET).check(M**T, "sequence enumeration")
     codes = np.arange(M**T, dtype=np.int64)
     powers = M ** np.arange(T - 1, -1, -1, dtype=np.int64)
     return (codes[:, None] // powers) % M
@@ -133,25 +128,28 @@ def _grow_prefixes(models, states, weights: np.ndarray, rows: np.ndarray):
 
 
 def prefix_expansion(
-    model: "ConditionalModel", budget: EnumerationBudget | None = None, *others: "ConditionalModel"
+    model: "ConditionalModel",
+    budget: EnumerationBudget | None = None,
+    *others: "ConditionalModel",
+    last: int | None = None,
 ) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
-    """Yield (t, states, prefix_probs, next_rows) for t = 1..T.
+    """Yield (t, states, prefix_probs, next_rows) for t = 1..last (default T).
 
     Level t holds every length-(t-1) prefix in lexicographic order, so
     prefix i has code i.  ``states`` holds the batch state of `model`,
     then of each of `others`, at those prefixes; ``prefix_probs`` are
     their probabilities under `model` and ``next_rows`` its rows there.
+    The budget is checked against M**last states.
     """
-    M, T = model.spec.M, model.spec.T
-    b = budget or DEFAULT_BUDGET
-    b.check(M**T, "prefix enumeration")
+    last = model.spec.T if last is None else last
+    (budget or DEFAULT_BUDGET).check(model.spec.M**last, "prefix enumeration")
     models = (model, *others)
     states = tuple(m.init_state(1) for m in models)
     weights = np.ones(1)
-    for t in range(1, T + 1):
+    for t in range(1, last + 1):
         rows = model.rows(states[0])
         yield t, states, weights, rows
-        if t < T:
+        if t < last:
             states, weights = _grow_prefixes(models, states, weights, rows)
 
 

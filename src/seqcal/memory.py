@@ -38,9 +38,8 @@ from .exact import (
     P_MIN,
     EnumerationBudget,
     _fsum,
-    _grow_prefixes,
     conditional_mi_exact,
-    default_budget,
+    prefix_expansion,
     sample_expansion,
 )
 from .models import (
@@ -143,7 +142,6 @@ register_model_kind(
 def fit_limited_memory(
     source,
     window: int,
-    mode: str | None = None,
     spec=None,
     budget: EnumerationBudget | None = None,
     smoothing: float = 0.1,
@@ -151,21 +149,14 @@ def fit_limited_memory(
 ) -> LimitedMemoryModel:
     """Learn a model conditioned only on the last `window` tokens.
 
-    ``exact-marginal`` mode takes the true model and marginalizes deep
-    pasts out exactly (enumeration, budget-guarded).  ``empirical-ngram``
-    mode takes an (n, T) sample array and returns additive-smoothed
-    window-gram tables; contexts never observed get (with positive
+    A true model is marginalized over deep pasts exactly (enumeration,
+    budget-guarded; ``exact-marginal``).  An (n, T) sample array of
+    `spec` gives additive-smoothed window-gram tables
+    (``empirical-ngram``); contexts never observed get (with positive
     smoothing) the uniform row.
     """
-    if mode is None:
-        mode = "exact-marginal" if isinstance(source, ConditionalModel) else "empirical-ngram"
-    if mode == "exact-marginal":
-        if not isinstance(source, ConditionalModel):
-            raise ValueError("exact-marginal mode requires a model as source")
+    if isinstance(source, ConditionalModel):
         return marginalize_to_window(source, window, budget)
-    if mode != "empirical-ngram":
-        raise ValueError(f"unknown mode {mode!r}")
-
     if spec is None:
         raise ValueError("spec is required for empirical-ngram mode")
     if smoothing < 0.0:
@@ -299,21 +290,6 @@ def memory_table_csv(estimates, units: str = "nats") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prefix_level(model: ConditionalModel, t: int, budget: EnumerationBudget, *others):
-    """Probabilities under `model` of all length-(t-1) prefixes (lexicographic).
-
-    Also returns the batch states of `model` and of each of `others` at
-    those prefixes, as :func:`seqcal.exact.prefix_expansion` does.
-    """
-    budget.check(model.spec.M**t, "prefix enumeration")
-    models = (model, *others)
-    states = tuple(m.init_state(1) for m in models)
-    weights = np.ones(1)
-    for _ in range(1, t):
-        states, weights = _grow_prefixes(models, states, weights, model.rows(states[0]))
-    return weights, states
-
-
 def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarray:
     """(Z, Y, X) joint from one lattice level: prefix weights times step-t rows."""
     M = rows.shape[1]
@@ -333,7 +309,8 @@ def prediction_joint(
 
     Z is the predictor's next token at step t, Y the most recent
     min(tau, t-1) tokens, X the deep past before them; (X, Y) carries the
-    truth's prefix distribution.  Feeding this to
+    truth's prefix distribution, walked to level t against a budget of
+    M**t states.  Feeding this to
     :func:`seqcal.exact.conditional_mi_exact` yields the exact memory at
     gap tau for this step.
     """
@@ -341,8 +318,8 @@ def prediction_joint(
         raise ValueError(f"step t must lie in 1..{truth.spec.T}")
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    b = budget if budget is not None else default_budget()
-    weights, (_, state) = _prefix_level(truth, t, b, predictor)
+    for _, (_, state), weights, _ in prefix_expansion(truth, budget, predictor, last=t):
+        pass
     return _joint(weights, predictor.rows(state), tau, t)
 
 

@@ -668,3 +668,11 @@ def load_model(path) -> ConditionalModel:
 def model_hash(model: ConditionalModel) -> str:
     """Content hash of the canonical serialization (identity for provenance)."""
     return hashlib.sha256(model_dumps(model).encode("utf-8")).hexdigest()
+
+
+def _try_model_hash(model: ConditionalModel) -> str | None:
+    """:func:`model_hash`, or None for a model that cannot be serialized."""
+    try:
+        return model_hash(model)
+    except (NotImplementedError, ValueError):
+        return None

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import seqcal as sc
 from seqcal.calibrate import _step_problem, fit_per_step_tilt, tilted_variance_max
-from seqcal.exact import FunctionalF, enumerate_sequences, logsumexp, sequence_log_probs
+from seqcal.exact import (
+    FunctionalF,
+    enumerate_sequences,
+    logsumexp,
+    prefix_expansion,
+    sequence_log_probs,
+)
 
 from conftest import (
     all_seqs,
@@ -382,8 +388,6 @@ class TestObjectiveGeometry:
 
 def _mu_bar(truth, feature_base, sampler):
     """(1/T) sum_t E_{ctx~truth} E_{w_t~sampler}[lookahead entropy]."""
-    from seqcal.exact import prefix_expansion
-
     M, T = truth.spec.M, truth.spec.T
     total = 0.0
     levels = {t: w for t, _states, w, _rows in prefix_expansion(truth)}
@@ -427,7 +431,7 @@ class TestStepProblemLayout:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        M=st.sampled_from([2, 3, 4, 9]),
+        M=st.sampled_from([2, 3, 4, 9, 17]),
         T=st.integers(1, 4),
         kind=st.sampled_from(["local", "memory"]),
         sample=st.booleans(),
@@ -461,6 +465,18 @@ class TestStepProblemLayout:
         assert problem.log_rows.flags.c_contiguous and problem.feats.flags.c_contiguous
         for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
             assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha)
+            if alpha != 0.0:
+                # The model's own rows on every level it tilts are the
+                # row formula: log rows + alpha * feats, less the logsumexp.
+                model = (sc.LocalTiltModel(base, alpha) if kind == "local" else
+                         sc.MemoryTiltModel(base, comparator, alpha, active_steps=active))
+                for t, states, _, _ in prefix_expansion(truth, None, model):
+                    if (t < T) if kind == "local" else (t in active):
+                        base_rows, feats = model._step(states[-1])
+                        with np.errstate(divide="ignore"):
+                            logits = np.log(base_rows) + alpha * feats
+                        rows = np.exp(logits - logsumexp(logits, axis=1)[:, None])
+                        assert np.array_equal(model.rows(states[-1]), rows)
 
 
 class TestAmplificationBound:

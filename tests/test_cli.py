@@ -45,6 +45,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'workers': unknown key"):
             parse_config({"M": 2, "T": 2, "pipeline": "drift", "workers": 1})
 
+    def test_smoothing_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="'smoothing': unknown key"):
+            parse_config({"M": 2, "T": 2, "pipeline": "memory", "smoothing": 0.1})
+
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="'T'"):
             parse_config({"M": 2, "T": "four", "pipeline": "drift"})

@@ -88,14 +88,6 @@ class TestDriftCurve:
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.stderrs, b.stderrs)
 
-    def test_token_entropy_diagnostic(self, rng):
-        model, _ = random_pair(rng, M=3, T=4, order=1)
-        curve = sc.drift_curve(model, 512, sc.named_stream(8, "drift"),
-                               token_entropy_diagnostic=True)
-        assert curve.token_entropies is not None
-        assert curve.token_entropies.shape == (4,)
-        assert np.all(curve.token_entropies <= math.log(3) + 1e-12)
-
     def test_seeded_curve_starts_at_seed_end(self, rng):
         model, _ = random_pair(rng, M=3, T=6, order=1)
         prefixes = model.sample_batch(8, sc.named_stream(9, "p"))[:, :2]

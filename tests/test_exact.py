@@ -11,6 +11,7 @@ from seqcal.exact import (
     enumerate_sequences,
     log_partition_exact,
     logsumexp,
+    prefix_expansion,
     sample_expansion,
     sequence_log_probs,
 )
@@ -318,6 +319,27 @@ class TestLogSumExp:
     def test_enumerate_sequences_order(self):
         seqs = enumerate_sequences(2, 3)
         assert [tuple(s) for s in seqs] == all_seqs(2, 3)
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_state, a, b))
+    return np.array_equal(a, b)
+
+
+class TestPrefixExpansion:
+    def test_last_level_cuts_the_full_walk(self, rng):
+        truth = random_markov(rng, 3, 4, 2)
+        others = (sc.LocalTiltModel(truth.perturbed(rng, 0.3), 0.7), random_markov(rng, 3, 4, 1))
+        full = list(prefix_expansion(truth, None, *others))
+        for last in range(1, 5):
+            cut = list(prefix_expansion(truth, None, *others, last=last))
+            assert [level[0] for level in cut] == list(range(1, last + 1))
+            for (t, states, weights, rows), level in zip(cut, full):
+                assert t == level[0]
+                assert _same_state(states, level[1])
+                assert np.array_equal(weights, level[2])
+                assert np.array_equal(rows, level[3])
 
 
 class TestSampleExpansion:

@@ -12,7 +12,7 @@ from seqcal.exact import (
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.memory import _fit_comparator, _joint, _prefix_level
+from seqcal.memory import _fit_comparator, _joint
 from seqcal.models import row_entropies
 
 from conftest import all_seqs, count_advance, random_markov, random_pair
@@ -23,7 +23,7 @@ def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1
     alphas = np.arange(lo, hi + step / 2, step)
     total = np.zeros_like(alphas)
     for t in steps:
-        w, _ = _prefix_level(truth, t, sc.EnumerationBudget())
+        *_, (_, _, w, _) = prefix_expansion(truth, sc.EnumerationBudget(), last=t)
         ctx = enumerate_sequences(truth.spec.M, t - 1)
         true_rows = truth.next_dist_batch(ctx)
         log_full = np.log(full.next_dist_batch(ctx))
@@ -229,7 +229,7 @@ class TestMemoryBound:
         steps = res.extras["active_steps"]
         lhs, ce, hzy = [], [], []
         for t in steps:
-            w, _ = _prefix_level(truth, t, sc.EnumerationBudget())
+            *_, (_, _, w, _) = prefix_expansion(truth, sc.EnumerationBudget(), last=t)
             ctx = enumerate_sequences(truth.spec.M, t - 1)
             mt_rows = tilted.next_dist_batch(ctx)
             comp_rows = comparator.next_dist_batch(ctx)
@@ -300,6 +300,14 @@ class TestPredictionJoint:
         truth = random_markov(rng, 2, 5, 2)
         with pytest.raises(sc.BudgetExceededError):
             sc.prediction_joint(truth, truth, tau=1, t=5, budget=sc.EnumerationBudget(4))
+
+    def test_budget_is_checked_at_step_t(self, rng):
+        # Step t < T walks the lattice to level t only: M**t states.
+        truth = random_markov(rng, 2, 5, 2)
+        for t in (1, 3, 4):
+            sc.prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t))
+            with pytest.raises(sc.BudgetExceededError, match=f"needs {2**t} states"):
+                sc.prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t - 1))
 
 
 class TestSampleModeOnEnumeratedSample:
