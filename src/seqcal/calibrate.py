@@ -30,7 +30,7 @@ lattice of the sample's empirical distribution, instead of the truth's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,32 +89,17 @@ class CalibrationResult:
         return self.baseline_objective - self.objective
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_star": self.alpha_star,
-            "objective": self.objective,
-            "baseline_objective": self.baseline_objective,
-            "gradient": self.gradient,
-            "curvature": self.curvature,
-            "mu_target": self.mu_target,
-            "mu_tilted": self.mu_tilted,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "n_iterations": self.n_iterations,
-            "trace": [[float(a), float(g)] for a, g in self.trace],
-            "f_descriptor": self.f_descriptor,
-            "extras": self.extras,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
-def _minimize_convex(evaluate, stop, bracket=(-1.0, 1.0), max_expansions=60, max_iter=300):
+def _minimize_convex(evaluate, stop):
     """Safeguarded Newton for a convex 1-d objective given by its derivatives.
 
     `evaluate(x)` returns a dict with at least ``g`` (gradient) and ``c``
     (curvature >= 0); `stop(info)` decides convergence.  Newton steps are
-    constrained to a sign-changing bracket grown geometrically from the
-    initial one; out-of-bracket or degenerate steps fall back to
-    bisection.
+    constrained to a sign-changing bracket grown by doubling from
+    [-1, 1], at most 60 times per side; out-of-bracket or degenerate
+    steps fall back to bisection, for at most 300 steps.
     """
     trace = []
 
@@ -128,7 +113,7 @@ def _minimize_convex(evaluate, stop, bracket=(-1.0, 1.0), max_expansions=60, max
     if stop(info0):
         return 0.0, info0, trace
 
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = -1.0, 1.0
     ilo = probe(lo)
     if stop(ilo):
         return lo, ilo, trace
@@ -139,7 +124,7 @@ def _minimize_convex(evaluate, stop, bracket=(-1.0, 1.0), max_expansions=60, max
     # Grow until the gradient changes sign across [lo, hi]; the gradient
     # of a convex objective is nondecreasing, so a one-signed gradient at
     # ever larger |alpha| means the objective decreases without bound.
-    for _ in range(max_expansions):
+    for _ in range(60):
         if ilo["g"] <= 0.0:
             break
         lo *= 2.0
@@ -150,7 +135,7 @@ def _minimize_convex(evaluate, stop, bracket=(-1.0, 1.0), max_expansions=60, max
         raise CalibrationDivergenceError(
             "objective keeps decreasing toward alpha = -inf; no finite minimizer"
         )
-    for _ in range(max_expansions):
+    for _ in range(60):
         if ihi["g"] >= 0.0:
             break
         hi *= 2.0
@@ -169,7 +154,7 @@ def _minimize_convex(evaluate, stop, bracket=(-1.0, 1.0), max_expansions=60, max
     else:
         x, info = hi, ihi
 
-    for _ in range(max_iter):
+    for _ in range(300):
         if stop(info):
             return x, info, trace
         if info["g"] < 0.0:
@@ -766,13 +751,7 @@ class AmplificationBound:
     generation_gap_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "T": self.T,
-            "M": self.M,
-            "mixture_kl_bound": self.mixture_kl_bound,
-            "generation_gap_bound": self.generation_gap_bound,
-        }
+        return asdict(self)
 
 
 def amplification_bound(epsilon: float, T: int, M: int) -> AmplificationBound:

@@ -12,7 +12,7 @@ variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,7 @@ class McEstimate:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "infinite": self.infinite,
-            "offending": list(self.offending) if self.offending is not None else None,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -172,7 +165,6 @@ def drift_curve(
     n_gen: int,
     rng: np.random.Generator,
     prefixes: np.ndarray | None = None,
-    t_max: int | None = None,
     provenance: dict | None = None,
 ) -> DriftCurve:
     """Measure the conditional-entropy drift over `n_gen` self-generations.
@@ -182,8 +174,8 @@ def drift_curve(
     step t the exact entropy of the model's conditional distribution
     given the current prefix is recorded; means and standard errors are
     over generations.  The first measured step sits right after the seed,
-    so its context is entirely real.  `t_max` marks the step used as the
-    asymptote proxy (default: the final step).
+    so its context is entirely real.  The final step is the asymptote
+    proxy (``t_max``).
     """
     if n_gen < 2:
         raise ValueError("need at least 2 generations")
@@ -200,7 +192,6 @@ def drift_curve(
         start = pfx.shape[1]
         out[:, :start] = pfx[np.arange(n_gen) % pfx.shape[0]]
         policy = f"cyclic({pfx.shape[0]} prefixes, length {start})"
-    t_max = _check_t_max(t_max, start + 1, T)
 
     ent = np.empty((n_gen, T - start))
     for t, rows in model._generate(out, start, rng):
@@ -214,17 +205,9 @@ def drift_curve(
         stderrs=ent.std(axis=0, ddof=1) / math.sqrt(n_gen),
         n_generations=n_gen,
         prefix_policy=policy,
-        t_max=t_max,
+        t_max=T,
         provenance=prov,
     )
-
-
-def _check_t_max(t_max: int | None, first: int, T: int) -> int:
-    if t_max is None:
-        return T
-    if not first <= t_max <= T:
-        raise ValueError(f"t_max must lie in {first}..{T}, got {t_max}")
-    return int(t_max)
 
 
 def drift_curve_exact(
@@ -250,7 +233,9 @@ def drift_curve_exact(
     if seeder.spec != model.spec:
         raise ValueError("seed model must share the sequence spec")
     (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
-    t_max = _check_t_max(t_max, prefix_len + 1, T)
+    t_max = T if t_max is None else int(t_max)
+    if not prefix_len < t_max <= T:
+        raise ValueError(f"t_max must lie in {prefix_len + 1}..{T}, got {t_max}")
 
     # The model's states ride along the seeder's lattice until the model
     # drives the walk after the seed; the seeder's states are then dropped.
@@ -288,21 +273,17 @@ def ent_rate_gap(
     true_model: ConditionalModel | None = None,
     n_ce: int | None = None,
     prefixes: np.ndarray | None = None,
-    t_max: int | None = None,
     provenance: dict | None = None,
 ) -> EntRateGap:
     """Early/late entropy of generations and their gap.
 
-    The late value is the drift-curve mean at the asymptote proxy step
-    `t_max` (default: the final step).  The early value is the model's
-    cross entropy against `true_model` (Monte Carlo) when a truth is
-    supplied, else the curve's first point.
+    The late value is the drift-curve mean at the final step.  The early
+    value is the model's cross entropy against `true_model` (Monte Carlo)
+    when a truth is supplied, else the curve's first point.
     """
-    curve = drift_curve(
-        model, n_gen, rng, prefixes=prefixes, t_max=t_max, provenance=provenance
-    )
-    end = curve.at_step(curve.t_max)
-    end_se = float(curve.stderrs[curve.t_max - int(curve.steps[0])])
+    curve = drift_curve(model, n_gen, rng, prefixes=prefixes, provenance=provenance)
+    end = float(curve.means[-1])
+    end_se = float(curve.stderrs[-1])
     if true_model is not None:
         ce = cross_entropy_mc(true_model, model, n_ce or n_gen, rng, provenance=provenance)
         start, start_se, source = ce.value, ce.stderr, "cross_entropy_mc"

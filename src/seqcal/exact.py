@@ -357,11 +357,19 @@ def log_partition_exact(
     return float(logsumexp(alpha * fv + lp))
 
 
+def _conditional_entropy(joint: np.ndarray) -> float:
+    """H(Z|C) in nats from a 2-d joint indexed (Z, C), by direct marginalization."""
+    pc = joint.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(joint > 0.0, joint * (np.log(joint) - np.log(pc)), 0.0)
+    return -_fsum(terms)
+
+
 def conditional_mi_exact(joint: np.ndarray) -> float:
     """I(Z; X | Y) in nats from an explicit joint indexed (Z, Y, X).
 
-    Computed as H(Z|Y) - H(Z|Y,X) with each term by direct
-    marginalization.  The joint must be a normalized distribution.
+    Computed as H(Z|Y) - H(Z|Y,X).  The joint must be a normalized
+    distribution.
     """
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 3:
@@ -371,16 +379,8 @@ def conditional_mi_exact(joint: np.ndarray) -> float:
     total = _fsum(joint)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint must sum to 1, got {total}")
-
-    pzy = joint.sum(axis=2)
-    py = pzy.sum(axis=0)
-    pyx = joint.sum(axis=0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(pzy > 0.0, pzy * (np.log(pzy) - np.log(py[None, :])), 0.0)
-        t2 = np.where(
-            joint > 0.0, joint * (np.log(joint) - np.log(pyx[None, :, :])), 0.0
-        )
-    h_z_given_y = -_fsum(t1)
-    h_z_given_yx = -_fsum(t2)
-    return h_z_given_y - h_z_given_yx
+    # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
+    # joint, so each marginal over Z is summed along the same memory
+    # axis as in the 3-d layout.
+    yx = joint.reshape(joint.shape[0], -1, order="A")
+    return _conditional_entropy(joint.sum(axis=2)) - _conditional_entropy(yx)

@@ -532,11 +532,11 @@ class DriftModel(ConditionalModel):
         return {"switch_prob": self.switch_prob, "base": model_to_dict(self.base)}
 
 
-def stationary_distribution(transition: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic transition matrix.
 
     Uses the eigenvector of the transpose at eigenvalue 1; raises if the
-    chain has no unique stationary distribution at the given tolerance.
+    chain has no unique stationary distribution (checked to 1e-10).
     """
     transition = np.asarray(transition, dtype=float)
     eigvals, eigvecs = np.linalg.eig(transition.T)
@@ -548,7 +548,7 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-10) -> np.nd
     vec = np.real(eigvecs[:, int(np.argmax(close))])
     vec = np.abs(vec)
     vec /= vec.sum()
-    if np.max(np.abs(vec @ transition - vec)) > max(tol, 1e-10):
+    if np.max(np.abs(vec @ transition - vec)) > 1e-10:
         raise ValueError("stationary distribution did not verify")
     return vec
 

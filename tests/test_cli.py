@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from seqcal import MarkovModel, fit_limited_memory, make_spec, memory_bound
-from seqcal.cli import ConfigError, _memory_chain_holds, main, parse_config, run, verify_suite
+import seqcal.verify
+from seqcal import EnumerationBudget, MarkovModel, fit_limited_memory, make_spec, memory_bound
+from seqcal.cli import ConfigError, build_learned_model, build_true_model, main, parse_config, run
+from seqcal.rng import named_stream
+from seqcal.verify import _check_local_fit, _memory_chain_holds, verify_suite
 
 from conftest import count_advance
 
@@ -67,6 +70,24 @@ class TestConfigParsing:
         again = parse_config(json.loads(json.dumps(cfg.canonical())))
         assert again.canonical() == cfg.canonical()
         assert again.config_hash() == cfg.config_hash()
+
+
+class TestModelBuilders:
+    def test_learned_kind_draws_independently_of_truth(self):
+        desc = {"kind": "random_markov", "order": 2}
+        cfg = parse_config({**BASE_CONFIG, "true_model": desc, "model": desc})
+        truth = build_true_model(cfg)
+        learned = build_learned_model(cfg, truth)
+        expected = MarkovModel.random(cfg.spec(), 2, named_stream(cfg.seed, "learned-model"))
+        for table, own, true_table in zip(learned.tables, expected.tables, truth.tables):
+            assert np.array_equal(table, own)
+            assert not np.array_equal(table, true_table)
+
+    @pytest.mark.parametrize("desc", [{"kind": "bogus"}, {"kind": "file"}])
+    def test_learned_kind_errors_name_model(self, desc):
+        cfg = parse_config({**BASE_CONFIG, "model": desc})
+        with pytest.raises(ConfigError, match="^config key 'model'"):
+            build_learned_model(cfg, build_true_model(cfg))
 
 
 class TestPipelines:
@@ -182,6 +203,12 @@ class TestMainEntry:
         # drift itself does not enumerate; memory does
         assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 3
 
+    @pytest.mark.parametrize("budget, code", [(16, 0), (15, 3)])
+    def test_budget_boundary_exit_code(self, tmp_path, budget, code):
+        # memory enumerates M**T = 16 states: exactly at the budget runs.
+        cfg = write_config(tmp_path, {"M": 2, "T": 4, "budget": budget})
+        assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "m")]) == code
+
     def test_overrides_recorded(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "o"
@@ -217,6 +244,28 @@ class TestVerifyPipeline:
         calls = count_advance(comparator)
         assert _memory_chain_holds(truth, full, comparator, est, None, 1e-10)
         assert calls == [truth.spec.T - 1]
+
+    @pytest.mark.parametrize("seed, instance", [(1, 37), (29, 27)])
+    def test_local_premise_miss_is_redrawn(self, seed, instance):
+        # These draws hold every claim but miss the premise mismatch >= 0.01.
+        report = _check_local_fit(named_stream(seed, "verify-local"), 40, EnumerationBudget(), 1e-10)
+        assert report["failures"] == []
+        [redrawn] = report["redrawn"]
+        assert redrawn["instance"] == instance and redrawn["mismatch"] < 0.01
+
+    def test_local_premise_miss_past_the_cap_fails(self, monkeypatch):
+        monkeypatch.setattr(seqcal.verify, "_LOCAL_MAX_REDRAWS", 0)
+        report = _check_local_fit(named_stream(1, "verify-local"), 38, EnumerationBudget(), 1e-10)
+        assert report["redrawn"] == []
+        [failure] = report["failures"]
+        assert failure["instance"] == 37 and failure["mismatch"] < 0.01
+
+    def test_benchmark_verify_config_passes(self, tmp_path):
+        cfg = parse_config({"M": 3, "T": 4, "pipeline": "verify", "seed": 1, "instances": 200,
+                            "budget": 1_000_000, "out": str(tmp_path / "v")})
+        code, outdir = run(cfg)
+        assert code == 0
+        assert json.loads((outdir / "verify_report.json").read_text())["n_failures"] == 0
 
     def test_bundled_fixture_passes(self, tmp_path):
         from pathlib import Path

@@ -243,6 +243,28 @@ class TestBudget:
         with pytest.raises(ValueError):
             sc.EnumerationBudget(0)
 
+    # Each routine on M=3, T=4 with the number of states it enumerates.
+    BOUNDARY_CASES = {
+        "sequence_log_probs": (81, lambda m, b: sequence_log_probs(m, b)),
+        "prefix_expansion": (81, lambda m, b: list(prefix_expansion(m, b))),
+        "prefix_expansion_last": (9, lambda m, b: list(prefix_expansion(m, b, last=2))),
+        "enumerate_sequences": (81, lambda m, b: enumerate_sequences(3, 4, b)),
+        "drift_curve_exact": (81, lambda m, b: sc.drift_curve_exact(m, b)),
+        "marginalize_to_window": (81, lambda m, b: sc.marginalize_to_window(m, 1, b)),
+        "GlobalTiltModel": (81, lambda m, b: sc.GlobalTiltModel(m, FunctionalF.log_prob(m), 0.5, b)),
+        "memory_bound": (81, lambda m, b: sc.memory_bound(
+            m, m.perturbed(np.random.default_rng(1), 0.3), sc.fit_limited_memory(m, 1), budget=b)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+    def test_exactly_at_the_limit(self, rng, name):
+        # A budget of exactly the enumerated states passes; one less fails.
+        states, call = self.BOUNDARY_CASES[name]
+        model = random_markov(rng, 3, 4, 2)
+        call(model, sc.EnumerationBudget(states))
+        with pytest.raises(sc.BudgetExceededError, match=f"needs {states} states"):
+            call(model, sc.EnumerationBudget(states - 1))
+
 
 class TestPinskerProperties:
     def test_bounded_functional_gap(self, rng):
