@@ -376,7 +376,7 @@ def conditional_mi_exact(joint: np.ndarray) -> float:
         raise ValueError("joint must be a 3-d array indexed (Z, Y, X)")
     if np.any(joint < 0.0):
         raise ValueError("joint must be nonnegative")
-    total = _fsum(joint)
+    total = float(joint.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint must sum to 1, got {total}")
     # Order "A" merges (Y, X) without a copy for a C- or F-contiguous

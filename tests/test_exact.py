@@ -229,6 +229,16 @@ class TestConditionalMi:
         with pytest.raises(ValueError, match="sum to 1"):
             sc.conditional_mi_exact(np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_normalization_tolerance_is_1e_9(self, sign):
+        # The sums-to-1 check allows a total within 1e-9 of 1 and no more.
+        joint = np.full((2, 3, 4), 1.0 / 24)
+        with pytest.raises(ValueError, match="sum to 1"):
+            sc.conditional_mi_exact(joint * (1.0 + sign * 2e-9))
+        assert sc.conditional_mi_exact(joint * (1.0 + sign * 1e-12)) == pytest.approx(
+            0.0, abs=1e-12
+        )
+
 
 class TestBudget:
     def test_fail_fast(self, rng):

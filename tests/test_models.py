@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqcal as sc
-from seqcal.exact import sequence_log_probs
+from seqcal.exact import prefix_expansion, sample_expansion, sequence_log_probs
+from seqcal.models import _sample_rows, pick, row_entropies
 
 from conftest import all_seqs, model_probs, one_hot_model, random_markov
 
@@ -167,6 +168,16 @@ class _TopOfUnitInterval:
         return np.full(n, np.nextafter(1.0, 0.0))
 
 
+class _Draws:
+    """Generator stub that returns the given uniform draws (a scalar repeats)."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.broadcast_to(np.asarray(self.u, dtype=float), (n,)).copy()
+
+
 def _rounded_short_model():
     # The row [0.1]*10 + [0] sums to 0.9999999999999999 in a cumsum, so a
     # draw just below 1 lands past the last positive-mass token.  Token
@@ -186,6 +197,66 @@ class TestZeroMassDraws:
     def test_drift_curve_never_emits_zero_mass_token(self):
         curve = sc.drift_curve(_rounded_short_model(), 4, _TopOfUnitInterval())
         np.testing.assert_allclose(curve.means, [math.log(10)] * 2, rtol=1e-12)
+
+
+def _cumsum_tokens(rows, u):
+    """The inverse-CDF draw by one ``np.cumsum`` pass, zero-mass fix-up included."""
+    M = rows.shape[1]
+    idx = (np.cumsum(rows, axis=1) <= u[:, None]).sum(axis=1)
+    over = np.flatnonzero(idx == M)
+    idx[over] = M - 1 - np.argmax(rows[over, ::-1] > 0.0, axis=1)
+    return idx
+
+
+class TestShortAxisKernels:
+    """The column sampler and the gathers are bitwise their row formulas."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        M=st.sampled_from([2, 3, 4, 8, 15, 16, 17, 64]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+        draws=st.sampled_from(["uniform", "cdf", "top"]),
+    )
+    def test_column_sampler_is_the_cumsum_formula(self, M, n, seed, zero_frac, draws):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(M), size=n)
+        rows[rng.random((n, M)) < zero_frac] = 0.0
+        hot = (rng.random(n) < 0.25) | (rows.sum(axis=1) == 0.0)
+        rows[hot] = np.eye(M)[rng.integers(0, M, size=int(hot.sum()))]
+        rows /= rows.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(rows, axis=1)
+        if draws == "top":
+            gen = _TopOfUnitInterval()
+        elif draws == "cdf":
+            # Draws on a CDF entry, the rounded row total (last column) included.
+            gen = _Draws(cdf[np.arange(n), rng.integers(0, M, size=n)])
+        else:
+            gen = _Draws(rng.random(n))
+        tokens = _sample_rows(rows, gen)
+        assert tokens.dtype == np.int64
+        np.testing.assert_array_equal(tokens, _cumsum_tokens(rows, gen.random(n)))
+        assert np.all(rows[np.arange(n), tokens] > 0.0)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column_slice", "row_step"])
+    def test_pick_is_the_fancy_gather(self, rng, layout):
+        n, M = 37, 4
+        wide = rng.random((2 * n, M + 3))
+        rows = {
+            "contiguous": np.ascontiguousarray(wide[:n, :M]),
+            "column_slice": wide[:n, 2 : 2 + M],
+            "row_step": wide[::2, 1 : 1 + M],
+        }[layout]
+        tokens = rng.integers(0, M, size=n)
+        np.testing.assert_array_equal(pick(rows, tokens), rows[np.arange(n), tokens])
+
+    def test_markov_rows_are_the_table_gather(self, rng):
+        model = random_markov(rng, 3, 6, 2)
+        for t in range(5):
+            table = model.tables[min(model.order, t)]
+            code = rng.integers(0, table.shape[0], size=50)
+            np.testing.assert_array_equal(model.rows((t, code)), table[code])
 
 
 class TestMarginalizeToWindow:
@@ -374,6 +445,125 @@ class TestLinearCost:
             calls[0] = 0
             assert np.all(np.isfinite(model.seq_log_prob_batch(seqs)))
             assert calls[0] == expected
+
+
+_KINDS = [
+    "markov",
+    "limited_memory",
+    "mixture-0",
+    "mixture-0.3",
+    "mixture-1",
+    "per_token_mixture",
+    "drift-0",
+    "drift-1/T",
+    "drift-1",
+    "global_tilt",
+    "local_tilt",
+    "memory_tilt",
+]
+
+
+def _model_of_kind(kind, rng, M, T):
+    """A model of `kind` on a random order-2 base."""
+    base = random_markov(rng, M, T, 2)
+    name, _, param = kind.partition("-")
+    if name == "markov":
+        return base
+    if name == "limited_memory":
+        return sc.marginalize_to_window(base, 1)
+    if name == "mixture":
+        return sc.MixtureModel(base, float(param))
+    if name == "per_token_mixture":
+        return sc.PerTokenMixture(base, 0.3)
+    if name == "drift":
+        return sc.DriftModel(base, None if param == "1/T" else float(param))
+    drift = sc.DriftModel(base, 0.25)
+    if name == "global_tilt":
+        return sc.GlobalTiltModel(drift, sc.FunctionalF.log_prob(base), -0.7)
+    if name == "local_tilt":
+        return sc.LocalTiltModel(drift, 0.6)
+    comparator = sc.marginalize_to_window(base, 1)
+    return sc.MemoryTiltModel(drift, comparator, -0.8, active_steps=(2, 3, 4))
+
+
+class TestBatchMatchesSingle:
+    """Batch drivers equal stacked single-context calls, bit for bit."""
+
+    M, T, N = 3, 5, 12
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_next_dist_batch_stacks_next_dist(self, kind):
+        rng = np.random.default_rng(_KINDS.index(kind))
+        model = _model_of_kind(kind, rng, self.M, self.T)
+        for L in range(self.T):
+            ctxs = rng.integers(0, self.M, size=(self.N, L))
+            stacked = np.stack([model.next_dist(ctx) for ctx in ctxs])
+            np.testing.assert_array_equal(model.next_dist_batch(ctxs), stacked)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_seq_log_prob_batch_stacks_seq_log_prob(self, kind):
+        rng = np.random.default_rng(100 + _KINDS.index(kind))
+        model = _model_of_kind(kind, rng, self.M, self.T)
+        seqs = np.concatenate(
+            [model.sample_batch(self.N, rng), rng.integers(0, self.M, size=(self.N, self.T))]
+        )
+        n = seqs.shape[0]
+        scores = model.seq_log_prob_batch(seqs)
+        np.testing.assert_array_equal(scores, [model.seq_log_prob(w) for w in seqs])
+        # The chain rule over next_dist_batch rows, gathered by fancy index.
+        chain = np.zeros(n)
+        for t in range(self.T):
+            chain += np.log(model.next_dist_batch(seqs[:, :t])[np.arange(n), seqs[:, t]])
+        np.testing.assert_array_equal(scores, chain)
+        # Scoring reads one column per step from any memory layout.
+        wide = np.zeros((n, 2 * self.T + 1), dtype=np.int64)
+        wide[:, 1::2] = seqs
+        for layout in (np.asfortranarray(seqs), wide[:, 1::2], np.repeat(seqs, 2, axis=0)[::2]):
+            assert not layout.flags.c_contiguous
+            np.testing.assert_array_equal(model.seq_log_prob_batch(layout), scores)
+
+
+class TestDeterministicBinary:
+    """M = 2 with one-hot rows: the sampler and both walks see one sequence."""
+
+    SUPPORT = (1, 1, 0, 1, 1, 0, 1)
+
+    @staticmethod
+    def _model(kind):
+        # Order 2: the first two tokens are 1, then (1, 1) -> 0 and
+        # (1, 0), (0, 1) -> 1, so the one sequence is 1 1 0 1 1 0 1.
+        e0, e1 = [1.0, 0.0], [0.0, 1.0]
+        base = sc.MarkovModel(sc.make_spec(2, 7), 2, [[e1], [e0, e1], [e1, e1, e1, e0]])
+        if kind == "markov":
+            return base
+        if kind == "drift":
+            return sc.DriftModel(base, 0.0)
+        return sc.LocalTiltModel(base, 0.7)
+
+    @pytest.mark.parametrize("kind", ["markov", "drift", "local_tilt"])
+    def test_both_walks_follow_the_support(self, kind):
+        model = self._model(kind)
+        n = 8
+        support = np.tile(self.SUPPORT, (n, 1))
+        for gen in (np.random.default_rng(0), _TopOfUnitInterval(), _Draws(0.0)):
+            samples = model.sample_batch(n, gen)
+            np.testing.assert_array_equal(samples, support)
+        exact_means, sample_means = [], []
+        walks = zip(prefix_expansion(model), sample_expansion(samples, model))
+        for (t, _, weights, rows), (_, states, s_weights, s_rows) in walks:
+            positive = np.flatnonzero(weights > 0.0)
+            code = int("0" + "".join(map(str, self.SUPPORT[: t - 1])), 2)
+            np.testing.assert_array_equal(positive, [code])
+            assert weights[code] == 1.0
+            np.testing.assert_array_equal(s_rows, np.tile(rows[code], (n, 1)))
+            np.testing.assert_array_equal(model.rows(states[0]), s_rows)
+            exact_means.append(math.fsum(weights * row_entropies(rows)))
+            sample_means.append(math.fsum(s_weights * row_entropies(model.rows(states[0]))))
+        curve = sc.drift_curve_exact(model)
+        np.testing.assert_array_equal(curve.means, exact_means)
+        np.testing.assert_array_equal(curve.means, sample_means)
+        mc = sc.drift_curve(model, n, np.random.default_rng(1))
+        np.testing.assert_array_equal(mc.means, curve.means)
 
 
 class TestStationary:
