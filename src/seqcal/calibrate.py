@@ -21,9 +21,12 @@ variant tilts each conditional by the one-step-lookahead entropy of the
 base after appending the candidate token; the lookahead feature is 0 at
 the final step, where no next step exists.
 
-A per-step fit has an exact and a sample-average mode.  The sample mode
-is the exact routine run on :func:`seqcal.exact.sample_expansion`, the
-lattice of the sample's empirical distribution, instead of the truth's
+A per-step fit takes the tilt model as its only specification (rows,
+feature, fitted steps, descriptor) and returns it at the fitted
+exponent, so the report describes the returned model.  It has an exact
+and a sample-average mode.  The sample mode is the exact routine run on
+:func:`seqcal.exact.sample_expansion`, the lattice of the sample's
+empirical distribution, instead of the truth's
 :func:`seqcal.exact.prefix_expansion`.
 """
 
@@ -283,8 +286,8 @@ class GlobalTiltModel(ConditionalModel):
     def rows(self, state) -> np.ndarray:
         t, codes = state
         M = self.spec.M
-        parents = self._levels[t][codes]
-        children = self._levels[t + 1].reshape(-1, M)[codes]
+        parents = np.take(self._levels[t], codes)
+        children = np.take(self._levels[t + 1].reshape(-1, M), codes, axis=0)
         safe = np.isfinite(parents)
         out = np.full((codes.shape[0], M), 1.0 / M)
         out[safe] = np.exp(children[safe] - parents[safe, None])
@@ -327,6 +330,7 @@ class LocalTiltModel(ConditionalModel):
     """
 
     kind = "local_tilt"
+    active_steps = None
 
     def __init__(self, base: ConditionalModel, alpha: float):
         super().__init__(base.spec)
@@ -360,6 +364,12 @@ class LocalTiltModel(ConditionalModel):
 
     def _fit_extras(self, feats: np.ndarray) -> dict:
         return {}
+
+    def _descriptor(self) -> dict:
+        return {"kind": "lookahead_entropy"}
+
+    def _with_alpha(self, alpha: float) -> "LocalTiltModel":
+        return LocalTiltModel(self.base, alpha)
 
     def params_dict(self) -> dict:
         return {"alpha": self.alpha, "base": model_to_dict(self.base)}
@@ -589,19 +599,20 @@ def _columns(parts) -> np.ndarray:
     return np.concatenate([p.T for p in parts], axis=1, out=out)
 
 
-def _step_problem(target, tilt, active_steps=None, budget=None, min_samples=1000, observe=None):
+def _step_problem(target, tilt, budget=None, min_samples=1000, observe=None):
     """The per-step problem of `tilt` against a truth model or samples.
 
     Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
     ``sample_expansion(target, tilt)`` (sample-average over the n
     sequences) once, reading the base rows and the feature from
-    ``tilt._step``.  `observe`, if given, wraps the walk, so a caller
+    ``tilt._step`` and the fitted steps from ``tilt.active_steps`` (None
+    for every step).  `observe`, if given, wraps the walk, so a caller
     can read each level as it passes.  In sample mode the target's rows
     are the realised tokens, so its per-context feature means are the
     realised features; they are kept for the gradient's standard error.
     """
     T = tilt.spec.T
-    active = frozenset(active_steps) if active_steps is not None else frozenset(range(1, T + 1))
+    active = frozenset(range(1, T + 1)) if tilt.active_steps is None else tilt.active_steps
     if not active or not active.issubset(range(1, T + 1)):
         raise ValueError("active_steps must be a nonempty subset of 1..T")
     if isinstance(target, ConditionalModel):
@@ -667,41 +678,40 @@ def _step_problem(target, tilt, active_steps=None, budget=None, min_samples=1000
     )
 
 
-def _fit_step(problem, tolerance, f_descriptor=None, provenance=None) -> CalibrationResult:
-    """Fit the shared exponent of a per-step problem.
+def _fit_step(problem, tolerance, provenance=None):
+    """Fit the shared exponent of a per-step problem: (tilt at alpha*, result).
 
     Stops at |gradient| <= tolerance (exact) or at |gradient| <= 0.1 *
     stderr(gradient) (sample-average).
     """
+    tilt = problem.tilt
     exact = problem.n_seqs is None
     stop = lambda i: abs(i["g"]) <= (tolerance if exact else max(0.1 * i["g_stderr"], 1e-13))  # noqa: E731
-    return _fit(problem, stop, "exact" if exact else "sample-average", tolerance, problem.tilt.base,
-                dict(f_descriptor or {}), provenance, problem.extras)
+    result = _fit(problem, stop, "exact" if exact else "sample-average", tolerance, tilt.base,
+                  tilt._descriptor(), provenance, problem.extras)
+    return tilt._with_alpha(result.alpha_star), result
 
 
 def fit_per_step_tilt(
     target,
     tilt: ConditionalModel,
-    active_steps=None,
     tolerance: float = 1e-10,
     budget: EnumerationBudget | None = None,
     min_samples: int = 1000,
-    f_descriptor: dict | None = None,
     provenance: dict | None = None,
-) -> CalibrationResult:
+) -> tuple[ConditionalModel, CalibrationResult]:
     """Fit a shared per-step tilt exponent against a truth model or samples.
 
     `tilt` is a per-step tilt model (:class:`LocalTiltModel`,
-    :class:`seqcal.memory.MemoryTiltModel`); the fit reads the base rows
-    and the per-candidate feature from its own step, ``tilt._step``, and
-    ignores its exponent.  Steps outside `active_steps` stay untilted.
-    With a ConditionalModel target the fit is exact (stop at |gradient|
-    <= tolerance); with an (n, T) sample array it is the same fit under
-    the sample's empirical distribution (stop at |gradient| <= 0.1 *
-    stderr(gradient)).
+    :class:`seqcal.memory.MemoryTiltModel`): its ``_step`` gives the base
+    rows and the feature, its ``active_steps`` the fitted steps (None for
+    all), and the tilt at the fitted exponent is returned with the
+    result.  With a ConditionalModel target the fit is exact (stop at
+    |gradient| <= tolerance); with an (n, T) sample array it is the same
+    fit under the sample's empirical distribution (stop at |gradient| <=
+    0.1 * stderr(gradient)).
     """
-    problem = _step_problem(target, tilt, active_steps, budget, min_samples)
-    return _fit_step(problem, tolerance, f_descriptor, provenance)
+    return _fit_step(_step_problem(target, tilt, budget, min_samples), tolerance, provenance)
 
 
 def fit_alpha_local(
@@ -717,16 +727,10 @@ def fit_alpha_local(
     `target` is either the true model (exact mode, enumeration) or an
     (n, T) array of sequences drawn from it (sample-average mode).
     """
-    result = fit_per_step_tilt(
-        target,
-        LocalTiltModel(base, 0.0),
-        tolerance=tolerance,
-        budget=budget,
-        min_samples=min_samples,
-        f_descriptor={"kind": "lookahead_entropy"},
-        provenance=provenance,
-    )
-    return LocalTiltModel(base, result.alpha_star), result
+    # fit_per_step_tilt's body, inlined: perfbench's tracer wraps that
+    # function and reads its return value as a bare CalibrationResult.
+    problem = _step_problem(target, LocalTiltModel(base, 0.0), budget, min_samples)
+    return _fit_step(problem, tolerance, provenance)
 
 
 # ---------------------------------------------------------------------------

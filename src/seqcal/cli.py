@@ -41,10 +41,11 @@ from .estimate import _unit_scale, drift_curve, drift_curve_exact, ent_rate_gap
 from .exact import (
     BudgetExceededError,
     EnumerationBudget,
+    _cross_entropy_from_log_probs,
     _entropy_from_log_probs,
-    cross_entropy_exact,
+    _kl_from_log_probs,
     entropy_rate_exact,
-    kl_exact,
+    sequence_log_probs,
 )
 from .memory import (
     fit_limited_memory,
@@ -200,6 +201,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("epsilon", f"must lie in (0, 1), got {cfg.epsilon}")
     if cfg.prefix_len >= cfg.T:
         raise ConfigError("prefix_len", f"must be < T = {cfg.T}")
+    if t_policy != "average" and not 1 <= t_policy <= cfg.T:
+        raise ConfigError("t_policy", f"step must lie in 1..{cfg.T}, got {t_policy}")
     return cfg
 
 
@@ -270,6 +273,16 @@ def build_learned_model(cfg: ExperimentConfig, truth: ConditionalModel) -> Condi
     if recipe == "per_token_mixture":
         return PerTokenMixture(truth, float(desc.get("gamma", cfg.epsilon)))
     raise ConfigError("model", f"unknown recipe {recipe!r}")
+
+
+def _described(build, key: str, *args) -> ConditionalModel:
+    """``build(*args)``, turning a ValueError or OSError of a bad description into a ConfigError."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as err:
+        raise ConfigError(key, str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +424,25 @@ def _pipeline_memory(cfg, truth, model, budget):
 
 
 def _pipeline_bounds(cfg, truth, model, budget):
-    bound = amplification_bound(cfg.epsilon, cfg.T, cfg.M)
-    doc = bound.to_dict()
+    T = cfg.T
+    doc = amplification_bound(cfg.epsilon, T, cfg.M).to_dict()
     try:
-        measured = kl_exact(truth, model, budget) / cfg.T
-        mixture = MixtureModel(model, cfg.epsilon)
+        # One lattice walk per model: the truth, the model and each mixture.
+        lp_true = sequence_log_probs(truth, budget)
+        measured = _kl_from_log_probs(lp_true, sequence_log_probs(model, budget)) / T
+        lp_mix = sequence_log_probs(MixtureModel(model, cfg.epsilon), budget)
         doc["measured_epsilon"] = measured
-        doc["mixture_kl_per_token"] = kl_exact(truth, mixture, budget) / cfg.T
-        doc["mixture_cross_entropy"] = cross_entropy_exact(truth, mixture, budget)
-        doc["mixture_entropy_rate"] = entropy_rate_exact(mixture, budget)
+        doc["mixture_kl_per_token"] = _kl_from_log_probs(lp_true, lp_mix) / T
+        doc["mixture_cross_entropy"] = _cross_entropy_from_log_probs(lp_true, lp_mix, T)
+        doc["mixture_entropy_rate"] = _entropy_from_log_probs(lp_mix) / T
         # The configured epsilon is only a claim; the bounds evaluated at
         # the measured regret have a valid premise by construction.
         if 0.0 < measured < 1.0:
-            at_measured = amplification_bound(measured, cfg.T, cfg.M)
-            mix_m = MixtureModel(model, measured)
-            doc["bound_at_measured"] = at_measured.to_dict()
-            doc["mixture_kl_per_token_at_measured"] = kl_exact(truth, mix_m, budget) / cfg.T
-            doc["gap_at_measured"] = abs(
-                cross_entropy_exact(truth, mix_m, budget) - entropy_rate_exact(mix_m, budget)
-            )
+            lp_mix_m = sequence_log_probs(MixtureModel(model, measured), budget)
+            doc["bound_at_measured"] = amplification_bound(measured, T, cfg.M).to_dict()
+            doc["mixture_kl_per_token_at_measured"] = _kl_from_log_probs(lp_true, lp_mix_m) / T
+            ce_m = _cross_entropy_from_log_probs(lp_true, lp_mix_m, T)
+            doc["gap_at_measured"] = abs(ce_m - _entropy_from_log_probs(lp_mix_m) / T)
     except BudgetExceededError:
         doc["measured_epsilon"] = None
     artifacts = {"bounds.json": _json_bytes(doc)}
@@ -505,8 +518,8 @@ def run(cfg: ExperimentConfig, overrides: dict | None = None) -> tuple[int, Path
     """Execute the configured pipeline; returns (exit_code, output_dir)."""
     started = time.time()
     budget = cfg.enumeration_budget()
-    truth = build_true_model(cfg)
-    model = build_learned_model(cfg, truth)
+    truth = _described(build_true_model, "true_model", cfg)
+    model = _described(build_learned_model, "model", cfg, truth)
 
     code, artifacts = _PIPELINE_RUNNERS[cfg.pipeline](cfg, truth, model, budget)
 

@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import ConditionalModel, check_samples, take_state
+from .models import ConditionalModel, check_samples, model_hash, take_state
 
 # Probability floor used only when a logarithm of an exactly-zero entry
 # must be finite (tilt features, comparator scoring).  Sampling and plain
@@ -172,9 +172,11 @@ def sample_expansion(
     states = tuple(m.init_state(n) for m in models)
     weights = np.full(n, 1.0 / n)
     for t in range(1, T + 1):
-        yield t, states, weights, one_hot[samples[:, t - 1]]
+        # One contiguous copy of the strided column serves both reads.
+        tokens = np.ascontiguousarray(samples[:, t - 1])
+        yield t, states, weights, np.take(one_hot, tokens, axis=0)
         if t < T:
-            states = tuple(m.advance(s, samples[:, t - 1]) for m, s in zip(models, states))
+            states = tuple(m.advance(s, tokens) for m, s in zip(models, states))
 
 
 class FunctionalF:
@@ -260,8 +262,6 @@ class FunctionalF:
         return out
 
     def descriptor(self) -> dict:
-        from .models import model_hash  # deferred: avoids a module cycle
-
         desc = {"kind": self.kind, "bound": self.bound}
         if self.model is not None:
             desc["model_hash"] = model_hash(self.model)
@@ -296,13 +296,9 @@ def cross_entropy_exact(
     """
     if p.spec != q.spec:
         raise ValueError("models must share the same sequence spec")
-    lpp = sequence_log_probs(p, budget)
-    lpq = sequence_log_probs(q, budget)
-    pw = np.exp(lpp)
-    mask = pw > 0.0
-    if np.any(np.isneginf(lpq[mask])):
-        return math.inf
-    return -_fsum(pw[mask] * lpq[mask]) / p.spec.T
+    return _cross_entropy_from_log_probs(
+        sequence_log_probs(p, budget), sequence_log_probs(q, budget), p.spec.T
+    )
 
 
 def kl_exact(
@@ -319,6 +315,15 @@ def _entropy_from_log_probs(lp: np.ndarray) -> float:
     p = np.exp(lp)
     mask = p > 0.0
     return -_fsum(p[mask] * lp[mask])
+
+
+def _cross_entropy_from_log_probs(lpp: np.ndarray, lpq: np.ndarray, T: int) -> float:
+    """Per-token CE between two lattice log-probability vectors, as :func:`cross_entropy_exact`."""
+    pw = np.exp(lpp)
+    mask = pw > 0.0
+    if np.any(np.isneginf(lpq[mask])):
+        return math.inf
+    return -_fsum(pw[mask] * lpq[mask]) / T
 
 
 def _kl_from_log_probs(lpp: np.ndarray, lpq: np.ndarray) -> float:

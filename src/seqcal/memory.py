@@ -17,7 +17,9 @@ the bound for verification.
 Because a single exponent is shared across the time steps being
 measured, the tilt is applied only on those steps and every reported
 quantity is averaged over the same steps; that keeps the zero-gradient
-identity behind the bound aligned with what is reported.
+identity behind the bound aligned with what is reported.  Those steps
+are the :class:`MemoryTiltModel`'s own ``active_steps``, read by the fit
+and by the bound alike.
 
 The calibration, the bound and the window fit each have an exact and a
 sample mode.  A sample mode is the exact routine run on
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import CalibrationResult, _fit_step, _step_problem, _tilt_rows
+from .estimate import _unit_scale
 from .exact import (
     P_MIN,
     EnumerationBudget,
@@ -116,6 +119,12 @@ class MemoryTiltModel(ConditionalModel):
     def _fit_extras(self, feats: np.ndarray) -> dict:
         # A feature at the floor marks a comparator entry floored to P_MIN.
         return {"feature_floored": bool(np.any(feats <= _LOG_P_MIN))}
+
+    def _descriptor(self) -> dict:
+        return {"kind": "log_comparator", "comparator_hash": model_hash(self.comparator)}
+
+    def _with_alpha(self, alpha: float) -> "MemoryTiltModel":
+        return MemoryTiltModel(self.base, self.comparator, alpha, self.active_steps)
 
     def params_dict(self) -> dict:
         return {
@@ -205,24 +214,7 @@ def calibrate_to_comparator(
     if steps is None:
         steps = _default_steps(comparator, full.spec.T)
     tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-    problem = _step_problem(target, tilt, steps, budget, min_samples)
-    return _fit_comparator(problem, tolerance, provenance)
-
-
-def _fit_comparator(problem, tolerance, provenance) -> tuple[MemoryTiltModel, CalibrationResult]:
-    """Fit a memory tilt's problem; the fitted tilt model and the result."""
-    tilt = problem.tilt
-    result = _fit_step(
-        problem,
-        tolerance,
-        f_descriptor={
-            "kind": "log_comparator",
-            "comparator_hash": model_hash(tilt.comparator),
-        },
-        provenance=provenance,
-    )
-    model = MemoryTiltModel(tilt.base, tilt.comparator, result.alpha_star, tilt.active_steps)
-    return model, result
+    return _fit_step(_step_problem(target, tilt, budget, min_samples), tolerance, provenance)
 
 
 @dataclass
@@ -275,8 +267,6 @@ def memory_table_csv(estimates, units: str = "nats") -> str:
     Information-valued columns honor `units`; the tilt exponent is
     dimensionless and is never converted.
     """
-    from .estimate import _unit_scale
-
     scale = _unit_scale(units)
     lines = ["tau,ce_comparator,bound,alpha_star,exact_mi,ce_stderr,bound_stderr"]
     for est in estimates:
@@ -371,15 +361,9 @@ def memory_bound(
     exact_mode = isinstance(target, ConditionalModel)
     tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
     ce: dict = {}
-    problem = _step_problem(
-        target,
-        tilt,
-        steps,
-        budget,
-        min_samples,
-        observe=lambda walk: _comparator_ce(walk, comparator, steps, ce, not exact_mode),
-    )
-    _, calibration = _fit_comparator(problem, tolerance, provenance)
+    problem = _step_problem(target, tilt, budget, min_samples,
+                            observe=lambda walk: _comparator_ce(walk, tilt, ce, not exact_mode))
+    _, calibration = _fit_step(problem, tolerance, provenance)
 
     per_step: dict = {}
     ce_parts, h_parts = [], []
@@ -430,19 +414,18 @@ def memory_bound(
     )
 
 
-def _comparator_ce(walk, comparator, steps, ce: dict, per_context: bool):
+def _comparator_ce(walk, tilt, ce: dict, per_context: bool):
     """Pass `walk` through, putting each measured level's CE terms in `ce`.
 
-    ``ce[t]`` is -sum of mass * log comparator over level t's contexts
-    and tokens and, if `per_context`, the per-context sums (else None).
-    The comparator's state is the last walked model's, a
-    :class:`MemoryTiltModel`'s.
+    ``ce[t]``, for each active step t of the last walked model `tilt`,
+    is -sum of mass * log comparator over level t's contexts and tokens
+    and, if `per_context`, the per-context sums (else None).
     """
     for level in walk:
         t, states, weights, true_rows = level
-        if t in steps:
+        if t in tilt.active_steps:
             with np.errstate(divide="ignore"):
-                log_comp = np.log(comparator.rows(states[-1][2]))
+                log_comp = np.log(tilt.comparator.rows(states[-1][2]))
             terms = weights[:, None] * true_rows
             # A comparator zero under positive mass makes the sum infinite.
             np.multiply(terms, log_comp, out=terms, where=terms > 0.0)

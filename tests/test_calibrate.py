@@ -280,6 +280,33 @@ class TestLookahead:
             assert np.all(row >= 0.0)
 
 
+class TestFitPerStepTiltReturnsItsModel:
+    """The tilt is the fit's only specification; the fit returns it at alpha*."""
+
+    @pytest.mark.parametrize("kind", ["local", "memory"])
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_returned_model_reproduces_the_report(self, rng, kind, sample):
+        truth = random_markov(rng, 3, 5, 2)
+        full = sc.DriftModel(truth, 0.2)
+        if kind == "local":
+            tilt, steps = sc.LocalTiltModel(full, 0.0), [1, 2, 3, 4, 5]
+        else:
+            comparator = sc.fit_limited_memory(truth, 1)
+            tilt, steps = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=(3, 4)), [3, 4]
+        target = truth.sample_batch(2000, rng) if sample else truth
+        model, result = fit_per_step_tilt(target, tilt)
+        assert type(model) is type(tilt) and model.base is full
+        assert model.alpha == result.alpha_star != 0.0
+        assert model.active_steps == tilt.active_steps
+        assert result.extras["active_steps"] == steps
+        assert result.f_descriptor == tilt._descriptor()
+        if sample:
+            ce = -float(np.mean(model.seq_log_prob_batch(target))) / 5
+        else:
+            ce = sc.cross_entropy_exact(truth, model)
+        assert abs(ce - result.objective) <= 1e-12
+
+
 class TestFitAlphaLocal:
     def test_truth_as_base(self, rng):
         truth = random_markov(rng, 3, 4, 1)
@@ -454,6 +481,8 @@ class TestStepProblemLayout:
                 row /= row.sum()
         truth = sc.MarkovModel(spec, 1, tables)
         base = truth.perturbed(rng, 0.5)
+        # A local tilt fits every step; the memory kind draws a partial
+        # step set, whose inactive steps get zero features.
         active = {t for t in range(1, T + 1) if active_mask >> (t - 1) & 1} or {T}
         if kind == "local":
             tilt = sc.LocalTiltModel(base, 0.0)
@@ -461,7 +490,7 @@ class TestStepProblemLayout:
             comparator = sc.MarkovModel(spec, 0, [comparator_row[None, :]])
             tilt = sc.MemoryTiltModel(base, comparator, 0.0, active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
-        problem = _step_problem(target, tilt, active, min_samples=1)
+        problem = _step_problem(target, tilt, min_samples=1)
         assert problem.log_rows.flags.c_contiguous and problem.feats.flags.c_contiguous
         for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
             assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha)

@@ -4,8 +4,20 @@ import math
 import numpy as np
 import pytest
 
+import seqcal.exact
 import seqcal.verify
-from seqcal import EnumerationBudget, MarkovModel, fit_limited_memory, make_spec, memory_bound
+from seqcal import (
+    EnumerationBudget,
+    MarkovModel,
+    MixtureModel,
+    amplification_bound,
+    cross_entropy_exact,
+    entropy_rate_exact,
+    fit_limited_memory,
+    kl_exact,
+    make_spec,
+    memory_bound,
+)
 from seqcal.cli import ConfigError, build_learned_model, build_true_model, main, parse_config, run
 from seqcal.rng import named_stream
 from seqcal.verify import _check_local_fit, _memory_chain_holds, verify_suite
@@ -160,6 +172,37 @@ class TestPipelines:
         assert doc["mixture_kl_per_token_at_measured"] <= at_measured["mixture_kl_bound"] + 1e-12
         assert doc["gap_at_measured"] <= at_measured["generation_gap_bound"] + 1e-12
 
+    def test_bounds_walks_each_lattice_once(self, tmp_path, monkeypatch):
+        # The truth, the model and the two mixtures: four walks, and every
+        # field equal to its public oracle.
+        cfg = parse_config({**BASE_CONFIG, "pipeline": "bounds", "out": str(tmp_path / "b")})
+        walked = []
+        expand = seqcal.exact.prefix_expansion
+
+        def counting(model, *args, **kwargs):
+            walked.append(model.kind)
+            return expand(model, *args, **kwargs)
+
+        monkeypatch.setattr(seqcal.exact, "prefix_expansion", counting)
+        code, outdir = run(cfg)
+        monkeypatch.undo()
+        assert code == 0
+        assert sorted(walked) == ["drift", "markov", "mixture", "mixture"]
+        doc = json.loads((outdir / "bounds.json").read_text())
+        truth = build_true_model(cfg)
+        model = build_learned_model(cfg, truth)
+        mixture = MixtureModel(model, cfg.epsilon)
+        measured = kl_exact(truth, model) / cfg.T
+        assert 0.0 < measured < 1.0
+        mix_m = MixtureModel(model, measured)
+        assert doc["measured_epsilon"] == measured
+        assert doc["mixture_kl_per_token"] == kl_exact(truth, mixture) / cfg.T
+        assert doc["mixture_cross_entropy"] == cross_entropy_exact(truth, mixture)
+        assert doc["mixture_entropy_rate"] == entropy_rate_exact(mixture)
+        assert doc["bound_at_measured"] == amplification_bound(measured, cfg.T, cfg.M).to_dict()
+        assert doc["mixture_kl_per_token_at_measured"] == kl_exact(truth, mix_m) / cfg.T
+        assert doc["gap_at_measured"] == abs(cross_entropy_exact(truth, mix_m) - entropy_rate_exact(mix_m))
+
     def test_bits_units_scale_csv_only(self, tmp_path):
         nats = parse_config({**BASE_CONFIG, "out": str(tmp_path / "n")})
         bits = parse_config({**BASE_CONFIG, "units": "bits", "out": str(tmp_path / "b")})
@@ -196,6 +239,21 @@ class TestMainEntry:
         assert main(["drift", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "'M'" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_policy", 9),
+        ("true_model", {"kind": "random_markov", "order": -1}),
+        ("true_model", {"kind": "random_markov", "concentration": 0}),
+        ("model", {"recipe": "drift", "p": 2}),
+        ("model", {"recipe": "mixture", "gamma": "x"}),
+        ("true_model", {"kind": "file", "path": "missing.json"}),
+        ("model", {"kind": "file", "path": "missing.json"}),
+    ], ids=["t_policy", "order", "concentration", "drift_p", "gamma", "true_file", "model_file"])
+    def test_bad_description_exits_2_naming_its_key(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"M": 3, "T": 4, key: value})
+        assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_budget_exceeded_maps_to_3(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 10, "T": 10, "pipeline": "drift",

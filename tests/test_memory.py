@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import seqcal as sc
-from seqcal.calibrate import _step_problem
+from seqcal.calibrate import _fit_step, _step_problem
 from seqcal.exact import (
     conditional_mi_exact,
     enumerate_sequences,
@@ -12,7 +12,7 @@ from seqcal.exact import (
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.memory import _fit_comparator, _joint
+from seqcal.memory import _joint
 from seqcal.models import row_entropies
 
 from conftest import all_seqs, count_advance, random_markov, random_pair
@@ -418,8 +418,8 @@ class TestBoundFromTheFitsWalk:
         target = truth.sample_batch(2000, rng) if case == "sample" else truth
         steps = tuple(range(2, T + 1))
         tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-        problem = _step_problem(target, tilt, steps)
-        tilted, result = _fit_comparator(problem, 1e-10, None)
+        problem = _step_problem(target, tilt)
+        tilted, result = _fit_step(problem, 1e-10)
         est = sc.memory_bound(target, full, comparator)
         assert est.alpha_star == result.alpha_star
         assert (result.alpha_star == 0.0) == (case == "alpha_zero")
@@ -446,3 +446,27 @@ class TestBoundFromTheFitsWalk:
             if case != "sample":
                 mi = conditional_mi_exact(_joint(weights, rows, est.tau, t))
                 assert est.per_step[t]["mi"] == mi
+
+
+class TestSampleLayouts:
+    def test_sample_mode_results_do_not_depend_on_memory_order(self, rng):
+        # The sample walk reads one contiguous copy of each column, so a
+        # C-ordered, an F-ordered and a column-sliced array give the same bits.
+        truth = random_markov(rng, 3, 5, 2)
+        full = sc.DriftModel(truth, 0.2)
+        comparator = sc.fit_limited_memory(truth, 1)
+        samples = truth.sample_batch(2000, rng)
+        wide = np.zeros((2000, 8), dtype=np.int64)
+        wide[:, 2:7] = samples
+        layouts = [np.ascontiguousarray(samples), np.asfortranarray(samples), wide[:, 2:7]]
+        assert not layouts[1].flags.c_contiguous and not layouts[2].flags.c_contiguous
+        docs = []
+        for seqs in layouts:
+            local, fit = sc.fit_alpha_local(seqs, full)
+            docs.append((
+                sc.model_to_dict(local),
+                fit.to_dict(),
+                sc.memory_bound(seqs, full, comparator).to_dict(),
+                sc.model_to_dict(sc.fit_limited_memory(seqs, 2, spec=truth.spec)),
+            ))
+        assert docs[0] == docs[1] == docs[2]

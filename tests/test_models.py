@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import seqcal as sc
 from seqcal.exact import prefix_expansion, sample_expansion, sequence_log_probs
-from seqcal.models import _sample_rows, pick, row_entropies
+from seqcal.models import _sample_rows, model_dumps, model_loads, pick, row_entropies
 
 from conftest import all_seqs, model_probs, one_hot_model, random_markov
 
@@ -293,7 +293,7 @@ class TestMarginalizeToWindow:
             sc.marginalize_to_window(truth, 2, budget=sc.EnumerationBudget(10))
 
 
-def _zoo(rng, M=3, T=4, gamma=0.3, switch_prob=0.25, alpha=-0.8):
+def _zoo(rng, M=3, T=4, gamma=0.3, switch_prob=0.25, alpha=-0.8, steps=(2, 3)):
     """One model of every kind on a random order-1 base, tilts included."""
     base = random_markov(rng, M, T, 1)
     mixture = sc.MixtureModel(base, gamma)
@@ -306,7 +306,7 @@ def _zoo(rng, M=3, T=4, gamma=0.3, switch_prob=0.25, alpha=-0.8):
         drift,
         sc.GlobalTiltModel(mixture, sc.FunctionalF.log_prob(mixture), alpha),
         sc.LocalTiltModel(drift, alpha),
-        sc.MemoryTiltModel(drift, sc.marginalize_to_window(base, 1), alpha, active_steps=(2, 3)),
+        sc.MemoryTiltModel(drift, sc.marginalize_to_window(base, 1), alpha, active_steps=steps),
     ]
 
 
@@ -587,6 +587,26 @@ class TestSerialization:
             assert sc.model_hash(model) == sc.model_hash(clone)
             assert doc["format_version"] == 1
             assert set(doc) == {"format_version", "kind", "M", "T", "parameters"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        M=st.integers(2, 3),
+        T=st.integers(1, 4),
+        gamma=st.sampled_from([0.0, 0.3, 1.0]),
+        switch_prob=st.sampled_from([0.0, 0.3, 1.0]),
+        alpha=st.sampled_from([0.0, 0.8, -0.8]),
+        steps=st.one_of(st.none(), st.sets(st.integers(1, 6), min_size=1)),
+    )
+    def test_round_trip_is_exact(self, seed, M, T, gamma, switch_prob, alpha, steps):
+        # Steps beyond T are kept, and never reached.
+        rng = np.random.default_rng(seed)
+        seqs = np.array(all_seqs(M, T))
+        for model in _zoo(rng, M, T, gamma, switch_prob, alpha, steps):
+            doc = model_dumps(model)
+            clone = model_loads(doc)
+            assert model_dumps(clone) == doc
+            assert np.array_equal(clone.seq_log_prob_batch(seqs), model.seq_log_prob_batch(seqs))
 
     def test_file_round_trip(self, rng, tmp_path):
         model = sc.MixtureModel(random_markov(rng, 2, 3, 1), 0.1)
