@@ -58,6 +58,7 @@ from .models import (
     MarkovModel,
     MixtureModel,
     PerTokenMixture,
+    dirichlet_rows,
     load_model,
     make_spec,
     model_from_dict,
@@ -222,15 +223,13 @@ def _build_described_model(desc: dict, cfg: ExperimentConfig, key: str, stream: 
             spec,
             int(desc.get("order", 1)),
             named_stream(cfg.seed, stream),
-            concentration=float(desc.get("concentration", 1.0)),
+            concentration=desc.get("concentration", 1.0),
         )
     if kind == "stationary_markov":
         # Order-1 chain started from its stationary distribution, so its
         # own generations have a time-invariant conditional entropy.
-        rng = named_stream(cfg.seed, stream)
-        transition = rng.dirichlet(
-            np.full(spec.M, float(desc.get("concentration", 1.0))), size=spec.M
-        )
+        transition = dirichlet_rows(named_stream(cfg.seed, stream), spec.M, spec.M,
+                                    desc.get("concentration", 1.0))
         pi = stationary_distribution(transition)
         return MarkovModel(spec, 1, [pi[None, :], transition])
     if kind == "file":

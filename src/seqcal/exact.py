@@ -18,8 +18,10 @@ the lattice of its empirical distribution.
 
 Conventions: natural log everywhere (nats); an infinite cross entropy or
 divergence is returned as ``math.inf`` (never produced via floating
-overflow); reductions over enumerated terms use compensated summation so
-results do not depend on partitioning.
+overflow); reductions over enumerated terms are correctly rounded sums
+(:func:`_fsum`, by block-wise error-free extraction).  Such a sum is the
+exact sum rounded once, so it does not depend on the order, the memory
+layout or the partitioning of the terms.
 """
 
 from __future__ import annotations
@@ -67,12 +69,64 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _fsum(values) -> float:
-    """Correctly rounded sum, so independent of the order of the values.
+# _fsum's block length (128 KB temporaries), extraction levels per block,
+# and the sizes and magnitudes for which it defers to math.fsum.
+_FSUM_BLOCK = 2**14
+_FSUM_DIRECT = 2**10
+_FSUM_LEVELS = 4
+_FSUM_HUGE = 2.0**990
 
-    The values stream from a buffer; no list of Python floats is built.
+
+def _fsum(values) -> float:
+    """The correctly rounded sum, bitwise ``math.fsum`` of the values.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 2008), one block of n < 2**b values
+    at a time.  With every |x| below 2**e and ``sigma = 2**(e+b)``,
+    ``q = (x + sigma) - sigma`` keeps the bits of x down to ``2**(e+b-53)``
+    and ``x - q`` is the exact remainder.  Every q and every partial sum
+    of the q's is a multiple of ``2**(e+b-53)`` with magnitude below sigma,
+    so numpy sums the q's exactly in any order.  (Where ``2**(e+b-53)``
+    would be below 2**-1074 the grid is 2**-1074, of which every double
+    is a multiple, so this holds through the subnormals.)  The remainders
+    go through further levels of about 53 - b bits each; whatever is left
+    after `_FSUM_LEVELS` levels is passed on unchanged.  One ``math.fsum``
+    of the exact level sums and the passed-on values then rounds once;
+    only the passed-on values become Python floats.
+
+    ``math.fsum`` of the whole input is used instead below `_FSUM_DIRECT`
+    values, where it is faster; when a value is not finite or reaches
+    `_FSUM_HUGE`, so its inf, nan, ValueError and OverflowError behaviour
+    is kept; and when every value is zero, so the sign of the zero it
+    returns is kept too.  It reads the values from a buffer.
     """
-    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float).ravel()))
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    if flat.size < _FSUM_DIRECT:
+        return math.fsum(memoryview(flat))
+    parts: list[float] = []
+    size = min(flat.size, _FSUM_BLOCK)
+    q_buf, r_buf = np.empty(size), np.empty(size)
+    for start in range(0, flat.size, _FSUM_BLOCK):
+        r = flat[start:start + _FSUM_BLOCK]
+        n = r.size
+        q = q_buf[:n]
+        for level in range(_FSUM_LEVELS + 1):
+            m = max(r.max(), -r.min())
+            if not m < _FSUM_HUGE:
+                return math.fsum(memoryview(flat))
+            if m == 0.0:
+                break
+            if level == _FSUM_LEVELS:
+                parts.extend(r[r != 0.0].tolist())
+                break
+            sigma = math.ldexp(1.0, math.frexp(m)[1] + n.bit_length())
+            np.add(r, sigma, out=q)
+            q -= sigma
+            parts.append(float(q.sum()))
+            r = np.subtract(r, q, out=r_buf[:n])
+    if not parts:
+        return math.fsum(memoryview(flat))
+    return math.fsum(parts)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):

@@ -374,8 +374,7 @@ class MarkovModel(ConditionalModel):
     ) -> "MarkovModel":
         """Rows drawn independently from a symmetric Dirichlet."""
         M = spec.M
-        alpha = np.full(M, float(concentration))
-        tables = [rng.dirichlet(alpha, size=M**ell) for ell in range(order + 1)]
+        tables = [dirichlet_rows(rng, M, M**ell, concentration) for ell in range(order + 1)]
         return cls(spec, order, tables)
 
     def perturbed(self, rng: np.random.Generator, scale: float) -> "MarkovModel":
@@ -551,6 +550,14 @@ class DriftModel(ConditionalModel):
 
     def params_dict(self) -> dict:
         return {"switch_prob": self.switch_prob, "base": model_to_dict(self.base)}
+
+
+def dirichlet_rows(rng: np.random.Generator, M: int, n: int, concentration: float) -> np.ndarray:
+    """`n` rows over M tokens, each drawn from a symmetric Dirichlet."""
+    concentration = float(concentration)
+    if not (math.isfinite(concentration) and concentration > 0.0):
+        raise ValueError(f"concentration must be a positive finite number, got {concentration}")
+    return rng.dirichlet(np.full(M, concentration), size=n)
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:

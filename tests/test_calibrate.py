@@ -306,6 +306,34 @@ class TestFitPerStepTiltReturnsItsModel:
             ce = sc.cross_entropy_exact(truth, model)
         assert abs(ce - result.objective) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["local", "memory"])
+    @pytest.mark.parametrize("token, sign", [(0, 1.0), (1, -1.0)])
+    def test_optimum_at_infinity_saturates_within_tolerance(self, kind, token, sign):
+        # The truth always emits the token of the largest (token 0) or
+        # smallest (token 1) feature, so the exact optimum is at
+        # alpha = sign * inf; the fit stops at its first probe whose
+        # moment mismatch is within tolerance and still reports a valid
+        # improvement.  The loose tolerance is met well before the tilted
+        # rows saturate in floating point, where the gradient reads 0.
+        spec = sc.make_spec(2, 2)
+        truth = one_hot_model(spec, token)
+        if kind == "local":
+            # Token 0 leads to a uniform next row, token 1 to a peaked one.
+            base = sc.MarkovModel(spec, 1, [np.array([[0.5, 0.5]]),
+                                            np.array([[0.5, 0.5], [0.9, 0.1]])])
+            tilt = sc.LocalTiltModel(base, 0.0)
+        else:
+            base = sc.MarkovModel.uniform(spec)
+            comparator = sc.MarkovModel(spec, 0, [np.array([[0.8, 0.2]])])
+            tilt = sc.MemoryTiltModel(base, comparator, 0.0)
+        tolerance = 1e-6
+        model, result = fit_per_step_tilt(truth, tilt, tolerance)
+        assert abs(result.gradient) <= tolerance
+        assert all(abs(g) > tolerance for _, g in result.trace[:-1])
+        assert sign * result.alpha_star > 1.0
+        assert model.alpha == result.alpha_star
+        assert result.objective <= result.baseline_objective + 1e-12
+
 
 class TestFitAlphaLocal:
     def test_truth_as_base(self, rng):

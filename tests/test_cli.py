@@ -255,6 +255,18 @@ class TestMainEntry:
         assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["random_markov", "stationary_markov"])
+    @pytest.mark.parametrize("concentration", [0, -2.0])
+    def test_non_positive_concentration_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, kind, concentration
+    ):
+        monkeypatch.chdir(tmp_path)
+        desc = {"kind": kind, "concentration": concentration}
+        cfg = write_config(tmp_path, {"M": 3, "T": 4, "true_model": desc})
+        assert main(["drift", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'true_model': concentration must be a positive finite number" in err
+
     def test_budget_exceeded_maps_to_3(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 10, "T": 10, "pipeline": "drift",
                                       "model": {"recipe": "identity"}, "budget": 100})

@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqcal as sc
 from seqcal.exact import (
+    _FSUM_BLOCK,
+    _FSUM_DIRECT,
     FunctionalF,
     _fsum,
     enumerate_sequences,
@@ -334,6 +338,122 @@ class TestFsum:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.sampled_from([
+            _FSUM_DIRECT - 1, _FSUM_DIRECT, _FSUM_DIRECT + 1,
+            _FSUM_BLOCK - 1, _FSUM_BLOCK, _FSUM_BLOCK + 1,
+            2 * _FSUM_BLOCK - 1, 3 * _FSUM_BLOCK + 7,
+        ]),
+        decades=st.sampled_from([0, 1, 20, 300]),
+        signs=st.sampled_from(["positive", "negative", "mixed", "cancelling"]),
+        extra=st.sampled_from(["none", "zeros", "subnormals"]),
+        scale=st.sampled_from([1.0, 2.0**-1000, 2.0**-1070]),
+        layout=st.sampled_from(["flat", "C", "F", "strided"]),
+    )
+    def test_random_vectors_match_fsum_of_a_list(
+        self, seed, size, decades, signs, extra, scale, layout
+    ):
+        # 300 decades need every level and pass values on; the small
+        # scales put whole blocks among the subnormals.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(1.0, 2.0, size) * 10.0 ** rng.uniform(-decades, decades, size)
+        x *= scale
+        if signs == "negative":
+            x = -x
+        elif signs != "positive":
+            x *= rng.choice([-1.0, 1.0], size)
+        if signs == "cancelling":
+            half = size // 2
+            x[half:2 * half] = -x[:half]
+            rng.shuffle(x)
+        if extra == "zeros":
+            x[rng.random(size) < 0.3] = rng.choice([0.0, -0.0])
+        elif extra == "subnormals":
+            picks = rng.random(size) < 0.3
+            x[picks] = rng.integers(-2**52, 2**52, int(picks.sum())) * 5e-324
+        assert_fsum_matches(_layout(x, layout))
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.sampled_from([_FSUM_BLOCK - 1, 2 * _FSUM_BLOCK - 1, _FSUM_BLOCK + 12_000]),
+    )
+    def test_one_sign_blocks_at_their_bound_sum_exactly(self, seed, size):
+        # Negative values of one binade put every extracted q on the
+        # finest grid and drive a block's partial sums close to sigma.
+        # A leading block cancels the total down to the rounding error
+        # of its sum, so an inexact level sum changes the result.
+        neg = -np.random.default_rng(seed).uniform(1.5, 2.0, size)
+        lead = np.zeros(_FSUM_BLOCK)
+        lead[0] = -math.fsum(neg.tolist())
+        assert_fsum_matches(np.concatenate([lead, neg]))
+
+    @settings(max_examples=60)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        size=st.sampled_from([_FSUM_DIRECT, _FSUM_BLOCK + 1, 2 * _FSUM_BLOCK + 3]),
+        negate=st.booleans(),
+    )
+    def test_drawn_values_match_fsum_of_a_list(self, values, size, negate):
+        # Drawn floats reach subnormals, -0.0 and the largest finite
+        # values, where math.fsum may overflow.
+        x = np.resize(np.array(values), size)
+        if negate:
+            x[1::2] *= -1.0
+        assert_fsum_matches(x)
+
+    @pytest.mark.parametrize("size", [0, 1, _FSUM_DIRECT, _FSUM_BLOCK + 1])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zeros_match_fsum_of_a_list(self, size, zero):
+        assert_fsum_matches(np.full(size, zero))
+        assert_fsum_matches(np.where(np.arange(size) % 2, 0.0, -0.0))
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.sampled_from([_FSUM_DIRECT + 1, _FSUM_BLOCK + 1, 2 * _FSUM_BLOCK + 3]),
+        special=st.sampled_from([[np.inf], [-np.inf], [np.inf, -np.inf], [np.nan],
+                                 [1e308, 1e308], [1e308, -1e308], [2.0**990], [-2.0**1000]]),
+        block=st.integers(0, 2),
+    )
+    def test_non_finite_and_huge_values_match_fsum(self, seed, size, special, block):
+        # The same value, or the same exception type, wherever the
+        # special values land among ordinary ones.
+        x = np.random.default_rng(seed).standard_normal(size)
+        at = min(block * _FSUM_BLOCK, size - len(special))
+        x[at:at + len(special)] = special
+        assert_fsum_matches(x)
+
+
+def _layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """The values of `x`, as a flat, C- or F-ordered or strided array."""
+    if layout == "flat":
+        return x
+    if layout == "strided":
+        # Every other column of a (rows, 2 * cols) array.
+        wide = np.empty((x.size, 2)) if x.size % 2 else np.empty((x.size // 2, 4))
+        wide[:, ::2] = x.reshape(wide.shape[0], -1)
+        return wide[:, ::2]
+    cols = next((d for d in range(2, 12) if x.size % d == 0), 1)
+    rows = x.reshape(-1, cols)
+    return np.asfortranarray(rows) if layout == "F" else rows
+
+
+def _fsum_outcome(fsum, values):
+    """The sum as its hex string, or the type of exception it raised."""
+    try:
+        return fsum(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def assert_fsum_matches(values):
+    """`_fsum` gives math.fsum's value bit for bit, or raises its exception."""
+    as_list = np.asarray(values, dtype=float).ravel().tolist()
+    assert _fsum_outcome(_fsum, values) == _fsum_outcome(math.fsum, as_list)
 
 
 class TestLogSumExp:

@@ -574,6 +574,13 @@ class TestStationary:
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestRandomMarkov:
+    @pytest.mark.parametrize("concentration", [0.0, -0.5, math.inf, math.nan])
+    def test_non_positive_concentration_is_named(self, rng, concentration):
+        with pytest.raises(ValueError, match="concentration must be a positive finite number"):
+            sc.MarkovModel.random(sc.make_spec(3, 4), 1, rng, concentration=concentration)
+
+
 class TestSerialization:
     def test_round_trip_preserves_scores(self, rng):
         probe_rng = np.random.default_rng(0)
