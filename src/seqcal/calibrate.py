@@ -8,11 +8,13 @@ Two tilt families around a base model B:
 Fitting minimizes CE(target || B_a) over the scalar a.  The objective is
 convex: its derivative is the feature-mean mismatch between the tilted
 model and the target, and its second derivative is the tilted feature
-variance divided by T.  The optimizer is a safeguarded Newton on these
-exact derivatives, with bisection fallback inside a bracket grown
-geometrically from [-1, 1].  At the optimum the tilted model matches the
-target's feature mean, which is the calibration property everything else
-builds on.
+variance divided by T.  The optimizer is Newton's method on these exact
+derivatives, started at a = 0 and kept inside the bracket its probes'
+gradient signs give: it bisects a closed bracket when Newton's step
+leaves it, and doubles |a| outward (by at least 1) while the bracket is
+open and Newton's steps stop shrinking.  At the optimum the tilted model
+matches the target's feature mean, which is the calibration property
+everything else builds on.
 
 The entropy-rate calibration specializes the global tilt to
 f = log of the uniform-mixture-floored base, so the tilted family is the
@@ -69,7 +71,8 @@ class CalibrationResult:
     ``mu_target`` / ``mu_tilted`` are the matched feature means: the raw
     sequence-functional mean for the global tilt, the per-step average
     (1/T sum over steps) for per-step tilts.  ``trace`` records every
-    (alpha, gradient) probe of the optimizer.
+    (alpha, gradient) probe of the optimizer in order, from alpha = 0 to
+    alpha_star; ``n_iterations`` is their number.
     """
 
     alpha_star: float
@@ -96,85 +99,53 @@ class CalibrationResult:
 
 
 def _minimize_convex(evaluate, stop):
-    """Safeguarded Newton for a convex 1-d objective given by its derivatives.
+    """Newton's method for a convex 1-d objective given by its derivatives.
 
     `evaluate(x)` returns a dict with at least ``g`` (gradient) and ``c``
-    (curvature >= 0); `stop(info)` decides convergence.  Newton steps are
-    constrained to a sign-changing bracket grown by doubling from
-    [-1, 1], at most 60 times per side; out-of-bracket or degenerate
-    steps fall back to bisection, for at most 300 steps.
+    (curvature >= 0); `stop(info)` is checked on every probe.  Probes
+    start at x = 0, and each becomes the lower end of the bracket
+    [lo, hi] if its gradient is negative, else the upper end; both ends
+    start open.  A closed bracket takes Newton's step if it lands
+    strictly inside, else bisects.  An open bracket takes Newton's step
+    while it is under half the previous one and under max(|x|, 1), else
+    moves x outward by max(|x|, 1): plain Newton crawls on a saturating
+    tail, where g / c stays constant.  The loop also returns once
+    Newton's step or the next step is at most 1e-15 * max(|x|, 1), as
+    close as double precision resolves.  A gradient of one sign past
+    |x| = 2**61 means no finite minimizer.  Returns the last probe's x
+    and info, and the info of every probe in order.
     """
     trace = []
-
-    def probe(x):
-        info = dict(evaluate(float(x)))
-        info["alpha"] = float(x)
-        trace.append(info)
-        return info
-
-    info0 = probe(0.0)
-    if stop(info0):
-        return 0.0, info0, trace
-
-    lo, hi = -1.0, 1.0
-    ilo = probe(lo)
-    if stop(ilo):
-        return lo, ilo, trace
-    ihi = probe(hi)
-    if stop(ihi):
-        return hi, ihi, trace
-
-    # Grow until the gradient changes sign across [lo, hi]; the gradient
-    # of a convex objective is nondecreasing, so a one-signed gradient at
-    # ever larger |alpha| means the objective decreases without bound.
-    for _ in range(60):
-        if ilo["g"] <= 0.0:
-            break
-        lo *= 2.0
-        ilo = probe(lo)
-        if stop(ilo):
-            return lo, ilo, trace
-    else:
-        raise CalibrationDivergenceError(
-            "objective keeps decreasing toward alpha = -inf; no finite minimizer"
-        )
-    for _ in range(60):
-        if ihi["g"] >= 0.0:
-            break
-        hi *= 2.0
-        ihi = probe(hi)
-        if stop(ihi):
-            return hi, ihi, trace
-    else:
-        raise CalibrationDivergenceError(
-            "objective keeps decreasing toward alpha = +inf; no finite minimizer"
-        )
-
-    if abs(info0["g"]) <= min(abs(ilo["g"]), abs(ihi["g"])) and lo < 0.0 < hi:
-        x, info = 0.0, info0
-    elif abs(ilo["g"]) < abs(ihi["g"]):
-        x, info = lo, ilo
-    else:
-        x, info = hi, ihi
-
+    lo, hi = -math.inf, math.inf
+    x, newton_prev = 0.0, math.inf
     for _ in range(300):
+        if abs(x) > 2.0**61:
+            raise CalibrationDivergenceError(
+                f"objective keeps decreasing toward alpha = {'+' if x > 0 else '-'}inf; "
+                "no finite minimizer"
+            )
+        info = dict(evaluate(x))
+        info["alpha"] = x
+        trace.append(info)
         if stop(info):
             return x, info, trace
-        if info["g"] < 0.0:
-            lo = max(lo, x)
+        g, c = info["g"], info["c"]
+        if g < 0.0:
+            lo = x
         else:
-            hi = min(hi, x)
-        cand = None
-        if info["c"] > 0.0:
-            step = x - info["g"] / info["c"]
-            if math.isfinite(step) and lo < step < hi:
-                cand = step
-        if cand is None:
-            cand = 0.5 * (lo + hi)
-        x = cand
-        info = probe(x)
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+            hi = x
+        newton = x - g / c if c > 0.0 else math.inf
+        if math.isfinite(hi - lo):
+            nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
+        else:
+            step = max(abs(x), 1.0)
+            if abs(newton - x) < min(0.5 * newton_prev, step):
+                nxt = newton
+            else:
+                nxt = x + step if g < 0.0 else x - step
+        if min(abs(newton - x), abs(nxt - x)) <= 1e-15 * max(1.0, abs(x)):
             return x, info, trace
+        newton_prev, x = abs(newton - x), nxt
     raise RuntimeError("calibration optimizer did not converge")
 
 
@@ -428,7 +399,6 @@ def _fit(problem, stop, mode, tolerance, base, f_descriptor, provenance, extras=
         extras={
             "mu_base": at_zero["mu"],
             "sigma2_tilted_at_opt": info["var"],
-            "sigma2_path_max": max(i["var"] for i in trace),
             **(extras(info) if extras is not None else {}),
         },
         provenance=prov,

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seqcal as sc
-from seqcal.calibrate import _step_problem, fit_per_step_tilt, tilted_variance_max
+from seqcal.calibrate import _minimize_convex, _step_problem, fit_per_step_tilt, tilted_variance_max
 from seqcal.exact import (
     FunctionalF,
     enumerate_sequences,
@@ -128,14 +129,19 @@ class TestFitAlphaGlobal:
 
     def test_optimum_at_infinity_saturates_within_tolerance(self, rng):
         # Truth concentrated on the maximizer of f: the exact optimum is
-        # at +inf, so the fit stops once the moment mismatch is within
-        # tolerance and still reports a valid improvement.
+        # at +inf, so the fit stops at its first probe whose moment
+        # mismatch is within tolerance and still reports a valid
+        # improvement.  The loose tolerance is met well before the tilted
+        # probabilities saturate in floating point, where the gradient
+        # reads 0.
         spec = sc.make_spec(2, 2)
         truth = one_hot_model(spec)
         base = sc.MarkovModel.uniform(spec)
         table = np.array([1.0, 0.0, 0.0, 0.0])
-        res = sc.fit_alpha_global(truth, base, FunctionalF.from_table(table, spec))
-        assert abs(res.gradient) <= 1e-10
+        tolerance = 1e-6
+        res = sc.fit_alpha_global(truth, base, FunctionalF.from_table(table, spec), tolerance)
+        assert abs(res.gradient) <= tolerance
+        assert all(abs(g) > tolerance for _, g in res.trace[:-1])
         assert res.alpha_star > 1.0
         assert res.objective <= res.baseline_objective + 1e-12
 
@@ -145,6 +151,96 @@ class TestFitAlphaGlobal:
         base = one_hot_model(spec)
         with pytest.raises(sc.CalibrationDivergenceError, match="support"):
             sc.fit_alpha_global(truth, base, FunctionalF.neg_log_prob(sc.MixtureModel(base, 0.1)))
+
+
+def _lse_problem(f, w, mu):
+    """Probes of obj(a) = log sum_i w_i exp(a f_i) - a mu, a tilt problem in miniature.
+
+    The gradient is the tilted mean of f minus mu and the curvature is the
+    tilted variance, both Python floats as a tilt problem returns them.
+    """
+    f, log_w, mu = np.asarray(f, dtype=float), np.log(w), float(mu)
+
+    def evaluate(a):
+        z = a * f + log_w
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        m = float(np.dot(p, f))
+        return {"g": m - mu, "c": float(np.dot(p, (f - m) ** 2))}
+
+    return evaluate
+
+
+# Integer features from [-50, 50] (their smallest gap is 1, so a
+# saturating tail is within tolerance by |a| of about 60) and weights
+# 10**U(-12, 0), so the curvature at a = 0 can be tiny.
+_families = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+    st.lists(st.floats(-12.0, 0.0).map(lambda u: 10.0**u), min_size=n, max_size=n),
+))
+
+
+class TestMinimizeConvex:
+    """The optimizer alone, on weighted log-sum-exp families.
+
+    The minimizer is finite when mu lies strictly inside the range of f,
+    at +-inf (saturating) when mu is an end of the range, and does not
+    exist when mu lies outside it.
+    """
+
+    @staticmethod
+    def stop(info):
+        return abs(info["g"]) <= 1e-10
+
+    def minimize(self, f, w, mu):
+        x, info, trace = _minimize_convex(_lse_problem(f, w, mu), self.stop)
+        assert trace[0]["alpha"] == 0.0
+        assert info is trace[-1] and x == info["alpha"] and self.stop(info)
+        assert not any(self.stop(i) for i in trace[:-1])
+        return x, trace
+
+    @settings(max_examples=300)
+    @given(_families, st.sampled_from(["inside", "max", "min"]),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_finite_or_saturating_optimum_within_24_probes(self, family, where, share):
+        f, w = family
+        assume(min(f) < max(f))
+        mu = {"inside": min(f) + share * (max(f) - min(f)), "max": max(f), "min": min(f)}[where]
+        x, trace = self.minimize(f, w, mu)
+        assert len(trace) <= 24
+        if where != "inside":
+            # The gradient keeps one sign, so the fit moves toward mu's end.
+            assert x * (1.0 if where == "max" else -1.0) >= 0.0
+
+    @settings(max_examples=20)
+    @given(_families)
+    def test_flat_gradient_stops_at_the_first_probe(self, family):
+        f, w = family
+        x, trace = self.minimize([f[0]] * len(f), w, f[0])
+        assert x == 0.0 and len(trace) == 1
+
+    @settings(max_examples=60)
+    @given(_families, st.booleans(), st.floats(1e-6, 50.0))
+    def test_one_signed_gradient_diverges(self, family, above, gap):
+        f, w = family
+        mu = max(f) + gap if above else min(f) - gap
+        toward = "alpha = +inf" if above else "alpha = -inf"
+        with pytest.raises(sc.CalibrationDivergenceError, match=re.escape(toward)):
+            _minimize_convex(_lse_problem(f, w, mu), self.stop)
+
+    def test_one_sided_newton_at_zero_tolerance_stops_at_the_resolution(self):
+        # With f in {0, 50} and mu below the mean 25, the gradient is
+        # convex on the way down, so Newton's iterates approach the root
+        # from above and the bracket stays open.  A gradient of exactly 0
+        # is rarely reached, so the fit must stop once Newton's step is
+        # below what double precision resolves instead of re-probing the
+        # same alpha.
+        for mu in np.linspace(0.0, 25.0, 101)[1:-1]:
+            problem = _lse_problem([0, 50], [1, 1], mu)
+            x, info, trace = _minimize_convex(problem, lambda i: i["g"] == 0.0)
+            assert info is trace[-1] and x == info["alpha"] < 0.0
+            assert info["g"] == 0.0 or abs(info["g"] / info["c"]) <= 1e-15 * max(1.0, abs(x))
+            assert len(trace) <= 16, mu
 
 
 class TestEntropyRateCalibration:
