@@ -164,6 +164,8 @@ def fit_limited_memory(
     (``empirical-ngram``); contexts never observed get (with positive
     smoothing) the uniform row.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     if isinstance(source, ConditionalModel):
         return marginalize_to_window(source, window, budget)
     if spec is None:
@@ -304,6 +306,8 @@ def prediction_joint(
     :func:`seqcal.exact.conditional_mi_exact` yields the exact memory at
     gap tau for this step.
     """
+    if predictor.spec != truth.spec:
+        raise ValueError("models must share the same sequence spec")
     if not 1 <= t <= truth.spec.T:
         raise ValueError(f"step t must lie in 1..{truth.spec.T}")
     if tau < 1:
@@ -349,6 +353,8 @@ def memory_bound(
         if tau is None:
             raise ValueError("tau is required when the comparator has no window")
     tau = int(tau)
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
     if t_policy == "average":
         steps = tuple(range(min(tau + 1, T), T + 1))
     elif isinstance(t_policy, int) and not isinstance(t_policy, bool):

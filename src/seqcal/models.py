@@ -10,8 +10,8 @@ through its per-step conditional distributions.  Concrete families:
   last ``window`` tokens of the context.
 * :class:`MixtureModel` -- sequence-level mixture with the uniform
   distribution over all ``M**T`` sequences.  The mixture does not factor
-  per step; conditionals are exact ratios of prefix probabilities, and
-  the state carries the base prefix's log-probability.
+  per step; the state carries the log-odds that the prefix came from the
+  base rather than from uniform.
 * :class:`PerTokenMixture` -- mixes each conditional row with uniform
   instead.  This is a different distribution from :class:`MixtureModel`
   and is provided for comparison only.
@@ -420,54 +420,68 @@ class LimitedMemoryModel(MarkovModel):
         }
 
 
+def _unit_interval(value, name: str) -> float:
+    """`value` as a float; ValueError naming `name` unless it lies in [0, 1]."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _floor(base_rows: np.ndarray, w_base, w_uniform, M: int) -> np.ndarray:
+    """``w_base * base_rows + w_uniform / M`` for scalar or (n, 1) weights."""
+    # `w_uniform` is divided in place, so an array passed there must be a
+    # fresh one the caller owns.  No other (n, M) temporary is made: on
+    # the exact walks, that sets the peak memory.
+    out = base_rows * w_base
+    w_uniform /= M
+    out += w_uniform
+    return out
+
+
 class MixtureModel(ConditionalModel):
     """Sequence-level mixture (1-gamma) * base + gamma * Uniform([M]^T).
 
-    The mixture is defined on whole sequences and does not factor across
-    steps.  Conditionals are exact ratios of prefix probabilities,
-
-        P(w_t | w_{<t}) = [(1-g) B(w_{1:t}) + g M^{-t}]
-                        / [(1-g) B(w_{<t}) + g M^{-(t-1)}],
-
-    so the state carries the base prefix's log-probability log B(w_{<t})
-    next to the base state and its rows.
+    The mixture does not factor across steps.  Its conditional is the
+    base row floored by the posterior share of uniform, ``s(l) b + s(-l) / M``
+    with s the logistic function.  The state carries, next to the base
+    state and rows, the log-odds l of base against uniform given the
+    prefix: ``log((1-g)/g)`` at first, plus ``log b(x) + log M`` per token x.
     """
 
     kind = "mixture"
 
     def __init__(self, base: ConditionalModel, gamma: float):
         super().__init__(base.spec)
-        gamma = float(gamma)
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         self.base = base
-        self.gamma = gamma
+        self.gamma = _unit_interval(gamma, "gamma")
+        with np.errstate(divide="ignore"):
+            self._prior_log_odds = float(np.log1p(-self.gamma) - np.log(self.gamma))
 
     def init_state(self, n: int):
         base_state = self.base.init_state(n)
-        return 0, base_state, np.zeros(n), self.base.rows(base_state)
+        return base_state, np.full(n, self._prior_log_odds), self.base.rows(base_state)
 
     def advance(self, state, tokens):
-        t, base_state, lp, base_rows = state
-        with np.errstate(divide="ignore"):
-            lp = lp + np.log(pick(base_rows, tokens))
+        base_state, log_odds, base_rows = state
+        # At gamma = 0 a zero base entry makes inf - inf; rows ignores it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_odds = log_odds + np.log(pick(base_rows, tokens)) + math.log(self.spec.M)
         base_state = self.base.advance(base_state, tokens)
-        return t + 1, base_state, lp, self.base.rows(base_state)
+        return base_state, log_odds, self.base.rows(base_state)
 
     def rows(self, state) -> np.ndarray:
-        t, _, lp, base_rows = state
-        M = self.spec.M
+        _, log_odds, base_rows = state
         if self.gamma == 0.0:
             return base_rows
-        if self.gamma == 1.0:
-            return np.full((lp.shape[0], M), 1.0 / M)
-        log1mg, logg, logM = math.log1p(-self.gamma), math.log(self.gamma), math.log(M)
-        with np.errstate(divide="ignore"):
-            log_num = np.logaddexp(
-                log1mg + lp[:, None] + np.log(base_rows), logg - (t + 1) * logM
-            )
-        log_den = np.logaddexp(log1mg + lp, logg - t * logM)
-        return np.exp(log_num - log_den[:, None])
+        # s(l) and s(-l) as exp(min(l, 0)) and exp(min(-l, 0)) over their
+        # sum: neither exponential overflows, and s(-l) keeps its digits
+        # when s(l) rounds to 1.
+        to_base = np.exp(np.minimum(log_odds, 0.0))
+        to_uniform = np.exp(np.minimum(-log_odds, 0.0))
+        total = to_base + to_uniform
+        return _floor(base_rows, (to_base / total)[:, None], (to_uniform / total)[:, None],
+                      self.spec.M)
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -484,11 +498,8 @@ class PerTokenMixture(ConditionalModel):
 
     def __init__(self, base: ConditionalModel, gamma: float):
         super().__init__(base.spec)
-        gamma = float(gamma)
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         self.base = base
-        self.gamma = gamma
+        self.gamma = _unit_interval(gamma, "gamma")
 
     def init_state(self, n: int):
         return self.base.init_state(n)
@@ -497,7 +508,7 @@ class PerTokenMixture(ConditionalModel):
         return self.base.advance(state, tokens)
 
     def rows(self, state) -> np.ndarray:
-        return (1.0 - self.gamma) * self.base.rows(state) + self.gamma / self.spec.M
+        return _floor(self.base.rows(state), 1.0 - self.gamma, self.gamma, self.spec.M)
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -521,11 +532,8 @@ class DriftModel(ConditionalModel):
         super().__init__(base.spec)
         if switch_prob is None:
             switch_prob = 1.0 / base.spec.T
-        switch_prob = float(switch_prob)
-        if not 0.0 <= switch_prob <= 1.0:
-            raise ValueError(f"switch probability must lie in [0, 1], got {switch_prob}")
         self.base = base
-        self.switch_prob = switch_prob
+        self.switch_prob = _unit_interval(switch_prob, "switch probability")
 
     def init_state(self, n: int):
         base_state = self.base.init_state(n)
@@ -546,7 +554,7 @@ class DriftModel(ConditionalModel):
         if self.switch_prob == 0.0:
             return base_rows
         beta_f = q * (1.0 - self.switch_prob)
-        return beta_f[:, None] * base_rows + ((1.0 - beta_f) / self.spec.M)[:, None]
+        return _floor(base_rows, beta_f[:, None], (1.0 - beta_f)[:, None], self.spec.M)
 
     def params_dict(self) -> dict:
         return {"switch_prob": self.switch_prob, "base": model_to_dict(self.base)}

@@ -80,6 +80,15 @@ class TestFitLimitedMemory:
         with pytest.raises(ValueError, match="vocabulary"):
             sc.fit_limited_memory(samples, 1, spec=spec)
 
+    def test_window_below_one_rejected_in_both_modes(self, rng):
+        truth = random_markov(rng, 2, 4, 1)
+        samples = truth.sample_batch(20, rng)
+        for window in (0, -1):
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                sc.fit_limited_memory(truth, window)
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                sc.fit_limited_memory(samples, window, spec=truth.spec)
+
     def test_spec_required_for_empirical(self):
         with pytest.raises(ValueError, match="spec"):
             sc.fit_limited_memory(np.zeros((100, 3), dtype=int), 1)
@@ -196,6 +205,13 @@ class TestMemoryBound:
         assert est.steps == [5]
         assert est.bound >= est.exact_mi - 1e-9
 
+    def test_tau_below_one_rejected(self, rng):
+        truth = random_markov(rng, 2, 4, 2)
+        comparator = sc.fit_limited_memory(truth, 1)
+        for tau in (0, -1):
+            with pytest.raises(ValueError, match="tau must be >= 1"):
+                sc.memory_bound(truth, truth, comparator, tau=tau)
+
     def test_mc_mode_agrees_with_exact(self, rng):
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
@@ -295,6 +311,12 @@ class TestPredictionJoint:
         joint = sc.prediction_joint(truth, truth, tau=3, t=3)
         assert joint.shape == (2, 4, 1)
         assert sc.conditional_mi_exact(joint) == pytest.approx(0.0, abs=1e-12)
+
+    def test_predictor_must_share_the_spec(self, rng):
+        truth = random_markov(rng, 2, 5, 2)
+        for predictor in (random_markov(rng, 3, 5, 1), random_markov(rng, 2, 7, 1)):
+            with pytest.raises(ValueError, match="models must share the same sequence spec"):
+                sc.prediction_joint(truth, predictor, tau=1, t=4)
 
     def test_budget(self, rng):
         truth = random_markov(rng, 2, 5, 2)

@@ -1,12 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqcal as sc
-from seqcal.exact import prefix_expansion, sample_expansion, sequence_log_probs
+from seqcal.exact import (
+    enumerate_sequences,
+    prefix_expansion,
+    sample_expansion,
+    sequence_log_probs,
+)
 from seqcal.models import _sample_rows, model_dumps, model_loads, pick, row_entropies
 
 from conftest import all_seqs, model_probs, one_hot_model, random_markov
@@ -349,6 +355,9 @@ class TestInvariants:
 
     @settings(max_examples=25, deadline=None)
     @given(gamma=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    @example(gamma=0.0, seed=0)
+    @example(gamma=1.0, seed=0)
+    @example(gamma=5e-324, seed=0)
     def test_mixture_sequence_identity(self, gamma, seed):
         rng = np.random.default_rng(seed)
         base = random_markov(rng, 2, 3, 1)
@@ -357,6 +366,43 @@ class TestInvariants:
         for w in all_seqs(2, 3):
             direct = (1 - gamma) * math.exp(base.seq_log_prob(w)) + gamma * uni
             assert math.exp(mix.seq_log_prob(w)) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1e-9, 0.05, 0.5, 0.999])
+    def test_mixture_lattice_matches_definition(self, gamma):
+        # Every sequence of a peaked base: (1-g) B(w) + g M^-T, to 1e-13
+        # relative.  The log-odds must gain log M per token to get there.
+        M, T = 3, 7
+        base = random_markov(np.random.default_rng(17), M, T, 1, concentration=0.3)
+        mixed = np.exp(sequence_log_probs(sc.MixtureModel(base, gamma)))
+        direct = (1 - gamma) * np.exp(base.seq_log_prob_batch(enumerate_sequences(M, T)))
+        direct += gamma * float(M) ** -T
+        assert np.max(np.abs(mixed - direct) / direct) <= 1e-13
+
+    def test_mixture_floor_survives_a_long_certain_prefix(self):
+        # A base sure of every drawn token drives the uniform posterior
+        # towards 0, yet it stays positive for hundreds of steps: at
+        # gamma = 0.05 and M = 4 a posterior kept as a probability rounds
+        # to 1 after 25 steps and floors the zero entries at 0.
+        spec = sc.make_spec(4, 256)
+        mix = sc.MixtureModel(one_hot_model(spec), 0.05)
+        state = mix.init_state(1)
+        for t in range(spec.T):
+            if t:
+                state = mix.advance(state, np.zeros(1, dtype=np.int64))
+            assert np.all(mix.rows(state) > 0.0)
+
+    def test_mixture_of_a_vanishing_base_is_uniform(self):
+        # Base entries of 1e-200 send the log-odds below -900 after two
+        # tokens, where exp(-l) overflows: rows must come out uniform
+        # without a RuntimeWarning.
+        M = 4
+        row = np.array([[1e-200, 1e-200, 1e-200, 1.0]])
+        base = sc.MarkovModel(sc.make_spec(M, 6), 0, [row])
+        mix = sc.MixtureModel(base, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = mix.next_dist_batch(np.zeros((1, 5), dtype=np.int64))
+        np.testing.assert_array_equal(rows, np.full((1, M), 1.0 / M))
 
     def test_per_token_mixture_differs_from_sequence_mixture(self, rng):
         base = random_markov(rng, 2, 3, 1)
