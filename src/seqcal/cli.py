@@ -37,7 +37,7 @@ from .calibrate import (
     calibrate_entropy_rate,
     fit_alpha_local,
 )
-from .estimate import _unit_scale, drift_curve, drift_curve_exact, ent_rate_gap
+from .estimate import _unit_scale, cross_entropy_mc, drift_curve, drift_curve_exact, ent_rate_gap
 from .exact import (
     BudgetExceededError,
     EnumerationBudget,
@@ -202,6 +202,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("epsilon", f"must lie in (0, 1), got {cfg.epsilon}")
     if cfg.prefix_len >= cfg.T:
         raise ConfigError("prefix_len", f"must be < T = {cfg.T}")
+    if cfg.pipeline == "memory" and max(cfg.tau) >= cfg.T:
+        raise ConfigError("tau", f"memory gaps must be < T = {cfg.T}, got {cfg.tau}")
     if t_policy != "average" and not 1 <= t_policy <= cfg.T:
         raise ConfigError("t_policy", f"step must lie in 1..{cfg.T}, got {t_policy}")
     return cfg
@@ -305,26 +307,17 @@ def _sample_prefixes(cfg: ExperimentConfig, truth: ConditionalModel):
 
 
 def _pipeline_drift(cfg, truth, model, budget):
-    prefixes = _sample_prefixes(cfg, truth)
     curve = drift_curve(
         model,
         cfg.n_gen,
         named_stream(cfg.seed, "drift"),
-        prefixes=prefixes,
+        prefixes=_sample_prefixes(cfg, truth),
         provenance=_seed_prov(cfg, "drift"),
     )
-    gap = ent_rate_gap(
-        model,
-        cfg.n_gen,
-        named_stream(cfg.seed, "ent-rate-gap"),
-        true_model=truth,
-        n_ce=cfg.n_samples,
-        prefixes=prefixes,
-        provenance=_seed_prov(cfg, "ent-rate-gap"),
-    )
+    ce = cross_entropy_mc(truth, model, cfg.n_samples, named_stream(cfg.seed, "ent-rate-gap"))
     artifacts = {
         "drift_curve.json": _json_bytes(curve.to_dict()),
-        "ent_rate_gap.json": _json_bytes(gap.to_dict()),
+        "ent_rate_gap.json": _json_bytes(ent_rate_gap(curve, ce).to_dict()),
     }
     if cfg.format == "csv":
         artifacts["drift_curve.csv"] = curve.to_csv_text(cfg.units).encode("utf-8")

@@ -6,7 +6,10 @@ calibrated model produces a flat curve, a miscalibrated one drifts.  The
 per-step statistic is the exact entropy of the model's conditional
 M-vector at the sampled prefix (only the prefix is random), which has
 the same expectation as the sampled token's surprisal but strictly lower
-variance.
+variance.  :func:`drift_curve_exact` is its exact counterpart, one walk
+of :func:`seqcal.exact.prefix_expansion` over the seeded lattice.
+:func:`ent_rate_gap` reads the endpoints of a given curve; its early
+value is a cross-entropy estimate on real data when one is passed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exact import DEFAULT_BUDGET, EnumerationBudget, _fsum, _grow_prefixes
+from .exact import EnumerationBudget, _fsum, prefix_expansion
 from .models import ConditionalModel, _try_model_hash, check_tokens, row_entropies
 
 
@@ -80,14 +83,10 @@ class DriftCurve:
 
     def to_dict(self) -> dict:
         return {
-            "steps": [int(t) for t in self.steps],
-            "means": [float(m) for m in self.means],
-            "stderrs": [float(s) for s in self.stderrs],
-            "n_generations": self.n_generations,
-            "prefix_policy": self.prefix_policy,
-            "t_max": self.t_max,
-            "mode": self.mode,
-            "provenance": self.provenance,
+            **asdict(self),
+            "steps": self.steps.tolist(),
+            "means": self.means.tolist(),
+            "stderrs": self.stderrs.tolist(),
         }
 
 
@@ -105,16 +104,7 @@ class EntRateGap:
     curve: DriftCurve
 
     def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "start_stderr": self.start_stderr,
-            "end": self.end,
-            "end_stderr": self.end_stderr,
-            "gap": self.gap,
-            "gap_stderr": self.gap_stderr,
-            "start_source": self.start_source,
-            "curve": self.curve.to_dict(),
-        }
+        return {**asdict(self), "curve": self.curve.to_dict()}
 
 
 def cross_entropy_mc(
@@ -187,6 +177,8 @@ def drift_curve(
         pfx = check_tokens(prefixes, model.spec.M)
         if pfx.ndim == 1:
             pfx = pfx[None, :]
+        if pfx.shape[0] == 0:
+            raise ValueError("the seed prefix pool is empty")
         if pfx.shape[1] >= T:
             raise ValueError("seed prefixes must be shorter than the sequence")
         start = pfx.shape[1]
@@ -210,6 +202,34 @@ def drift_curve(
     )
 
 
+class _SeededWalk(ConditionalModel):
+    """`model` continuing prefixes whose first `prefix_len` tokens `seeder` drew.
+
+    Rows of prefixes shorter than `prefix_len` are the seeder's and later
+    ones the model's.  The state is (prefix length, model state, seeder
+    state); the seeder's state is None once the model drives.
+    """
+
+    def __init__(self, model: ConditionalModel, seeder: ConditionalModel, prefix_len: int):
+        super().__init__(model.spec)
+        self.model, self.seeder, self.prefix_len = model, seeder, prefix_len
+
+    def init_state(self, n: int):
+        return 0, self.model.init_state(n), self.seeder.init_state(n)
+
+    def advance(self, state, tokens):
+        length, model_state, seeder_state = state
+        seeded = length + 1 < self.prefix_len
+        seeder_state = self.seeder.advance(seeder_state, tokens) if seeded else None
+        return length + 1, self.model.advance(model_state, tokens), seeder_state
+
+    def rows(self, state) -> np.ndarray:
+        length, model_state, seeder_state = state
+        if length < self.prefix_len:
+            return self.seeder.rows(seeder_state)
+        return self.model.rows(model_state)
+
+
 def drift_curve_exact(
     model: ConditionalModel,
     budget: EnumerationBudget | None = None,
@@ -226,32 +246,21 @@ def drift_curve_exact(
     zero.  With no seeding this is the model's pure self-generation
     curve.
     """
-    T, M = model.spec.T, model.spec.M
+    T = model.spec.T
     if not 0 <= prefix_len < T:
         raise ValueError(f"prefix_len must lie in 0..{T - 1}")
     seeder = seed_model if seed_model is not None else model
     if seeder.spec != model.spec:
         raise ValueError("seed model must share the sequence spec")
-    (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
-    t_max = T if t_max is None else int(t_max)
-    if not prefix_len < t_max <= T:
-        raise ValueError(f"t_max must lie in {prefix_len + 1}..{T}, got {t_max}")
+    t_max = T if t_max is None else t_max
+    if t_max != int(t_max) or not prefix_len < t_max <= T:
+        raise ValueError(f"t_max must be an integer in {prefix_len + 1}..{T}, got {t_max}")
 
-    # The model's states ride along the seeder's lattice until the model
-    # drives the walk after the seed; the seeder's states are then dropped.
-    models = (model,) if seeder is model else (model, seeder)
-    states = tuple(m.init_state(1) for m in models)
+    walk = model if seeder is model else _SeededWalk(model, seeder, prefix_len)
     means = np.empty(T - prefix_len)
-    weights = np.ones(1)
-    for t in range(1, T + 1):
-        if t <= prefix_len:
-            rows = seeder.rows(states[-1])
-        else:
-            models, states = models[:1], states[:1]
-            rows = model.rows(states[0])
+    for t, _, weights, rows in prefix_expansion(walk, budget):
+        if t > prefix_len:
             means[t - 1 - prefix_len] = _fsum(weights * row_entropies(rows))
-        if t < T:
-            states, weights = _grow_prefixes(models, states, weights, rows)
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_model_hash(model))
     return DriftCurve(
@@ -260,32 +269,21 @@ def drift_curve_exact(
         stderrs=np.zeros(T - prefix_len),
         n_generations=0,
         prefix_policy="exact" if prefix_len == 0 else f"exact-seeded(length {prefix_len})",
-        t_max=t_max,
+        t_max=int(t_max),
         mode="exact",
         provenance=prov,
     )
 
 
-def ent_rate_gap(
-    model: ConditionalModel,
-    n_gen: int,
-    rng: np.random.Generator,
-    true_model: ConditionalModel | None = None,
-    n_ce: int | None = None,
-    prefixes: np.ndarray | None = None,
-    provenance: dict | None = None,
-) -> EntRateGap:
-    """Early/late entropy of generations and their gap.
+def ent_rate_gap(curve: DriftCurve, ce: McEstimate | None = None) -> EntRateGap:
+    """Early/late entropy of a model's generations and their gap.
 
-    The late value is the drift-curve mean at the final step.  The early
-    value is the model's cross entropy against `true_model` (Monte Carlo)
-    when a truth is supplied, else the curve's first point.
+    The late value is `curve`'s last point.  The early value is `ce`,
+    the model's cross entropy on real data (as from
+    :func:`cross_entropy_mc`), when given, else the curve's first point.
     """
-    curve = drift_curve(model, n_gen, rng, prefixes=prefixes, provenance=provenance)
-    end = float(curve.means[-1])
-    end_se = float(curve.stderrs[-1])
-    if true_model is not None:
-        ce = cross_entropy_mc(true_model, model, n_ce or n_gen, rng, provenance=provenance)
+    end, end_se = float(curve.means[-1]), float(curve.stderrs[-1])
+    if ce is not None:
         start, start_se, source = ce.value, ce.stderr, "cross_entropy_mc"
     else:
         start, start_se, source = float(curve.means[0]), float(curve.stderrs[0]), "curve_start"

@@ -133,11 +133,7 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     """log(sum(exp(a))), max-shifted; handles -inf blocks cleanly."""
     a = np.asarray(a, dtype=float)
     if axis is None:
-        m = float(np.max(a)) if a.size else -math.inf
-        if not math.isfinite(m):
-            return m
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.sum(np.exp(a - m))) + m)
+        return float(logsumexp(a.reshape(-1), axis=0))
     m = np.max(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
@@ -165,22 +161,6 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
     return lp
 
 
-def _grow_prefixes(models, states, weights: np.ndarray, rows: np.ndarray):
-    """One lattice step: extend every prefix by every token.
-
-    Takes a level's n prefixes as the batch states of `models`, their
-    probabilities and the driving model's (n, M) rows there.  Each state
-    is repeated M times and advanced by the tiled tokens, so prefix i
-    followed by token j becomes prefix i*M + j of the next level
-    (lexicographic order).  Returns the new states and probabilities.
-    """
-    n, M = rows.shape
-    idx = np.repeat(np.arange(n), M)
-    tokens = np.tile(np.arange(M, dtype=np.int64), n)
-    states = tuple(m.advance(take_state(s, idx), tokens) for m, s in zip(models, states))
-    return states, (weights[:, None] * rows).reshape(-1)
-
-
 def prefix_expansion(
     model: "ConditionalModel",
     budget: EnumerationBudget | None = None,
@@ -195,8 +175,9 @@ def prefix_expansion(
     their probabilities under `model` and ``next_rows`` its rows there.
     The budget is checked against M**last states.
     """
+    M = model.spec.M
     last = model.spec.T if last is None else last
-    (budget or DEFAULT_BUDGET).check(model.spec.M**last, "prefix enumeration")
+    (budget or DEFAULT_BUDGET).check(M**last, "prefix enumeration")
     models = (model, *others)
     states = tuple(m.init_state(1) for m in models)
     weights = np.ones(1)
@@ -204,7 +185,16 @@ def prefix_expansion(
         rows = model.rows(states[0])
         yield t, states, weights, rows
         if t < last:
-            states, weights = _grow_prefixes(models, states, weights, rows)
+            # Prefix i followed by token j becomes prefix i*M + j.  The old
+            # level is released only once the new one is built, and the
+            # index arrays are not held across the next yield.
+            idx = np.repeat(np.arange(weights.size), M)
+            tokens = np.tile(np.arange(M, dtype=np.int64), weights.size)
+            states, weights = (
+                tuple(m.advance(take_state(s, idx), tokens) for m, s in zip(models, states)),
+                (weights[:, None] * rows).reshape(-1),
+            )
+            del idx, tokens
 
 
 def sample_expansion(

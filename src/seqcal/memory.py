@@ -31,7 +31,7 @@ empirical distribution, instead of the truth's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -243,23 +243,9 @@ class MemoryEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "tau": self.tau,
-            "ce_comparator": self.ce_comparator,
-            "cond_entropy": self.cond_entropy,
-            "bound": self.bound,
-            "alpha_star": self.alpha_star,
-            "exact_mi": self.exact_mi,
+            **asdict(self),
             "t_policy": str(self.t_policy),
-            "steps": list(self.steps),
             "per_step": {str(t): v for t, v in self.per_step.items()},
-            "mode": self.mode,
-            "valid": self.valid,
-            "ce_stderr": self.ce_stderr,
-            "cond_entropy_stderr": self.cond_entropy_stderr,
-            "bound_stderr": self.bound_stderr,
-            "n_samples": self.n_samples,
-            "calibration": None if self.calibration is None else self.calibration.to_dict(),
-            "provenance": self.provenance,
         }
 
 

@@ -271,8 +271,8 @@ def test_criterion_8_estimator_consistency():
             )
         )
 
-        gap = sc.ent_rate_gap(model, n, sc.named_stream(7, seed_name + "-gap"),
-                              true_model=truth)
+        g = sc.named_stream(7, seed_name + "-gap")
+        gap = sc.ent_rate_gap(sc.drift_curve(model, n, g), sc.cross_entropy_mc(truth, model, n, g))
         exact_gap = exact_curve.means[-1] - ce_exact
         ok &= abs(gap.gap - exact_gap) <= 4 * max(gap.gap_stderr, 1e-12)
         return ok

@@ -114,6 +114,15 @@ class TestPipelines:
         assert manifest["config_hash"] == cfg.config_hash()
         assert "drift_curve.csv" in manifest["artifacts"]
 
+    def test_ent_rate_gap_reads_the_written_curve(self, tmp_path):
+        cfg = parse_config({**BASE_CONFIG, "out": str(tmp_path / "run")})
+        code, outdir = run(cfg)
+        assert code == 0
+        curve = json.loads((outdir / "drift_curve.json").read_text())
+        gap = json.loads((outdir / "ent_rate_gap.json").read_text())
+        assert gap["curve"] == curve
+        assert (gap["end"], gap["end_stderr"]) == (curve["means"][-1], curve["stderrs"][-1])
+
     def test_drift_flat_for_truth_model(self, tmp_path):
         cfg = parse_config({
             **BASE_CONFIG,
@@ -266,6 +275,18 @@ class TestMainEntry:
         assert main(["drift", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert "config key 'true_model': concentration must be a positive finite number" in err
+
+    @pytest.mark.parametrize("T, tau, code", [
+        (4, [1, 3, 5], 2),
+        (2, [1, 2], 2),
+        (1, [1], 2),
+        (4, [3], 0),
+    ])
+    def test_memory_gap_must_be_below_T(self, tmp_path, capsys, T, tau, code):
+        cfg = write_config(tmp_path, {"M": 2, "T": T, "tau": tau, "prefix_len": 0})
+        assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "m")]) == code
+        if code == 2:
+            assert "config key 'tau'" in capsys.readouterr().err
 
     def test_budget_exceeded_maps_to_3(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 10, "T": 10, "pipeline": "drift",

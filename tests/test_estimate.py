@@ -4,8 +4,36 @@ import numpy as np
 import pytest
 
 import seqcal as sc
+import seqcal.estimate
 
-from conftest import one_hot_model, random_markov, random_pair, stationary_sharp_truth
+from conftest import (
+    all_seqs,
+    count_advance,
+    one_hot_model,
+    random_markov,
+    random_pair,
+    stationary_sharp_truth,
+)
+
+
+def seeded_curve_oracle(model, seeder, prefix_len):
+    """E[H(model(.|w_{<t}))] for t > prefix_len, from next_dist products.
+
+    The first `prefix_len` tokens are drawn from `seeder` and the rest
+    from `model`.
+    """
+    M, T = model.spec.M, model.spec.T
+    means = []
+    for t in range(prefix_len + 1, T + 1):
+        terms = []
+        for w in all_seqs(M, t - 1):
+            p = 1.0
+            for s in range(t - 1):
+                p *= float((seeder if s < prefix_len else model).next_dist(w[:s])[w[s]])
+            row = model.next_dist(w)
+            terms.append(-p * math.fsum(x * math.log(x) for x in row if x > 0.0))
+        means.append(math.fsum(terms))
+    return np.array(means)
 
 
 class TestCrossEntropyMc:
@@ -96,6 +124,11 @@ class TestDriftCurve:
         with pytest.raises(ValueError):
             curve.at_step(2)
 
+    def test_empty_prefix_pool_rejected(self, rng):
+        model, _ = random_pair(rng, M=3, T=4, order=1)
+        with pytest.raises(ValueError, match="prefix pool is empty"):
+            sc.drift_curve(model, 8, sc.named_stream(1, "drift"), prefixes=np.empty((0, 2), int))
+
     def test_csv_round_trip_values(self, rng):
         model, _ = random_pair(rng, M=2, T=3, order=0)
         curve = sc.drift_curve(model, 32, sc.named_stream(10, "drift"))
@@ -105,12 +138,66 @@ class TestDriftCurve:
         assert float(first[1]) == curve.means[0]  # repr round-trips exactly
 
 
+class TestDriftCurveExact:
+    @pytest.mark.parametrize("M, T, wrap", [
+        (2, 5, lambda base: sc.DriftModel(base, 0.3)),
+        (3, 4, lambda base: sc.MixtureModel(base, 0.1)),
+        (2, 3, lambda base: base),
+    ], ids=["drift", "mixture", "markov"])
+    def test_seeded_curve_matches_enumeration_oracle(self, rng, M, T, wrap):
+        seeder = random_markov(rng, M, T, 1, concentration=0.8)
+        model = wrap(random_markov(rng, M, T, 2))
+        for prefix_len in range(T):
+            curve = sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
+            assert curve.steps.tolist() == list(range(prefix_len + 1, T + 1))
+            np.testing.assert_allclose(
+                curve.means, seeded_curve_oracle(model, seeder, prefix_len), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("prefix_len", [0, 1, 3])
+    def test_one_walk_and_the_seeder_dropped_after_the_seed(self, rng, monkeypatch, prefix_len):
+        # One prefix_expansion; the model advances once per level and the
+        # seeder only while the next prefix is still shorter than the seed.
+        seeder = random_markov(rng, 2, 5, 1)
+        model = sc.DriftModel(random_markov(rng, 2, 5, 1), 0.3)
+        calls = []
+        walk = seqcal.estimate.prefix_expansion
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(seqcal.estimate, "prefix_expansion", counted)
+        model_steps, seeder_steps = count_advance(model), count_advance(seeder)
+        sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
+        assert len(calls) == 1
+        assert model_steps[0] == 4
+        assert seeder_steps[0] == max(prefix_len - 1, 0)
+
+    @pytest.mark.parametrize("t_max", [2.5, 0, 6])
+    def test_t_max_must_be_an_integer_step(self, rng, t_max):
+        model, _ = random_pair(rng, M=2, T=5, order=1)
+        with pytest.raises(ValueError, match="t_max"):
+            sc.drift_curve_exact(model, t_max=t_max)
+
+
 class TestEntRateGap:
+    def test_reads_the_given_curve_and_estimate(self, rng):
+        truth, model = random_pair(rng, M=3, T=4, order=1)
+        curve = sc.drift_curve(model, 64, sc.named_stream(14, "drift"))
+        ce = sc.cross_entropy_mc(truth, model, 64, sc.named_stream(14, "ce"))
+        gap = sc.ent_rate_gap(curve, ce)
+        assert gap.curve is curve
+        assert (gap.start, gap.start_stderr) == (ce.value, ce.stderr)
+        assert (gap.end, gap.end_stderr) == (curve.means[-1], curve.stderrs[-1])
+        assert gap.start_source == "cross_entropy_mc"
+
     def test_truth_model_has_no_gap(self, rng):
         # A step-homogeneous truth: every conditional equals its entropy
         # rate, so the CE endpoint and the late generation entropy agree.
         truth = random_markov(rng, 3, 6, 0, concentration=0.8)
-        gap = sc.ent_rate_gap(truth, 8192, sc.named_stream(11, "gap"), true_model=truth)
+        g = sc.named_stream(11, "gap")
+        gap = sc.ent_rate_gap(sc.drift_curve(truth, 8192, g), sc.cross_entropy_mc(truth, truth, 8192, g))
         assert abs(gap.gap) <= 3 * max(gap.gap_stderr, 1e-12)
 
     def test_drift_model_positive_gap(self, rng):
@@ -120,7 +207,8 @@ class TestEntRateGap:
         exact_end = sc.drift_curve_exact(drift).means[-1]
         exact_start = sc.cross_entropy_exact(truth, drift)
         assert exact_end - exact_start > 0
-        gap = sc.ent_rate_gap(drift, 8192, sc.named_stream(12, "gap"), true_model=truth)
+        g = sc.named_stream(12, "gap")
+        gap = sc.ent_rate_gap(sc.drift_curve(drift, 8192, g), sc.cross_entropy_mc(truth, drift, 8192, g))
         assert gap.gap > 3 * gap.gap_stderr
         assert gap.start_source == "cross_entropy_mc"
 
@@ -138,6 +226,6 @@ class TestEntRateGap:
 
     def test_without_truth_uses_curve_start(self, rng):
         model, _ = random_pair(rng, M=3, T=4, order=1)
-        gap = sc.ent_rate_gap(model, 128, sc.named_stream(13, "gap"))
+        gap = sc.ent_rate_gap(sc.drift_curve(model, 128, sc.named_stream(13, "gap")))
         assert gap.start_source == "curve_start"
         assert gap.gap == pytest.approx(gap.end - gap.start, abs=1e-15)

@@ -205,6 +205,18 @@ class TestMemoryBound:
         assert est.steps == [5]
         assert est.bound >= est.exact_mi - 1e-9
 
+    @pytest.mark.parametrize("t_policy", [11, "average"])
+    def test_to_dict_writes_steps_as_strings(self, rng, t_policy):
+        # At T = 12 the step keys reach 10, where int and str keys sort
+        # differently in a sorted JSON document.
+        truth = random_markov(rng, 2, 12, 2, concentration=0.8)
+        est = sc.memory_bound(truth, sc.DriftModel(truth, 0.2), sc.fit_limited_memory(truth, 1),
+                              t_policy=t_policy)
+        doc = est.to_dict()
+        assert doc["t_policy"] == str(t_policy)
+        assert list(doc["per_step"]) == [str(t) for t in est.steps]
+        assert doc["calibration"] == est.calibration.to_dict()
+
     def test_tau_below_one_rejected(self, rng):
         truth = random_markov(rng, 2, 4, 2)
         comparator = sc.fit_limited_memory(truth, 1)
