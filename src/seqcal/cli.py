@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -303,7 +304,8 @@ def _sample_prefixes(cfg: ExperimentConfig, truth: ConditionalModel):
     if cfg.prefix_len < 1:
         return None
     rng = named_stream(cfg.seed, "prefixes")
-    return truth.sample_batch(cfg.n_prefixes, rng)[:, : cfg.prefix_len]
+    steps = truth._generate(truth.init_state(cfg.n_prefixes), 0, rng)
+    return np.stack([tokens for _, _, tokens in islice(steps, cfg.prefix_len)], axis=1)
 
 
 def _pipeline_drift(cfg, truth, model, budget):

@@ -6,14 +6,19 @@ calibrated model produces a flat curve, a miscalibrated one drifts.  The
 per-step statistic is the exact entropy of the model's conditional
 M-vector at the sampled prefix (only the prefix is random), which has
 the same expectation as the sampled token's surprisal but strictly lower
-variance.  :func:`drift_curve_exact` is its exact counterpart, one walk
-of :func:`seqcal.exact.prefix_expansion` over the seeded lattice.
+variance.  Both Monte-Carlo estimators consume the sampler's token
+stream (:meth:`ConditionalModel._generate`) step by step and keep no
+(n, T) sample, so their memory is linear in n.
+:func:`drift_curve_exact` is the curve's exact counterpart, one walk of
+:func:`seqcal.exact.prefix_expansion` over the seeded lattice up to
+level ``t_max``.
 :func:`ent_rate_gap` reads the endpoints of a given curve; its early
 value is a cross-entropy estimate on real data when one is passed.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -116,17 +121,19 @@ def cross_entropy_mc(
 ) -> McEstimate:
     """Unbiased sample-average of (1/T) log 1/q(w) over w ~ p, in nats/token.
 
-    If q assigns zero probability to a sampled sequence the estimate is
-    flagged infinite and the first offending sequence is recorded.
+    Each step's tokens are scored by q as p draws them, so no (n, T)
+    sample is kept.  If q assigns zero probability to a sampled sequence
+    the estimate is flagged infinite and the first offending sequence is
+    recorded, rebuilt by replaying the draw from a copy of `rng`.
     """
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if p_sampler.spec != q.spec:
         raise ValueError("models must share the same sequence spec")
     T = q.spec.T
-    seqs = p_sampler.sample_batch(n, rng)
-    lq = q.seq_log_prob_batch(seqs)
-    vals = -lq / T
+    replay = copy.deepcopy(rng)
+    steps = p_sampler._generate(p_sampler.init_state(n), 0, rng)
+    vals = -q._score((tokens for _, _, tokens in steps), n) / T
     prov = dict(provenance or {})
     prov.setdefault("q_model_hash", _try_model_hash(q))
     if np.any(np.isinf(vals)):
@@ -136,7 +143,7 @@ def cross_entropy_mc(
             stderr=math.inf,
             n_samples=n,
             infinite=True,
-            offending=tuple(int(x) for x in seqs[bad]),
+            offending=tuple(int(x) for x in p_sampler.sample_batch(n, replay)[bad]),
             provenance=prov,
         )
     # Shift before the variance: exact zero spread for a constant
@@ -170,8 +177,7 @@ def drift_curve(
     if n_gen < 2:
         raise ValueError("need at least 2 generations")
     T = model.spec.T
-    out = np.empty((n_gen, T), dtype=np.int64)
-    start = 0
+    seeds = np.empty((n_gen, 0), dtype=np.int64)
     policy = "none"
     if prefixes is not None:
         pfx = check_tokens(prefixes, model.spec.M)
@@ -181,12 +187,12 @@ def drift_curve(
             raise ValueError("the seed prefix pool is empty")
         if pfx.shape[1] >= T:
             raise ValueError("seed prefixes must be shorter than the sequence")
-        start = pfx.shape[1]
-        out[:, :start] = pfx[np.arange(n_gen) % pfx.shape[0]]
-        policy = f"cyclic({pfx.shape[0]} prefixes, length {start})"
+        seeds = pfx[np.arange(n_gen) % pfx.shape[0]]
+        policy = f"cyclic({pfx.shape[0]} prefixes, length {pfx.shape[1]})"
 
+    start = seeds.shape[1]
     ent = np.empty((n_gen, T - start))
-    for t, rows in model._generate(out, start, rng):
+    for t, rows, _ in model._generate(model._state_at(seeds), start, rng):
         ent[:, t - start] = row_entropies(rows)
 
     prov = dict(provenance or {})
@@ -242,9 +248,10 @@ def drift_curve_exact(
 
     The mean at step t is E[H(model(.|w_{<t}))] with the context
     distributed per `seed_model` for the first `prefix_len` steps and
-    per the model's own generations afterwards; standard errors are
-    zero.  With no seeding this is the model's pure self-generation
-    curve.
+    per the model's own generations afterwards, for t = prefix_len+1..t_max
+    (default T); standard errors are zero.  The walk stops at level
+    `t_max`, so the budget is checked against M**t_max.  With no seeding
+    this is the model's pure self-generation curve.
     """
     T = model.spec.T
     if not 0 <= prefix_len < T:
@@ -255,21 +262,22 @@ def drift_curve_exact(
     t_max = T if t_max is None else t_max
     if t_max != int(t_max) or not prefix_len < t_max <= T:
         raise ValueError(f"t_max must be an integer in {prefix_len + 1}..{T}, got {t_max}")
+    t_max = int(t_max)
 
     walk = model if seeder is model else _SeededWalk(model, seeder, prefix_len)
-    means = np.empty(T - prefix_len)
-    for t, _, weights, rows in prefix_expansion(walk, budget):
+    means = np.empty(t_max - prefix_len)
+    for t, _, weights, rows in prefix_expansion(walk, budget, last=t_max):
         if t > prefix_len:
             means[t - 1 - prefix_len] = _fsum(weights * row_entropies(rows))
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_model_hash(model))
     return DriftCurve(
-        steps=np.arange(prefix_len + 1, T + 1),
+        steps=np.arange(prefix_len + 1, t_max + 1),
         means=means,
-        stderrs=np.zeros(T - prefix_len),
+        stderrs=np.zeros(t_max - prefix_len),
         n_generations=0,
         prefix_policy="exact" if prefix_len == 0 else f"exact-seeded(length {prefix_len})",
-        t_max=int(t_max),
+        t_max=t_max,
         mode="exact",
         provenance=prov,
     )

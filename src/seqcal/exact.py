@@ -216,7 +216,8 @@ def sample_expansion(
     states = tuple(m.init_state(n) for m in models)
     weights = np.full(n, 1.0 / n)
     for t in range(1, T + 1):
-        # One contiguous copy of the strided column serves both reads.
+        # A column of a column-major sample is read as a view; any other
+        # layout is copied once per step for both reads.
         tokens = np.ascontiguousarray(samples[:, t - 1])
         yield t, states, weights, np.take(one_hot, tokens, axis=0)
         if t < T:

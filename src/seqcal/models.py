@@ -240,34 +240,41 @@ class ConditionalModel(ABC):
     def seq_log_prob_batch(self, seqs) -> np.ndarray:
         """log P(w) of every row of an (n, T) sequence array, by the chain rule."""
         seqs = self._check_sequences(seqs)
-        n, T = seqs.shape
+        # A column of a column-major array (as `sample_batch` returns) is
+        # read as a view; any other layout is copied once per step.
+        columns = (np.ascontiguousarray(seqs[:, t]) for t in range(seqs.shape[1]))
+        return self._score(columns, seqs.shape[0])
+
+    def _score(self, columns, n: int) -> np.ndarray:
+        """Chain-rule log-probabilities of n sequences given as T token columns.
+
+        `columns` yields the tokens of step 0, 1, ..., T-1 in turn, so a
+        sampler's token stream is scored as it is drawn.
+        """
         total = np.zeros(n)
         state = self.init_state(n)
-        for t in range(T):
-            # One contiguous copy of the strided column serves both reads.
-            tokens = np.ascontiguousarray(seqs[:, t])
+        for t, tokens in enumerate(columns):
             with np.errstate(divide="ignore"):
                 total += np.log(pick(self.rows(state), tokens))
-            if t + 1 < T:
+            if t + 1 < self.spec.T:
                 state = self.advance(state, tokens)
         return total
 
-    def _generate(self, out: np.ndarray, start: int, rng: np.random.Generator):
-        """Sample ``out[:, start:]`` after the given ``out[:, :start]``.
+    def _generate(self, state, start: int, rng: np.random.Generator):
+        """Draw steps ``start..T-1`` after n length-`start` prefixes in `state`.
 
-        Yields (t, rows) once the rows at 0-based step t have been
-        sampled into ``out[:, t]``.  Tokens are drawn by inverting the
-        CDF in ascending token-id order with one ``rng.random(n)`` per
-        step, so results are reproducible across platforms for a fixed
-        generator state.
+        Yields (t, rows, tokens) for the 0-based step t: the (n, M) rows
+        there and the n tokens drawn from them.  Tokens are drawn by
+        inverting the CDF in ascending token-id order with one
+        ``rng.random(n)`` per step, so results are reproducible across
+        platforms for a fixed generator state.  Nothing is stored: the
+        caller keeps what it needs of each step.
         """
         T = self.spec.T
-        state = self._state_at(out[:, :start])
         for t in range(start, T):
             rows = self.rows(state)
             tokens = _sample_rows(rows, rng)
-            out[:, t] = tokens
-            yield t, rows
+            yield t, rows, tokens
             if t + 1 < T:
                 state = self.advance(state, tokens)
 
@@ -277,16 +284,17 @@ class ConditionalModel(ABC):
         """Draw n sequences by iterated inverse-CDF sampling.
 
         An optional seed prefix (length < T) is copied verbatim into
-        every sample.
+        every sample.  The (n, T) result is column-major, so writing a
+        step and reading one back are contiguous.
         """
-        out = np.empty((n, self.spec.T), dtype=np.int64)
+        out = np.empty((n, self.spec.T), dtype=np.int64, order="F")
         start = 0
         if prefix is not None:
             pfx = self._check_context(prefix)  # enforces length < T
             start = pfx.size
             out[:, :start] = pfx
-        for _ in self._generate(out, start, rng):
-            pass
+        for t, _, tokens in self._generate(self._state_at(out[:, :start]), start, rng):
+            out[:, t] = tokens
         return out
 
     def sample_sequence(self, rng: np.random.Generator, prefix=None) -> np.ndarray:

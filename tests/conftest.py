@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import seqcal
 from seqcal import MarkovModel, make_spec, stationary_distribution
 
 # Property tests draw the same examples on every run, so a new property
@@ -65,6 +66,45 @@ def kl_oracle(p_probs, q_probs):
 
 def random_markov(rng, M, T, order, concentration=1.0):
     return MarkovModel.random(make_spec(M, T), order, rng, concentration=concentration)
+
+
+MODEL_KINDS = [
+    "markov",
+    "limited_memory",
+    "mixture-0",
+    "mixture-0.3",
+    "mixture-1",
+    "per_token_mixture",
+    "drift-0",
+    "drift-1/T",
+    "drift-1",
+    "global_tilt",
+    "local_tilt",
+    "memory_tilt",
+]
+
+
+def model_of_kind(kind, rng, M, T):
+    """A model of `kind` on a random order-2 base."""
+    base = random_markov(rng, M, T, 2)
+    name, _, param = kind.partition("-")
+    if name == "markov":
+        return base
+    if name == "limited_memory":
+        return seqcal.marginalize_to_window(base, 1)
+    if name == "mixture":
+        return seqcal.MixtureModel(base, float(param))
+    if name == "per_token_mixture":
+        return seqcal.PerTokenMixture(base, 0.3)
+    if name == "drift":
+        return seqcal.DriftModel(base, None if param == "1/T" else float(param))
+    drift = seqcal.DriftModel(base, 0.25)
+    if name == "global_tilt":
+        return seqcal.GlobalTiltModel(drift, seqcal.FunctionalF.log_prob(base), -0.7)
+    if name == "local_tilt":
+        return seqcal.LocalTiltModel(drift, 0.6)
+    comparator = seqcal.marginalize_to_window(base, 1)
+    return seqcal.MemoryTiltModel(drift, comparator, -0.8, active_steps=(2, 3, 4))
 
 
 def random_pair(rng, M=None, T=None, order=None, scale=0.25, concentration=1.2):

@@ -1,14 +1,19 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import seqcal as sc
 import seqcal.estimate
+from seqcal.models import _sample_rows
 
 from conftest import (
+    MODEL_KINDS,
     all_seqs,
     count_advance,
+    model_of_kind,
     one_hot_model,
     random_markov,
     random_pair,
@@ -70,8 +75,79 @@ class TestCrossEntropyMc:
         assert est.offending is not None
         assert q.seq_log_prob(est.offending) == -math.inf
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_streamed_score_is_the_materialized_formula(self, kind):
+        # Scoring each step as it is drawn gives, bit for bit, the value,
+        # stderr and generator state of sampling the whole array first;
+        # each model of the kind scores the other's draws.
+        M, T, n = 3, 5, 64
+        rng = np.random.default_rng(MODEL_KINDS.index(kind))
+        model = model_of_kind(kind, rng, M, T)
+        other = sc.DriftModel(random_markov(rng, M, T, 1), 0.2)
+        for p, q in ((other, model), (model, other)):
+            stream = sc.named_stream(4, "mc")
+            materialized = copy.deepcopy(stream)
+            est = sc.cross_entropy_mc(p, q, n, stream)
+            vals = -q.seq_log_prob_batch(p.sample_batch(n, materialized)) / T
+            assert np.all(np.isfinite(vals))
+            assert est.value == float(vals.mean())
+            assert est.stderr == float((vals - vals[0]).std(ddof=1) / math.sqrt(n))
+            assert stream.random() == materialized.random()
+
+    def test_offending_sequence_is_replayed_from_the_first_draw(self):
+        spec = sc.make_spec(2, 6)
+        p = sc.DriftModel(sc.MarkovModel.uniform(spec, 1), 0.2)
+        q = one_hot_model(spec)
+        stream = sc.named_stream(2, "mc")
+        materialized = copy.deepcopy(stream)
+        est = sc.cross_entropy_mc(p, q, 64, stream)
+        seqs = p.sample_batch(64, materialized)
+        bad = int(np.flatnonzero(np.isinf(q.seq_log_prob_batch(seqs)))[0])
+        assert est.infinite
+        assert est.offending == tuple(int(x) for x in seqs[bad])
+        # The caller's generator ends where the materialized draw left it.
+        assert stream.random() == materialized.random()
+
+    def test_memory_does_not_grow_with_n_times_T(self, rng):
+        # An (n, T) int64 sample here is 4 MB; the streamed estimate keeps
+        # only a few length-n arrays per step.
+        spec = sc.make_spec(4, 128)
+        p = sc.MarkovModel.random(spec, 2, rng, concentration=0.8)
+        q = sc.DriftModel(p.perturbed(rng, 0.25))
+        tracemalloc.start()
+        try:
+            sc.cross_entropy_mc(p, q, 4096, sc.named_stream(1, "mc"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestDriftCurve:
+    @pytest.mark.parametrize("pool", [None, [[1, 2], [0, 1], [2, 2]]])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_means_are_the_materialized_formula(self, kind, pool):
+        # The streamed curve equals entropies read off a whole sample drawn
+        # step by step from the cyclic seeds, bit for bit, and leaves the
+        # generator where that sample does.
+        M, T, n = 3, 5, 64
+        model = model_of_kind(kind, np.random.default_rng(MODEL_KINDS.index(kind)), M, T)
+        stream = sc.named_stream(6, "drift")
+        materialized = copy.deepcopy(stream)
+        curve = sc.drift_curve(model, n, stream, prefixes=pool)
+        start = 0 if pool is None else len(pool[0])
+        seqs = np.empty((n, T), dtype=np.int64)
+        if pool is not None:
+            seqs[:, :start] = np.array(pool)[np.arange(n) % len(pool)]
+        for t in range(start, T):
+            seqs[:, t] = _sample_rows(model.next_dist_batch(seqs[:, :t]), materialized)
+        ent = np.column_stack(
+            [sc.row_entropies(model.next_dist_batch(seqs[:, :t])) for t in range(start, T)]
+        )
+        assert np.array_equal(curve.means, ent.mean(axis=0))
+        assert np.array_equal(curve.stderrs, ent.std(axis=0, ddof=1) / math.sqrt(n))
+        assert stream.random() == materialized.random()
+
     def test_stationary_self_generation_is_flat(self, rng):
         truth = stationary_sharp_truth(sc.make_spec(3, 8), rng)
         prefixes = truth.sample_batch(4096, sc.named_stream(3, "prefixes"))[:, :1]
@@ -173,6 +249,27 @@ class TestDriftCurveExact:
         assert len(calls) == 1
         assert model_steps[0] == 4
         assert seeder_steps[0] == max(prefix_len - 1, 0)
+
+    @pytest.mark.parametrize("prefix_len, t_max", [(0, 3), (1, 4), (2, 5)])
+    def test_walk_stops_at_t_max(self, rng, prefix_len, t_max):
+        # The curve ends at t_max and the walk's budget is M**t_max.
+        M, T = 2, 5
+        seeder = random_markov(rng, M, T, 1)
+        model = sc.DriftModel(random_markov(rng, M, T, 1), 0.3)
+        full = sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
+        curve = sc.drift_curve_exact(
+            model, sc.EnumerationBudget(M**t_max), seed_model=seeder,
+            prefix_len=prefix_len, t_max=t_max,
+        )
+        assert curve.steps.tolist() == list(range(prefix_len + 1, t_max + 1))
+        assert len(curve.means) == len(curve.stderrs) == t_max - prefix_len
+        assert np.array_equal(curve.means, full.means[: t_max - prefix_len])
+        assert curve.t_max == t_max
+        with pytest.raises(sc.BudgetExceededError):
+            sc.drift_curve_exact(
+                model, sc.EnumerationBudget(M**t_max - 1), seed_model=seeder,
+                prefix_len=prefix_len, t_max=t_max,
+            )
 
     @pytest.mark.parametrize("t_max", [2.5, 0, 6])
     def test_t_max_must_be_an_integer_step(self, rng, t_max):

@@ -15,7 +15,14 @@ from seqcal.exact import (
 )
 from seqcal.models import _sample_rows, model_dumps, model_loads, pick, row_entropies
 
-from conftest import all_seqs, model_probs, one_hot_model, random_markov
+from conftest import (
+    MODEL_KINDS,
+    all_seqs,
+    model_of_kind,
+    model_probs,
+    one_hot_model,
+    random_markov,
+)
 
 
 class TestSpecTypes:
@@ -165,6 +172,19 @@ class TestSampling:
         a = model.sample_batch(16, sc.named_stream(9, "gen"))
         b = model.sample_batch(16, sc.named_stream(9, "gen"))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("prefix", [None, [2, 0]])
+    def test_sample_batch_is_column_major(self, rng, prefix):
+        # A step's column is contiguous, so the drivers read it as a view;
+        # the values and their row serialization are the layout's own.
+        model = random_markov(rng, 3, 6, 2)
+        seqs = model.sample_batch(16, sc.named_stream(9, "gen"), prefix=prefix)
+        assert seqs.flags.f_contiguous
+        column = np.ascontiguousarray(seqs[:, 3])
+        assert np.shares_memory(column, seqs)
+        rows = np.ascontiguousarray(seqs)
+        assert rows.flags.c_contiguous and np.array_equal(seqs, rows)
+        assert seqs.tolist() == rows.tolist()
 
 
 class _TopOfUnitInterval:
@@ -493,63 +513,24 @@ class TestLinearCost:
             assert calls[0] == expected
 
 
-_KINDS = [
-    "markov",
-    "limited_memory",
-    "mixture-0",
-    "mixture-0.3",
-    "mixture-1",
-    "per_token_mixture",
-    "drift-0",
-    "drift-1/T",
-    "drift-1",
-    "global_tilt",
-    "local_tilt",
-    "memory_tilt",
-]
-
-
-def _model_of_kind(kind, rng, M, T):
-    """A model of `kind` on a random order-2 base."""
-    base = random_markov(rng, M, T, 2)
-    name, _, param = kind.partition("-")
-    if name == "markov":
-        return base
-    if name == "limited_memory":
-        return sc.marginalize_to_window(base, 1)
-    if name == "mixture":
-        return sc.MixtureModel(base, float(param))
-    if name == "per_token_mixture":
-        return sc.PerTokenMixture(base, 0.3)
-    if name == "drift":
-        return sc.DriftModel(base, None if param == "1/T" else float(param))
-    drift = sc.DriftModel(base, 0.25)
-    if name == "global_tilt":
-        return sc.GlobalTiltModel(drift, sc.FunctionalF.log_prob(base), -0.7)
-    if name == "local_tilt":
-        return sc.LocalTiltModel(drift, 0.6)
-    comparator = sc.marginalize_to_window(base, 1)
-    return sc.MemoryTiltModel(drift, comparator, -0.8, active_steps=(2, 3, 4))
-
-
 class TestBatchMatchesSingle:
     """Batch drivers equal stacked single-context calls, bit for bit."""
 
     M, T, N = 3, 5, 12
 
-    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_next_dist_batch_stacks_next_dist(self, kind):
-        rng = np.random.default_rng(_KINDS.index(kind))
-        model = _model_of_kind(kind, rng, self.M, self.T)
+        rng = np.random.default_rng(MODEL_KINDS.index(kind))
+        model = model_of_kind(kind, rng, self.M, self.T)
         for L in range(self.T):
             ctxs = rng.integers(0, self.M, size=(self.N, L))
             stacked = np.stack([model.next_dist(ctx) for ctx in ctxs])
             np.testing.assert_array_equal(model.next_dist_batch(ctxs), stacked)
 
-    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_seq_log_prob_batch_stacks_seq_log_prob(self, kind):
-        rng = np.random.default_rng(100 + _KINDS.index(kind))
-        model = _model_of_kind(kind, rng, self.M, self.T)
+        rng = np.random.default_rng(100 + MODEL_KINDS.index(kind))
+        model = model_of_kind(kind, rng, self.M, self.T)
         seqs = np.concatenate(
             [model.sample_batch(self.N, rng), rng.integers(0, self.M, size=(self.N, self.T))]
         )
