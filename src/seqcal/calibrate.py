@@ -51,6 +51,7 @@ from .exact import (
 from .models import (
     ConditionalModel,
     MixtureModel,
+    _append_code,
     _try_model_hash,
     check_samples,
     model_from_dict,
@@ -193,16 +194,22 @@ class _GlobalTiltProblem:
 
     def tilt(self, alpha: float) -> tuple[np.ndarray, float]:
         """(log B_alpha(w) for every sequence, log Z_alpha)."""
-        weights = alpha * self.fv + self.lp_base
-        log_z = float(logsumexp(weights))
-        return weights - log_z, log_z
+        # Every pass after the first writes into the one fresh array;
+        # `fv` may be `lp_base` itself, so neither is written.
+        log_p = alpha * self.fv
+        log_p += self.lp_base
+        log_z = float(logsumexp(log_p))
+        log_p -= log_z
+        return log_p, log_z
 
     def moments(self, alpha: float) -> tuple[float, float, float]:
         """(mean, variance) of f under B_alpha, and log Z_alpha."""
-        log_p, log_z = self.tilt(alpha)
-        pt = np.exp(log_p)
+        pt, log_z = self.tilt(alpha)
+        np.exp(pt, out=pt)
         mu = float(np.dot(pt, self.fv))
-        return mu, float(np.dot(pt, (self.fv - mu) ** 2)), log_z
+        dev = self.fv - mu
+        dev *= dev
+        return mu, float(np.dot(pt, dev)), log_z
 
     def evaluate(self, alpha: float) -> dict:
         """Objective, gradient (mean mismatch / T) and curvature (variance / T)."""
@@ -252,7 +259,7 @@ class GlobalTiltModel(ConditionalModel):
 
     def advance(self, state, tokens):
         t, code = state
-        return t + 1, code * self.spec.M + tokens
+        return t + 1, _append_code(code, tokens, self.spec.M)
 
     def rows(self, state) -> np.ndarray:
         t, codes = state

@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import ConditionalModel, check_samples, model_hash, take_state
+from .models import ConditionalModel, check_samples, model_hash
 
 # Probability floor used only when a logarithm of an exactly-zero entry
 # must be finite (tilt features, comparator scoring).  Sampling and plain
@@ -136,8 +136,10 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
         return float(logsumexp(a.reshape(-1), axis=0))
     m = np.max(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
+    e = a - shift
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
+        out = np.log(np.sum(e, axis=axis)) + np.squeeze(shift, axis=axis)
     return out
 
 
@@ -156,8 +158,12 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
     """
     lp = np.zeros(1)
     for _t, _states, _weights, rows in prefix_expansion(model, budget):
+        # log(rows) is a fresh array, so the parents' log-probabilities
+        # are added into it in place.
         with np.errstate(divide="ignore"):
-            lp = (lp[:, None] + np.log(rows)).reshape(-1)
+            step = np.log(rows)
+        step += lp[:, None]
+        lp = step.reshape(-1)
     return lp
 
 
@@ -185,16 +191,13 @@ def prefix_expansion(
         rows = model.rows(states[0])
         yield t, states, weights, rows
         if t < last:
-            # Prefix i followed by token j becomes prefix i*M + j.  The old
-            # level is released only once the new one is built, and the
-            # index arrays are not held across the next yield.
-            idx = np.repeat(np.arange(weights.size), M)
-            tokens = np.tile(np.arange(M, dtype=np.int64), weights.size)
+            # ``advance(state, None)`` makes prefix i followed by token j
+            # prefix i*M + j, and no model repeats a parent's (n, M) rows.
+            # The old level is released only once the new one is built.
             states, weights = (
-                tuple(m.advance(take_state(s, idx), tokens) for m, s in zip(models, states)),
+                tuple(m.advance(s, None) for m, s in zip(models, states)),
                 (weights[:, None] * rows).reshape(-1),
             )
-            del idx, tokens
 
 
 def sample_expansion(
@@ -293,7 +296,11 @@ class FunctionalF:
         return self._from_log_probs(lp)
 
     def _from_log_probs(self, lp: np.ndarray) -> np.ndarray:
-        lp = np.maximum(lp, math.log(self.p_min))
+        # With no entry below the floor, a log_prob functional is `lp`
+        # itself, not a copy: callers never write into either.
+        floor = math.log(self.p_min)
+        if np.any(lp < floor):
+            lp = np.maximum(lp, floor)
         return self._checked(lp if self.kind == "log_prob" else -lp)
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
@@ -355,29 +362,38 @@ def kl_exact(
     return _kl_from_log_probs(sequence_log_probs(p, budget), sequence_log_probs(q, budget))
 
 
+def _support_fsum(lpp: np.ndarray, x: np.ndarray) -> float:
+    """The correctly rounded sum of p * x over the support of p = exp(lpp).
+
+    The terms are built in one array of this function's own.  Off the
+    support, where p * x may be nan, they are set to -0.0, the exact
+    additive identity, so no masked copy is made and the sum is bitwise
+    the sum of the support's terms, the sign of a zero included.  An
+    infinite x on the support makes the sum infinite with its sign.
+    """
+    terms = np.exp(lpp)
+    off = terms == 0.0
+    with np.errstate(invalid="ignore"):
+        terms *= x
+    terms[off] = -0.0
+    return _fsum(terms)
+
+
 def _entropy_from_log_probs(lp: np.ndarray) -> float:
     """Entropy of a lattice log-probability vector, as :func:`entropy_exact`."""
-    p = np.exp(lp)
-    mask = p > 0.0
-    return -_fsum(p[mask] * lp[mask])
+    return -_support_fsum(lp, lp)
 
 
 def _cross_entropy_from_log_probs(lpp: np.ndarray, lpq: np.ndarray, T: int) -> float:
     """Per-token CE between two lattice log-probability vectors, as :func:`cross_entropy_exact`."""
-    pw = np.exp(lpp)
-    mask = pw > 0.0
-    if np.any(np.isneginf(lpq[mask])):
-        return math.inf
-    return -_fsum(pw[mask] * lpq[mask]) / T
+    # A zero of q on p's support is a -inf term, so the sum is -inf.
+    return -_support_fsum(lpp, lpq) / T
 
 
 def _kl_from_log_probs(lpp: np.ndarray, lpq: np.ndarray) -> float:
     """KL between two lattice log-probability vectors, as :func:`kl_exact`."""
-    pw = np.exp(lpp)
-    mask = pw > 0.0
-    if np.any(np.isneginf(lpq[mask])):
-        return math.inf
-    return _fsum(pw[mask] * (lpp[mask] - lpq[mask]))
+    with np.errstate(invalid="ignore"):  # -inf - -inf off p's support
+        return _support_fsum(lpp, lpp - lpq)
 
 
 def mean_var_exact(

@@ -23,11 +23,12 @@ through its per-step conditional distributions.  Concrete families:
 Every model is read through one stateful step (:class:`ConditionalModel`):
 ``init_state(n)`` starts n empty prefixes, ``advance(state, tokens)``
 appends one token to each, and ``rows(state)`` gives their next-token
-rows.  Scoring, sampling and every exact lattice walk drive these three
-methods, so each costs one step per token.  States are tuples of ints
-and arrays and are never mutated; models are immutable after
-construction and safe to share across threads; sampling consumes an
-externally owned generator.
+rows.  ``advance(state, None)`` appends every token to every prefix,
+the step of an exact lattice walk.  Scoring, sampling and every exact
+lattice walk drive these three methods, so each costs one step per
+token.  States are tuples of ints and arrays and are never mutated;
+models are immutable after construction and safe to share across
+threads; sampling consumes an externally owned generator.
 """
 
 from __future__ import annotations
@@ -147,13 +148,24 @@ def pick(rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return np.take(rows, np.arange(0, n * M, M) + tokens)
 
 
-def take_state(state, idx: np.ndarray):
-    """The batch state of the prefixes `idx` of `state` (arrays indexed, ints kept)."""
-    if isinstance(state, tuple):
-        return tuple(take_state(part, idx) for part in state)
-    if isinstance(state, np.ndarray):
-        return state[idx]
-    return state
+def _append_code(code: np.ndarray, tokens, M: int) -> np.ndarray:
+    """``code * M + tokens``; with tokens None, every child code ``i*M + j`` of the lattice."""
+    if tokens is None:
+        return (code[:, None] * M + np.arange(M)).reshape(-1)
+    return code * M + tokens
+
+
+def _pick_carried(base_rows: np.ndarray, carried: np.ndarray, tokens):
+    """A row carrier's 1-d state and each prefix's base probability of its token.
+
+    With tokens None the prefixes are the children ``i*M + j`` of a lattice
+    level: `carried` is repeated M times and the picks are
+    ``base_rows.reshape(-1)``, a view of a C-contiguous array, so the
+    parents' (n, M) rows are never repeated.
+    """
+    if tokens is None:
+        return np.repeat(carried, base_rows.shape[1]), base_rows.reshape(-1)
+    return carried, pick(base_rows, tokens)
 
 
 class ConditionalModel(ABC):
@@ -164,14 +176,19 @@ class ConditionalModel(ABC):
 
     * ``init_state(n)`` -- the state of n empty prefixes;
     * ``advance(state, tokens)`` -- a new state with ``tokens[i]``
-      appended to prefix i (the input state is left untouched);
+      appended to prefix i (the input state is left untouched); with
+      tokens None, the lattice step: n*M prefixes, child ``i*M + j``
+      being prefix i followed by token j;
     * ``rows(state)`` -- the (n, M) next-token rows of the prefixes.
 
     States exist for prefix lengths 0..T-1 and are tuples of ints and
-    arrays whose leading axis is the batch, so :func:`take_state` can
-    select or repeat prefixes.  None of the three validates its input.
-    The public scoring and sampling methods below are drivers of this
-    step: they validate once per call and cost one step per token.
+    arrays whose leading axis is the batch.  For the lattice step a leaf
+    model repeats its own arrays; a model carrying its base's rows
+    repeats only its 1-d arrays and reads the parents' picks as the
+    flattened rows, so no (n, M) array is repeated.  None of the three
+    validates its input.  The public scoring and sampling methods below
+    are drivers of this step: they validate once per call and cost one
+    step per token.
     """
 
     kind: str = "abstract"
@@ -186,8 +203,12 @@ class ConditionalModel(ABC):
         """State of n empty prefixes."""
 
     @abstractmethod
-    def advance(self, state, tokens: np.ndarray):
-        """State after appending ``tokens[i]`` to prefix i; no validation."""
+    def advance(self, state, tokens: np.ndarray | None):
+        """State after appending ``tokens[i]`` to prefix i; no validation.
+
+        With `tokens` None, the lattice step: child ``i*M + j`` is prefix
+        i followed by token j.
+        """
 
     @abstractmethod
     def rows(self, state) -> np.ndarray:
@@ -358,7 +379,8 @@ class MarkovModel(ConditionalModel):
 
     def advance(self, state, tokens):
         t, code = state
-        return t + 1, (code * self.spec.M + tokens) % self.spec.M ** min(self.order, t + 1)
+        M = self.spec.M
+        return t + 1, _append_code(code, tokens, M) % M ** min(self.order, t + 1)
 
     def rows(self, state) -> np.ndarray:
         t, code = state
@@ -472,9 +494,10 @@ class MixtureModel(ConditionalModel):
 
     def advance(self, state, tokens):
         base_state, log_odds, base_rows = state
+        log_odds, p = _pick_carried(base_rows, log_odds, tokens)
         # At gamma = 0 a zero base entry makes inf - inf; rows ignores it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_odds = log_odds + np.log(pick(base_rows, tokens)) + math.log(self.spec.M)
+            log_odds = log_odds + np.log(p) + math.log(self.spec.M)
         base_state = self.base.advance(base_state, tokens)
         return base_state, log_odds, self.base.rows(base_state)
 
@@ -488,8 +511,9 @@ class MixtureModel(ConditionalModel):
         to_base = np.exp(np.minimum(log_odds, 0.0))
         to_uniform = np.exp(np.minimum(-log_odds, 0.0))
         total = to_base + to_uniform
-        return _floor(base_rows, (to_base / total)[:, None], (to_uniform / total)[:, None],
-                      self.spec.M)
+        to_base /= total
+        to_uniform /= total
+        return _floor(base_rows, to_base[:, None], to_uniform[:, None], self.spec.M)
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -549,7 +573,7 @@ class DriftModel(ConditionalModel):
 
     def advance(self, state, tokens):
         base_state, q, base_rows = state
-        pf = pick(base_rows, tokens)
+        q, pf = _pick_carried(base_rows, q, tokens)
         beta_f = q * (1.0 - self.switch_prob)
         num = beta_f * pf
         den = num + (1.0 - beta_f) / self.spec.M

@@ -8,6 +8,7 @@ independent cross-check of everything in seqcal.exact.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,16 @@ def one_hot_model(spec, token=0):
     row = np.zeros(M)
     row[token] = 1.0
     return MarkovModel(spec, 0, [row[None, :]])
+
+
+def heap_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_advance(model):

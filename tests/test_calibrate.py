@@ -7,9 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seqcal as sc
-from seqcal.calibrate import _minimize_convex, _step_problem, fit_per_step_tilt, tilted_variance_max
+from seqcal.calibrate import (
+    _GlobalTiltProblem,
+    _minimize_convex,
+    _step_problem,
+    fit_per_step_tilt,
+    tilted_variance_max,
+)
 from seqcal.exact import (
     FunctionalF,
+    _kl_from_log_probs,
     enumerate_sequences,
     logsumexp,
     prefix_expansion,
@@ -18,6 +25,7 @@ from seqcal.exact import (
 
 from conftest import (
     all_seqs,
+    heap_peak,
     model_probs,
     one_hot_model,
     random_markov,
@@ -244,6 +252,28 @@ class TestMinimizeConvex:
 
 
 class TestEntropyRateCalibration:
+    def test_heap_peak_is_the_floored_walk(self):
+        # The walk of the floored base sets the calibration's heap peak,
+        # a small multiple of one lattice vector (the bound fails for a
+        # walk that repeats every parent's rows M times).  The fit's
+        # phases stay below it: f is the walk's own vector, and a probe
+        # and the measured KL each allocate about two vectors (three and
+        # four with fresh temporaries per operation and masked copies).
+        truth = random_markov(np.random.default_rng(3), 4, 8, 2, concentration=0.8)
+        base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
+        mixture = sc.MixtureModel(base, 0.05)
+        size = 8 * 4**8
+        _, walk = heap_peak(lambda: sequence_log_probs(mixture))
+        _, peak = heap_peak(lambda: sc.calibrate_entropy_rate(truth, base, 0.05))
+        assert peak < 7.0 * size
+        assert peak <= 1.05 * walk
+        problem = _GlobalTiltProblem.build(mixture, FunctionalF.log_prob(mixture), truth=truth)
+        assert problem.fv is problem.lp_base
+        _, probe = heap_peak(lambda: problem.evaluate(0.3))
+        assert probe < 2.5 * size
+        _, kl = heap_peak(lambda: _kl_from_log_probs(problem.lp_true, problem.lp_base))
+        assert kl < 3.4 * size
+
     def test_truth_base_identity(self, rng):
         # The floor mixes the base away from the truth, so alpha* is
         # Theta(eps) rather than exactly 0: it un-mixes what the floor

@@ -1,6 +1,5 @@
 import copy
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from conftest import (
     MODEL_KINDS,
     all_seqs,
     count_advance,
+    heap_peak,
     model_of_kind,
     one_hot_model,
     random_markov,
@@ -114,12 +114,7 @@ class TestCrossEntropyMc:
         spec = sc.make_spec(4, 128)
         p = sc.MarkovModel.random(spec, 2, rng, concentration=0.8)
         q = sc.DriftModel(p.perturbed(rng, 0.25))
-        tracemalloc.start()
-        try:
-            sc.cross_entropy_mc(p, q, 4096, sc.named_stream(1, "mc"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = heap_peak(lambda: sc.cross_entropy_mc(p, q, 4096, sc.named_stream(1, "mc")))
         assert peak < 2**20
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,10 @@ from seqcal.exact import (
     _FSUM_BLOCK,
     _FSUM_DIRECT,
     FunctionalF,
+    _cross_entropy_from_log_probs,
+    _entropy_from_log_probs,
     _fsum,
+    _kl_from_log_probs,
     enumerate_sequences,
     log_partition_exact,
     logsumexp,
@@ -24,6 +26,7 @@ from conftest import (
     all_seqs,
     cross_entropy_oracle,
     entropy_oracle,
+    heap_peak,
     kl_oracle,
     model_probs,
     one_hot_model,
@@ -309,6 +312,61 @@ class TestPinskerProperties:
             assert worst <= 4 * math.log(3) + math.log(1 / eps) + 1e-9
 
 
+class TestWalkHeap:
+    """The heap peak of a lattice walk is a small multiple of its output.
+
+    Each bound sits between this walk's peak and that of a walk which
+    repeats every parent's rows M times, so it fails on the latter.
+    The counts are deterministic: tracemalloc sees every numpy buffer.
+    """
+
+    @pytest.mark.parametrize("nesting, bound", [
+        ("markov", 3.4),
+        ("drift", 4.9),
+        ("mixture", 7.0),
+    ])
+    def test_sequence_log_probs_peak(self, nesting, bound):
+        model = random_markov(np.random.default_rng(3), 4, 8, 2, concentration=0.8)
+        if nesting != "markov":
+            model = sc.DriftModel(model, 0.1)
+        if nesting == "mixture":
+            model = sc.MixtureModel(model, 0.05)
+        lp, peak = heap_peak(lambda: sequence_log_probs(model))
+        assert lp.shape == (4**8,)
+        assert peak < bound * lp.nbytes
+
+
+class TestSupportSums:
+    """Entropy, cross entropy and KL sum only over p's support, bitwise.
+
+    Deterministic M = 2 rows at T = 1: every term off the support is
+    0 * -inf, and a zero result keeps the sign of the support's sum.
+    """
+
+    spec = sc.make_spec(2, 1)
+
+    def _lp(self, row):
+        return sequence_log_probs(sc.MarkovModel(self.spec, 0, [[row]]))
+
+    def test_zero_signs_and_infinities(self):
+        p, q, u = self._lp([1.0, 0.0]), self._lp([0.0, 1.0]), self._lp([0.5, 0.5])
+        kept = [x.copy() for x in (p, q, u)]
+        h = _entropy_from_log_probs(p)
+        assert h == 0.0 and math.copysign(1.0, h) == -1.0
+        ce = _cross_entropy_from_log_probs(p, p, 1)
+        assert ce == 0.0 and math.copysign(1.0, ce) == -1.0
+        kl = _kl_from_log_probs(p, p)
+        assert kl == 0.0 and math.copysign(1.0, kl) == 1.0
+        assert _cross_entropy_from_log_probs(p, q, 1) == math.inf
+        assert _kl_from_log_probs(p, q) == math.inf
+        assert _cross_entropy_from_log_probs(p, u, 1) == math.log(2)
+        assert _kl_from_log_probs(p, u) == math.log(2)
+        assert _entropy_from_log_probs(u) == math.log(2)
+        # No reduction writes into the vectors it is given.
+        for x, y in zip((p, q, u), kept):
+            np.testing.assert_array_equal(x, y)
+
+
 class TestFsum:
     def test_matches_fsum_of_a_list(self):
         rng = np.random.default_rng(5)
@@ -331,12 +389,7 @@ class TestFsum:
     def test_streams_without_a_list(self):
         # A list of 2**20 Python floats would take about 32 MB.
         values = np.random.default_rng(6).random(2**20)
-        tracemalloc.start()
-        try:
-            _fsum(values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = heap_peak(lambda: _fsum(values))
         assert peak < 2**20
 
     @settings(max_examples=80)

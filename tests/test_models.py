@@ -513,6 +513,50 @@ class TestLinearCost:
             assert calls[0] == expected
 
 
+def _take_state(state, idx):
+    """The batch state of the prefixes `idx` of `state`: arrays indexed, the rest kept."""
+    if isinstance(state, tuple):
+        return tuple(_take_state(part, idx) for part in state)
+    if isinstance(state, np.ndarray):
+        return state[idx]
+    return state
+
+
+def _assert_states_equal(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_states_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+class TestLatticeStep:
+    """``advance(state, None)`` is the repeat-and-tile step, bit for bit.
+
+    Child i*M + j of a lattice level is prefix i followed by token j; the
+    reference selects each prefix M times and appends the tiled tokens.
+    """
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_repeat_and_tile(self, kind, M):
+        rng = np.random.default_rng(10 * M + MODEL_KINDS.index(kind))
+        model = model_of_kind(kind, rng, M, 4)
+        lattice = reference = model.init_state(1)
+        for level in range(1, 3):
+            n = M ** (level - 1)
+            idx = np.repeat(np.arange(n), M)
+            tokens = np.tile(np.arange(M, dtype=np.int64), n)
+            reference = model.advance(_take_state(reference, idx), tokens)
+            lattice = model.advance(lattice, None)
+            _assert_states_equal(lattice, reference)
+            assert np.array_equal(model.rows(lattice), model.rows(reference))
+
+
 class TestBatchMatchesSingle:
     """Batch drivers equal stacked single-context calls, bit for bit."""
 
