@@ -43,6 +43,7 @@ from .exact import (
     EnumerationBudget,
     FunctionalF,
     _kl_from_log_probs,
+    _support_fsum,
     logsumexp,
     prefix_expansion,
     sample_expansion,
@@ -170,15 +171,15 @@ class _GlobalTiltProblem:
         self.T = T
         self.lp_true = lp_true
         if lp_true is not None:
-            pw_true = np.exp(lp_true)
-            mask = pw_true > 0.0
-            if np.any(np.isneginf(lp_base[mask])):
+            # Correctly rounded sums over the truth's support, with no
+            # masked copies; a -inf of log B there makes the first infinite.
+            self.ce_base_term = -_support_fsum(lp_true, lp_base)
+            if self.ce_base_term == math.inf:
                 raise CalibrationDivergenceError(
                     "base assigns zero probability on the truth's support; the "
                     "objective is infinite for every alpha"
                 )
-            self.mu_target = float(np.dot(pw_true, np.where(mask, fv, 0.0)))
-            self.ce_base_term = -float(np.dot(pw_true[mask], lp_base[mask]))
+            self.mu_target = _support_fsum(lp_true, fv)
 
     @classmethod
     def build(cls, base, f, budget=None, truth=None) -> "_GlobalTiltProblem":
@@ -250,7 +251,7 @@ class GlobalTiltModel(ConditionalModel):
         levels = [None] * (T + 1)
         levels[T], _ = problem.tilt(self.alpha)
         for t in range(T - 1, -1, -1):
-            levels[t] = logsumexp(levels[t + 1].reshape(-1, M), axis=1)
+            levels[t] = _logsumexp_rows(levels[t + 1].reshape(-1, M))
         self._levels = levels
 
     def init_state(self, n: int):
@@ -473,6 +474,31 @@ def _sum_columns(x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 8:
         return x.sum(axis=0)
     return np.ascontiguousarray(x.T).sum(axis=1)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``logsumexp(a, axis=1)`` of an (n, M) array, bitwise.
+
+    Below M = 8 (:func:`_sum_columns`' rule) it runs over the M strided
+    columns with (n,) temporaries only, adding them left to right as
+    numpy adds a short row.
+    """
+    M = a.shape[1]
+    if M >= 8:
+        return logsumexp(a, axis=1)
+    shift = a[:, 0].copy()
+    for j in range(1, M):
+        np.maximum(shift, a[:, j], out=shift)
+    shift[~np.isfinite(shift)] = 0.0
+    total = np.exp(a[:, 0] - shift)
+    term = np.empty_like(total)
+    for j in range(1, M):
+        np.subtract(a[:, j], shift, out=term)
+        total += np.exp(term, out=term)
+    with np.errstate(divide="ignore"):
+        np.log(total, out=total)
+    total += shift
+    return total
 
 
 def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):

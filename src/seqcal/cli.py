@@ -68,7 +68,6 @@ from .models import (
     stationary_distribution,
 )
 from .rng import named_stream
-from .verify import verify_suite
 
 PIPELINES = (
     "calibrate-global",
@@ -486,6 +485,8 @@ def _pipeline_inspect(cfg, truth, model, budget):
 
 
 def _pipeline_verify(cfg, truth, model, budget):
+    from .verify import verify_suite  # deferred: only this pipeline needs it
+
     report = verify_suite(cfg)
     code = 0 if report["passed"] else 4
     return code, {"verify_report.json": _json_bytes(report)}

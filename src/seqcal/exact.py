@@ -5,12 +5,17 @@ step) and is therefore only usable on small instances, guarded by an
 :class:`EnumerationBudget`.  These routines are the ground truth that
 the Monte-Carlo estimators and all fitted quantities are tested against.
 
-Every exact routine in the package walks the prefix lattice through
+Every exact routine in the package walks the prefix lattice of
 :func:`prefix_expansion`: level t holds all length-(t-1) prefixes in
 lexicographic order (prefix i has code i) as model states, with their
 probabilities and next-token rows, and
 the last level's rows give every sequence's log-probability
-(:func:`sequence_log_probs`).  Sequence functionals are evaluated on
+(:func:`sequence_log_probs`).  That walk keeps whole levels only up to
+level T - `_TAIL_LEVELS`; it grows the last levels one block of parents
+at a time, each block a view of the parents' states, and writes each
+block's log-probabilities into its slice of the one output, so its heap
+stays near one lattice vector.  All walks run the same growth loop
+(:func:`_grow`).  Sequence functionals are evaluated on
 that lattice, never on an enumerated token array;
 :func:`enumerate_sequences` remains only as an independent oracle.
 :func:`sample_expansion` walks an (n, T) sample array the same way, as
@@ -151,20 +156,61 @@ def enumerate_sequences(M: int, T: int, budget: EnumerationBudget | None = None)
     return (codes[:, None] // powers) % M
 
 
+# The last `_TAIL_LEVELS` levels of `sequence_log_probs`' walk are grown
+# one block of parents at a time, each block `_TAIL_BLOCK` sequences
+# (128 KB of output) or one parent.
+_TAIL_LEVELS = 2
+_TAIL_BLOCK = 2**14
+
+
 def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | None = None) -> np.ndarray:
     """log P(w) for every sequence, lexicographic order, shape (M**T,).
 
     Entries are -inf exactly where the model assigns zero probability.
+    The walk runs whole levels up to level T - `_TAIL_LEVELS` and grows
+    the rest one block of those parents at a time, each block writing its
+    slice of the output; every entry is the same sum in the same order
+    as on a whole-level walk.
     """
+    M, T = model.spec.M, model.spec.T
+    (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
+    split = max(T - _TAIL_LEVELS, 1)
     lp = np.zeros(1)
-    for _t, _states, _weights, rows in prefix_expansion(model, budget):
-        # log(rows) is a fresh array, so the parents' log-probabilities
-        # are added into it in place.
-        with np.errstate(divide="ignore"):
-            step = np.log(rows)
-        step += lp[:, None]
-        lp = step.reshape(-1)
-    return lp
+    for t, states, _, rows in _grow((model,), (model.init_state(1),), 1, split):
+        if t < split:
+            lp = _extend(lp, rows)
+    out = np.empty(M**T)
+    n, span = lp.size, M ** (T - split + 1)
+    step = max(1, _TAIL_BLOCK // span)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block_lp = lp[lo:hi]
+        walk = _grow((model,), _state_slice(states, lo, hi), split, T, rows=rows[lo:hi])
+        for t, _, _, block_rows in walk:
+            last = out[lo * span:hi * span].reshape(-1, M) if t == T else None
+            block_lp = _extend(block_lp, block_rows, last)
+    return out
+
+
+def _extend(lp: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The children's log-probabilities: entry i*M + j is lp[i] + log rows[i, j].
+
+    They are written into `out`, an (n, M) array, or into a fresh one;
+    `lp` and `rows` are not written.
+    """
+    with np.errstate(divide="ignore"):
+        step = np.log(rows, out=out)
+    step += lp[:, None]
+    return step.reshape(-1)
+
+
+def _state_slice(state, lo: int, hi: int):
+    """The batch state of prefixes lo..hi-1: each array of the nested state as a view."""
+    if isinstance(state, tuple):
+        return tuple(_state_slice(s, lo, hi) for s in state)
+    if isinstance(state, np.ndarray):
+        return state[lo:hi]
+    return state
 
 
 def prefix_expansion(
@@ -181,23 +227,32 @@ def prefix_expansion(
     their probabilities under `model` and ``next_rows`` its rows there.
     The budget is checked against M**last states.
     """
-    M = model.spec.M
     last = model.spec.T if last is None else last
-    (budget or DEFAULT_BUDGET).check(M**last, "prefix enumeration")
+    (budget or DEFAULT_BUDGET).check(model.spec.M**last, "prefix enumeration")
     models = (model, *others)
-    states = tuple(m.init_state(1) for m in models)
-    weights = np.ones(1)
-    for t in range(1, last + 1):
-        rows = model.rows(states[0])
+    yield from _grow(models, tuple(m.init_state(1) for m in models), 1, last, np.ones(1))
+
+
+def _grow(models: tuple, states: tuple, first: int, last: int, weights=None, rows=None):
+    """The one loop that grows a prefix lattice, as :func:`prefix_expansion` yields it.
+
+    Starts from the states of `models` at level `first` and yields levels
+    first..last.  `rows`, when given, are models[0]'s rows at level
+    `first`, already evaluated.  Prefix probabilities are multiplied out
+    only from given `weights`; otherwise None is yielded for them.
+    """
+    for t in range(first, last + 1):
+        if rows is None:
+            rows = models[0].rows(states[0])
         yield t, states, weights, rows
         if t < last:
             # ``advance(state, None)`` makes prefix i followed by token j
             # prefix i*M + j, and no model repeats a parent's (n, M) rows.
             # The old level is released only once the new one is built.
-            states, weights = (
-                tuple(m.advance(s, None) for m, s in zip(models, states)),
-                (weights[:, None] * rows).reshape(-1),
-            )
+            states = tuple(m.advance(s, None) for m, s in zip(models, states))
+            if weights is not None:
+                weights = (weights[:, None] * rows).reshape(-1)
+            rows = None
 
 
 def sample_expansion(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import seqcal as sc
 from seqcal.calibrate import (
     _GlobalTiltProblem,
+    _logsumexp_rows,
     _minimize_convex,
     _step_problem,
     fit_per_step_tilt,
@@ -79,6 +80,19 @@ class TestGlobalTiltModel:
         z = math.fsum(powered.values())
         for w in all_seqs(2, 3):
             assert math.exp(tilt.seq_log_prob(w)) == pytest.approx(powered[w] / z, rel=1e-10)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 8, 9])
+    def test_pyramid_step_is_bitwise_logsumexp(self, M):
+        # The column loop adds the M terms left to right, as numpy adds a
+        # row of fewer than 8; from M = 8 the row formula is used.  Rows
+        # with -inf entries and rows that are all -inf included.
+        rng = np.random.default_rng(M)
+        for _ in range(1000):
+            n = int(rng.integers(1, 30))
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(n, M))
+            a[rng.random((n, M)) < 0.3] = -np.inf
+            a[rng.random(n) < 0.15] = -np.inf
+            assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
 
     def test_alpha_zero_scores_like_base(self, rng):
         base = sc.MixtureModel(random_markov(rng, 3, 3, 1), 0.2)
@@ -152,6 +166,23 @@ class TestFitAlphaGlobal:
         assert all(abs(g) > tolerance for _, g in res.trace[:-1])
         assert res.alpha_star > 1.0
         assert res.objective <= res.baseline_objective + 1e-12
+
+    def test_target_moments_are_correctly_rounded_support_sums(self, rng):
+        # mu_target and the base term of the objective are math.fsum of
+        # the truth's support terms; off the support nothing is added.
+        # (A plain dot product misses this on about half the instances.)
+        for _ in range(10):
+            rows = rng.dirichlet(np.ones(3), size=3)
+            rows[[0, 1, 2], [2, 0, 1]] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            truth = sc.MarkovModel(sc.make_spec(3, 4), 1, [[[0.6, 0.4, 0.0]], rows])
+            base = sc.MixtureModel(random_markov(rng, 3, 4, 1), 0.05)
+            problem = _GlobalTiltProblem.build(base, FunctionalF.neg_log_prob(base), truth=truth)
+            p = np.exp(problem.lp_true)
+            support = p > 0.0
+            assert 0 < support.sum() < support.size
+            assert problem.mu_target == math.fsum((p * problem.fv)[support].tolist())
+            assert problem.ce_base_term == -math.fsum((p * problem.lp_base)[support].tolist())
 
     def test_divergence_when_base_misses_support(self, rng):
         spec = sc.make_spec(2, 2)
@@ -252,23 +283,26 @@ class TestMinimizeConvex:
 
 
 class TestEntropyRateCalibration:
-    def test_heap_peak_is_the_floored_walk(self):
-        # The walk of the floored base sets the calibration's heap peak,
-        # a small multiple of one lattice vector (the bound fails for a
-        # walk that repeats every parent's rows M times).  The fit's
-        # phases stay below it: f is the walk's own vector, and a probe
-        # and the measured KL each allocate about two vectors (three and
-        # four with fresh temporaries per operation and masked copies).
+    def test_heap_peaks_in_lattice_vectors(self):
+        # Heap peaks of the fit and its phases, in lattice vectors, on
+        # top of what each phase is given.  The walks grow their last
+        # levels in blocks, the constructor sums over the truth's support
+        # without masked copies, and the tilt model's pyramid runs over
+        # columns; whole-level walks (6.1 vectors), masked copies (3.1)
+        # or a row-wise logsumexp pyramid (3.0) each break a bound.
         truth = random_markov(np.random.default_rng(3), 4, 8, 2, concentration=0.8)
         base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
         mixture = sc.MixtureModel(base, 0.05)
+        f = FunctionalF.log_prob(mixture)
         size = 8 * 4**8
-        _, walk = heap_peak(lambda: sequence_log_probs(mixture))
         _, peak = heap_peak(lambda: sc.calibrate_entropy_rate(truth, base, 0.05))
-        assert peak < 7.0 * size
-        assert peak <= 1.05 * walk
-        problem = _GlobalTiltProblem.build(mixture, FunctionalF.log_prob(mixture), truth=truth)
+        assert peak < 4.9 * size
+        problem = _GlobalTiltProblem.build(mixture, f, truth=truth)
         assert problem.fv is problem.lp_base
+        _, init = heap_peak(lambda: _GlobalTiltProblem(problem.lp_base, problem.fv, 8, problem.lp_true))
+        assert init < 1.8 * size
+        _, tilt = heap_peak(lambda: sc.GlobalTiltModel(mixture, f, 0.3, _problem=problem))
+        assert tilt < 2.2 * size
         _, probe = heap_peak(lambda: problem.evaluate(0.3))
         assert probe < 2.5 * size
         _, kl = heap_peak(lambda: _kl_from_log_probs(problem.lp_true, problem.lp_base))

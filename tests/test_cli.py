@@ -186,13 +186,16 @@ class TestPipelines:
         # field equal to its public oracle.
         cfg = parse_config({**BASE_CONFIG, "pipeline": "bounds", "out": str(tmp_path / "b")})
         walked = []
-        expand = seqcal.exact.prefix_expansion
+        grow = seqcal.exact._grow
 
-        def counting(model, *args, **kwargs):
-            walked.append(model.kind)
-            return expand(model, *args, **kwargs)
+        def counting(models, states, first, last, weights=None, rows=None):
+            # Every walk from the root starts here with no rows; the tail
+            # blocks of `sequence_log_probs` start from rows it passes.
+            if rows is None:
+                walked.append(models[0].kind)
+            return grow(models, states, first, last, weights, rows)
 
-        monkeypatch.setattr(seqcal.exact, "prefix_expansion", counting)
+        monkeypatch.setattr(seqcal.exact, "_grow", counting)
         code, outdir = run(cfg)
         monkeypatch.undo()
         assert code == 0

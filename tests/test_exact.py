@@ -316,14 +316,15 @@ class TestWalkHeap:
     """The heap peak of a lattice walk is a small multiple of its output.
 
     Each bound sits between this walk's peak and that of a walk which
-    repeats every parent's rows M times, so it fails on the latter.
-    The counts are deterministic: tracemalloc sees every numpy buffer.
+    builds its last levels whole (2.9, 4.3 and 6.1 outputs), so it fails
+    on the latter.  The counts are deterministic: tracemalloc sees every
+    numpy buffer.
     """
 
     @pytest.mark.parametrize("nesting, bound", [
-        ("markov", 3.4),
-        ("drift", 4.9),
-        ("mixture", 7.0),
+        ("markov", 1.8),
+        ("drift", 2.4),
+        ("mixture", 2.9),
     ])
     def test_sequence_log_probs_peak(self, nesting, bound):
         model = random_markov(np.random.default_rng(3), 4, 8, 2, concentration=0.8)
@@ -334,6 +335,50 @@ class TestWalkHeap:
         lp, peak = heap_peak(lambda: sequence_log_probs(model))
         assert lp.shape == (4**8,)
         assert peak < bound * lp.nbytes
+
+
+def _level_by_level_log_probs(model):
+    """log P(w) for every sequence, adding each whole level's log rows."""
+    lp = np.zeros(1)
+    for _t, _states, _weights, rows in prefix_expansion(model):
+        with np.errstate(divide="ignore"):
+            lp = (lp[:, None] + np.log(rows)).reshape(-1)
+    return lp
+
+
+def _walked_models(rng, M, T):
+    truth = random_markov(rng, M, T, 2, concentration=0.5)
+    drift = sc.DriftModel(truth, 0.1)
+    comparator = sc.marginalize_to_window(truth, 1)
+    yield truth
+    for gamma in (0.0, 0.05, 1.0):
+        yield sc.MixtureModel(drift, gamma)
+    yield sc.PerTokenMixture(drift, 0.2)
+    for switch in (0.0, 0.1, 1.0):
+        yield sc.DriftModel(truth, switch)
+    yield sc.GlobalTiltModel(drift, FunctionalF.log_prob(drift), 0.7)
+    yield sc.LocalTiltModel(drift, -0.4)
+    yield sc.MemoryTiltModel(drift, comparator, 0.6, active_steps=tuple(range(2, T + 1)))
+
+
+class TestBlockedWalk:
+    """`sequence_log_probs` grows its last levels in blocks of parents.
+
+    Whatever the block size, including blocks that do not divide a level
+    and blocks of one parent, every entry is bitwise the level-by-level
+    sum.
+    """
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("T", [1, 2, 3, 5])
+    def test_bitwise_the_level_by_level_walk(self, monkeypatch, M, T):
+        rng = np.random.default_rng(100 * M + T)
+        for model in _walked_models(rng, M, T):
+            expected = _level_by_level_log_probs(model)
+            for block in (1, 5, 2 * M**2 + 1, 7 * M**2, 2**14):
+                monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+                lp = sequence_log_probs(model)
+                assert np.array_equal(lp, expected), (model.kind, block)
 
 
 class TestSupportSums:
