@@ -53,6 +53,7 @@ from .models import (
     ConditionalModel,
     MixtureModel,
     _append_code,
+    _finite,
     _try_model_hash,
     check_samples,
     model_from_dict,
@@ -245,7 +246,7 @@ class GlobalTiltModel(ConditionalModel):
         super().__init__(base.spec)
         self.base = base
         self.f = f
-        self.alpha = float(alpha)
+        self.alpha = _finite(float(alpha), "alpha")
         problem = _problem if _problem is not None else _GlobalTiltProblem.build(base, f, budget)
         M, T = self.spec.M, self.spec.T
         levels = [None] * (T + 1)
@@ -305,7 +306,8 @@ class LocalTiltModel(ConditionalModel):
     the M candidates; the final step is untilted (feature 0).  Positive
     a favors candidates whose continuation has high entropy, negative a
     suppresses them.  The state is the base's state and the step count;
-    the feature takes M one-step advances of the base.
+    the feature reads the base's rows one lattice step ahead, child
+    ``i*M + j`` of the step being context i followed by candidate j.
     """
 
     kind = "local_tilt"
@@ -314,7 +316,7 @@ class LocalTiltModel(ConditionalModel):
     def __init__(self, base: ConditionalModel, alpha: float):
         super().__init__(base.spec)
         self.base = base
-        self.alpha = float(alpha)
+        self.alpha = _finite(float(alpha), "alpha")
 
     def init_state(self, n: int):
         return 0, self.base.init_state(n)
@@ -328,12 +330,10 @@ class LocalTiltModel(ConditionalModel):
         t, base_state = state
         base_rows = self.base.rows(base_state)
         n, M = base_rows.shape
-        feats = np.zeros((n, M))
-        if t + 1 < self.spec.T:
-            for j in range(M):
-                ahead = self.base.advance(base_state, np.full(n, j, dtype=np.int64))
-                feats[:, j] = row_entropies(self.base.rows(ahead))
-        return base_rows, feats
+        if t + 1 == self.spec.T:
+            return base_rows, np.zeros((n, M))
+        children = self.base.rows(self.base.advance(base_state, None))
+        return base_rows, row_entropies(children).reshape(n, M)
 
     def rows(self, state) -> np.ndarray:
         t, base_state = state
@@ -523,7 +523,14 @@ def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
 
 
 class _StepTiltProblem:
-    """Flattened (step, context) data for fitting a shared per-step exponent.
+    """The per-step problem of a tilt against a truth model or samples.
+
+    Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
+    ``sample_expansion(target, tilt)`` (sample-average over the n
+    sequences) once, reading the base rows and the feature from
+    ``tilt._step`` and the fitted steps from ``tilt.active_steps`` (None
+    for every step).  `observe`, if given, wraps the walk, so a caller
+    can read each level as it passes.
 
     The N contexts of all steps are columns: ``log_rows`` (the log base
     conditional) and ``feats`` (the per-candidate feature, zeroed on
@@ -533,23 +540,80 @@ class _StepTiltProblem:
     row-layout one (:func:`_sum_columns`).  Beside them: the context
     weights, the column span of each step, and the target feature
     moments -- either exact conditional means under the truth or
-    realized values from samples.
+    realized values from samples.  In sample mode the target's rows are
+    the realised tokens, so its per-context feature means are the
+    realised features; they are kept for the gradient's standard error.
     """
 
-    def __init__(self, tilt, active, weights, log_rows, feats, spans, target_feat_sum, xent_sum,
-                 n_seqs=None, obs_feats=None):
+    def __init__(self, target, tilt, budget=None, min_samples=1000, observe=None):
+        T = tilt.spec.T
+        active = frozenset(range(1, T + 1)) if tilt.active_steps is None else tilt.active_steps
+        if not active or not active.issubset(range(1, T + 1)):
+            raise ValueError("active_steps must be a nonempty subset of 1..T")
+        if isinstance(target, ConditionalModel):
+            if target.spec != tilt.spec:
+                raise ValueError("models must share the same sequence spec")
+            n_seqs = None
+            walk = prefix_expansion(target, budget, tilt)
+        else:
+            n_seqs = check_samples(target, tilt.spec).shape[0]
+            if n_seqs < min_samples:
+                raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n_seqs}")
+            walk = sample_expansion(target, tilt)
+        if observe is not None:
+            walk = observe(walk)
+
+        w_parts, lr_parts, f_parts, obs = [], [], [], []
+        spans = {}
+        start = 0
+        target_sum = 0.0
+        xent_sum = 0.0
+        for t, states, weights, true_rows in walk:
+            base_rows, feats = tilt._step(states[-1])
+            with np.errstate(divide="ignore"):
+                log_rows = np.log(base_rows)
+            support = (weights[:, None] * true_rows) > 0.0
+            if np.any(support & np.isneginf(log_rows)):
+                raise CalibrationDivergenceError(
+                    "base assigns zero probability on the target's support; the "
+                    "objective is infinite for every alpha"
+                )
+            if t not in active:
+                feats = np.zeros_like(base_rows)
+            with np.errstate(invalid="ignore"):  # 0 * -inf off the support
+                xent = np.where(support, true_rows * log_rows, 0.0).sum(axis=1)
+            xent_sum += -float(np.dot(weights, xent))
+            target_feats = (true_rows * feats).sum(axis=1)
+            target_sum += float(np.dot(weights, target_feats))
+            spans[t] = slice(start, start + weights.shape[0])
+            start += weights.shape[0]
+            w_parts.append(weights)
+            lr_parts.append(log_rows)
+            f_parts.append(feats)
+            if n_seqs is not None:
+                obs.append(target_feats)
+        # Built after the walk, whose last level is its largest, and one at
+        # a time, so neither the walk's states nor two sets of parts are
+        # alive beside a column array.  The loop's names for the last
+        # level's log rows and features go first: still bound once
+        # `lr_parts` is released, they would keep that level's log rows
+        # alive beside the feature columns.
+        del log_rows, feats
+        self.log_rows = _columns(lr_parts)
+        del lr_parts
+        self.feats = _columns(f_parts)
+        del f_parts
         self.tilt = tilt
         self.active = active
-        self.weights = weights
-        self.log_rows = log_rows
-        self.feats = feats
+        self.weights = np.concatenate(w_parts)
         self.spans = spans  # {t: slice of step t's columns}
-        self.target_feat_sum = target_feat_sum
+        self.target_feat_sum = target_sum
         self.xent_sum = xent_sum
-        self.T = tilt.spec.T
-        self.mu_target = target_feat_sum / self.T
+        self.T = T
+        self.mu_target = target_sum / T
         self.n_seqs = n_seqs
-        self.obs_feats = obs_feats  # (T, n) realized features, sample mode only
+        # (T, n) realized features, sample mode only
+        self.obs_feats = None if n_seqs is None else np.array(obs)
 
     def evaluate(self, alpha: float) -> dict:
         rows, log_z = _tilt_columns(self.log_rows, self.feats, alpha)
@@ -602,85 +666,6 @@ def _columns(parts) -> np.ndarray:
     return np.concatenate([p.T for p in parts], axis=1, out=out)
 
 
-def _step_problem(target, tilt, budget=None, min_samples=1000, observe=None):
-    """The per-step problem of `tilt` against a truth model or samples.
-
-    Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
-    ``sample_expansion(target, tilt)`` (sample-average over the n
-    sequences) once, reading the base rows and the feature from
-    ``tilt._step`` and the fitted steps from ``tilt.active_steps`` (None
-    for every step).  `observe`, if given, wraps the walk, so a caller
-    can read each level as it passes.  In sample mode the target's rows
-    are the realised tokens, so its per-context feature means are the
-    realised features; they are kept for the gradient's standard error.
-    """
-    T = tilt.spec.T
-    active = frozenset(range(1, T + 1)) if tilt.active_steps is None else tilt.active_steps
-    if not active or not active.issubset(range(1, T + 1)):
-        raise ValueError("active_steps must be a nonempty subset of 1..T")
-    if isinstance(target, ConditionalModel):
-        if target.spec != tilt.spec:
-            raise ValueError("models must share the same sequence spec")
-        n_seqs = None
-        walk = prefix_expansion(target, budget, tilt)
-    else:
-        n_seqs = check_samples(target, tilt.spec).shape[0]
-        if n_seqs < min_samples:
-            raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n_seqs}")
-        walk = sample_expansion(target, tilt)
-    if observe is not None:
-        walk = observe(walk)
-
-    w_parts, lr_parts, f_parts, obs = [], [], [], []
-    spans = {}
-    start = 0
-    target_sum = 0.0
-    xent_sum = 0.0
-    for t, states, weights, true_rows in walk:
-        base_rows, feats = tilt._step(states[-1])
-        with np.errstate(divide="ignore"):
-            log_rows = np.log(base_rows)
-        support = (weights[:, None] * true_rows) > 0.0
-        if np.any(support & np.isneginf(log_rows)):
-            raise CalibrationDivergenceError(
-                "base assigns zero probability on the target's support; the "
-                "objective is infinite for every alpha"
-            )
-        if t not in active:
-            feats = np.zeros_like(base_rows)
-        with np.errstate(invalid="ignore"):  # 0 * -inf off the support
-            xent_terms = np.where(support, true_rows * log_rows, 0.0)
-        xent_sum += -float(np.dot(weights, xent_terms.sum(axis=1)))
-        target_feats = (true_rows * feats).sum(axis=1)
-        target_sum += float(np.dot(weights, target_feats))
-        spans[t] = slice(start, start + weights.shape[0])
-        start += weights.shape[0]
-        w_parts.append(weights)
-        lr_parts.append(log_rows)
-        f_parts.append(feats)
-        if n_seqs is not None:
-            obs.append(target_feats)
-    # Built after the walk, whose last level is its largest, and one at
-    # a time, so neither the walk's states nor two sets of parts are
-    # alive beside a column array.
-    log_rows = _columns(lr_parts)
-    del lr_parts
-    feats = _columns(f_parts)
-    del f_parts
-    return _StepTiltProblem(
-        tilt,
-        active,
-        np.concatenate(w_parts),
-        log_rows,
-        feats,
-        spans,
-        target_sum,
-        xent_sum,
-        n_seqs=n_seqs,
-        obs_feats=None if n_seqs is None else np.array(obs),
-    )
-
-
 def _fit_step(problem, tolerance, provenance=None):
     """Fit the shared exponent of a per-step problem: (tilt at alpha*, result).
 
@@ -714,7 +699,7 @@ def fit_per_step_tilt(
     fit under the sample's empirical distribution (stop at |gradient| <=
     0.1 * stderr(gradient)).
     """
-    return _fit_step(_step_problem(target, tilt, budget, min_samples), tolerance, provenance)
+    return _fit_step(_StepTiltProblem(target, tilt, budget, min_samples), tolerance, provenance)
 
 
 def fit_alpha_local(
@@ -732,7 +717,7 @@ def fit_alpha_local(
     """
     # fit_per_step_tilt's body, inlined: perfbench's tracer wraps that
     # function and reads its return value as a bare CalibrationResult.
-    problem = _step_problem(target, LocalTiltModel(base, 0.0), budget, min_samples)
+    problem = _StepTiltProblem(target, LocalTiltModel(base, 0.0), budget, min_samples)
     return _fit_step(problem, tolerance, provenance)
 
 

@@ -24,7 +24,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -69,17 +69,6 @@ from .models import (
 )
 from .rng import named_stream
 
-PIPELINES = (
-    "calibrate-global",
-    "calibrate-local",
-    "drift",
-    "memory",
-    "bounds",
-    "verify",
-    "gen",
-    "inspect",
-)
-
 MANIFEST_FORMAT_VERSION = 1
 
 
@@ -89,124 +78,6 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")
         self.key = key
-
-
-@dataclass
-class ExperimentConfig:
-    M: int
-    T: int
-    pipeline: str
-    true_model: dict = field(default_factory=lambda: {"kind": "random_markov", "order": 1})
-    model: dict = field(default_factory=lambda: {"recipe": "identity"})
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    budget: int = 10**6
-    epsilon: float = 0.01
-    tau: list = field(default_factory=lambda: [1])
-    n_gen: int = 512
-    n_samples: int = 100000
-    tolerance: float = 1e-10
-    t_policy: str | int = "average"
-    prefix_len: int = 0
-    n_prefixes: int = 128
-    instances: int = 50
-    units: str = "nats"
-
-    def spec(self):
-        return make_spec(self.M, self.T)
-
-    def enumeration_budget(self) -> EnumerationBudget:
-        return EnumerationBudget(self.budget)
-
-    def canonical(self) -> dict:
-        # The output directory is where results land, not what they
-        # are; leaving it out keeps the hash a pure experiment identity.
-        doc = asdict(self)
-        doc["tau"] = [int(t) for t in self.tau]
-        del doc["out"]
-        return doc
-
-    def canonical_text(self) -> str:
-        return json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
-
-
-def _expect(raw: dict, key: str, kind, default=None, minimum=None, choices=None):
-    if key not in raw:
-        if default is None and key in ("M", "T", "pipeline"):
-            raise ConfigError(key, "missing required key")
-        return default
-    value = raw[key]
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(key, f"expected an integer, got {value!r}")
-    elif kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(key, f"expected a number, got {value!r}")
-        value = float(value)
-    elif kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(key, f"expected a string, got {value!r}")
-    elif kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(key, f"expected an object, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {value}")
-    if choices is not None and value not in choices:
-        raise ConfigError(key, f"must be one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-_KNOWN_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
-
-
-def parse_config(raw: dict) -> ExperimentConfig:
-    for key in raw:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(key, "unknown key")
-    tau = raw.get("tau", [1])
-    if isinstance(tau, int) and not isinstance(tau, bool):
-        tau = [tau]
-    if not isinstance(tau, list) or not tau or any(
-        isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in tau
-    ):
-        raise ConfigError("tau", f"expected a positive integer or list of them, got {raw.get('tau')!r}")
-    t_policy = raw.get("t_policy", "average")
-    if not (t_policy == "average" or (isinstance(t_policy, int) and not isinstance(t_policy, bool))):
-        raise ConfigError("t_policy", f"expected 'average' or a step index, got {t_policy!r}")
-    cfg = ExperimentConfig(
-        M=_expect(raw, "M", int, minimum=2),
-        T=_expect(raw, "T", int, minimum=1),
-        pipeline=_expect(raw, "pipeline", str, choices=set(PIPELINES)),
-        true_model=_expect(raw, "true_model", dict, default={"kind": "random_markov", "order": 1}),
-        model=_expect(raw, "model", dict, default={"recipe": "identity"}),
-        seed=_expect(raw, "seed", int, default=0, minimum=0),
-        out=_expect(raw, "out", str, default=None),
-        format=_expect(raw, "format", str, default="csv", choices={"csv", "json"}),
-        budget=_expect(raw, "budget", int, default=10**6, minimum=1),
-        epsilon=_expect(raw, "epsilon", float, default=0.01),
-        tau=tau,
-        n_gen=_expect(raw, "n_gen", int, default=512, minimum=2),
-        n_samples=_expect(raw, "n_samples", int, default=100000, minimum=2),
-        tolerance=_expect(raw, "tolerance", float, default=1e-10, minimum=0.0),
-        t_policy=t_policy,
-        prefix_len=_expect(raw, "prefix_len", int, default=0, minimum=0),
-        n_prefixes=_expect(raw, "n_prefixes", int, default=128, minimum=1),
-        instances=_expect(raw, "instances", int, default=50, minimum=1),
-        units=_expect(raw, "units", str, default="nats", choices={"nats", "bits"}),
-    )
-    if not 0.0 < cfg.epsilon < 1.0:
-        raise ConfigError("epsilon", f"must lie in (0, 1), got {cfg.epsilon}")
-    if cfg.prefix_len >= cfg.T:
-        raise ConfigError("prefix_len", f"must be < T = {cfg.T}")
-    if cfg.pipeline == "memory" and max(cfg.tau) >= cfg.T:
-        raise ConfigError("tau", f"memory gaps must be < T = {cfg.T}, got {cfg.tau}")
-    if t_policy != "average" and not 1 <= t_policy <= cfg.T:
-        raise ConfigError("t_policy", f"step must lie in 1..{cfg.T}, got {t_policy}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +363,132 @@ def _pipeline_verify(cfg, truth, model, budget):
     return code, {"verify_report.json": _json_bytes(report)}
 
 
-_PIPELINE_RUNNERS = {
-    "drift": _pipeline_drift,
+PIPELINES = {
     "calibrate-global": _pipeline_calibrate_global,
     "calibrate-local": _pipeline_calibrate_local,
+    "drift": _pipeline_drift,
     "memory": _pipeline_memory,
     "bounds": _pipeline_bounds,
+    "verify": _pipeline_verify,
     "gen": _pipeline_gen,
     "inspect": _pipeline_inspect,
-    "verify": _pipeline_verify,
 }
+
+
+# ---------------------------------------------------------------------------
+# Configuration.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ExperimentConfig:
+    """An experiment; each field is one config key and declares it once.
+
+    :func:`parse_config` checks a raw value against the field's annotated
+    type and its metadata: ``minimum``, the least value, and ``choices``,
+    the allowed ones.  A field without a default is a required key.
+    """
+
+    M: int = field(metadata={"minimum": 2})
+    T: int = field(metadata={"minimum": 1})
+    pipeline: str = field(metadata={"choices": PIPELINES})
+    true_model: dict = field(default_factory=lambda: {"kind": "random_markov", "order": 1})
+    model: dict = field(default_factory=lambda: {"recipe": "identity"})
+    seed: int = field(default=0, metadata={"minimum": 0})
+    out: str | None = None
+    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
+    budget: int = field(default=10**6, metadata={"minimum": 1})
+    epsilon: float = 0.01
+    tau: list = field(default_factory=lambda: [1])
+    n_gen: int = field(default=512, metadata={"minimum": 2})
+    n_samples: int = field(default=100000, metadata={"minimum": 2})
+    tolerance: float = field(default=1e-10, metadata={"minimum": 0.0})
+    t_policy: str | int = "average"
+    prefix_len: int = field(default=0, metadata={"minimum": 0})
+    n_prefixes: int = field(default=128, metadata={"minimum": 1})
+    instances: int = field(default=50, metadata={"minimum": 1})
+    units: str = field(default="nats", metadata={"choices": ("nats", "bits")})
+
+    def spec(self):
+        return make_spec(self.M, self.T)
+
+    def enumeration_budget(self) -> EnumerationBudget:
+        return EnumerationBudget(self.budget)
+
+    def canonical(self) -> dict:
+        # The output directory is where results land, not what they
+        # are; leaving it out keeps the hash a pure experiment identity.
+        doc = asdict(self)
+        doc["tau"] = [int(t) for t in self.tau]
+        del doc["out"]
+        return doc
+
+    def canonical_text(self) -> str:
+        return json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+
+
+def _checked(f, value):
+    """A raw value of the config field `f`, checked against its declaration."""
+    kind = f.type.removesuffix(" | None")  # the annotation's text
+    types, noun = {
+        "int": (int, "an integer"),
+        "float": ((int, float), "a number"),
+        "str": (str, "a string"),
+        "dict": (dict, "an object"),
+    }[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f.name, f"expected {noun}, got {value!r}")
+    if kind == "float":
+        value = float(value)
+    minimum, choices = f.metadata.get("minimum"), f.metadata.get("choices")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f.name, f"must be >= {minimum}, got {value}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f.name, f"must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    declared = fields(ExperimentConfig)
+    names = {f.name for f in declared}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(key, "unknown key")
+    values = {}
+    if "tau" in raw:
+        tau = raw["tau"]
+        if isinstance(tau, int) and not isinstance(tau, bool):
+            tau = [tau]
+        if not isinstance(tau, list) or not tau or any(
+            isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in tau
+        ):
+            raise ConfigError("tau", f"expected a positive integer or list of them, got {raw['tau']!r}")
+        values["tau"] = tau
+    if "t_policy" in raw:
+        t_policy = raw["t_policy"]
+        if not (t_policy == "average" or (isinstance(t_policy, int) and not isinstance(t_policy, bool))):
+            raise ConfigError("t_policy", f"expected 'average' or a step index, got {t_policy!r}")
+        values["t_policy"] = t_policy
+    for f in declared:
+        if f.name in values:
+            continue
+        if f.name in raw:
+            values[f.name] = _checked(f, raw[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f.name, "missing required key")
+    cfg = ExperimentConfig(**values)
+    if not 0.0 < cfg.epsilon < 1.0:
+        raise ConfigError("epsilon", f"must lie in (0, 1), got {cfg.epsilon}")
+    if cfg.prefix_len >= cfg.T:
+        raise ConfigError("prefix_len", f"must be < T = {cfg.T}")
+    if cfg.pipeline == "memory" and max(cfg.tau) >= cfg.T:
+        raise ConfigError("tau", f"memory gaps must be < T = {cfg.T}, got {cfg.tau}")
+    if cfg.t_policy != "average" and not 1 <= cfg.t_policy <= cfg.T:
+        raise ConfigError("t_policy", f"step must lie in 1..{cfg.T}, got {cfg.t_policy}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +503,7 @@ def run(cfg: ExperimentConfig, overrides: dict | None = None) -> tuple[int, Path
     truth = _described(build_true_model, "true_model", cfg)
     model = _described(build_learned_model, "model", cfg, truth)
 
-    code, artifacts = _PIPELINE_RUNNERS[cfg.pipeline](cfg, truth, model, budget)
+    code, artifacts = PIPELINES[cfg.pipeline](cfg, truth, model, budget)
 
     if cfg.out:
         outdir = Path(cfg.out)
@@ -586,12 +573,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="pipeline", required=True)
     for name in PIPELINES:
         _add_common_flags(sub.add_parser(name, help=f"run the {name} pipeline"))
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    pipeline, config = args.pop("pipeline"), args.pop("config")
+    overrides = {key: value for key, value in args.items() if value is not None}
 
     try:
         raw: dict = {}
-        if args.config:
-            path = Path(args.config)
+        if config:
+            path = Path(config)
             if not path.exists():
                 print(f"config file not found: {path}", file=sys.stderr)
                 return 2
@@ -603,21 +592,12 @@ def main(argv=None) -> int:
             if not isinstance(raw, dict):
                 print("config must be a JSON object", file=sys.stderr)
                 return 2
-        overrides = {}
-        for key in ("seed", "out", "format", "units", "M", "T", "epsilon",
-                    "n_gen", "instances", "tolerance", "prefix_len"):
-            value = getattr(args, key)
-            if value is not None:
-                raw[key] = value
-                overrides[key] = value
-        if args.tau is not None:
+        if "tau" in overrides:
             try:
-                taus = [int(x) for x in args.tau.split(",") if x]
+                overrides["tau"] = [int(x) for x in overrides["tau"].split(",") if x]
             except ValueError:
-                raise ConfigError("tau", f"expected comma-separated integers, got {args.tau!r}")
-            raw["tau"] = taus
-            overrides["tau"] = taus
-        raw["pipeline"] = args.pipeline
+                raise ConfigError("tau", f"expected comma-separated integers, got {overrides['tau']!r}")
+        raw.update(overrides, pipeline=pipeline)
         cfg = parse_config(raw)
         code, outdir = run(cfg, overrides=overrides)
         print(f"wrote {outdir} (exit {code})")

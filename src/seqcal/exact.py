@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import ConditionalModel, check_samples, model_hash
+from .models import ConditionalModel, _finite, check_samples, model_hash
 
 # Probability floor used only when a logarithm of an exactly-zero entry
 # must be finite (tilt features, comparator scoring).  Sampling and plain
@@ -314,6 +314,7 @@ class FunctionalF:
                     f"table must have one value per sequence of its spec ({size}), "
                     f"got {None if self.table is None else self.table.shape}"
                 )
+            _finite(self.table, "table")
         self.bound = None if bound is None else float(bound)
         self.p_min = float(p_min)
 

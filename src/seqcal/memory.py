@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _fit_step, _step_problem, _tilt_rows
+from .calibrate import CalibrationResult, _StepTiltProblem, _fit_step, _tilt_rows
 from .estimate import _unit_scale
 from .exact import (
     P_MIN,
@@ -49,6 +49,7 @@ from .models import (
     ConditionalModel,
     LimitedMemoryModel,
     MarkovModel,
+    _finite,
     _fit_window,
     check_samples,
     marginalize_to_window,
@@ -84,7 +85,7 @@ class MemoryTiltModel(ConditionalModel):
             raise ValueError("comparator must share the full model's sequence spec")
         self.base = full
         self.comparator = comparator
-        self.alpha = float(alpha)
+        self.alpha = _finite(float(alpha), "alpha")
         self.active_steps = (
             None if active_steps is None else frozenset(int(t) for t in active_steps)
         )
@@ -216,7 +217,7 @@ def calibrate_to_comparator(
     if steps is None:
         steps = _default_steps(comparator, full.spec.T)
     tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-    return _fit_step(_step_problem(target, tilt, budget, min_samples), tolerance, provenance)
+    return _fit_step(_StepTiltProblem(target, tilt, budget, min_samples), tolerance, provenance)
 
 
 @dataclass
@@ -353,8 +354,8 @@ def memory_bound(
     exact_mode = isinstance(target, ConditionalModel)
     tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
     ce: dict = {}
-    problem = _step_problem(target, tilt, budget, min_samples,
-                            observe=lambda walk: _comparator_ce(walk, tilt, ce, not exact_mode))
+    problem = _StepTiltProblem(target, tilt, budget, min_samples,
+                               observe=lambda walk: _comparator_ce(walk, tilt, ce, not exact_mode))
     _, calibration = _fit_step(problem, tolerance, provenance)
 
     per_step: dict = {}

@@ -110,7 +110,7 @@ def check_samples(samples, spec: SequenceSpec) -> np.ndarray:
     """An (n, T) sample array of `spec` as int64, checked by :func:`check_tokens`."""
     arr = np.asarray(samples)
     if arr.ndim != 2 or arr.shape[1] != spec.T:
-        raise ValueError(f"samples must be an (n, {spec.T}) array")
+        raise ValueError(f"samples must be an (n, {spec.T}) array of length-{spec.T} sequences")
     return check_tokens(arr, spec.M)
 
 
@@ -236,12 +236,6 @@ class ConditionalModel(ABC):
     def _check_context(self, context) -> np.ndarray:
         return self._check_batch(np.reshape(context, (1, -1)), "context", self.spec.T - 1)[0]
 
-    def _check_sequences(self, seqs) -> np.ndarray:
-        seqs = self._check_batch(seqs, "sequences", self.spec.T)
-        if seqs.shape[1] != self.spec.T:
-            raise ValueError(f"sequences have length {seqs.shape[1]}, expected {self.spec.T}")
-        return seqs
-
     # -- drivers -------------------------------------------------------
 
     def next_dist(self, context) -> np.ndarray:
@@ -260,7 +254,7 @@ class ConditionalModel(ABC):
 
     def seq_log_prob_batch(self, seqs) -> np.ndarray:
         """log P(w) of every row of an (n, T) sequence array, by the chain rule."""
-        seqs = self._check_sequences(seqs)
+        seqs = check_samples(seqs, self.spec)
         # A column of a column-major array (as `sample_batch` returns) is
         # read as a view; any other layout is copied once per step.
         columns = (np.ascontiguousarray(seqs[:, t]) for t in range(seqs.shape[1]))
@@ -455,6 +449,13 @@ def _unit_interval(value, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _finite(value, name: str):
+    """`value`, a number or an array; ValueError naming `name` unless every entry is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
     return value
 
 

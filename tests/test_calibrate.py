@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import seqcal as sc
 from seqcal.calibrate import (
     _GlobalTiltProblem,
+    _StepTiltProblem,
     _logsumexp_rows,
     _minimize_convex,
-    _step_problem,
     fit_per_step_tilt,
     tilted_variance_max,
 )
@@ -110,6 +110,43 @@ class TestGlobalTiltModel:
                 math.log(tilt.next_dist(w[:t])[w[t]]) for t in range(4)
             )
             assert chained == pytest.approx(tilt.seq_log_prob(w), abs=1e-10)
+
+
+class TestNonFiniteParameters:
+    """A non-finite exponent or feature table is refused, from code and from documents.
+
+    Accepted, a NaN alpha or table entry would give a global tilt uniform
+    rows everywhere and a local tilt NaN rows, which serialize as NaN.
+    """
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_tilts_reject_a_non_finite_alpha(self, rng, bad):
+        base = random_markov(rng, 2, 3, 1)
+        f = FunctionalF.log_prob(base)
+        comparator = sc.marginalize_to_window(base, 1)
+        builds = [
+            lambda alpha: sc.GlobalTiltModel(base, f, alpha),
+            lambda alpha: sc.LocalTiltModel(base, alpha),
+            lambda alpha: sc.MemoryTiltModel(base, comparator, alpha),
+        ]
+        for build in builds:
+            doc = sc.model_to_dict(build(0.5))
+            doc["parameters"]["alpha"] = bad
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                build(bad)
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                sc.model_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_table_functional_rejects_a_non_finite_entry(self, bad):
+        spec = sc.make_spec(2, 2)
+        with pytest.raises(ValueError, match="table must be finite"):
+            FunctionalF.from_table([0.0, 1.0, bad, 2.0], spec)
+        f = FunctionalF.from_table([0.0, 1.0, 3.0, 2.0], spec)
+        doc = sc.model_to_dict(sc.GlobalTiltModel(sc.MarkovModel.uniform(spec), f, 0.5))
+        doc["parameters"]["f"]["values"][2] = bad
+        with pytest.raises(ValueError, match="table must be finite"):
+            sc.model_from_dict(doc)
 
 
 class TestFitAlphaGlobal:
@@ -678,7 +715,7 @@ class TestStepProblemLayout:
             comparator = sc.MarkovModel(spec, 0, [comparator_row[None, :]])
             tilt = sc.MemoryTiltModel(base, comparator, 0.0, active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
-        problem = _step_problem(target, tilt, min_samples=1)
+        problem = _StepTiltProblem(target, tilt, min_samples=1)
         assert problem.log_rows.flags.c_contiguous and problem.feats.flags.c_contiguous
         for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
             assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha)
@@ -694,6 +731,22 @@ class TestStepProblemLayout:
                             logits = np.log(base_rows) + alpha * feats
                         rows = np.exp(logits - logsumexp(logits, axis=1)[:, None])
                         assert np.array_equal(model.rows(states[-1]), rows)
+
+    @pytest.mark.parametrize("kind, bound", [("memory", 9.6), ("local", 9.35)])
+    def test_build_heap_peak_in_last_level_arrays(self, kind, bound):
+        # The build's heap peak, in arrays of the last level's
+        # (M**(T-1), M) rows: 9.27 (memory) and 9.02 (local).  The walk
+        # loop's names for the last level's log rows and features, still
+        # bound while the columns are built, raise it to 9.98 and 9.73.
+        M, T = 4, 8
+        truth = random_markov(np.random.default_rng(3), M, T, 2, concentration=0.8)
+        base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
+        if kind == "local":
+            tilt = sc.LocalTiltModel(base, 0.0)
+        else:
+            tilt = sc.MemoryTiltModel(base, sc.marginalize_to_window(truth, 1), 0.0)
+        _, peak = heap_peak(lambda: _StepTiltProblem(truth, tilt))
+        assert peak < bound * 8 * M**T
 
 
 class TestAmplificationBound:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -18,7 +19,17 @@ from seqcal import (
     make_spec,
     memory_bound,
 )
-from seqcal.cli import ConfigError, build_learned_model, build_true_model, main, parse_config, run
+from seqcal.cli import (
+    PIPELINES,
+    ConfigError,
+    ExperimentConfig,
+    _add_common_flags,
+    build_learned_model,
+    build_true_model,
+    main,
+    parse_config,
+    run,
+)
 from seqcal.rng import named_stream
 from seqcal.verify import _check_local_fit, _memory_chain_holds, verify_suite
 
@@ -71,6 +82,10 @@ class TestConfigParsing:
             parse_config({"M": 2, "T": 2, "pipeline": "drift", "epsilon": 2.0})
         with pytest.raises(ConfigError, match="tau"):
             parse_config({"M": 2, "T": 2, "pipeline": "drift", "tau": [0]})
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_defaults_are_the_declared_fields(self, pipeline):
+        assert parse_config({"M": 2, "T": 3, "pipeline": pipeline}) == ExperimentConfig(2, 3, pipeline)
 
     def test_config_hash_ignores_out_dir(self):
         a = parse_config({**BASE_CONFIG, "out": "a"})
@@ -311,6 +326,33 @@ class TestMainEntry:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["overrides"] == {"seed": 99}
         assert manifest["seed"] == 99
+
+    def test_every_flag_is_an_override(self, tmp_path):
+        flags = {
+            "seed": ("5", 5), "format": ("json", "json"), "units": ("bits", "bits"),
+            "M": ("2", 2), "T": ("3", 3), "epsilon": ("0.1", 0.1), "tau": ("1,2", [1, 2]),
+            "n_gen": ("8", 8), "instances": ("3", 3), "tolerance": ("1e-9", 1e-9),
+            "prefix_len": ("1", 1),
+        }
+        parser = argparse.ArgumentParser()
+        _add_common_flags(parser)
+        assert set(vars(parser.parse_args([]))) == {*flags, "config", "out"}
+        argv = ["gen", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        for key, (text, _) in flags.items():
+            argv += [f"--{key.replace('_', '-')}", text]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        expected = {key: value for key, (_, value) in flags.items()}
+        assert manifest["overrides"] == expected
+        assert {key: manifest["config"][key] for key in expected} == expected
+
+    def test_non_finite_inline_model_exits_2(self, tmp_path, capsys):
+        spec = make_spec(3, 4)
+        doc = seqcal.model_to_dict(seqcal.LocalTiltModel(MarkovModel.uniform(spec), 0.5))
+        doc["parameters"]["alpha"] = math.nan
+        cfg = write_config(tmp_path, {"M": 3, "T": 4, "true_model": {"kind": "inline", "model": doc}})
+        assert main(["inspect", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 2
+        assert "config key 'true_model': alpha must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "pipeline", ["drift", "calibrate-global", "calibrate-local", "memory", "verify"]

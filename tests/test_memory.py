@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import seqcal as sc
-from seqcal.calibrate import _fit_step, _step_problem
+from seqcal.calibrate import _StepTiltProblem, _fit_step
 from seqcal.exact import (
     conditional_mi_exact,
     enumerate_sequences,
@@ -452,7 +452,7 @@ class TestBoundFromTheFitsWalk:
         target = truth.sample_batch(2000, rng) if case == "sample" else truth
         steps = tuple(range(2, T + 1))
         tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-        problem = _step_problem(target, tilt)
+        problem = _StepTiltProblem(target, tilt)
         tilted, result = _fit_step(problem, 1e-10)
         est = sc.memory_bound(target, full, comparator)
         assert est.alpha_star == result.alpha_star

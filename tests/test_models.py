@@ -499,8 +499,8 @@ class TestLinearCost:
             elif kind == "mixture":
                 model, expected = sc.MixtureModel(inner, 0.1), T
             elif kind == "local_tilt":
-                # M lookahead advances on every tilted step (all but the last).
-                model, expected = sc.LocalTiltModel(drift, 0.5), T + M * (T - 1)
+                # One lattice step ahead on every tilted step (all but the last).
+                model, expected = sc.LocalTiltModel(drift, 0.5), 2 * T - 1
             else:
                 tables = random_markov(rng, M, T, 1).tables
                 comparator = sc.LimitedMemoryModel(inner.spec, 1, tables)
