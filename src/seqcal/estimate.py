@@ -124,7 +124,8 @@ def cross_entropy_mc(
     Each step's tokens are scored by q as p draws them, so no (n, T)
     sample is kept.  If q assigns zero probability to a sampled sequence
     the estimate is flagged infinite and the first offending sequence is
-    recorded, rebuilt by replaying the draw from a copy of `rng`.
+    recorded, rebuilt by replaying the draw from a copy of `rng` and
+    keeping only that sequence's token of each step.
     """
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -138,12 +139,13 @@ def cross_entropy_mc(
     prov.setdefault("q_model_hash", _try_model_hash(q))
     if np.any(np.isinf(vals)):
         bad = int(np.flatnonzero(np.isinf(vals))[0])
+        steps = p_sampler._generate(p_sampler.init_state(n), 0, replay)
         return McEstimate(
             value=math.inf,
             stderr=math.inf,
             n_samples=n,
             infinite=True,
-            offending=tuple(int(x) for x in p_sampler.sample_batch(n, replay)[bad]),
+            offending=tuple(int(tokens[bad]) for _, _, tokens in steps),
             provenance=prov,
         )
     # Shift before the variance: exact zero spread for a constant

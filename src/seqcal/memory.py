@@ -423,6 +423,8 @@ def _comparator_ce(walk, tilt, ce: dict, per_context: bool):
             # A comparator zero under positive mass makes the sum infinite.
             np.multiply(terms, log_comp, out=terms, where=terms > 0.0)
             ce[t] = (-_fsum(terms), -terms.sum(axis=1) if per_context else None)
+            # Released before the consumer processes the same level.
+            del log_comp, terms
         yield level
 
 

@@ -22,13 +22,16 @@ through its per-step conditional distributions.  Concrete families:
 
 Every model is read through one stateful step (:class:`ConditionalModel`):
 ``init_state(n)`` starts n empty prefixes, ``advance(state, tokens)``
-appends one token to each, and ``rows(state)`` gives their next-token
-rows.  ``advance(state, None)`` appends every token to every prefix,
-the step of an exact lattice walk.  Scoring, sampling and every exact
-lattice walk drive these three methods, so each costs one step per
-token.  States are tuples of ints and arrays and are never mutated;
-models are immutable after construction and safe to share across
-threads; sampling consumes an externally owned generator.
+appends one token to each, ``rows(state)`` gives their next-token rows
+and ``probs(state, tokens)`` reads one entry of each row, the
+probability of the given token.  ``advance(state, None)`` appends every
+token to every prefix, the step of an exact lattice walk.  Scoring
+reads ``probs``, so a table or floored model builds no (n, M) row to
+score a token; sampling and every exact lattice walk read whole
+``rows``.  Each costs one step per token.  States are tuples of ints
+and arrays and are never mutated; models are immutable after
+construction and safe to share across threads; sampling consumes an
+externally owned generator.
 """
 
 from __future__ import annotations
@@ -91,11 +94,21 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
     """Shannon entropy (nats) of each probability vector along the last axis.
 
     Zero entries contribute zero, matching the p*log(p) -> 0 limit.
+    numpy adds a row of fewer than 8 entries left to right, but slowly
+    along a short last axis, so below M = 8 the columns are added in that
+    order instead: bitwise the same sum, 12.8 against 18.0 ms at
+    n = 262,144 and M = 4 on a 2-vCPU host.
     """
     rows = np.asarray(rows, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(rows > 0.0, rows * np.log(rows), 0.0)
-    return -terms.sum(axis=-1)
+    M = terms.shape[-1]
+    if M >= 8:
+        return -terms.sum(axis=-1)
+    total = terms[..., 0].copy()
+    for j in range(1, M):
+        total += terms[..., j]
+    return -total
 
 
 def check_tokens(tokens, M: int) -> np.ndarray:
@@ -181,11 +194,16 @@ class ConditionalModel(ABC):
       being prefix i followed by token j;
     * ``rows(state)`` -- the (n, M) next-token rows of the prefixes.
 
+    ``probs(state, tokens)``, the probability of ``tokens[i]`` after
+    prefix i, is ``pick(rows(state), tokens)`` by default; a model that
+    can read the one entry without building its rows overrides it with
+    a bitwise equal gather.
+
     States exist for prefix lengths 0..T-1 and are tuples of ints and
     arrays whose leading axis is the batch.  For the lattice step a leaf
     model repeats its own arrays; a model carrying its base's rows
     repeats only its 1-d arrays and reads the parents' picks as the
-    flattened rows, so no (n, M) array is repeated.  None of the three
+    flattened rows, so no (n, M) array is repeated.  None of these
     validates its input.  The public scoring and sampling methods below
     are drivers of this step: they validate once per call and cost one
     step per token.
@@ -213,6 +231,10 @@ class ConditionalModel(ABC):
     @abstractmethod
     def rows(self, state) -> np.ndarray:
         """(n, M) next-token rows at `state`; no validation."""
+
+    def probs(self, state, tokens: np.ndarray) -> np.ndarray:
+        """``rows(state)[i, tokens[i]]`` for each prefix i; no validation."""
+        return pick(self.rows(state), tokens)
 
     def _state_at(self, contexts: np.ndarray):
         """State after reading every row of an (n, L) token array."""
@@ -270,7 +292,7 @@ class ConditionalModel(ABC):
         state = self.init_state(n)
         for t, tokens in enumerate(columns):
             with np.errstate(divide="ignore"):
-                total += np.log(pick(self.rows(state), tokens))
+                total += np.log(self.probs(state, tokens))
             if t + 1 < self.spec.T:
                 state = self.advance(state, tokens)
         return total
@@ -380,6 +402,10 @@ class MarkovModel(ConditionalModel):
         t, code = state
         return np.take(self._tables[min(self.order, t)], code, axis=0)
 
+    def probs(self, state, tokens):
+        t, code = state
+        return np.take(self._tables[min(self.order, t)], code * self.spec.M + tokens)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -460,7 +486,7 @@ def _finite(value, name: str):
 
 
 def _floor(base_rows: np.ndarray, w_base, w_uniform, M: int) -> np.ndarray:
-    """``w_base * base_rows + w_uniform / M`` for scalar or (n, 1) weights."""
+    """``w_base * base_rows + w_uniform / M`` for scalar, (n, 1) or (n,) weights."""
     # `w_uniform` is divided in place, so an array passed there must be a
     # fresh one the caller owns.  No other (n, M) temporary is made: on
     # the exact walks, that sets the peak memory.
@@ -504,8 +530,16 @@ class MixtureModel(ConditionalModel):
 
     def rows(self, state) -> np.ndarray:
         _, log_odds, base_rows = state
+        return self._mix(base_rows, log_odds[:, None])
+
+    def probs(self, state, tokens):
+        _, log_odds, base_rows = state
+        return self._mix(pick(base_rows, tokens), log_odds)
+
+    def _mix(self, base_probs: np.ndarray, log_odds: np.ndarray) -> np.ndarray:
+        """Mixture probabilities from base probabilities and the log-odds, broadcast together."""
         if self.gamma == 0.0:
-            return base_rows
+            return base_probs
         # s(l) and s(-l) as exp(min(l, 0)) and exp(min(-l, 0)) over their
         # sum: neither exponential overflows, and s(-l) keeps its digits
         # when s(l) rounds to 1.
@@ -514,7 +548,7 @@ class MixtureModel(ConditionalModel):
         total = to_base + to_uniform
         to_base /= total
         to_uniform /= total
-        return _floor(base_rows, to_base[:, None], to_uniform[:, None], self.spec.M)
+        return _floor(base_probs, to_base, to_uniform, self.spec.M)
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -541,7 +575,13 @@ class PerTokenMixture(ConditionalModel):
         return self.base.advance(state, tokens)
 
     def rows(self, state) -> np.ndarray:
-        return _floor(self.base.rows(state), 1.0 - self.gamma, self.gamma, self.spec.M)
+        return self._mix(self.base.rows(state))
+
+    def probs(self, state, tokens):
+        return self._mix(self.base.probs(state, tokens))
+
+    def _mix(self, base_probs: np.ndarray) -> np.ndarray:
+        return _floor(base_probs, 1.0 - self.gamma, self.gamma, self.spec.M)
 
     def params_dict(self) -> dict:
         return {"gamma": self.gamma, "base": model_to_dict(self.base)}
@@ -584,10 +624,18 @@ class DriftModel(ConditionalModel):
 
     def rows(self, state) -> np.ndarray:
         _, q, base_rows = state
+        return self._mix(base_rows, q[:, None])
+
+    def probs(self, state, tokens):
+        _, q, base_rows = state
+        return self._mix(pick(base_rows, tokens), q)
+
+    def _mix(self, base_probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Drift probabilities from base probabilities and q, broadcast together."""
         if self.switch_prob == 0.0:
-            return base_rows
+            return base_probs
         beta_f = q * (1.0 - self.switch_prob)
-        return _floor(base_rows, beta_f[:, None], (1.0 - beta_f)[:, None], self.spec.M)
+        return _floor(base_probs, beta_f, 1.0 - beta_f, self.spec.M)
 
     def params_dict(self) -> dict:
         return {"switch_prob": self.switch_prob, "base": model_to_dict(self.base)}

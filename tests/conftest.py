@@ -85,9 +85,21 @@ MODEL_KINDS = [
 ]
 
 
-def model_of_kind(kind, rng, M, T):
-    """A model of `kind` on a random order-2 base."""
+def model_of_kind(kind, rng, M, T, zero_frac=0.0):
+    """A model of `kind` on a random order-2 base.
+
+    With `zero_frac`, about that share of the base's table entries is set
+    to 0, each row keeping its largest entry, and the rows renormalized.
+    """
     base = random_markov(rng, M, T, 2)
+    if zero_frac:
+        tables = []
+        for table in base.tables:
+            zero = rng.random(table.shape) < zero_frac
+            zero[np.arange(table.shape[0]), table.argmax(axis=1)] = False
+            kept = np.where(zero, 0.0, table)
+            tables.append(kept / kept.sum(axis=1, keepdims=True))
+        base = MarkovModel(base.spec, base.order, tables)
     name, _, param = kind.partition("-")
     if name == "markov":
         return base
@@ -148,16 +160,16 @@ def heap_peak(fn):
         tracemalloc.stop()
 
 
-def count_advance(model):
-    """Count the model's `advance` batches, in a one-element list."""
+def count_calls(model, name):
+    """Count the calls of the model's method `name`, in a one-element list."""
     calls = [0]
-    advance = model.advance
+    method = getattr(model, name)
 
-    def counted(state, tokens):
+    def counted(*args):
         calls[0] += 1
-        return advance(state, tokens)
+        return method(*args)
 
-    model.advance = counted
+    setattr(model, name, counted)
     return calls
 
 

@@ -33,7 +33,7 @@ from seqcal.cli import (
 from seqcal.rng import named_stream
 from seqcal.verify import _check_local_fit, _memory_chain_holds, verify_suite
 
-from conftest import count_advance
+from conftest import count_calls
 
 
 BASE_CONFIG = {
@@ -377,7 +377,7 @@ class TestVerifyPipeline:
         full = truth.perturbed(rng, 0.3)
         comparator = fit_limited_memory(truth, 1)
         est = memory_bound(truth, full, comparator)
-        calls = count_advance(comparator)
+        calls = count_calls(comparator, "advance")
         assert _memory_chain_holds(truth, full, comparator, est, None, 1e-10)
         assert calls == [truth.spec.T - 1]
 

@@ -11,7 +11,7 @@ from seqcal.models import _sample_rows
 from conftest import (
     MODEL_KINDS,
     all_seqs,
-    count_advance,
+    count_calls,
     heap_peak,
     model_of_kind,
     one_hot_model,
@@ -107,6 +107,17 @@ class TestCrossEntropyMc:
         assert est.offending == tuple(int(x) for x in seqs[bad])
         # The caller's generator ends where the materialized draw left it.
         assert stream.random() == materialized.random()
+
+    def test_offending_replay_keeps_no_sample(self, rng):
+        # The infinite path replays the draw keeping one token per step; an
+        # (n, T) int64 sample here is 4 MB.
+        spec = sc.make_spec(4, 128)
+        p = sc.MarkovModel.random(spec, 2, rng, concentration=0.8)
+        est, peak = heap_peak(
+            lambda: sc.cross_entropy_mc(p, one_hot_model(spec), 4096, sc.named_stream(1, "mc"))
+        )
+        assert est.infinite and len(est.offending) == spec.T
+        assert peak < 2**20
 
     def test_memory_does_not_grow_with_n_times_T(self, rng):
         # An (n, T) int64 sample here is 4 MB; the streamed estimate keeps
@@ -239,7 +250,7 @@ class TestDriftCurveExact:
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(seqcal.estimate, "prefix_expansion", counted)
-        model_steps, seeder_steps = count_advance(model), count_advance(seeder)
+        model_steps, seeder_steps = count_calls(model, "advance"), count_calls(seeder, "advance")
         sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
         assert len(calls) == 1
         assert model_steps[0] == 4

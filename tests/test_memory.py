@@ -12,10 +12,10 @@ from seqcal.exact import (
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.memory import _joint
+from seqcal.memory import _comparator_ce, _joint
 from seqcal.models import row_entropies
 
-from conftest import all_seqs, count_advance, random_markov, random_pair
+from conftest import all_seqs, count_calls, heap_peak, random_markov, random_pair
 
 
 def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1e-4):
@@ -417,7 +417,7 @@ class TestComparatorWalks:
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
         comparator = sc.fit_limited_memory(truth, 1)
-        calls = count_advance(comparator)
+        calls = count_calls(comparator, "advance")
         sc.memory_bound(truth, full, comparator)
         assert calls == [truth.spec.T - 1]
 
@@ -427,9 +427,26 @@ class TestComparatorWalks:
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
         comparator = sc.fit_limited_memory(truth, 1)
-        calls = count_advance(truth)
+        calls = count_calls(truth, "advance")
         sc.memory_bound(truth, full, comparator)
         assert calls == [truth.spec.T - 1]
+
+    def test_build_heap_peak_in_last_level_arrays(self):
+        # memory_bound's build, the per-step problem reading the comparator
+        # CE terms off its walk, peaks at 9.27 arrays of the last level's
+        # (M**(T-1), M) rows, as the problem alone does.  The CE pass's log
+        # rows and terms, kept while the problem processes the same level,
+        # raise it to 11.27.
+        M, T = 4, 8
+        truth = random_markov(np.random.default_rng(3), M, T, 2, concentration=0.8)
+        full = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
+        comparator = sc.marginalize_to_window(truth, 1)
+        tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=range(2, T + 1))
+        ce = {}
+        _, peak = heap_peak(lambda: _StepTiltProblem(
+            truth, tilt, observe=lambda walk: _comparator_ce(walk, tilt, ce, False)))
+        assert sorted(ce) == list(range(2, T + 1))
+        assert peak < 9.6 * 8 * M**T
 
 
 

@@ -18,6 +18,7 @@ from seqcal.models import _sample_rows, model_dumps, model_loads, pick, row_entr
 from conftest import (
     MODEL_KINDS,
     all_seqs,
+    count_calls,
     model_of_kind,
     model_probs,
     one_hot_model,
@@ -234,8 +235,17 @@ def _cumsum_tokens(rows, u):
     return idx
 
 
+def _probability_rows(rng, M, n, zero_frac):
+    """n probability rows with about `zero_frac` zero entries, a quarter of them one-hot."""
+    rows = rng.dirichlet(np.ones(M), size=n)
+    rows[rng.random((n, M)) < zero_frac] = 0.0
+    hot = (rng.random(n) < 0.25) | (rows.sum(axis=1) == 0.0)
+    rows[hot] = np.eye(M)[rng.integers(0, M, size=int(hot.sum()))]
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 class TestShortAxisKernels:
-    """The column sampler and the gathers are bitwise their row formulas."""
+    """The column sampler, the gathers and the entropy sum are bitwise their row formulas."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -247,11 +257,7 @@ class TestShortAxisKernels:
     )
     def test_column_sampler_is_the_cumsum_formula(self, M, n, seed, zero_frac, draws):
         rng = np.random.default_rng(seed)
-        rows = rng.dirichlet(np.ones(M), size=n)
-        rows[rng.random((n, M)) < zero_frac] = 0.0
-        hot = (rng.random(n) < 0.25) | (rows.sum(axis=1) == 0.0)
-        rows[hot] = np.eye(M)[rng.integers(0, M, size=int(hot.sum()))]
-        rows /= rows.sum(axis=1, keepdims=True)
+        rows = _probability_rows(rng, M, n, zero_frac)
         cdf = np.cumsum(rows, axis=1)
         if draws == "top":
             gen = _TopOfUnitInterval()
@@ -283,6 +289,60 @@ class TestShortAxisKernels:
             table = model.tables[min(model.order, t)]
             code = rng.integers(0, table.shape[0], size=50)
             np.testing.assert_array_equal(model.rows((t, code)), table[code])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.sampled_from([2, 3, 4, 8, 9]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+    )
+    def test_row_entropies_are_the_row_sum(self, M, n, seed, zero_frac):
+        rows = _probability_rows(np.random.default_rng(seed), M, n, zero_frac)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(rows > 0.0, rows * np.log(rows), 0.0)
+        assert np.array_equal(row_entropies(rows), -terms.sum(axis=-1))
+
+
+class TestTokenProbs:
+    """``probs(state, tokens)`` is the picked row entry, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(MODEL_KINDS),
+        M=st.sampled_from([2, 3, 4, 8, 9]),
+        T=st.sampled_from([1, 2, 5]),
+        seed=st.integers(0, 10**6),
+        zero_frac=st.sampled_from([0.0, 0.5]),
+    )
+    def test_probs_are_the_picked_rows(self, kind, M, T, seed, zero_frac):
+        rng = np.random.default_rng(seed)
+        model = model_of_kind(kind, rng, M, T, zero_frac)
+        n = 12
+        state = model.init_state(n)
+        for t in range(T):
+            rows = model.rows(state)
+            # Every token, those of zero probability included.
+            for j in range(M):
+                tokens = np.full(n, j, dtype=np.int64)
+                assert np.array_equal(model.probs(state, tokens), pick(rows, tokens))
+            # Sampled prefixes, and every other one continued at random so
+            # that prefixes of zero probability are walked too.
+            tokens = _sample_rows(rows, rng)
+            tokens[::2] = rng.integers(0, M, size=tokens[::2].shape[0])
+            assert np.array_equal(model.probs(state, tokens), pick(rows, tokens))
+            if t + 1 < T:
+                state = model.advance(state, tokens)
+
+    @pytest.mark.parametrize("kind", [k for k in MODEL_KINDS if not k.endswith("tilt")])
+    def test_scoring_builds_no_rows(self, kind):
+        # Table and floored models score a token without their (n, M) rows.
+        rng = np.random.default_rng(MODEL_KINDS.index(kind))
+        model = model_of_kind(kind, rng, 3, 6)
+        seqs = np.concatenate([model.sample_batch(8, rng), rng.integers(0, 3, size=(8, 6))])
+        calls = count_calls(model, "rows")
+        model.seq_log_prob_batch(seqs)
+        assert calls[0] == 0
 
 
 class TestMarginalizeToWindow:
@@ -475,18 +535,6 @@ class TestLinearCost:
     ``rows``; counting those batches counts the steps.
     """
 
-    @staticmethod
-    def _count_rows(inner):
-        calls = [0]
-        rows = inner.rows
-
-        def counting(state):
-            calls[0] += 1
-            return rows(state)
-
-        inner.rows = counting
-        return calls
-
     @pytest.mark.parametrize("kind", ["drift", "mixture", "local_tilt", "memory_tilt"])
     def test_rows_batches_grow_linearly_in_T(self, kind):
         M = 3
@@ -505,7 +553,7 @@ class TestLinearCost:
                 tables = random_markov(rng, M, T, 1).tables
                 comparator = sc.LimitedMemoryModel(inner.spec, 1, tables)
                 model, expected = sc.MemoryTiltModel(drift, comparator, 0.5), T
-            calls = self._count_rows(inner)
+            calls = count_calls(inner, "rows")
             seqs = model.sample_batch(8, rng)
             assert calls[0] == expected
             calls[0] = 0
