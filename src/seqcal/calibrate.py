@@ -39,13 +39,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import exact
 from .exact import (
     EnumerationBudget,
     FunctionalF,
     _kl_from_log_probs,
+    _prefix_blocks,
     _support_fsum,
     logsumexp,
-    prefix_expansion,
     sample_expansion,
     sequence_log_probs,
 )
@@ -172,15 +173,16 @@ class _GlobalTiltProblem:
         self.T = T
         self.lp_true = lp_true
         if lp_true is not None:
-            # Correctly rounded sums over the truth's support, with no
-            # masked copies; a -inf of log B there makes the first infinite.
-            self.ce_base_term = -_support_fsum(lp_true, lp_base)
+            # Correctly rounded sums over the truth's support, in one pass
+            # with no masked copies; a -inf of log B there makes the first
+            # infinite.
+            ce_base, self.mu_target = _support_fsum(lp_true, lp_base, fv)
+            self.ce_base_term = -ce_base
             if self.ce_base_term == math.inf:
                 raise CalibrationDivergenceError(
                     "base assigns zero probability on the truth's support; the "
                     "objective is infinite for every alpha"
                 )
-            self.mu_target = _support_fsum(lp_true, fv)
 
     @classmethod
     def build(cls, base, f, budget=None, truth=None) -> "_GlobalTiltProblem":
@@ -467,13 +469,19 @@ def calibrate_entropy_rate(
 def _sum_columns(x: np.ndarray) -> np.ndarray:
     """Sum an (M, n) array over axis 0, adding each column as numpy adds a row.
 
-    numpy adds a row of fewer than 8 entries left to right, which is
-    what an axis-0 pass does elementwise; a longer row it adds pairwise,
-    so for M >= 8 the sum goes through the row layout.
+    The one short-axis sum.  numpy adds a row of fewer than 8 entries
+    left to right, starting from +0.0.  Below M = 8 the M rows of `x`
+    are added in that order, elementwise, whatever its memory layout,
+    so the transpose of (n, M) rows is summed one strided column at a
+    time rather than along its short rows.  A longer row numpy adds
+    pairwise, so for M >= 8 the sum goes through the row layout.
     """
-    if x.shape[0] < 8:
-        return x.sum(axis=0)
-    return np.ascontiguousarray(x.T).sum(axis=1)
+    if x.shape[0] >= 8:
+        return np.ascontiguousarray(x.T).sum(axis=1)
+    total = x[0] + 0.0
+    for row in x[1:]:
+        total += row
+    return total
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -525,28 +533,31 @@ def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
 class _StepTiltProblem:
     """The per-step problem of a tilt against a truth model or samples.
 
-    Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
+    Walks ``_prefix_blocks(target, budget, tilt)`` (exact) or
     ``sample_expansion(target, tilt)`` (sample-average over the n
-    sequences) once, reading the base rows and the feature from
-    ``tilt._step`` and the fitted steps from ``tilt.active_steps`` (None
-    for every step).  `observe`, if given, wraps the walk, so a caller
-    can read each level as it passes.
+    sequences, each level one piece at offset 0) once, reading the base
+    rows and the feature from ``tilt._step`` and the fitted steps from
+    ``tilt.active_steps`` (None for every step).  `observe`, if given,
+    wraps the walk of (t, lo, states, weights, rows) pieces, so a caller
+    can read each piece as it passes.
 
-    The N contexts of all steps are columns: ``log_rows`` (the log base
-    conditional) and ``feats`` (the per-candidate feature, zeroed on
-    inactive steps, so those steps stay untilted and only add constants)
-    are C-contiguous (M, N) arrays, so every per-context reduction of a
-    probe is an elementwise pass over M rows of length N, bitwise the
-    row-layout one (:func:`_sum_columns`).  Beside them: the context
-    weights, the column span of each step, and the target feature
-    moments -- either exact conditional means under the truth or
-    realized values from samples.  In sample mode the target's rows are
-    the realised tokens, so its per-context feature means are the
-    realised features; they are kept for the gradient's standard error.
+    The N contexts of all steps are columns, step t's in ``spans[t]``:
+    ``log_rows`` (the log base conditional) and ``feats`` (the
+    per-candidate feature, zeroed on inactive steps, so those steps stay
+    untilted and only add constants) are C-contiguous (M, N) arrays and
+    ``weights`` an (N,) vector, allocated before the walk; each piece
+    writes its own columns, so no level is held twice.  Every
+    per-context reduction is :func:`_sum_columns`, bitwise the
+    row-layout sum, and a probe runs over blocks of `_TAIL_BLOCK` values.
+    Beside them: the target feature moments -- either exact conditional
+    means under the truth or realized values from samples -- summed one
+    step at a time.  In sample mode the target's rows are the realised
+    tokens, so its per-context feature means are the realised features;
+    they are kept for the gradient's standard error.
     """
 
     def __init__(self, target, tilt, budget=None, min_samples=1000, observe=None):
-        T = tilt.spec.T
+        M, T = tilt.spec.M, tilt.spec.T
         active = frozenset(range(1, T + 1)) if tilt.active_steps is None else tilt.active_steps
         if not active or not active.issubset(range(1, T + 1)):
             raise ValueError("active_steps must be a nonempty subset of 1..T")
@@ -554,24 +565,28 @@ class _StepTiltProblem:
             if target.spec != tilt.spec:
                 raise ValueError("models must share the same sequence spec")
             n_seqs = None
-            walk = prefix_expansion(target, budget, tilt)
+            walk = _prefix_blocks(target, budget, tilt, weights=True)
+            sizes = [M ** (t - 1) for t in range(1, T + 1)]
         else:
             n_seqs = check_samples(target, tilt.spec).shape[0]
             if n_seqs < min_samples:
                 raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n_seqs}")
-            walk = sample_expansion(target, tilt)
+            walk = ((t, 0, *level) for t, *level in sample_expansion(target, tilt))
+            sizes = [n_seqs] * T
         if observe is not None:
             walk = observe(walk)
 
-        w_parts, lr_parts, f_parts, obs = [], [], [], []
-        spans = {}
-        start = 0
-        target_sum = 0.0
-        xent_sum = 0.0
-        for t, states, weights, true_rows in walk:
+        ends = np.cumsum(sizes).tolist()
+        self.spans = {t: slice(end - size, end) for t, size, end in zip(range(1, T + 1), sizes, ends)}
+        N = ends[-1]
+        self.log_rows, self.feats = np.empty((M, N)), np.empty((M, N))
+        self.weights = np.empty(N)
+        xent, target_feats = np.empty(N), np.empty(N)
+        for t, lo, states, weights, true_rows in walk:
             base_rows, feats = tilt._step(states[-1])
             with np.errstate(divide="ignore"):
                 log_rows = np.log(base_rows)
+            del base_rows
             support = (weights[:, None] * true_rows) > 0.0
             if np.any(support & np.isneginf(log_rows)):
                 raise CalibrationDivergenceError(
@@ -579,49 +594,50 @@ class _StepTiltProblem:
                     "objective is infinite for every alpha"
                 )
             if t not in active:
-                feats = np.zeros_like(base_rows)
+                feats = np.zeros_like(log_rows)
+            start = self.spans[t].start + lo
+            cols = slice(start, start + weights.shape[0])
+            self.weights[cols] = weights
+            self.log_rows[:, cols] = log_rows.T
+            self.feats[:, cols] = feats.T
+            target_feats[cols] = _sum_columns((true_rows * feats).T)
+            # The log rows are in their columns, so their array takes the
+            # cross-entropy terms.
             with np.errstate(invalid="ignore"):  # 0 * -inf off the support
-                xent = np.where(support, true_rows * log_rows, 0.0).sum(axis=1)
-            xent_sum += -float(np.dot(weights, xent))
-            target_feats = (true_rows * feats).sum(axis=1)
-            target_sum += float(np.dot(weights, target_feats))
-            spans[t] = slice(start, start + weights.shape[0])
-            start += weights.shape[0]
-            w_parts.append(weights)
-            lr_parts.append(log_rows)
-            f_parts.append(feats)
-            if n_seqs is not None:
-                obs.append(target_feats)
-        # Built after the walk, whose last level is its largest, and one at
-        # a time, so neither the walk's states nor two sets of parts are
-        # alive beside a column array.  The loop's names for the last
-        # level's log rows and features go first: still bound once
-        # `lr_parts` is released, they would keep that level's log rows
-        # alive beside the feature columns.
-        del log_rows, feats
-        self.log_rows = _columns(lr_parts)
-        del lr_parts
-        self.feats = _columns(f_parts)
-        del f_parts
+                terms = np.multiply(true_rows, log_rows, out=log_rows)
+            terms[~support] = 0.0
+            xent[cols] = _sum_columns(terms.T)
+            # Released before the walk grows the next piece.
+            del feats, log_rows, terms, support
+        # One dot product per step over its whole span, as a whole-level
+        # walk takes them.
+        self.xent_sum = 0.0
+        self.target_feat_sum = 0.0
+        for span in self.spans.values():
+            self.xent_sum += -float(np.dot(self.weights[span], xent[span]))
+            self.target_feat_sum += float(np.dot(self.weights[span], target_feats[span]))
         self.tilt = tilt
         self.active = active
-        self.weights = np.concatenate(w_parts)
-        self.spans = spans  # {t: slice of step t's columns}
-        self.target_feat_sum = target_sum
-        self.xent_sum = xent_sum
         self.T = T
-        self.mu_target = target_sum / T
+        self.mu_target = self.target_feat_sum / T
         self.n_seqs = n_seqs
         # (T, n) realized features, sample mode only
-        self.obs_feats = None if n_seqs is None else np.array(obs)
+        self.obs_feats = None if n_seqs is None else target_feats.reshape(T, n_seqs)
 
     def evaluate(self, alpha: float) -> dict:
-        rows, log_z = _tilt_columns(self.log_rows, self.feats, alpha)
-        m = _sum_columns(rows * self.feats)
-        dev = self.feats - m
-        dev *= dev
-        dev *= rows
-        var = _sum_columns(dev)
+        M, N = self.feats.shape
+        m, var, log_z = np.empty(N), np.empty(N), np.empty(N)
+        step = max(1, exact._TAIL_BLOCK // M)
+        for lo in range(0, N, step):
+            cols = slice(lo, lo + step)
+            feats = self.feats[:, cols]
+            rows, log_z[cols] = _tilt_columns(self.log_rows[:, cols], feats, alpha)
+            m[cols] = _sum_columns(rows * feats)
+            dev = feats - m[cols]
+            dev *= dev
+            dev *= rows
+            var[cols] = _sum_columns(dev)
+            del rows, dev  # before the next block's are built
         g = (float(np.dot(self.weights, m)) - self.target_feat_sum) / self.T
         c = float(np.dot(self.weights, var)) / self.T
         obj = (
@@ -660,12 +676,6 @@ class _StepTiltProblem:
         return self.weights[span], np.ascontiguousarray(rows.T)
 
 
-def _columns(parts) -> np.ndarray:
-    """The (n_i, M) parts stacked as one C-contiguous (M, sum n_i) array."""
-    out = np.empty((parts[0].shape[1], sum(p.shape[0] for p in parts)))
-    return np.concatenate([p.T for p in parts], axis=1, out=out)
-
-
 def _fit_step(problem, tolerance, provenance=None):
     """Fit the shared exponent of a per-step problem: (tilt at alpha*, result).
 
@@ -673,9 +683,9 @@ def _fit_step(problem, tolerance, provenance=None):
     stderr(gradient) (sample-average).
     """
     tilt = problem.tilt
-    exact = problem.n_seqs is None
-    stop = lambda i: abs(i["g"]) <= (tolerance if exact else max(0.1 * i["g_stderr"], 1e-13))  # noqa: E731
-    result = _fit(problem, stop, "exact" if exact else "sample-average", tolerance, tilt.base,
+    exact_mode = problem.n_seqs is None
+    stop = lambda i: abs(i["g"]) <= (tolerance if exact_mode else max(0.1 * i["g_stderr"], 1e-13))  # noqa: E731
+    result = _fit(problem, stop, "exact" if exact_mode else "sample-average", tolerance, tilt.base,
                   tilt._descriptor(), provenance, problem.extras)
     return tilt._with_alpha(result.alpha_star), result
 

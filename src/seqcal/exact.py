@@ -10,14 +10,19 @@ Every exact routine in the package walks the prefix lattice of
 lexicographic order (prefix i has code i) as model states, with their
 probabilities and next-token rows, and
 the last level's rows give every sequence's log-probability
-(:func:`sequence_log_probs`).  That walk keeps whole levels only up to
-level T - `_TAIL_LEVELS`; it grows the last levels one block of parents
-at a time, each block a view of the parents' states, and writes each
-block's log-probabilities into its slice of the one output, so its heap
-stays near one lattice vector.  All walks run the same growth loop
-(:func:`_grow`).  Sequence functionals are evaluated on
-that lattice, never on an enumerated token array;
-:func:`enumerate_sequences` remains only as an independent oracle.
+(:func:`sequence_log_probs`).  The walks that keep what they read of the
+last levels, :func:`sequence_log_probs` and the per-step tilt problem
+(``calibrate._StepTiltProblem``), run one blocked walk
+(:func:`_prefix_blocks`): whole levels only up to level
+T - `_TAIL_LEVELS`, then one block of parents at a time, each block a
+view of the parents' states, and each piece is written into its slice
+of a preallocated output.  So `sequence_log_probs`' heap stays near one
+lattice vector, and the per-step problem's near its own columns: 5.5
+arrays of the last level's (M**(T-1), M) rows at M = 4, T = 8, 3.67 of
+them its columns.  All walks run the same growth loop (:func:`_grow`).
+Sequence functionals are evaluated on that lattice, never on an
+enumerated token array; :func:`enumerate_sequences` remains only as an
+independent oracle.
 :func:`sample_expansion` walks an (n, T) sample array the same way, as
 the lattice of its empirical distribution.
 
@@ -31,6 +36,7 @@ layout or the partitioning of the terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -85,6 +91,27 @@ _FSUM_HUGE = 2.0**990
 def _fsum(values) -> float:
     """The correctly rounded sum, bitwise ``math.fsum`` of the values.
 
+    `values` is an array-like, or an iterator of array-likes summed as
+    their concatenation, one at a time (:class:`_Fsum`).  A single
+    array of fewer than `_FSUM_DIRECT` values goes to ``math.fsum``
+    directly, which is faster there.  It reads the values from a buffer.
+    """
+    if isinstance(values, Iterator):
+        pieces = values
+    else:
+        flat = np.ascontiguousarray(values, dtype=float).ravel()
+        if flat.size < _FSUM_DIRECT:
+            return math.fsum(memoryview(flat))
+        pieces = (flat,)
+    total = _Fsum()
+    for piece in pieces:
+        total.add(piece)
+    return total.value()
+
+
+class _Fsum:
+    """A correctly rounded sum of arrays added one at a time.
+
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation", SIAM J. Sci. Comput. 2008), one block of n < 2**b values
     at a time.  With every |x| below 2**e and ``sigma = 2**(e+b)``,
@@ -95,43 +122,62 @@ def _fsum(values) -> float:
     would be below 2**-1074 the grid is 2**-1074, of which every double
     is a multiple, so this holds through the subnormals.)  The remainders
     go through further levels of about 53 - b bits each; whatever is left
-    after `_FSUM_LEVELS` levels is passed on unchanged.  One ``math.fsum``
-    of the exact level sums and the passed-on values then rounds once;
-    only the passed-on values become Python floats.
+    after `_FSUM_LEVELS` levels, or at once in a block of fewer than
+    `_FSUM_DIRECT` values, is passed on unchanged.  One ``math.fsum`` of
+    the exact level sums and the passed-on values then rounds once; only
+    the passed-on values become Python floats.
 
-    ``math.fsum`` of the whole input is used instead below `_FSUM_DIRECT`
-    values, where it is faster; when a value is not finite or reaches
-    `_FSUM_HUGE`, so its inf, nan, ValueError and OverflowError behaviour
-    is kept; and when every value is zero, so the sign of the zero it
-    returns is kept too.  It reads the values from a buffer.
+    So the value is ``math.fsum`` of the concatenated arrays, with the
+    same inf, nan, ValueError and OverflowError behaviour and the same
+    sign of a zero: from the first array with a value that is not finite
+    or reaches `_FSUM_HUGE`, the arrays are kept as copies and summed by
+    ``math.fsum`` after the exact level sums of the arrays before it (a
+    value that is not finite resets ``math.fsum``'s partial sums, and
+    earlier values below `_FSUM_HUGE` cannot overflow them); when every
+    value is zero, the value is ``math.fsum`` of each array's own sum.
     """
-    flat = np.ascontiguousarray(values, dtype=float).ravel()
-    if flat.size < _FSUM_DIRECT:
-        return math.fsum(memoryview(flat))
-    parts: list[float] = []
-    size = min(flat.size, _FSUM_BLOCK)
-    q_buf, r_buf = np.empty(size), np.empty(size)
-    for start in range(0, flat.size, _FSUM_BLOCK):
-        r = flat[start:start + _FSUM_BLOCK]
-        n = r.size
-        q = q_buf[:n]
-        for level in range(_FSUM_LEVELS + 1):
-            m = max(r.max(), -r.min())
-            if not m < _FSUM_HUGE:
-                return math.fsum(memoryview(flat))
-            if m == 0.0:
-                break
-            if level == _FSUM_LEVELS:
-                parts.extend(r[r != 0.0].tolist())
-                break
-            sigma = math.ldexp(1.0, math.frexp(m)[1] + n.bit_length())
-            np.add(r, sigma, out=q)
-            q -= sigma
-            parts.append(float(q.sum()))
-            r = np.subtract(r, q, out=r_buf[:n])
-    if not parts:
-        return math.fsum(memoryview(flat))
-    return math.fsum(parts)
+
+    def __init__(self):
+        self._parts: list[float] = []
+        self._zeros: list[float] = []
+        self._rest: list[np.ndarray] | None = None
+
+    def add(self, values) -> None:
+        flat = np.ascontiguousarray(values, dtype=float).ravel()
+        if self._rest is not None:
+            self._rest.append(flat.copy())
+            return
+        kept = len(self._parts)
+        size = min(flat.size, _FSUM_BLOCK)
+        q_buf, r_buf = np.empty(size), np.empty(size)
+        for start in range(0, flat.size, _FSUM_BLOCK):
+            r = flat[start:start + _FSUM_BLOCK]
+            n = r.size
+            q = q_buf[:n]
+            levels = _FSUM_LEVELS if n >= _FSUM_DIRECT else 0
+            for level in range(levels + 1):
+                m = max(r.max(), -r.min())
+                if not m < _FSUM_HUGE:
+                    del self._parts[kept:]
+                    self._rest = [flat.copy()]
+                    return
+                if m == 0.0:
+                    break
+                if level == levels:
+                    self._parts.extend(r[r != 0.0].tolist())
+                    break
+                sigma = math.ldexp(1.0, math.frexp(m)[1] + n.bit_length())
+                np.add(r, sigma, out=q)
+                q -= sigma
+                self._parts.append(float(q.sum()))
+                r = np.subtract(r, q, out=r_buf[:n])
+        if flat.size and len(self._parts) == kept:
+            self._zeros.append(math.fsum(memoryview(flat)))
+
+    def value(self) -> float:
+        if self._rest is not None:
+            return math.fsum(itertools.chain(self._parts, *map(memoryview, self._rest)))
+        return math.fsum(self._parts or self._zeros)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):
@@ -156,9 +202,9 @@ def enumerate_sequences(M: int, T: int, budget: EnumerationBudget | None = None)
     return (codes[:, None] // powers) % M
 
 
-# The last `_TAIL_LEVELS` levels of `sequence_log_probs`' walk are grown
-# one block of parents at a time, each block `_TAIL_BLOCK` sequences
-# (128 KB of output) or one parent.
+# The last `_TAIL_LEVELS` levels of a blocked walk (:func:`_prefix_blocks`)
+# are grown one block of parents at a time, each block `_TAIL_BLOCK`
+# sequences (128 KB of log-probabilities) or one parent.
 _TAIL_LEVELS = 2
 _TAIL_BLOCK = 2**14
 
@@ -167,28 +213,28 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
     """log P(w) for every sequence, lexicographic order, shape (M**T,).
 
     Entries are -inf exactly where the model assigns zero probability.
-    The walk runs whole levels up to level T - `_TAIL_LEVELS` and grows
-    the rest one block of those parents at a time, each block writing its
-    slice of the output; every entry is the same sum in the same order
-    as on a whole-level walk.
+    The walk is blocked (:func:`_prefix_blocks`), and each block of the
+    last level writes its slice of the output; every entry is the same
+    sum in the same order as on a whole-level walk.
     """
     M, T = model.spec.M, model.spec.T
-    (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
-    split = max(T - _TAIL_LEVELS, 1)
-    lp = np.zeros(1)
-    for t, states, _, rows in _grow((model,), (model.init_state(1),), 1, split):
-        if t < split:
-            lp = _extend(lp, rows)
-    out = np.empty(M**T)
-    n, span = lp.size, M ** (T - split + 1)
-    step = max(1, _TAIL_BLOCK // span)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block_lp = lp[lo:hi]
-        walk = _grow((model,), _state_slice(states, lo, hi), split, T, rows=rows[lo:hi])
-        for t, _, _, block_rows in walk:
-            last = out[lo * span:hi * span].reshape(-1, M) if t == T else None
-            block_lp = _extend(block_lp, block_rows, last)
+    out = None
+    # Level t: the offset and log-probabilities of its latest prefixes.
+    # A piece's parents are the whole level below the blocked levels, or
+    # its block's piece one level down; a piece that reads all of them
+    # is their last reader.
+    lps = {1: (0, np.zeros(1))}
+    for t, lo, _, _, rows in _prefix_blocks(model, budget):
+        at, lp = lps[t]
+        n = rows.shape[0]
+        if n == lp.size:
+            del lps[t]
+        last = None
+        if t == T:
+            if out is None:  # allocated once the whole levels' walk is done
+                out = np.empty(M**T)
+            last = out[lo * M:(lo + n) * M].reshape(-1, M)
+        lps[t + 1] = lo * M, _extend(lp[lo - at:lo - at + n], rows, last)
     return out
 
 
@@ -253,6 +299,48 @@ def _grow(models: tuple, states: tuple, first: int, last: int, weights=None, row
             if weights is not None:
                 weights = (weights[:, None] * rows).reshape(-1)
             rows = None
+
+
+def _prefix_blocks(
+    model: "ConditionalModel",
+    budget: EnumerationBudget | None = None,
+    *others: "ConditionalModel",
+    weights: bool = False,
+) -> Iterator[tuple[int, int, tuple, np.ndarray | None, np.ndarray]]:
+    """The one blocked lattice walk: :func:`prefix_expansion`'s levels in pieces.
+
+    Yields (t, lo, states, prefix_probs, next_rows): level t's prefixes
+    lo, lo+1, ... as :func:`prefix_expansion` holds them, their states
+    each a view of the level's.  Levels below T - `_TAIL_LEVELS` come
+    whole (lo = 0).  From that level on, one block of its parents at a
+    time is grown to level T, so the pieces of a block come level by
+    level and a block is `_TAIL_BLOCK` sequences or one parent.
+    ``prefix_probs`` are multiplied out only if `weights`, else None.
+    The budget is checked against M**T states before the walk starts.
+    """
+    M, T = model.spec.M, model.spec.T
+    (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
+    models = (model, *others)
+    split = max(T - _TAIL_LEVELS, 1)
+
+    def pieces():
+        states = tuple(m.init_state(1) for m in models)
+        walk = _grow(models, states, 1, split, np.ones(1) if weights else None)
+        for t, states, level_weights, rows in walk:
+            if t < split:
+                yield t, 0, states, level_weights, rows
+        n = rows.shape[0]
+        step = max(1, _TAIL_BLOCK // M ** (T - split + 1))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            block = _grow(models, _state_slice(states, lo, hi), split, T,
+                          None if level_weights is None else level_weights[lo:hi], rows[lo:hi])
+            for t, block_states, block_weights, block_rows in block:
+                yield t, lo * M ** (t - split), block_states, block_weights, block_rows
+                # Released before the block grows its next level.
+                del block_states, block_weights, block_rows
+
+    return pieces()
 
 
 def sample_expansion(
@@ -418,38 +506,44 @@ def kl_exact(
     return _kl_from_log_probs(sequence_log_probs(p, budget), sequence_log_probs(q, budget))
 
 
-def _support_fsum(lpp: np.ndarray, x: np.ndarray) -> float:
-    """The correctly rounded sum of p * x over the support of p = exp(lpp).
+def _support_fsum(lpp: np.ndarray, *xs: np.ndarray) -> list[float]:
+    """The correctly rounded sums of p * x over the support of p = exp(lpp), one per x.
 
-    The terms are built in one array of this function's own.  Off the
-    support, where p * x may be nan, they are set to -0.0, the exact
-    additive identity, so no masked copy is made and the sum is bitwise
-    the sum of the support's terms, the sign of a zero included.  An
-    infinite x on the support makes the sum infinite with its sign.
+    One pass of `_FSUM_BLOCK` values at a time, which takes each block's
+    exponentials once for every x and builds its terms in an array of
+    this function's own.  Off the support, where p * x may be nan, they
+    are set to -0.0, the exact additive identity, so no masked copy is
+    made and each sum is bitwise the sum of the support's terms, the
+    sign of a zero included.  An infinite x on the support makes its
+    sum infinite with its sign.
     """
-    terms = np.exp(lpp)
-    off = terms == 0.0
-    with np.errstate(invalid="ignore"):
-        terms *= x
-    terms[off] = -0.0
-    return _fsum(terms)
+    sums = [_Fsum() for _ in xs]
+    for lo in range(0, lpp.shape[0], _FSUM_BLOCK):
+        p = np.exp(lpp[lo:lo + _FSUM_BLOCK])
+        off = p == 0.0
+        for x, total in zip(xs, sums):
+            with np.errstate(invalid="ignore"):
+                terms = p * x[lo:lo + _FSUM_BLOCK]
+            terms[off] = -0.0
+            total.add(terms)
+    return [total.value() for total in sums]
 
 
 def _entropy_from_log_probs(lp: np.ndarray) -> float:
     """Entropy of a lattice log-probability vector, as :func:`entropy_exact`."""
-    return -_support_fsum(lp, lp)
+    return -_support_fsum(lp, lp)[0]
 
 
 def _cross_entropy_from_log_probs(lpp: np.ndarray, lpq: np.ndarray, T: int) -> float:
     """Per-token CE between two lattice log-probability vectors, as :func:`cross_entropy_exact`."""
     # A zero of q on p's support is a -inf term, so the sum is -inf.
-    return -_support_fsum(lpp, lpq) / T
+    return -_support_fsum(lpp, lpq)[0] / T
 
 
 def _kl_from_log_probs(lpp: np.ndarray, lpq: np.ndarray) -> float:
     """KL between two lattice log-probability vectors, as :func:`kl_exact`."""
     with np.errstate(invalid="ignore"):  # -inf - -inf off p's support
-        return _support_fsum(lpp, lpp - lpq)
+        return _support_fsum(lpp, lpp - lpq)[0]
 
 
 def mean_var_exact(
@@ -482,9 +576,13 @@ def log_partition_exact(
 def _conditional_entropy(joint: np.ndarray) -> float:
     """H(Z|C) in nats from a 2-d joint indexed (Z, C), by direct marginalization."""
     pc = joint.sum(axis=0)
+    # One array of terms, built in place; ravel order "K" reads it without a copy.
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(joint > 0.0, joint * (np.log(joint) - np.log(pc)), 0.0)
-    return -_fsum(terms)
+        terms = np.log(joint)
+        terms -= np.log(pc)
+        terms *= joint
+    terms[~(joint > 0.0)] = 0.0
+    return -_fsum(terms.ravel(order="K"))
 
 
 def conditional_mi_exact(joint: np.ndarray) -> float:

@@ -35,11 +35,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _StepTiltProblem, _fit_step, _tilt_rows
+from .calibrate import CalibrationResult, _StepTiltProblem, _fit_step, _sum_columns, _tilt_rows
 from .estimate import _unit_scale
 from .exact import (
     P_MIN,
     EnumerationBudget,
+    _Fsum,
     _fsum,
     conditional_mi_exact,
     prefix_expansion,
@@ -408,24 +409,33 @@ def memory_bound(
 
 
 def _comparator_ce(walk, tilt, ce: dict, per_context: bool):
-    """Pass `walk` through, putting each measured level's CE terms in `ce`.
+    """Pass `walk`'s pieces through, putting each measured level's CE terms in `ce`.
 
     ``ce[t]``, for each active step t of the last walked model `tilt`,
-    is -sum of mass * log comparator over level t's contexts and tokens
-    and, if `per_context`, the per-context sums (else None).
+    is -sum of mass * log comparator over level t's contexts and tokens,
+    one correctly rounded sum across the level's pieces, and, if
+    `per_context`, the per-context sums (else None); a sample walk,
+    which `per_context` serves, yields each level as one piece.  `ce`
+    is filled once the walk is done.
     """
-    for level in walk:
-        t, states, weights, true_rows = level
+    sums, per_ctx = {}, {}
+    for piece in walk:
+        t, _, states, weights, true_rows = piece
         if t in tilt.active_steps:
             with np.errstate(divide="ignore"):
                 log_comp = np.log(tilt.comparator.rows(states[-1][2]))
             terms = weights[:, None] * true_rows
             # A comparator zero under positive mass makes the sum infinite.
             np.multiply(terms, log_comp, out=terms, where=terms > 0.0)
-            ce[t] = (-_fsum(terms), -terms.sum(axis=1) if per_context else None)
-            # Released before the consumer processes the same level.
-            del log_comp, terms
-        yield level
+            del log_comp
+            sums.setdefault(t, _Fsum()).add(terms)
+            if per_context:
+                per_ctx[t] = -_sum_columns(terms.T)
+            # Released before the consumer processes the same piece.
+            del terms
+        yield piece
+    for t, total in sums.items():
+        ce[t] = (-total.value(), per_ctx.get(t))
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from seqcal.calibrate import (
     _StepTiltProblem,
     _logsumexp_rows,
     _minimize_convex,
+    _sum_columns,
     fit_per_step_tilt,
     tilted_variance_max,
 )
@@ -21,8 +22,10 @@ from seqcal.exact import (
     enumerate_sequences,
     logsumexp,
     prefix_expansion,
+    sample_expansion,
     sequence_log_probs,
 )
+from seqcal.memory import _comparator_ce
 
 from conftest import (
     all_seqs,
@@ -732,12 +735,8 @@ class TestStepProblemLayout:
                         rows = np.exp(logits - logsumexp(logits, axis=1)[:, None])
                         assert np.array_equal(model.rows(states[-1]), rows)
 
-    @pytest.mark.parametrize("kind, bound", [("memory", 9.6), ("local", 9.35)])
-    def test_build_heap_peak_in_last_level_arrays(self, kind, bound):
-        # The build's heap peak, in arrays of the last level's
-        # (M**(T-1), M) rows: 9.27 (memory) and 9.02 (local).  The walk
-        # loop's names for the last level's log rows and features, still
-        # bound while the columns are built, raise it to 9.98 and 9.73.
+    @staticmethod
+    def _heap_case(kind):
         M, T = 4, 8
         truth = random_markov(np.random.default_rng(3), M, T, 2, concentration=0.8)
         base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
@@ -745,8 +744,162 @@ class TestStepProblemLayout:
             tilt = sc.LocalTiltModel(base, 0.0)
         else:
             tilt = sc.MemoryTiltModel(base, sc.marginalize_to_window(truth, 1), 0.0)
+        return truth, tilt, 8 * M**T
+
+    @pytest.mark.parametrize("kind, bound", [("memory", 5.8), ("local", 5.7)])
+    def test_build_heap_peak_in_last_level_arrays(self, kind, bound):
+        # The build's heap peak, in arrays of the last level's
+        # (M**(T-1), M) rows: 5.58 (memory) and 5.50 (local).  The problem
+        # holds 3.67 (log rows, features, weights and the per-context
+        # moments), and one block of the walk takes the rest; a
+        # whole-level walk with parts copied into columns took 9.27 and
+        # 9.02.
+        truth, tilt, size = self._heap_case(kind)
         _, peak = heap_peak(lambda: _StepTiltProblem(truth, tilt))
-        assert peak < bound * 8 * M**T
+        assert peak < bound * size
+
+    def test_probe_heap_peak_in_last_level_arrays(self):
+        # One probe: its three (N,) results (1.0 array) and one block of
+        # columns at a time, 1.75 in all; a probe over all columns at once
+        # took 3.67.
+        truth, tilt, size = self._heap_case("local")
+        problem = _StepTiltProblem(truth, tilt)
+        _, peak = heap_peak(lambda: problem.evaluate(0.3))
+        assert peak < 2.0 * size
+
+
+def _whole_level_problem(target, tilt):
+    """The per-step problem's arrays and sums from whole levels, by numpy's row sums.
+
+    (log_rows, feats, weights, spans, xent_sum, target_feat_sum, and
+    each level's per-context feature means): the formula a blocked build
+    must match bit for bit.
+    """
+    T = tilt.spec.T
+    active = range(1, T + 1) if tilt.active_steps is None else tilt.active_steps
+    if isinstance(target, sc.ConditionalModel):
+        walk = prefix_expansion(target, None, tilt)
+    else:
+        walk = sample_expansion(target, tilt)
+    log_rows, feats, weights, obs, spans = [], [], [], [], {}
+    xent_sum = target_sum = 0.0
+    start = 0
+    for t, states, w, true_rows in walk:
+        base_rows, f = tilt._step(states[-1])
+        with np.errstate(divide="ignore"):
+            lr = np.log(base_rows)
+        if t not in active:
+            f = np.zeros_like(base_rows)
+        with np.errstate(invalid="ignore"):
+            xent = np.where(w[:, None] * true_rows > 0.0, true_rows * lr, 0.0).sum(axis=1)
+        xent_sum += -float(np.dot(w, xent))
+        tf = (true_rows * f).sum(axis=1)
+        target_sum += float(np.dot(w, tf))
+        log_rows.append(lr.T)
+        feats.append(f.T)
+        weights.append(w)
+        obs.append(tf)
+        spans[t] = slice(start, start + w.shape[0])
+        start += w.shape[0]
+    return (np.hstack(log_rows), np.hstack(feats), np.concatenate(weights), spans,
+            xent_sum, target_sum, obs)
+
+
+def _whole_level_ce(target, tilt):
+    """Each active level's comparator CE, and its per-context sums, from whole levels."""
+    if isinstance(target, sc.ConditionalModel):
+        walk = prefix_expansion(target, None, tilt)
+    else:
+        walk = sample_expansion(target, tilt)
+    ce = {}
+    for t, states, w, true_rows in walk:
+        if t in tilt.active_steps:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mass = w[:, None] * true_rows
+                terms = np.where(mass > 0.0, mass * np.log(tilt.comparator.rows(states[-1][2])), 0.0)
+            ce[t] = (-math.fsum(terms.ravel().tolist()), -terms.sum(axis=1))
+    return ce
+
+
+class TestBlockedStepProblem:
+    """The per-step problem is built from a blocked walk and probed by blocks.
+
+    Whatever the block size, including blocks that do not divide a level
+    and blocks of one parent or one column, its arrays, sums, probes and
+    the comparator CE read off its walk are bitwise those of whole
+    levels.
+    """
+
+    @pytest.mark.parametrize("M, T", [(2, 1), (2, 5), (3, 4), (3, 5), (4, 5), (9, 4)])
+    @pytest.mark.parametrize("kind", ["local", "memory"])
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_bitwise_the_whole_level_problem(self, monkeypatch, M, T, kind, sample):
+        rng = np.random.default_rng(1000 * M + 10 * T + (kind == "memory"))
+        truth = random_markov(rng, M, T, 2, concentration=0.5)
+        base = sc.DriftModel(truth.perturbed(rng, 0.4), 0.1)
+        if kind == "local":
+            tilt = sc.LocalTiltModel(base, 0.0)
+        else:
+            # A partial step set: step 1 and the second to last stay untilted.
+            active = set(range(2, T + 1)) - {T - 1} or {T}
+            tilt = sc.MemoryTiltModel(base, sc.marginalize_to_window(truth, 1), 0.0,
+                                      active_steps=active)
+        target = truth.sample_batch(50, rng) if sample else truth
+        log_rows, feats, weights, spans, xent_sum, target_sum, obs = _whole_level_problem(target, tilt)
+        expected_ce = _whole_level_ce(target, tilt) if kind == "memory" else None
+        monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", 2**40)
+        whole = _StepTiltProblem(target, tilt, min_samples=1)
+        for block in (1, 5, 2 * M**2 + 1, 7 * M**2, 2**14):
+            monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+            ce = {}
+            observe = None
+            if kind == "memory":
+                observe = lambda walk: _comparator_ce(walk, tilt, ce, sample)  # noqa: E731
+            problem = _StepTiltProblem(target, tilt, min_samples=1, observe=observe)
+            assert np.array_equal(problem.log_rows, log_rows), block
+            assert np.array_equal(problem.feats, feats), block
+            assert np.array_equal(problem.weights, weights), block
+            assert problem.spans == spans
+            assert (problem.xent_sum, problem.target_feat_sum) == (xent_sum, target_sum), block
+            if sample:
+                assert np.array_equal(problem.obs_feats, np.array(obs))
+            for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
+                assert problem.evaluate(alpha) == whole.evaluate(alpha), (block, alpha)
+                assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha), (block, alpha)
+            if kind == "memory":
+                assert sorted(ce) == sorted(expected_ce)
+                for t, (total, per_context) in expected_ce.items():
+                    assert ce[t][0] == total, (block, t)
+                    if sample:
+                        assert np.array_equal(ce[t][1], per_context)
+                    else:
+                        assert ce[t][1] is None
+
+
+class TestShortAxisSums:
+    """`_sum_columns` is numpy's sum of each context's M-entry row, bitwise.
+
+    For the transpose of (n, M) rows and for a C-contiguous (M, n) array
+    alike: column by column below M = 8, in the row layout from M = 8.
+    Zero signs, infinities and nans included.
+    """
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 8, 9])
+    def test_matches_numpys_row_and_column_sums(self, M):
+        rng = np.random.default_rng(M)
+        rows = rng.standard_normal((4000, M)) * 10.0 ** rng.integers(-8, 8, (4000, M))
+        rows[:10] = -0.0
+        rows[10:20, 0] = -0.0
+        rows[20:30] = rng.choice([0.0, -0.0], (10, M))
+        rows[30, 1] = np.inf
+        rows[31, [0, 1]] = np.inf, -np.inf
+        rows[32, 0] = np.nan
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expected = rows.sum(axis=1)
+            totals = [_sum_columns(rows.T), _sum_columns(np.ascontiguousarray(rows.T))]
+        for total in totals:
+            assert np.array_equal(total, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(total), np.signbit(expected))
 
 
 class TestAmplificationBound:

@@ -10,10 +10,12 @@ from seqcal.exact import (
     _FSUM_BLOCK,
     _FSUM_DIRECT,
     FunctionalF,
+    _conditional_entropy,
     _cross_entropy_from_log_probs,
     _entropy_from_log_probs,
     _fsum,
     _kl_from_log_probs,
+    _support_fsum,
     enumerate_sequences,
     log_partition_exact,
     logsumexp,
@@ -247,6 +249,37 @@ class TestConditionalMi:
         )
 
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_conditional_entropy_is_bitwise_the_masked_formula(self, layout):
+        # Built in place, the terms are bitwise the where-masked expression's,
+        # zeros of the joint and of whole columns included.
+        rng = np.random.default_rng(11)
+        for shape in ((2, 3), (4, 64), (3, 2000)):
+            joint = rng.random(shape) ** 3
+            joint[rng.random(shape) < 0.3] = 0.0
+            joint[:, 0] = 0.0
+            joint /= joint.sum()
+            if layout == "F":
+                joint = np.asfortranarray(joint)
+            pc = joint.sum(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(joint > 0.0, joint * (np.log(joint) - np.log(pc)), 0.0)
+            expected = -math.fsum(terms.ravel().tolist())
+            assert _conditional_entropy(joint).hex() == expected.hex()
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_conditional_entropy_heap_is_one_terms_array(self, layout):
+        # One array of terms and two boolean masks: 1.5 joints.  The
+        # masked expression's temporaries took 2.6.
+        rng = np.random.default_rng(12)
+        joint = rng.random((4, 4**8))
+        joint /= joint.sum()
+        if layout == "F":
+            joint = np.asfortranarray(joint)
+        _, peak = heap_peak(lambda: _conditional_entropy(joint))
+        assert peak < 1.7 * joint.nbytes
+
+
 class TestBudget:
     def test_fail_fast(self, rng):
         model = random_markov(rng, 3, 5, 1)
@@ -412,6 +445,26 @@ class TestSupportSums:
             np.testing.assert_array_equal(x, y)
 
 
+class TestSupportSumsInOnePass:
+    def test_each_sum_is_the_support_fsum_of_its_terms(self):
+        # Several lattice vectors summed against one exp(lpp) pass over
+        # blocks: each is math.fsum of its own support's terms.
+        rng = np.random.default_rng(8)
+        size = 2 * _FSUM_BLOCK + 5
+        lpp = np.log(rng.dirichlet(np.full(size, 0.3)))
+        lpp[rng.random(size) < 0.2] = -np.inf
+        xs = [lpp, rng.standard_normal(size), np.where(rng.random(size) < 0.5, -np.inf, 1.0)]
+        xs[2][np.isfinite(lpp)] = 2.0
+        sums = _support_fsum(lpp, *xs)
+        p = np.exp(lpp)
+        for x, total in zip(xs, sums):
+            on = p > 0.0
+            assert total == math.fsum((p[on] * x[on]).tolist())
+        # -inf only off the support, so the last sum is finite.
+        assert math.isfinite(sums[2])
+        assert _support_fsum(lpp, np.full(size, -np.inf)) == [-math.inf]
+
+
 class TestFsum:
     def test_matches_fsum_of_a_list(self):
         rng = np.random.default_rng(5)
@@ -524,6 +577,65 @@ class TestFsum:
         at = min(block * _FSUM_BLOCK, size - len(special))
         x[at:at + len(special)] = special
         assert_fsum_matches(x)
+
+
+class TestStreamingFsum:
+    """`_fsum` of an iterator of arrays is math.fsum of their concatenation."""
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 10**6),
+        sizes=st.lists(
+            st.sampled_from([0, 1, 7, _FSUM_DIRECT - 1, _FSUM_DIRECT, _FSUM_BLOCK + 3]),
+            min_size=1, max_size=5,
+        ),
+        decades=st.sampled_from([0, 20, 300]),
+        special=st.sampled_from([None, [np.inf], [-np.inf], [np.inf, -np.inf], [np.nan],
+                                 [1e308, 1e308], [1e308, -1e308], [2.0**990], [-2.0**1000]]),
+        where=st.integers(0, 4),
+        zeros=st.sampled_from(["none", "some", "pieces"]),
+    )
+    def test_matches_fsum_of_the_concatenation(self, seed, sizes, decades, special, where, zeros):
+        # Pieces short and long, empty or all zero, with inf, nan or huge
+        # values landing in any piece.
+        rng = np.random.default_rng(seed)
+        pieces = [rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n) for n in sizes]
+        for x in pieces:
+            if zeros == "some":
+                x[rng.random(x.size) < 0.3] = rng.choice([0.0, -0.0])
+            elif zeros == "pieces" and rng.random() < 0.5:
+                x[:] = rng.choice([0.0, -0.0])
+        if special is not None:
+            x = pieces[where % len(pieces)]
+            if x.size >= len(special):
+                at = rng.integers(0, x.size - len(special) + 1)
+                x[at:at + len(special)] = special
+        as_list = np.concatenate(pieces).tolist()
+        assert _fsum_outcome(lambda p: _fsum(iter(p)), pieces) == _fsum_outcome(math.fsum, as_list)
+
+    def test_pieces_may_reuse_one_buffer(self):
+        # A caller may refill the array it passed; from a value that is not
+        # finite on, the kept pieces are copies, so the -inf of row 4 meets
+        # the inf of row 2.
+        values = np.random.default_rng(9).standard_normal((6, _FSUM_DIRECT + 1))
+        values[2, 5] = np.inf
+        values[4, 7] = -np.inf
+
+        def refilled():
+            buf = np.empty(values.shape[1])
+            for row in values:
+                buf[:] = row
+                yield buf
+
+        assert _fsum_outcome(_fsum, refilled()) == _fsum_outcome(
+            math.fsum, values.ravel().tolist()
+        )
+
+    def test_all_zero_pieces_keep_fsums_sign(self):
+        for pieces in ([np.full(3, -0.0), np.full(_FSUM_BLOCK + 1, -0.0)],
+                       [np.full(3, -0.0), np.zeros(0), np.full(2, 0.0)]):
+            expected = math.fsum(np.concatenate(pieces).tolist())
+            assert _fsum(iter(pieces)).hex() == expected.hex()
 
 
 def _layout(x: np.ndarray, layout: str) -> np.ndarray:

@@ -431,22 +431,38 @@ class TestComparatorWalks:
         sc.memory_bound(truth, full, comparator)
         assert calls == [truth.spec.T - 1]
 
-    def test_build_heap_peak_in_last_level_arrays(self):
-        # memory_bound's build, the per-step problem reading the comparator
-        # CE terms off its walk, peaks at 9.27 arrays of the last level's
-        # (M**(T-1), M) rows, as the problem alone does.  The CE pass's log
-        # rows and terms, kept while the problem processes the same level,
-        # raise it to 11.27.
+    @staticmethod
+    def _heap_case():
         M, T = 4, 8
         truth = random_markov(np.random.default_rng(3), M, T, 2, concentration=0.8)
         full = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
-        comparator = sc.marginalize_to_window(truth, 1)
+        return truth, full, sc.marginalize_to_window(truth, 1), 8 * M**T
+
+    def test_build_heap_peak_in_last_level_arrays(self):
+        # memory_bound's build, the per-step problem reading the comparator
+        # CE terms off its blocked walk, peaks at 5.69 arrays of the last
+        # level's (M**(T-1), M) rows, 0.11 above the problem alone: each
+        # level's CE is one streamed sum across its blocks.  Whole levels
+        # took 9.27; keeping the CE pass's log rows while it sums adds 0.25.
+        truth, full, comparator, size = self._heap_case()
+        T = truth.spec.T
         tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=range(2, T + 1))
         ce = {}
         _, peak = heap_peak(lambda: _StepTiltProblem(
             truth, tilt, observe=lambda walk: _comparator_ce(walk, tilt, ce, False)))
         assert sorted(ce) == list(range(2, T + 1))
-        assert peak < 9.6 * 8 * M**T
+        assert peak < 5.9 * size
+
+    def test_memory_bound_heap_peak_in_last_level_arrays(self):
+        # The whole estimate, build, fit and per-step report with its exact
+        # MI, peaks at 7.11 arrays of the last level: the problem's 3.0, the
+        # last step's tilted rows and joint, and the conditional entropy's
+        # one array of terms.  A whole-level build alone took 9.27, and the
+        # masked conditional-entropy formula adds 1.0.
+        truth, full, comparator, size = self._heap_case()
+        est, peak = heap_peak(lambda: sc.memory_bound(truth, full, comparator))
+        assert est.exact_mi is not None
+        assert peak < 7.4 * size
 
 
 
