@@ -10,15 +10,16 @@ through its per-step conditional distributions.  Concrete families:
   last ``window`` tokens of the context.
 * :class:`MixtureModel` -- sequence-level mixture with the uniform
   distribution over all ``M**T`` sequences.  The mixture does not factor
-  per step; the state carries the log-odds that the prefix came from the
-  base rather than from uniform.
+  per step; the state carries, next to the base's state, the log-odds
+  that the prefix came from the base rather than from uniform.
 * :class:`PerTokenMixture` -- mixes each conditional row with uniform
   instead.  This is a different distribution from :class:`MixtureModel`
   and is provided for comparison only.
 * :class:`DriftModel` -- starts faithful to a base model and at each
   step may permanently switch (before emitting) into a mode that emits
-  uniformly at random forever.  The state carries the posterior of the
-  faithful mode, updated by a two-hypothesis forward recursion.
+  uniformly at random forever.  The state carries, next to the base's
+  state, the posterior of the faithful mode, updated by a two-hypothesis
+  forward recursion.
 
 Every model is read through one stateful step (:class:`ConditionalModel`):
 ``init_state(n)`` starts n empty prefixes, ``advance(state, tokens)``
@@ -135,8 +136,10 @@ def _sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     (``cdf += rows[:, j]``).  These are the left-to-right additions that
     ``np.cumsum`` makes along a row, so every draw is bitwise the cumsum
     formula's.  numpy is slow along a short last axis, so the loop beats
-    one ``np.cumsum`` pass on narrow rows: 0.15 against 1.2 ms at M = 4
-    and n = 20,000 on a 2-vCPU host.
+    one ``np.cumsum`` pass on narrow rows: 0.14 against 1.0 ms at M = 4
+    and n = 20,000 on a 2-vCPU host.  Each column's comparison is written
+    into one bool buffer and counted in the smallest unsigned type that
+    holds M, so no int64 is added per column.
 
     A draw at or above a row's rounded total mass falls to the row's last
     token of positive probability, so a zero-probability token is never
@@ -146,10 +149,12 @@ def _sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n, M = rows.shape
     u = rng.random(n)
     cdf = np.zeros(n)
-    idx = np.zeros(n, dtype=np.int64)
+    below = np.empty(n, dtype=bool)
+    count = np.zeros(n, dtype=np.min_scalar_type(M))
     for j in range(M):
         cdf += rows[:, j]
-        idx += cdf <= u
+        count += np.less_equal(cdf, u, out=below)
+    idx = count.astype(np.int64)
     over = np.flatnonzero(idx == M)
     idx[over] = M - 1 - np.argmax(rows[over, ::-1] > 0.0, axis=1)
     return idx
@@ -168,17 +173,18 @@ def _append_code(code: np.ndarray, tokens, M: int) -> np.ndarray:
     return code * M + tokens
 
 
-def _pick_carried(base_rows: np.ndarray, carried: np.ndarray, tokens):
-    """A row carrier's 1-d state and each prefix's base probability of its token.
+def _base_picks(base: ConditionalModel, base_state, carried: np.ndarray, tokens):
+    """A floored model's 1-d state and each prefix's base probability of its token.
 
-    With tokens None the prefixes are the children ``i*M + j`` of a lattice
-    level: `carried` is repeated M times and the picks are
-    ``base_rows.reshape(-1)``, a view of a C-contiguous array, so the
-    parents' (n, M) rows are never repeated.
+    The probabilities are ``base.probs``, n values.  With tokens None the
+    prefixes are the children ``i*M + j`` of a lattice level: `carried` is
+    repeated M times and the probabilities are the parents' base rows,
+    flattened, so no (n, M) array is repeated.
     """
     if tokens is None:
-        return np.repeat(carried, base_rows.shape[1]), base_rows.reshape(-1)
-    return carried, pick(base_rows, tokens)
+        rows = base.rows(base_state)
+        return np.repeat(carried, rows.shape[1]), rows.reshape(-1)
+    return carried, base.probs(base_state, tokens)
 
 
 class ConditionalModel(ABC):
@@ -200,10 +206,11 @@ class ConditionalModel(ABC):
     a bitwise equal gather.
 
     States exist for prefix lengths 0..T-1 and are tuples of ints and
-    arrays whose leading axis is the batch.  For the lattice step a leaf
-    model repeats its own arrays; a model carrying its base's rows
-    repeats only its 1-d arrays and reads the parents' picks as the
-    flattened rows, so no (n, M) array is repeated.  None of these
+    arrays whose leading axis is the batch; no state holds a row.  For
+    the lattice step a leaf model repeats or gathers its own arrays; a
+    floored model (Mixture, Drift) repeats its 1-d array and reads its
+    base's probabilities as the parents' base rows, flattened, so no
+    (n, M) array is repeated.  None of these
     validates its input.  The public scoring and sampling methods below
     are drivers of this step: they validate once per call and cost one
     step per token.
@@ -384,6 +391,10 @@ class MarkovModel(ConditionalModel):
         super().__init__(spec)
         self.order = int(order)
         self._tables = _validate_tables(spec, self.order, tables)
+        # Row ``code`` holds the child codes ``(code*M + j) % M**order``: a
+        # gather is faster than the int64 %.
+        M = spec.M
+        self._wrap = (np.arange(M ** (self.order + 1)) % M**self.order).reshape(-1, M)
 
     @property
     def tables(self) -> tuple:
@@ -395,8 +406,12 @@ class MarkovModel(ConditionalModel):
 
     def advance(self, state, tokens):
         t, code = state
-        M = self.spec.M
-        return t + 1, _append_code(code, tokens, M) % M ** min(self.order, t + 1)
+        if t < self.order:  # no token drops out of the window yet
+            return t + 1, _append_code(code, tokens, self.spec.M)
+        # From step `order` on, the oldest token drops out.
+        if tokens is None:
+            return t + 1, np.take(self._wrap, code, axis=0).reshape(-1)
+        return t + 1, np.take(self._wrap, code * self.spec.M + tokens)
 
     def rows(self, state) -> np.ndarray:
         t, code = state
@@ -501,9 +516,11 @@ class MixtureModel(ConditionalModel):
 
     The mixture does not factor across steps.  Its conditional is the
     base row floored by the posterior share of uniform, ``s(l) b + s(-l) / M``
-    with s the logistic function.  The state carries, next to the base
-    state and rows, the log-odds l of base against uniform given the
-    prefix: ``log((1-g)/g)`` at first, plus ``log b(x) + log M`` per token x.
+    with s the logistic function.  The state is the base's state and the
+    log-odds l of base against uniform given the prefix: ``log((1-g)/g)``
+    at first, plus ``log b(x) + log M`` per token x, where b(x) is read
+    through ``base.probs``.  Base rows are built only when ``rows`` is
+    called.
     """
 
     kind = "mixture"
@@ -516,25 +533,23 @@ class MixtureModel(ConditionalModel):
             self._prior_log_odds = float(np.log1p(-self.gamma) - np.log(self.gamma))
 
     def init_state(self, n: int):
-        base_state = self.base.init_state(n)
-        return base_state, np.full(n, self._prior_log_odds), self.base.rows(base_state)
+        return self.base.init_state(n), np.full(n, self._prior_log_odds)
 
     def advance(self, state, tokens):
-        base_state, log_odds, base_rows = state
-        log_odds, p = _pick_carried(base_rows, log_odds, tokens)
+        base_state, log_odds = state
+        log_odds, p = _base_picks(self.base, base_state, log_odds, tokens)
         # At gamma = 0 a zero base entry makes inf - inf; rows ignores it.
         with np.errstate(divide="ignore", invalid="ignore"):
             log_odds = log_odds + np.log(p) + math.log(self.spec.M)
-        base_state = self.base.advance(base_state, tokens)
-        return base_state, log_odds, self.base.rows(base_state)
+        return self.base.advance(base_state, tokens), log_odds
 
     def rows(self, state) -> np.ndarray:
-        _, log_odds, base_rows = state
-        return self._mix(base_rows, log_odds[:, None])
+        base_state, log_odds = state
+        return self._mix(self.base.rows(base_state), log_odds[:, None])
 
     def probs(self, state, tokens):
-        _, log_odds, base_rows = state
-        return self._mix(pick(base_rows, tokens), log_odds)
+        base_state, log_odds = state
+        return self._mix(self.base.probs(base_state, tokens), log_odds)
 
     def _mix(self, base_probs: np.ndarray, log_odds: np.ndarray) -> np.ndarray:
         """Mixture probabilities from base probabilities and the log-odds, broadcast together."""
@@ -593,10 +608,11 @@ class DriftModel(ConditionalModel):
     Generation: starting in the faithful mode, each step first decides
     (with probability ``switch_prob``) to enter the uniform mode
     permanently, then emits -- from the base conditional while faithful,
-    uniformly otherwise.  The state carries q = P(still faithful | prefix),
-    updated by the normalized two-hypothesis forward recursion, next to
-    the base state and its rows; scoring a sequence therefore
-    marginalizes the latent mode exactly.
+    uniformly otherwise.  The state is the base's state and q = P(still
+    faithful | prefix), updated by the normalized two-hypothesis forward
+    recursion from the base probability of each token (``base.probs``);
+    scoring a sequence therefore marginalizes the latent mode exactly,
+    and builds no base rows.
     """
 
     kind = "drift"
@@ -609,26 +625,24 @@ class DriftModel(ConditionalModel):
         self.switch_prob = _unit_interval(switch_prob, "switch probability")
 
     def init_state(self, n: int):
-        base_state = self.base.init_state(n)
-        return base_state, np.ones(n), self.base.rows(base_state)
+        return self.base.init_state(n), np.ones(n)
 
     def advance(self, state, tokens):
-        base_state, q, base_rows = state
-        q, pf = _pick_carried(base_rows, q, tokens)
+        base_state, q = state
+        q, pf = _base_picks(self.base, base_state, q, tokens)
         beta_f = q * (1.0 - self.switch_prob)
         num = beta_f * pf
         den = num + (1.0 - beta_f) / self.spec.M
-        q = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        base_state = self.base.advance(base_state, tokens)
-        return base_state, q, self.base.rows(base_state)
+        q = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        return self.base.advance(base_state, tokens), q
 
     def rows(self, state) -> np.ndarray:
-        _, q, base_rows = state
-        return self._mix(base_rows, q[:, None])
+        base_state, q = state
+        return self._mix(self.base.rows(base_state), q[:, None])
 
     def probs(self, state, tokens):
-        _, q, base_rows = state
-        return self._mix(pick(base_rows, tokens), q)
+        base_state, q = state
+        return self._mix(self.base.probs(base_state, tokens), q)
 
     def _mix(self, base_probs: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Drift probabilities from base probabilities and q, broadcast together."""

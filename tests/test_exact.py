@@ -369,6 +369,15 @@ class TestWalkHeap:
         assert lp.shape == (4**8,)
         assert peak < bound * lp.nbytes
 
+    def test_nested_peak_at_T10(self):
+        # The bound sits between this walk's 1.20 outputs and the 1.34 of
+        # a walk whose Mixture and Drift states carry their base's rows.
+        markov = random_markov(np.random.default_rng(3), 4, 10, 2, concentration=0.8)
+        model = sc.MixtureModel(sc.DriftModel(markov, 0.1), 0.05)
+        lp, peak = heap_peak(lambda: sequence_log_probs(model, sc.EnumerationBudget(4**10)))
+        assert lp.shape == (4**10,)
+        assert peak < 1.25 * lp.nbytes
+
 
 def _level_by_level_log_probs(model):
     """log P(w) for every sequence, adding each whole level's log rows."""

@@ -249,12 +249,16 @@ class TestShortAxisKernels:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        M=st.sampled_from([2, 3, 4, 8, 15, 16, 17, 64]),
+        M=st.sampled_from([2, 3, 4, 8, 15, 16, 17, 64, 255, 256, 300]),
         n=st.integers(1, 40),
         seed=st.integers(0, 10**6),
         zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
         draws=st.sampled_from(["uniform", "cdf", "top"]),
     )
+    # Draws past the rounded row total count M, which a count of the wrong
+    # width wraps.
+    @example(M=256, n=40, seed=0, zero_frac=0.0, draws="top")
+    @example(M=300, n=40, seed=1, zero_frac=0.3, draws="top")
     def test_column_sampler_is_the_cumsum_formula(self, M, n, seed, zero_frac, draws):
         rng = np.random.default_rng(seed)
         rows = _probability_rows(rng, M, n, zero_frac)
@@ -289,6 +293,26 @@ class TestShortAxisKernels:
             table = model.tables[min(model.order, t)]
             code = rng.integers(0, table.shape[0], size=50)
             np.testing.assert_array_equal(model.rows((t, code)), table[code])
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("M", [2, 3, 4, 9])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_markov_codes_are_the_modulus_formula(self, order, M, lattice):
+        # The code after step t holds the last min(order, t + 1) tokens.
+        rng = np.random.default_rng(100 * order + 10 * M + lattice)
+        model = sc.MarkovModel.uniform(sc.make_spec(M, 6), order)
+        state = model.init_state(40)
+        code = state[1]
+        for t in range(5):
+            if lattice:
+                tokens, child = None, (code[:, None] * M + np.arange(M)).reshape(-1)
+            else:
+                tokens = rng.integers(0, M, size=code.shape[0])
+                child = code * M + tokens
+            code = child % M ** min(order, t + 1)
+            state = model.advance(state, tokens)
+            assert state[0] == t + 1
+            assert state[1].dtype == np.int64 and np.array_equal(state[1], code)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -341,8 +365,10 @@ class TestTokenProbs:
         model = model_of_kind(kind, rng, 3, 6)
         seqs = np.concatenate([model.sample_batch(8, rng), rng.integers(0, 3, size=(8, 6))])
         calls = count_calls(model, "rows")
+        # Nor does a floored model build its base's rows.
+        inner = count_calls(model.base, "rows") if hasattr(model, "base") else [0]
         model.seq_log_prob_batch(seqs)
-        assert calls[0] == 0
+        assert calls[0] == 0 and inner[0] == 0
 
 
 class TestMarginalizeToWindow:
@@ -531,8 +557,9 @@ class TestInvariants:
 class TestLinearCost:
     """Sampling and scoring cost one step per token, counted without timings.
 
-    Every composite model reads its innermost table model only through
-    ``rows``; counting those batches counts the steps.
+    Every composite model reads its innermost table model through
+    ``rows``, n rows of M entries, and ``probs``, n entries; counting
+    both kinds of batch counts the steps.
     """
 
     @pytest.mark.parametrize("kind", ["drift", "mixture", "local_tilt", "memory_tilt"])
@@ -542,23 +569,32 @@ class TestLinearCost:
             rng = np.random.default_rng(T)
             inner = random_markov(rng, M, T, 2)
             drift = sc.DriftModel(inner, 0.1)
+            # The innermost (rows, probs) batches of sampling, then of scoring.
+            # A Drift or Mixture reads rows for each sampled step and one
+            # base probability per advance; it scores from probabilities
+            # alone, one per token and one per advance.
+            sampling, scoring = (T, T - 1), (0, 2 * T - 1)
             if kind == "drift":
-                model, expected = drift, T
+                model = drift
             elif kind == "mixture":
-                model, expected = sc.MixtureModel(inner, 0.1), T
+                model = sc.MixtureModel(inner, 0.1)
             elif kind == "local_tilt":
-                # One lattice step ahead on every tilted step (all but the last).
-                model, expected = sc.LocalTiltModel(drift, 0.5), 2 * T - 1
+                # Each tilted step (all but the last) reads the rows, the
+                # parents' rows again in Drift's lattice step, and the
+                # children's rows one lattice step ahead.
+                model = sc.LocalTiltModel(drift, 0.5)
+                sampling = scoring = (3 * T - 2, T - 1)
             else:
                 tables = random_markov(rng, M, T, 1).tables
                 comparator = sc.LimitedMemoryModel(inner.spec, 1, tables)
-                model, expected = sc.MemoryTiltModel(drift, comparator, 0.5), T
-            calls = count_calls(inner, "rows")
+                model = sc.MemoryTiltModel(drift, comparator, 0.5)
+                sampling = scoring = (T, T - 1)
+            rows, probs = count_calls(inner, "rows"), count_calls(inner, "probs")
             seqs = model.sample_batch(8, rng)
-            assert calls[0] == expected
-            calls[0] = 0
+            assert (rows[0], probs[0]) == sampling
+            rows[0] = probs[0] = 0
             assert np.all(np.isfinite(model.seq_log_prob_batch(seqs)))
-            assert calls[0] == expected
+            assert (rows[0], probs[0]) == scoring
 
 
 def _take_state(state, idx):
