@@ -406,9 +406,8 @@ class MarkovModel(ConditionalModel):
 
     def advance(self, state, tokens):
         t, code = state
-        if t < self.order:  # no token drops out of the window yet
-            return t + 1, _append_code(code, tokens, self.spec.M)
-        # From step `order` on, the oldest token drops out.
+        # While t < order the child code is below M**order, so the wrap
+        # table leaves it unchanged; from then on the oldest token drops out.
         if tokens is None:
             return t + 1, np.take(self._wrap, code, axis=0).reshape(-1)
         return t + 1, np.take(self._wrap, code * self.spec.M + tokens)
