@@ -308,8 +308,9 @@ class LocalTiltModel(ConditionalModel):
     the M candidates; the final step is untilted (feature 0).  Positive
     a favors candidates whose continuation has high entropy, negative a
     suppresses them.  The state is the base's state and the step count;
-    the feature reads the base's rows one lattice step ahead, child
-    ``i*M + j`` of the step being context i followed by candidate j.
+    one lattice step of the base gives its rows and the children whose
+    rows the feature reads, child ``i*M + j`` being context i followed
+    by candidate j.
     """
 
     kind = "local_tilt"
@@ -330,12 +331,11 @@ class LocalTiltModel(ConditionalModel):
     def _step(self, state) -> tuple[np.ndarray, np.ndarray]:
         """The base rows at `state` and the lookahead entropy of every candidate."""
         t, base_state = state
-        base_rows = self.base.rows(base_state)
-        n, M = base_rows.shape
         if t + 1 == self.spec.T:
-            return base_rows, np.zeros((n, M))
-        children = self.base.rows(self.base.advance(base_state, None))
-        return base_rows, row_entropies(children).reshape(n, M)
+            base_rows = self.base.rows(base_state)
+            return base_rows, np.zeros(base_rows.shape)
+        base_rows, children = self.base.step(base_state, None)
+        return base_rows, row_entropies(self.base.rows(children)).reshape(base_rows.shape)
 
     def rows(self, state) -> np.ndarray:
         t, base_state = state

@@ -279,26 +279,25 @@ def prefix_expansion(
     yield from _grow(models, tuple(m.init_state(1) for m in models), 1, last, np.ones(1))
 
 
-def _grow(models: tuple, states: tuple, first: int, last: int, weights=None, rows=None):
+def _grow(models: tuple, states: tuple, first: int, last: int, weights=None, read_last=True):
     """The one loop that grows a prefix lattice, as :func:`prefix_expansion` yields it.
 
     Starts from the states of `models` at level `first` and yields levels
-    first..last.  `rows`, when given, are models[0]'s rows at level
-    `first`, already evaluated.  Prefix probabilities are multiplied out
-    only from given `weights`; otherwise None is yielded for them.
+    first..last.  Below the last level one lattice step of models[0]
+    gives its rows and children, and the others advance; the last level's
+    rows are read only if `read_last`, else None is yielded for them.
+    Prefix probabilities are multiplied out only from given `weights`.
     """
-    for t in range(first, last + 1):
-        if rows is None:
-            rows = models[0].rows(states[0])
+    for t in range(first, last):
+        # Prefix i followed by token j is child i*M + j, and no model
+        # repeats a parent's (n, M) rows.  The old level is released only
+        # once the new one is built.
+        rows, child = models[0].step(states[0], None)
         yield t, states, weights, rows
-        if t < last:
-            # ``advance(state, None)`` makes prefix i followed by token j
-            # prefix i*M + j, and no model repeats a parent's (n, M) rows.
-            # The old level is released only once the new one is built.
-            states = tuple(m.advance(s, None) for m, s in zip(models, states))
-            if weights is not None:
-                weights = (weights[:, None] * rows).reshape(-1)
-            rows = None
+        states = (child, *(m.advance(s, None) for m, s in zip(models[1:], states[1:])))
+        if weights is not None:
+            weights = (weights[:, None] * rows).reshape(-1)
+    yield last, states, weights, models[0].rows(states[0]) if read_last else None
 
 
 def _prefix_blocks(
@@ -325,16 +324,18 @@ def _prefix_blocks(
 
     def pieces():
         states = tuple(m.init_state(1) for m in models)
-        walk = _grow(models, states, 1, split, np.ones(1) if weights else None)
+        # Level `split` is stepped one block at a time, so the whole-level
+        # walk does not read its rows.
+        walk = _grow(models, states, 1, split, np.ones(1) if weights else None, read_last=False)
         for t, states, level_weights, rows in walk:
             if t < split:
                 yield t, 0, states, level_weights, rows
-        n = rows.shape[0]
+        n = M ** (split - 1)
         step = max(1, _TAIL_BLOCK // M ** (T - split + 1))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             block = _grow(models, _state_slice(states, lo, hi), split, T,
-                          None if level_weights is None else level_weights[lo:hi], rows[lo:hi])
+                          None if level_weights is None else level_weights[lo:hi])
             for t, block_states, block_weights, block_rows in block:
                 yield t, lo * M ** (t - split), block_states, block_weights, block_rows
                 # Released before the block grows its next level.

@@ -22,17 +22,16 @@ through its per-step conditional distributions.  Concrete families:
   forward recursion.
 
 Every model is read through one stateful step (:class:`ConditionalModel`):
-``init_state(n)`` starts n empty prefixes, ``advance(state, tokens)``
-appends one token to each, ``rows(state)`` gives their next-token rows
-and ``probs(state, tokens)`` reads one entry of each row, the
-probability of the given token.  ``advance(state, None)`` appends every
-token to every prefix, the step of an exact lattice walk.  Scoring
-reads ``probs``, so a table or floored model builds no (n, M) row to
-score a token; sampling and every exact lattice walk read whole
-``rows``.  Each costs one step per token.  States are tuples of ints
-and arrays and are never mutated; models are immutable after
-construction and safe to share across threads; sampling consumes an
-externally owned generator.
+``init_state(n)`` starts n empty prefixes, ``rows(state)`` gives their
+next-token rows, and ``step(state, tokens)`` appends one token to each
+and reads its probability in the same call; ``step(state, None)``, the
+step of an exact lattice walk, appends every token and reads the rows.
+Scoring makes one step per token, so a table or floored model builds no
+(n, M) row to score a token; sampling reads ``rows`` and then
+``advance``, the step's state alone.  States are tuples of ints and
+arrays and are never mutated; models are immutable after construction
+and safe to share across threads; sampling consumes an externally owned
+generator.
 """
 
 from __future__ import annotations
@@ -173,20 +172,6 @@ def _append_code(code: np.ndarray, tokens, M: int) -> np.ndarray:
     return code * M + tokens
 
 
-def _base_picks(base: ConditionalModel, base_state, carried: np.ndarray, tokens):
-    """A floored model's 1-d state and each prefix's base probability of its token.
-
-    The probabilities are ``base.probs``, n values.  With tokens None the
-    prefixes are the children ``i*M + j`` of a lattice level: `carried` is
-    repeated M times and the probabilities are the parents' base rows,
-    flattened, so no (n, M) array is repeated.
-    """
-    if tokens is None:
-        rows = base.rows(base_state)
-        return np.repeat(carried, rows.shape[1]), rows.reshape(-1)
-    return carried, base.probs(base_state, tokens)
-
-
 class ConditionalModel(ABC):
     """A distribution over length-T sequences given by next-token conditionals.
 
@@ -194,26 +179,27 @@ class ConditionalModel(ABC):
     prefixes:
 
     * ``init_state(n)`` -- the state of n empty prefixes;
-    * ``advance(state, tokens)`` -- a new state with ``tokens[i]``
-      appended to prefix i (the input state is left untouched); with
-      tokens None, the lattice step: n*M prefixes, child ``i*M + j``
-      being prefix i followed by token j;
-    * ``rows(state)`` -- the (n, M) next-token rows of the prefixes.
+    * ``rows(state)`` -- the (n, M) next-token rows of the prefixes;
+    * ``step(state, tokens)`` -- (read, next state): ``pick(rows(state),
+      tokens)`` and a new state with ``tokens[i]`` appended to prefix i
+      (the input is left untouched); with tokens None, the lattice step:
+      ``rows(state)`` and n*M prefixes, child ``i*M + j`` being prefix i
+      followed by token j;
+    * ``advance(state, tokens)`` -- the next state alone.
 
-    ``probs(state, tokens)``, the probability of ``tokens[i]`` after
-    prefix i, is ``pick(rows(state), tokens)`` by default; a model that
-    can read the one entry without building its rows overrides it with
-    a bitwise equal gather.
+    ``step`` and ``advance`` default to each other, so a subclass
+    overrides one or both.  A model whose read is part of its update
+    (Mixture, Drift) overrides ``step`` alone; a table model reads its
+    token entry by a bitwise equal gather, without building rows.
 
-    States exist for prefix lengths 0..T-1 and are tuples of ints and
+    States exist for prefix lengths 0..T and are tuples of ints and
     arrays whose leading axis is the batch; no state holds a row.  For
     the lattice step a leaf model repeats or gathers its own arrays; a
-    floored model (Mixture, Drift) repeats its 1-d array and reads its
-    base's probabilities as the parents' base rows, flattened, so no
-    (n, M) array is repeated.  None of these
-    validates its input.  The public scoring and sampling methods below
-    are drivers of this step: they validate once per call and cost one
-    step per token.
+    floored model (Mixture, Drift) updates its 1-d array from its base's
+    lattice read, broadcast over the (n, M) rows, so no (n, M) array is
+    repeated.  None of these validates its input.  The public scoring
+    and sampling methods below are drivers of this step: they validate
+    once per call and cost one step per token.
     """
 
     kind: str = "abstract"
@@ -228,20 +214,17 @@ class ConditionalModel(ABC):
         """State of n empty prefixes."""
 
     @abstractmethod
-    def advance(self, state, tokens: np.ndarray | None):
-        """State after appending ``tokens[i]`` to prefix i; no validation.
-
-        With `tokens` None, the lattice step: child ``i*M + j`` is prefix
-        i followed by token j.
-        """
-
-    @abstractmethod
     def rows(self, state) -> np.ndarray:
         """(n, M) next-token rows at `state`; no validation."""
 
-    def probs(self, state, tokens: np.ndarray) -> np.ndarray:
-        """``rows(state)[i, tokens[i]]`` for each prefix i; no validation."""
-        return pick(self.rows(state), tokens)
+    def step(self, state, tokens: np.ndarray | None):
+        """(read, next state) after appending ``tokens[i]`` to prefix i; no validation."""
+        rows = self.rows(state)
+        return (rows if tokens is None else pick(rows, tokens)), self.advance(state, tokens)
+
+    def advance(self, state, tokens: np.ndarray | None):
+        """The state :meth:`step` returns, without its read."""
+        return self.step(state, tokens)[1]
 
     def _state_at(self, contexts: np.ndarray):
         """State after reading every row of an (n, L) token array."""
@@ -293,15 +276,16 @@ class ConditionalModel(ABC):
         """Chain-rule log-probabilities of n sequences given as T token columns.
 
         `columns` yields the tokens of step 0, 1, ..., T-1 in turn, so a
-        sampler's token stream is scored as it is drawn.
+        sampler's token stream is scored as it is drawn.  The last step
+        leaves states of length T, which are not read.
         """
         total = np.zeros(n)
         state = self.init_state(n)
-        for t, tokens in enumerate(columns):
+        for tokens in columns:
+            p, state = self.step(state, tokens)
             with np.errstate(divide="ignore"):
-                total += np.log(self.probs(state, tokens))
-            if t + 1 < self.spec.T:
-                state = self.advance(state, tokens)
+                total += np.log(p)
+            del p  # not held through the next step
         return total
 
     def _generate(self, state, start: int, rng: np.random.Generator):
@@ -416,9 +400,15 @@ class MarkovModel(ConditionalModel):
         t, code = state
         return np.take(self._tables[min(self.order, t)], code, axis=0)
 
-    def probs(self, state, tokens):
+    def step(self, state, tokens):
         t, code = state
-        return np.take(self._tables[min(self.order, t)], code * self.spec.M + tokens)
+        table = self._tables[min(self.order, t)]
+        if tokens is None:
+            children = np.take(self._wrap, code, axis=0).reshape(-1)
+            return np.take(table, code, axis=0), (t + 1, children)
+        # One flat index serves the table entry and the child code.
+        child = code * self.spec.M + tokens
+        return np.take(table, child), (t + 1, np.take(self._wrap, child))
 
     # -- constructors ---------------------------------------------------
 
@@ -517,9 +507,9 @@ class MixtureModel(ConditionalModel):
     base row floored by the posterior share of uniform, ``s(l) b + s(-l) / M``
     with s the logistic function.  The state is the base's state and the
     log-odds l of base against uniform given the prefix: ``log((1-g)/g)``
-    at first, plus ``log b(x) + log M`` per token x, where b(x) is read
-    through ``base.probs``.  Base rows are built only when ``rows`` is
-    called.
+    at first, plus ``log b(x) + log M`` per token x.  ``step`` reads b(x)
+    by the base's step and floors it into its own read; the lattice step
+    broadcasts the log-odds over the base's rows.
     """
 
     kind = "mixture"
@@ -534,21 +524,21 @@ class MixtureModel(ConditionalModel):
     def init_state(self, n: int):
         return self.base.init_state(n), np.full(n, self._prior_log_odds)
 
-    def advance(self, state, tokens):
+    def step(self, state, tokens):
         base_state, log_odds = state
-        log_odds, p = _base_picks(self.base, base_state, log_odds, tokens)
+        p, base_state = self.base.step(base_state, tokens)
+        if tokens is None:
+            log_odds = log_odds[:, None]
+        read = self._mix(p, log_odds)
         # At gamma = 0 a zero base entry makes inf - inf; rows ignores it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_odds = log_odds + np.log(p) + math.log(self.spec.M)
-        return self.base.advance(base_state, tokens), log_odds
+            log_odds = np.log(p) + log_odds
+            log_odds += math.log(self.spec.M)
+        return read, (base_state, log_odds.reshape(-1))
 
     def rows(self, state) -> np.ndarray:
         base_state, log_odds = state
         return self._mix(self.base.rows(base_state), log_odds[:, None])
-
-    def probs(self, state, tokens):
-        base_state, log_odds = state
-        return self._mix(self.base.probs(base_state, tokens), log_odds)
 
     def _mix(self, base_probs: np.ndarray, log_odds: np.ndarray) -> np.ndarray:
         """Mixture probabilities from base probabilities and the log-odds, broadcast together."""
@@ -591,8 +581,9 @@ class PerTokenMixture(ConditionalModel):
     def rows(self, state) -> np.ndarray:
         return self._mix(self.base.rows(state))
 
-    def probs(self, state, tokens):
-        return self._mix(self.base.probs(state, tokens))
+    def step(self, state, tokens):
+        p, state = self.base.step(state, tokens)
+        return self._mix(p), state
 
     def _mix(self, base_probs: np.ndarray) -> np.ndarray:
         return _floor(base_probs, 1.0 - self.gamma, self.gamma, self.spec.M)
@@ -609,9 +600,10 @@ class DriftModel(ConditionalModel):
     permanently, then emits -- from the base conditional while faithful,
     uniformly otherwise.  The state is the base's state and q = P(still
     faithful | prefix), updated by the normalized two-hypothesis forward
-    recursion from the base probability of each token (``base.probs``);
-    scoring a sequence therefore marginalizes the latent mode exactly,
-    and builds no base rows.
+    recursion from each token's base probability, read by the base's
+    step; scoring a sequence therefore marginalizes the latent mode
+    exactly, and builds no base rows.  The recursion's denominator is
+    bitwise the floored read, which ``step`` returns.
     """
 
     kind = "drift"
@@ -626,29 +618,26 @@ class DriftModel(ConditionalModel):
     def init_state(self, n: int):
         return self.base.init_state(n), np.ones(n)
 
-    def advance(self, state, tokens):
+    def step(self, state, tokens):
         base_state, q = state
-        q, pf = _base_picks(self.base, base_state, q, tokens)
+        pf, base_state = self.base.step(base_state, tokens)
         beta_f = q * (1.0 - self.switch_prob)
+        if tokens is None:
+            beta_f = beta_f[:, None]
         num = beta_f * pf
         den = num + (1.0 - beta_f) / self.spec.M
-        q = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-        return self.base.advance(base_state, tokens), q
+        # den is 0 only where both of its nonnegative terms are, so num is
+        # already the 0 that q takes there.
+        q = np.divide(num, den, out=num, where=den > 0.0)
+        return (pf if self.switch_prob == 0.0 else den), (base_state, q.reshape(-1))
 
     def rows(self, state) -> np.ndarray:
         base_state, q = state
-        return self._mix(self.base.rows(base_state), q[:, None])
-
-    def probs(self, state, tokens):
-        base_state, q = state
-        return self._mix(self.base.probs(base_state, tokens), q)
-
-    def _mix(self, base_probs: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Drift probabilities from base probabilities and q, broadcast together."""
+        base_rows = self.base.rows(base_state)
         if self.switch_prob == 0.0:
-            return base_probs
-        beta_f = q * (1.0 - self.switch_prob)
-        return _floor(base_probs, beta_f, 1.0 - beta_f, self.spec.M)
+            return base_rows
+        beta_f = q[:, None] * (1.0 - self.switch_prob)
+        return _floor(base_rows, beta_f, 1.0 - beta_f, self.spec.M)
 
     def params_dict(self) -> dict:
         return {"switch_prob": self.switch_prob, "base": model_to_dict(self.base)}

@@ -160,17 +160,40 @@ def heap_peak(fn):
         tracemalloc.stop()
 
 
-def count_calls(model, name):
-    """Count the calls of the model's method `name`, in a one-element list."""
+def count_calls(model, *names):
+    """Count the calls of the model's methods `names` together, in a one-element list.
+
+    One step may be spread over several methods (``step`` and
+    ``advance``), so their calls are summed.  A call that a counted
+    method makes to another counted method of the same model counts too.
+    """
     calls = [0]
-    method = getattr(model, name)
+    for name in names:
+        method = getattr(model, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return method(*args)
+        def counted(*args, _method=method):
+            calls[0] += 1
+            return _method(*args)
 
-    setattr(model, name, counted)
+        setattr(model, name, counted)
     return calls
+
+
+def assert_states_equal(a, b):
+    """Two model states are equal in structure, dtype and every entry.
+
+    NaN equals NaN: a Mixture at gamma = 0 carries NaN log-odds after a
+    zero base entry, on every path alike.
+    """
+    assert type(a) is type(b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_states_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    else:
+        assert a == b
 
 
 @pytest.fixture

@@ -422,12 +422,12 @@ class TestComparatorWalks:
         assert calls == [truth.spec.T - 1]
 
     def test_memory_bound_walks_the_truth_once(self, rng):
-        # One lattice walk per estimate: the truth drives it and is
-        # advanced once per level, T - 1 batches in all.
+        # One lattice walk per estimate: the truth drives it and makes one
+        # lattice step per level below the last, T - 1 batches in all.
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
         comparator = sc.fit_limited_memory(truth, 1)
-        calls = count_calls(truth, "advance")
+        calls = count_calls(truth, "step", "advance")
         sc.memory_bound(truth, full, comparator)
         assert calls == [truth.spec.T - 1]
 

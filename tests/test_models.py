@@ -18,6 +18,7 @@ from seqcal.models import _sample_rows, model_dumps, model_loads, pick, row_entr
 from conftest import (
     MODEL_KINDS,
     all_seqs,
+    assert_states_equal,
     count_calls,
     model_of_kind,
     model_probs,
@@ -329,7 +330,7 @@ class TestShortAxisKernels:
 
 
 class TestTokenProbs:
-    """``probs(state, tokens)`` is the picked row entry, bit for bit."""
+    """``step(state, tokens)`` reads the picked row entry and advances, bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -339,24 +340,32 @@ class TestTokenProbs:
         seed=st.integers(0, 10**6),
         zero_frac=st.sampled_from([0.0, 0.5]),
     )
-    def test_probs_are_the_picked_rows(self, kind, M, T, seed, zero_frac):
+    def test_step_is_the_picked_rows_and_advance(self, kind, M, T, seed, zero_frac):
         rng = np.random.default_rng(seed)
         model = model_of_kind(kind, rng, M, T, zero_frac)
         n = 12
         state = model.init_state(n)
         for t in range(T):
             rows = model.rows(state)
+            # The lattice step reads the whole rows.
+            read, children = model.step(state, None)
+            assert np.array_equal(read, rows)
+            assert_states_equal(children, model.advance(state, None))
             # Every token, those of zero probability included.
             for j in range(M):
                 tokens = np.full(n, j, dtype=np.int64)
-                assert np.array_equal(model.probs(state, tokens), pick(rows, tokens))
+                read, after = model.step(state, tokens)
+                assert np.array_equal(read, pick(rows, tokens))
+                assert_states_equal(after, model.advance(state, tokens))
             # Sampled prefixes, and every other one continued at random so
-            # that prefixes of zero probability are walked too.
+            # that prefixes of zero probability are walked too.  The last
+            # step leaves states of length T.
             tokens = _sample_rows(rows, rng)
             tokens[::2] = rng.integers(0, M, size=tokens[::2].shape[0])
-            assert np.array_equal(model.probs(state, tokens), pick(rows, tokens))
-            if t + 1 < T:
-                state = model.advance(state, tokens)
+            read, after = model.step(state, tokens)
+            assert np.array_equal(read, pick(rows, tokens))
+            state = model.advance(state, tokens)
+            assert_states_equal(after, state)
 
     @pytest.mark.parametrize("kind", [k for k in MODEL_KINDS if not k.endswith("tilt")])
     def test_scoring_builds_no_rows(self, kind):
@@ -558,8 +567,9 @@ class TestLinearCost:
     """Sampling and scoring cost one step per token, counted without timings.
 
     Every composite model reads its innermost table model through
-    ``rows``, n rows of M entries, and ``probs``, n entries; counting
-    both kinds of batch counts the steps.
+    ``rows``, n rows of M entries, and ``step``, n entries on a token
+    step or n rows on a lattice step; counting both kinds of batch, with
+    the table model's own ``advance``, counts the steps.
     """
 
     @pytest.mark.parametrize("kind", ["drift", "mixture", "local_tilt", "memory_tilt"])
@@ -569,32 +579,49 @@ class TestLinearCost:
             rng = np.random.default_rng(T)
             inner = random_markov(rng, M, T, 2)
             drift = sc.DriftModel(inner, 0.1)
-            # The innermost (rows, probs) batches of sampling, then of scoring.
-            # A Drift or Mixture reads rows for each sampled step and one
-            # base probability per advance; it scores from probabilities
-            # alone, one per token and one per advance.
-            sampling, scoring = (T, T - 1), (0, 2 * T - 1)
+            # The innermost (rows, step, advance) batches of sampling, then
+            # of scoring.  A Drift or Mixture reads rows for each sampled
+            # step and advances by its own step, which reads the base's;
+            # it scores by one step per token, which reads and advances.
+            sampling, scoring = (T, T - 1, 0), (0, T, 0)
             if kind == "drift":
                 model = drift
             elif kind == "mixture":
                 model = sc.MixtureModel(inner, 0.1)
             elif kind == "local_tilt":
-                # Each tilted step (all but the last) reads the rows, the
-                # parents' rows again in Drift's lattice step, and the
-                # children's rows one lattice step ahead.
+                # Each tilted step (all but the last) takes the rows and the
+                # children from one lattice step of the Drift and reads the
+                # children's rows; every advance is one token step.  Scoring
+                # advances past the last token too.
                 model = sc.LocalTiltModel(drift, 0.5)
-                sampling = scoring = (3 * T - 2, T - 1)
+                sampling, scoring = (T, 2 * T - 2, 0), (T, 2 * T - 1, 0)
             else:
                 tables = random_markov(rng, M, T, 1).tables
                 comparator = sc.LimitedMemoryModel(inner.spec, 1, tables)
                 model = sc.MemoryTiltModel(drift, comparator, 0.5)
-                sampling = scoring = (T, T - 1)
-            rows, probs = count_calls(inner, "rows"), count_calls(inner, "probs")
+                sampling, scoring = (T, T - 1, 0), (T, T, 0)
+            counts = [count_calls(inner, name) for name in ("rows", "step", "advance")]
             seqs = model.sample_batch(8, rng)
-            assert (rows[0], probs[0]) == sampling
-            rows[0] = probs[0] = 0
+            assert tuple(c[0] for c in counts) == sampling
+            for c in counts:
+                c[0] = 0
             assert np.all(np.isfinite(model.seq_log_prob_batch(seqs)))
-            assert (rows[0], probs[0]) == scoring
+            assert tuple(c[0] for c in counts) == scoring
+
+    @pytest.mark.parametrize("T", [1, 2, 6])
+    def test_lattice_walk_reads_the_innermost_rows_once_per_level(self, T):
+        # One block of a Mixture(Drift(Markov)) walk: each level reads the
+        # Markov rows once, by a lattice step below the last level and by
+        # ``rows`` there.
+        M = 3
+        inner = random_markov(np.random.default_rng(T), M, T, 2)
+        model = sc.MixtureModel(sc.DriftModel(inner, 0.1), 0.2)
+        assert M**T <= sc.exact._TAIL_BLOCK
+        reads, advances = count_calls(inner, "rows", "step"), count_calls(inner, "advance")
+        log_probs = sequence_log_probs(model)
+        assert (reads[0], advances[0]) == (T, 0)
+        oracle = model_probs(model)
+        np.testing.assert_allclose(np.exp(log_probs), [oracle[w] for w in all_seqs(M, T)], rtol=1e-12)
 
 
 def _take_state(state, idx):
@@ -604,18 +631,6 @@ def _take_state(state, idx):
     if isinstance(state, np.ndarray):
         return state[idx]
     return state
-
-
-def _assert_states_equal(a, b):
-    assert type(a) is type(b)
-    if isinstance(a, tuple):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            _assert_states_equal(x, y)
-    elif isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    else:
-        assert a == b
 
 
 class TestLatticeStep:
@@ -637,7 +652,7 @@ class TestLatticeStep:
             tokens = np.tile(np.arange(M, dtype=np.int64), n)
             reference = model.advance(_take_state(reference, idx), tokens)
             lattice = model.advance(lattice, None)
-            _assert_states_equal(lattice, reference)
+            assert_states_equal(lattice, reference)
             assert np.array_equal(model.rows(lattice), model.rows(reference))
 
 
