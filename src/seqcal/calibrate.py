@@ -43,7 +43,6 @@ from . import exact
 from .exact import (
     EnumerationBudget,
     FunctionalF,
-    _kl_from_log_probs,
     _prefix_blocks,
     _support_fsum,
     logsumexp,
@@ -165,6 +164,11 @@ class _GlobalTiltProblem:
     lexicographic order.  It is the one place that computes the tilted
     log-probabilities alpha f + log B - log Z_alpha, the tilted feature
     moments and the objective CE(truth || B_alpha) with its derivatives.
+    A probe (:meth:`moments`) runs over blocks of `_FSUM_BLOCK` values in
+    the problem's one preallocated buffer, so it builds no lattice-sized
+    array; only the tilted model's log-probabilities (:meth:`tilt`) are a
+    whole vector.  With a truth, one blocked pass over its support gives
+    the target moments and ``kl``, KL(truth || B).
     """
 
     def __init__(self, lp_base: np.ndarray, fv: np.ndarray, T: int, lp_true: np.ndarray | None = None):
@@ -173,16 +177,22 @@ class _GlobalTiltProblem:
         self.T = T
         self.lp_true = lp_true
         if lp_true is not None:
-            # Correctly rounded sums over the truth's support, in one pass
-            # with no masked copies; a -inf of log B there makes the first
-            # infinite.
-            ce_base, self.mu_target = _support_fsum(lp_true, lp_base, fv)
+            # Correctly rounded sums over the truth's support, with no
+            # masked copies: p log B, p f (the same sum when f is log B)
+            # and p (log P_true - log B).  A -inf of log B there makes the
+            # first infinite.
+            xs = (lp_base,) if fv is lp_base else (lp_base, fv)
+            ce_base, *mu, self.kl = _support_fsum(lp_true, *xs, (lp_true, lp_base))
+            self.mu_target = mu[0] if mu else ce_base
             self.ce_base_term = -ce_base
             if self.ce_base_term == math.inf:
                 raise CalibrationDivergenceError(
                     "base assigns zero probability on the truth's support; the "
                     "objective is infinite for every alpha"
                 )
+        # A probe's buffer, allocated once the sums' blocks are released:
+        # one block of weights and one of squared deviations.
+        self._buf = np.empty((2, min(fv.shape[0], exact._FSUM_BLOCK)))
 
     @classmethod
     def build(cls, base, f, budget=None, truth=None) -> "_GlobalTiltProblem":
@@ -207,13 +217,43 @@ class _GlobalTiltProblem:
         return log_p, log_z
 
     def moments(self, alpha: float) -> tuple[float, float, float]:
-        """(mean, variance) of f under B_alpha, and log Z_alpha."""
-        pt, log_z = self.tilt(alpha)
-        np.exp(pt, out=pt)
-        mu = float(np.dot(pt, self.fv))
-        dev = self.fv - mu
-        dev *= dev
-        return mu, float(np.dot(pt, dev)), log_z
+        """(mean, variance) of f under B_alpha, and log Z_alpha, in one blocked pass.
+
+        Block b of x = alpha f + log B gives its max m_b, its sum s_b of
+        exp(x - m_b), and the mean and M2 (the sum of exp(x - m_b)
+        (f - mean_b)**2) of f under those weights.  The blocks are merged
+        by their weights exp(m_b - max m) s_b: log Z, the mean, and the
+        variance by Chan, Golub and LeVeque's parallel formula, the
+        rescaled M2s plus the between-block term.  A block with no mass
+        adds nothing.
+        """
+        buf, dev = self._buf
+        stats = []
+        for lo in range(0, self.fv.shape[0], exact._FSUM_BLOCK):
+            f = self.fv[lo:lo + exact._FSUM_BLOCK]
+            n = f.shape[0]
+            x = np.multiply(f, alpha, out=buf[:n])
+            x += self.lp_base[lo:lo + n]
+            top = x.max()
+            if top == -math.inf:
+                continue
+            x -= top
+            e = np.exp(x, out=x)
+            s = e.sum()
+            mean = np.dot(e, f) / s
+            d = np.subtract(f, mean, out=dev[:n])
+            d *= d
+            stats.append((top, s, mean, np.dot(e, d)))
+        top, s, mean, m2 = np.array(stats).T
+        peak = top.max()
+        scale = np.exp(top - peak)
+        w = scale * s
+        total = w.sum()
+        mu = np.dot(w, mean) / total
+        between = mean - mu
+        between *= between
+        var = (np.dot(scale, m2) + np.dot(w, between)) / total
+        return float(mu), float(var), float(peak + math.log(total))
 
     def evaluate(self, alpha: float) -> dict:
         """Objective, gradient (mean mismatch / T) and curvature (variance / T)."""
@@ -458,7 +498,7 @@ def calibrate_entropy_rate(
     problem = _GlobalTiltProblem.build(mixture, f, budget, truth=true_model)
     result = _fit_global(problem, mixture, f, tolerance, provenance)
     result.extras["epsilon"] = float(epsilon)
-    result.extras["measured_epsilon"] = _kl_from_log_probs(problem.lp_true, problem.lp_base) / T
+    result.extras["measured_epsilon"] = problem.kl / T
     model = GlobalTiltModel(mixture, f, result.alpha_star, budget, _problem=problem)
     return model, result
 

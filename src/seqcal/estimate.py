@@ -214,8 +214,9 @@ class _SeededWalk(ConditionalModel):
     """`model` continuing prefixes whose first `prefix_len` tokens `seeder` drew.
 
     Rows of prefixes shorter than `prefix_len` are the seeder's and later
-    ones the model's.  The state is (prefix length, model state, seeder
-    state); the seeder's state is None once the model drives.
+    ones the model's, and ``step`` is the reading model's own step.  The
+    state is (prefix length, model state, seeder state); the seeder's
+    state is None once the model drives.
     """
 
     def __init__(self, model: ConditionalModel, seeder: ConditionalModel, prefix_len: int):
@@ -236,6 +237,18 @@ class _SeededWalk(ConditionalModel):
         if length < self.prefix_len:
             return self.seeder.rows(seeder_state)
         return self.model.rows(model_state)
+
+    def step(self, state, tokens):
+        # The reading model's own step, so a lattice walk reads its rows
+        # once per level; the seeder's last read does not advance it.
+        length, model_state, seeder_state = state
+        if length + 1 < self.prefix_len:
+            read, seeder_state = self.seeder.step(seeder_state, tokens)
+            return read, (length + 1, self.model.advance(model_state, tokens), seeder_state)
+        if length < self.prefix_len:
+            return super().step(state, tokens)
+        read, model_state = self.model.step(model_state, tokens)
+        return read, (length + 1, model_state, None)
 
 
 def drift_curve_exact(

@@ -507,24 +507,31 @@ def kl_exact(
     return _kl_from_log_probs(sequence_log_probs(p, budget), sequence_log_probs(q, budget))
 
 
-def _support_fsum(lpp: np.ndarray, *xs: np.ndarray) -> list[float]:
+def _support_fsum(lpp: np.ndarray, *xs) -> list[float]:
     """The correctly rounded sums of p * x over the support of p = exp(lpp), one per x.
 
     One pass of `_FSUM_BLOCK` values at a time, which takes each block's
     exponentials once for every x and builds its terms in an array of
-    this function's own.  Off the support, where p * x may be nan, they
-    are set to -0.0, the exact additive identity, so no masked copy is
-    made and each sum is bitwise the sum of the support's terms, the
-    sign of a zero included.  An infinite x on the support makes its
-    sum infinite with its sign.
+    this function's own.  An x given as a pair (a, b) of arrays stands
+    for a - b, formed one block at a time, so no whole difference is
+    built.  Off the support, where p * x may be nan, the terms are set
+    to -0.0, the exact additive identity, so no masked copy is made and
+    each sum is bitwise the sum of the support's terms, the sign of a
+    zero included.  An infinite x on the support makes its sum infinite
+    with its sign.
     """
     sums = [_Fsum() for _ in xs]
     for lo in range(0, lpp.shape[0], _FSUM_BLOCK):
-        p = np.exp(lpp[lo:lo + _FSUM_BLOCK])
+        block = slice(lo, lo + _FSUM_BLOCK)
+        p = np.exp(lpp[block])
         off = p == 0.0
         for x, total in zip(xs, sums):
-            with np.errstate(invalid="ignore"):
-                terms = p * x[lo:lo + _FSUM_BLOCK]
+            with np.errstate(invalid="ignore"):  # -inf - -inf, 0 * inf off the support
+                if isinstance(x, tuple):
+                    terms = np.subtract(x[0][block], x[1][block])
+                    terms *= p
+                else:
+                    terms = p * x[block]
             terms[off] = -0.0
             total.add(terms)
     return [total.value() for total in sums]
@@ -543,8 +550,7 @@ def _cross_entropy_from_log_probs(lpp: np.ndarray, lpq: np.ndarray, T: int) -> f
 
 def _kl_from_log_probs(lpp: np.ndarray, lpq: np.ndarray) -> float:
     """KL between two lattice log-probability vectors, as :func:`kl_exact`."""
-    with np.errstate(invalid="ignore"):  # -inf - -inf off p's support
-        return _support_fsum(lpp, lpp - lpq)[0]
+    return _support_fsum(lpp, (lpp, lpq))[0]
 
 
 def mean_var_exact(

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -16,9 +17,10 @@ from seqcal.calibrate import (
     fit_per_step_tilt,
     tilted_variance_max,
 )
+from seqcal.cli import parse_config, run
 from seqcal.exact import (
+    P_MIN,
     FunctionalF,
-    _kl_from_log_probs,
     enumerate_sequences,
     logsumexp,
     prefix_expansion,
@@ -232,6 +234,53 @@ class TestFitAlphaGlobal:
             sc.fit_alpha_global(truth, base, FunctionalF.neg_log_prob(sc.MixtureModel(base, 0.1)))
 
 
+def _fsum_moments(lp_base, fv, alpha):
+    """(mean, variance, log Z) of f under exp(alpha f + log B) / Z, by whole vectors and math.fsum."""
+    x = alpha * fv + lp_base
+    top = x.max()
+    p = np.exp(x - top)
+    total = math.fsum(p.tolist())
+    mu = math.fsum((p * fv).tolist()) / total
+    var = math.fsum((p * (fv - mu) ** 2).tolist()) / total
+    return mu, var, top + math.log(total)
+
+
+class TestBlockedGlobalMoments:
+    # (M, T) lattices of one block and of several (a part block last at
+    # M = 3); the block is 2**14 values.
+    @settings(max_examples=60)
+    @given(st.sampled_from([(2, 5), (3, 4), (4, 3), (2, 15), (3, 10), (4, 8)]),
+           st.sampled_from([0.0, 0.3, -0.3, 5.0, -5.0, 300.0]),
+           st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_matches_the_whole_vector_fsum_moments(self, shape, alpha, seed, f_is_log_b, dead_block):
+        # Relative bounds: log Z within 1e-14 of max(1, |log Z|), the
+        # mean within 1e-14 of s = max |f| over the sequences with mass,
+        # and the variance within 1e-14 of sigma * (sigma + s), as the
+        # deviations f - mean carry an error of order eps * s.  A merge
+        # without the exp(m_b - max m) rescale or without the
+        # between-block variance term misses them by orders of magnitude
+        # on the multi-block lattices.
+        M, T = shape
+        n = M**T
+        rng = np.random.default_rng(seed)
+        # Trends across the lattice give the blocks different maxima and means.
+        lp_base = rng.normal(-2.0 * T, 1.5, n) + np.linspace(0.0, 2.0, n)
+        lp_base[rng.random(n) < 0.2] = -np.inf
+        if dead_block and n > 2**14:
+            lp_base[2**14:2 * 2**14] = -np.inf  # a whole block without mass
+        if f_is_log_b:
+            fv = np.maximum(lp_base, math.log(P_MIN))
+        else:
+            fv = rng.normal(0.0, 5.0, n) + np.linspace(0.0, 3.0, n)
+        mu, var, log_z = _GlobalTiltProblem(lp_base, fv, T).moments(alpha)
+        ref_mu, ref_var, ref_log_z = _fsum_moments(lp_base, fv, alpha)
+        s = np.abs(fv[np.isfinite(lp_base)]).max()
+        sigma = math.sqrt(ref_var)
+        assert abs(log_z - ref_log_z) <= 1e-14 * max(1.0, abs(ref_log_z))
+        assert abs(mu - ref_mu) <= 1e-14 * s
+        assert abs(var - ref_var) <= 1e-14 * sigma * (sigma + s)
+
+
 def _lse_problem(f, w, mu):
     """Probes of obj(a) = log sum_i w_i exp(a f_i) - a mu, a tilt problem in miniature.
 
@@ -327,9 +376,12 @@ class TestEntropyRateCalibration:
         # Heap peaks of the fit and its phases, in lattice vectors, on
         # top of what each phase is given.  The walks grow their last
         # levels in blocks, the constructor sums over the truth's support
-        # without masked copies, and the tilt model's pyramid runs over
-        # columns; whole-level walks (6.1 vectors), masked copies (3.1)
-        # or a row-wise logsumexp pyramid (3.0) each break a bound.
+        # (its KL included) without masked copies or a whole difference,
+        # a probe runs over blocks in the problem's own buffer, and the
+        # tilt model's pyramid runs over columns; whole-level walks (6.1
+        # vectors), masked copies (3.1), a whole log P_true - log B (4.0
+        # for the build), a whole-vector probe (2.0) or a row-wise
+        # logsumexp pyramid (3.0) each break a bound.
         truth = random_markov(np.random.default_rng(3), 4, 8, 2, concentration=0.8)
         base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
         mixture = sc.MixtureModel(base, 0.05)
@@ -337,16 +389,30 @@ class TestEntropyRateCalibration:
         size = 8 * 4**8
         _, peak = heap_peak(lambda: sc.calibrate_entropy_rate(truth, base, 0.05))
         assert peak < 4.9 * size
-        problem = _GlobalTiltProblem.build(mixture, f, truth=truth)
+        problem, build = heap_peak(lambda: _GlobalTiltProblem.build(mixture, f, truth=truth))
+        assert build < 3.4 * size
         assert problem.fv is problem.lp_base
         _, init = heap_peak(lambda: _GlobalTiltProblem(problem.lp_base, problem.fv, 8, problem.lp_true))
         assert init < 1.8 * size
         _, tilt = heap_peak(lambda: sc.GlobalTiltModel(mixture, f, 0.3, _problem=problem))
         assert tilt < 2.2 * size
         _, probe = heap_peak(lambda: problem.evaluate(0.3))
-        assert probe < 2.5 * size
-        _, kl = heap_peak(lambda: _kl_from_log_probs(problem.lp_true, problem.lp_base))
-        assert kl < 3.4 * size
+        assert probe < 0.1 * size
+
+    @pytest.mark.parametrize("seed, probes", [(7, 4), (11, 5)])
+    def test_probe_count_at_the_benchmark_config(self, tmp_path, seed, probes):
+        # The benchmark's exact-global run: a 4**10 lattice, an order-2
+        # truth and its drifted model.  Blocked probes round differently
+        # from whole-vector ones, and must not cost the fit a probe.
+        cfg = parse_config({
+            "pipeline": "calibrate-global", "seed": seed, "out": str(tmp_path),
+            "M": 4, "T": 10,
+            "true_model": {"kind": "random_markov", "order": 2, "concentration": 0.8},
+            "model": {"recipe": "drift", "p": 0.1}, "epsilon": 0.05, "budget": 2_000_000,
+        })
+        code, out = run(cfg)
+        assert code == 0
+        assert json.loads((out / "calibration_global.json").read_text())["n_iterations"] == probes
 
     def test_truth_base_identity(self, rng):
         # The floor mixes the base away from the truth, so alpha* is

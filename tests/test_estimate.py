@@ -238,8 +238,10 @@ class TestDriftCurveExact:
 
     @pytest.mark.parametrize("prefix_len", [0, 1, 3])
     def test_one_walk_and_the_seeder_dropped_after_the_seed(self, rng, monkeypatch, prefix_len):
-        # One prefix_expansion; the model advances once per level and the
+        # One prefix_expansion; the model moves once per level and the
         # seeder only while the next prefix is still shorter than the seed.
+        # A move is a step or an advance; the Drift's both make one step of
+        # its base.
         seeder = random_markov(rng, 2, 5, 1)
         model = sc.DriftModel(random_markov(rng, 2, 5, 1), 0.3)
         calls = []
@@ -250,11 +252,28 @@ class TestDriftCurveExact:
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(seqcal.estimate, "prefix_expansion", counted)
-        model_steps, seeder_steps = count_calls(model, "advance"), count_calls(seeder, "advance")
+        model_steps = count_calls(model.base, "step", "advance")
+        seeder_steps = count_calls(seeder, "step", "advance")
         sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
         assert len(calls) == 1
         assert model_steps[0] == 4
         assert seeder_steps[0] == max(prefix_len - 1, 0)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda base: sc.DriftModel(base, 0.1),
+        lambda base: sc.MixtureModel(sc.DriftModel(base, 0.1), 0.05),
+    ], ids=["drift", "mixture-drift"])
+    def test_seeded_walk_reads_each_level_once(self, rng, wrap):
+        # As calibrate-local runs it: M = 4, T = 9, seeded for one token,
+        # walked to t_max = 8.  Levels 1..7 each make one lattice step of
+        # the innermost model, and only level 8 reads its rows; a seeded
+        # walk that reads each level's rows and then advances makes 7
+        # (rows, step) pairs.
+        seeder = random_markov(rng, 4, 9, 2)
+        inner = random_markov(rng, 4, 9, 2)
+        calls = [count_calls(inner, name) for name in ("rows", "step", "advance")]
+        sc.drift_curve_exact(wrap(inner), seed_model=seeder, prefix_len=1, t_max=8)
+        assert [c[0] for c in calls] == [1, 7, 0]
 
     @pytest.mark.parametrize("prefix_len, t_max", [(0, 3), (1, 4), (2, 5)])
     def test_walk_stops_at_t_max(self, rng, prefix_len, t_max):

@@ -457,17 +457,24 @@ class TestSupportSums:
 class TestSupportSumsInOnePass:
     def test_each_sum_is_the_support_fsum_of_its_terms(self):
         # Several lattice vectors summed against one exp(lpp) pass over
-        # blocks: each is math.fsum of its own support's terms.
+        # blocks: each is math.fsum of its own support's terms.  A pair
+        # (a, b) is summed as a - b, here a KL's log ratio, with
+        # -inf - -inf off the support.
         rng = np.random.default_rng(8)
         size = 2 * _FSUM_BLOCK + 5
         lpp = np.log(rng.dirichlet(np.full(size, 0.3)))
         lpp[rng.random(size) < 0.2] = -np.inf
-        xs = [lpp, rng.standard_normal(size), np.where(rng.random(size) < 0.5, -np.inf, 1.0)]
+        lpq = np.log(rng.dirichlet(np.full(size, 0.3)))
+        lpq[np.isneginf(lpp)] = -np.inf
+        xs = [lpp, rng.standard_normal(size), np.where(rng.random(size) < 0.5, -np.inf, 1.0), (lpp, lpq)]
         xs[2][np.isfinite(lpp)] = 2.0
         sums = _support_fsum(lpp, *xs)
         p = np.exp(lpp)
+        on = p > 0.0
         for x, total in zip(xs, sums):
-            on = p > 0.0
+            if isinstance(x, tuple):
+                with np.errstate(invalid="ignore"):
+                    x = x[0] - x[1]
             assert total == math.fsum((p[on] * x[on]).tolist())
         # -inf only off the support, so the last sum is finite.
         assert math.isfinite(sums[2])
