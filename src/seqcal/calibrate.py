@@ -43,6 +43,7 @@ from . import exact
 from .exact import (
     EnumerationBudget,
     FunctionalF,
+    _dot,
     _prefix_blocks,
     _support_fsum,
     logsumexp,
@@ -240,19 +241,19 @@ class _GlobalTiltProblem:
             x -= top
             e = np.exp(x, out=x)
             s = e.sum()
-            mean = np.dot(e, f) / s
+            mean = _dot(e, f) / s
             d = np.subtract(f, mean, out=dev[:n])
             d *= d
-            stats.append((top, s, mean, np.dot(e, d)))
+            stats.append((top, s, mean, _dot(e, d)))
         top, s, mean, m2 = np.array(stats).T
         peak = top.max()
         scale = np.exp(top - peak)
         w = scale * s
         total = w.sum()
-        mu = np.dot(w, mean) / total
+        mu = _dot(w, mean) / total
         between = mean - mu
         between *= between
-        var = (np.dot(scale, m2) + np.dot(w, between)) / total
+        var = (_dot(scale, m2) + _dot(w, between)) / total
         return float(mu), float(var), float(peak + math.log(total))
 
     def evaluate(self, alpha: float) -> dict:
@@ -374,14 +375,27 @@ class LocalTiltModel(ConditionalModel):
         if t + 1 == self.spec.T:
             base_rows = self.base.rows(base_state)
             return base_rows, np.zeros(base_rows.shape)
+        return self._lookahead(base_state)[:2]
+
+    def _lookahead(self, base_state):
+        """One lattice step of the base: its rows, each candidate's feature, the children."""
         base_rows, children = self.base.step(base_state, None)
-        return base_rows, row_entropies(self.base.rows(children)).reshape(base_rows.shape)
+        return base_rows, row_entropies(self.base.rows(children)).reshape(base_rows.shape), children
 
     def rows(self, state) -> np.ndarray:
         t, base_state = state
         if self.alpha == 0.0 or t + 1 == self.spec.T:
             return self.base.rows(base_state)
         return _tilt_rows(*self._step(state), self.alpha)
+
+    def step(self, state, tokens):
+        # A tilted lattice step's next state is its lookahead's children,
+        # so the base steps once per level.
+        t, base_state = state
+        if tokens is not None or self.alpha == 0.0 or t + 1 == self.spec.T:
+            return super().step(state, tokens)
+        base_rows, feats, children = self._lookahead(base_state)
+        return _tilt_rows(base_rows, feats, self.alpha), (t + 1, children)
 
     def _fit_extras(self, feats: np.ndarray) -> dict:
         return {}
@@ -654,8 +668,8 @@ class _StepTiltProblem:
         self.xent_sum = 0.0
         self.target_feat_sum = 0.0
         for span in self.spans.values():
-            self.xent_sum += -float(np.dot(self.weights[span], xent[span]))
-            self.target_feat_sum += float(np.dot(self.weights[span], target_feats[span]))
+            self.xent_sum += -_dot(self.weights[span], xent[span])
+            self.target_feat_sum += _dot(self.weights[span], target_feats[span])
         self.tilt = tilt
         self.active = active
         self.T = T
@@ -678,16 +692,16 @@ class _StepTiltProblem:
             dev *= rows
             var[cols] = _sum_columns(dev)
             del rows, dev  # before the next block's are built
-        g = (float(np.dot(self.weights, m)) - self.target_feat_sum) / self.T
-        c = float(np.dot(self.weights, var)) / self.T
+        g = (_dot(self.weights, m) - self.target_feat_sum) / self.T
+        c = _dot(self.weights, var) / self.T
         obj = (
-            self.xent_sum - alpha * self.target_feat_sum + float(np.dot(self.weights, log_z))
+            self.xent_sum - alpha * self.target_feat_sum + _dot(self.weights, log_z)
         ) / self.T
         info = {
             "g": g,
             "c": c,
             "obj": obj,
-            "mu": float(np.dot(self.weights, m)) / self.T,
+            "mu": _dot(self.weights, m) / self.T,
             "var": c * self.T,
         }
         if self.obs_feats is not None:
@@ -704,16 +718,22 @@ class _StepTiltProblem:
             out.update(gradient_stderr=info["g_stderr"], n_sequences=self.n_seqs)
         return out
 
-    def tilted_rows(self, alpha: float, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Step t's context weights and its (n, M) rows tilted by alpha.
+    def tilted_rows(self, alpha: float, t: int, unit: int):
+        """Step t's context weights and (n, M) rows tilted by alpha, in blocks.
 
-        The rows are bitwise the tilt model's rows at alpha on an active
-        step: both are :func:`_tilt_columns` of the same base rows and
-        features.
+        Each block is a multiple of `unit` contexts, about `_TAIL_BLOCK`
+        values; the last one too if `unit` divides the step's context
+        count.  The rows are bitwise the tilt model's rows at alpha on an
+        active step: both are :func:`_tilt_columns` of the same base rows
+        and features.
         """
         span = self.spans[t]
-        rows, _ = _tilt_columns(self.log_rows[:, span], self.feats[:, span], alpha)
-        return self.weights[span], np.ascontiguousarray(rows.T)
+        step = max(1, exact._TAIL_BLOCK // (self.feats.shape[0] * unit)) * unit
+        for lo in range(span.start, span.stop, step):
+            cols = slice(lo, min(lo + step, span.stop))
+            rows, _ = _tilt_columns(self.log_rows[:, cols], self.feats[:, cols], alpha)
+            yield self.weights[cols], np.ascontiguousarray(rows.T)
+            del rows  # before the next block's are built
 
 
 def _fit_step(problem, tolerance, provenance=None):

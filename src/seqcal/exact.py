@@ -19,7 +19,10 @@ view of the parents' states, and each piece is written into its slice
 of a preallocated output.  So `sequence_log_probs`' heap stays near one
 lattice vector, and the per-step problem's near its own columns: 5.5
 arrays of the last level's (M**(T-1), M) rows at M = 4, T = 8, 3.67 of
-them its columns.  All walks run the same growth loop (:func:`_grow`).
+them its columns.  The memory bound's exact MI is read off that
+problem's columns by blocks of deep pasts (:class:`_ConditionalMi`), so
+a whole memory estimate peaks in its build.  All walks run the same
+growth loop (:func:`_grow`).
 Sequence functionals are evaluated on that lattice, never on an
 enumerated token array; :func:`enumerate_sequences` remains only as an
 independent oracle.
@@ -178,6 +181,15 @@ class _Fsum:
         if self._rest is not None:
             return math.fsum(itertools.chain(self._parts, *map(memoryview, self._rest)))
         return math.fsum(self._parts or self._zeros)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two vectors, by numpy's own one-thread loop.
+
+    BLAS's ``np.dot`` may split a long vector across threads, so its
+    rounding would depend on the thread count.
+    """
+    return float(np.einsum("i,i", a, b))
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):
@@ -580,8 +592,8 @@ def log_partition_exact(
     return float(logsumexp(alpha * fv + lp))
 
 
-def _conditional_entropy(joint: np.ndarray) -> float:
-    """H(Z|C) in nats from a 2-d joint indexed (Z, C), by direct marginalization."""
+def _entropy_terms(joint: np.ndarray) -> np.ndarray:
+    """The terms p(z, c) log p(z | c) of a 2-d (Z, C) joint, 0 off its support, flat."""
     pc = joint.sum(axis=0)
     # One array of terms, built in place; ravel order "K" reads it without a copy.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -589,14 +601,50 @@ def _conditional_entropy(joint: np.ndarray) -> float:
         terms -= np.log(pc)
         terms *= joint
     terms[~(joint > 0.0)] = 0.0
-    return -_fsum(terms.ravel(order="K"))
+    return terms.ravel(order="K")
+
+
+def _conditional_entropy(joint: np.ndarray) -> float:
+    """H(Z|C) in nats from a 2-d joint indexed (Z, C), by direct marginalization."""
+    return -_fsum(_entropy_terms(joint))
+
+
+class _ConditionalMi:
+    """I(Z; X | Y) = H(Z|Y) - H(Z|Y,X) of a (Z, Y, X) joint added in blocks of X, in order.
+
+    The H(Z|Y,X) terms are one correctly rounded sum.  The (Z, Y)
+    marginal is the first block's ``sum(axis=2)``; a later block's
+    (X, Y, Z) rows are summed under it along their C-contiguous leading
+    axis, which adds them one at a time in X order, as numpy sums over
+    an X axis that is not contiguous (a contiguous one it sums
+    pairwise).  So blocks of a joint whose X axis is its slowest give
+    bitwise the whole joint's value.
+    """
+
+    def __init__(self):
+        self._marginal = None
+        self._terms = _Fsum()  # -H(Z|Y,X)
+
+    def add(self, joint: np.ndarray) -> None:
+        if self._marginal is None:
+            self._marginal = joint.sum(axis=2)
+        else:
+            rows = np.concatenate((self._marginal.T[None], joint.transpose(2, 1, 0)))
+            self._marginal[...] = rows.sum(axis=0).T
+        # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
+        # joint, so each marginal over Z is summed along the same memory
+        # axis as in the 3-d layout.
+        self._terms.add(_entropy_terms(joint.reshape(joint.shape[0], -1, order="A")))
+
+    def value(self) -> float:
+        return _conditional_entropy(self._marginal) + self._terms.value()
 
 
 def conditional_mi_exact(joint: np.ndarray) -> float:
     """I(Z; X | Y) in nats from an explicit joint indexed (Z, Y, X).
 
-    Computed as H(Z|Y) - H(Z|Y,X).  The joint must be a normalized
-    distribution.
+    Computed as H(Z|Y) - H(Z|Y,X) by :class:`_ConditionalMi`, the whole
+    joint as one block.  The joint must be a normalized distribution.
     """
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 3:
@@ -606,8 +654,6 @@ def conditional_mi_exact(joint: np.ndarray) -> float:
     total = float(joint.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint must sum to 1, got {total}")
-    # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
-    # joint, so each marginal over Z is summed along the same memory
-    # axis as in the 3-d layout.
-    yx = joint.reshape(joint.shape[0], -1, order="A")
-    return _conditional_entropy(joint.sum(axis=2)) - _conditional_entropy(yx)
+    mi = _ConditionalMi()
+    mi.add(joint)
+    return mi.value()

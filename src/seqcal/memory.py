@@ -40,9 +40,8 @@ from .estimate import _unit_scale
 from .exact import (
     P_MIN,
     EnumerationBudget,
+    _ConditionalMi,
     _Fsum,
-    _fsum,
-    conditional_mi_exact,
     prefix_expansion,
     sample_expansion,
 )
@@ -271,11 +270,13 @@ def memory_table_csv(estimates, units: str = "nats") -> str:
 
 
 def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarray:
-    """(Z, Y, X) joint from one lattice level: prefix weights times step-t rows."""
+    """(Z, Y, X) joint of step-t prefixes, weights times rows, X its slowest axis.
+
+    The prefixes are a level's, or whole runs of its M**min(tau, t-1)
+    recent contexts: a range of deep pasts X.
+    """
     M = rows.shape[1]
-    te = min(tau, t - 1)
-    joint = (weights[:, None] * rows).reshape(M ** (t - 1 - te), M**te, M)
-    return joint.transpose(2, 1, 0)
+    return (weights[:, None] * rows).reshape(-1, M ** min(tau, t - 1), M).transpose(2, 1, 0)
 
 
 def prediction_joint(
@@ -327,13 +328,13 @@ def memory_bound(
     walked once per estimate: the calibration's walk also yields the CE
     terms of each measured level as it passes, and the calibrated rows
     are the calibration problem's rows at the fitted exponent, bitwise
-    those of the returned tilt model.  Exact mode attaches, unless
-    `attach_exact_mi` is False, the exact conditional mutual
-    information, which the bound dominates by construction.  In sample
-    mode both terms carry standard errors; a sampled token the
-    comparator gives probability 0 makes the CE infinite, and a
-    negative or infinite bound is reported as-is with the validity flag
-    cleared rather than clamped.
+    those of the returned tilt model, read one block of deep pasts at a
+    time.  Exact mode attaches, unless `attach_exact_mi` is False, the
+    exact conditional mutual information, which the bound dominates by
+    construction.  In sample mode both terms carry standard errors; a
+    sampled token the comparator gives probability 0 makes the CE
+    infinite, and a negative or infinite bound is reported as-is with
+    the validity flag cleared rather than clamped.
     """
     T = full.spec.T
     if tau is None:
@@ -359,17 +360,27 @@ def memory_bound(
                                observe=lambda walk: _comparator_ce(walk, tilt, ce, not exact_mode))
     _, calibration = _fit_step(problem, tolerance, provenance)
 
+    # Each block of calibrated rows is a range of deep pasts of the joint.
+    # Only sample mode keeps per-context terms, for its stderrs.
+    M = full.spec.M
     per_step: dict = {}
     ce_parts, h_parts = [], []
     for t in steps:
-        weights, tilted_rows = problem.tilted_rows(calibration.alpha_star, t)
-        h_terms = weights * row_entropies(tilted_rows)
-        mi_t = None
-        if exact_mode and attach_exact_mi:
-            mi_t = conditional_mi_exact(_joint(weights, tilted_rows, tau, t))
-        per_step[t] = {"ce": ce[t][0], "cond_entropy": _fsum(h_terms), "mi": mi_t}
+        h_sum, h_terms = _Fsum(), []
+        mi = _ConditionalMi() if exact_mode and attach_exact_mi else None
+        for weights, rows in problem.tilted_rows(calibration.alpha_star, t, M ** min(tau, t - 1)):
+            h = weights * row_entropies(rows)
+            h_sum.add(h)
+            if not exact_mode:
+                h_terms.append(h)
+            if mi is not None:
+                mi.add(_joint(weights, rows, tau, t))
+            del h, rows  # before the next block's are built
+        per_step[t] = {"ce": ce[t][0], "cond_entropy": h_sum.value(),
+                       "mi": None if mi is None else mi.value()}
         ce_parts.append(ce[t][1])
-        h_parts.append(h_terms)
+        if not exact_mode:
+            h_parts.append(np.concatenate(h_terms))
     ce_term = float(np.mean([v["ce"] for v in per_step.values()]))
     h_term = float(np.mean([v["cond_entropy"] for v in per_step.values()]))
     bound = ce_term - h_term

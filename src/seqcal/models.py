@@ -705,10 +705,19 @@ def _fit_window(walk, tail: MarkovModel, smoothing: float = 0.0) -> LimitedMemor
     is its accumulated next-token mass plus `smoothing` per token,
     normalized; a window without mass gets the uniform row.
     """
+    from .exact import _TAIL_BLOCK  # deferred: avoids a module cycle
+
     M, eff = tail.spec.M, tail.order
     acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
     for t, states, weights, rows in walk:
-        np.add.at(acc[min(eff, t - 1)], states[-1][1], weights[:, None] * rows)
+        # Cell code*M + j of the flat table, so numpy takes its 1-d
+        # ``ufunc.at`` path; each cell's additions keep their order.  The
+        # index is built for one chunk of rows at a time.
+        table, code = acc[min(eff, t - 1)].reshape(-1), states[-1][1]
+        for lo in range(0, code.shape[0], _TAIL_BLOCK):
+            hi = lo + _TAIL_BLOCK
+            np.add.at(table, _append_code(code[lo:hi], None, M),
+                      (weights[lo:hi, None] * rows[lo:hi]).reshape(-1))
     tables = []
     for table in acc:
         smoothed = table + smoothing

@@ -24,6 +24,7 @@ from .estimate import drift_curve_exact
 from .exact import (
     FunctionalF,
     _conditional_entropy,
+    _dot,
     cross_entropy_exact,
     entropy_rate_exact,
     kl_exact,
@@ -359,8 +360,8 @@ def _memory_chain_holds(truth, full, comparator, est, budget, tolerance):
         mt_rows = tilted.rows(tilted_state)
         with np.errstate(divide="ignore"):
             log_comp = np.log(comparator.rows(tilted_state[2]))
-        lhs_vals.append(-float(np.dot(w, (mt_rows * log_comp).sum(axis=1))))
-        ce_vals.append(-float(np.dot(w, (true_rows * log_comp).sum(axis=1))))
+        lhs_vals.append(-_dot(w, (mt_rows * log_comp).sum(axis=1)))
+        ce_vals.append(-_dot(w, (true_rows * log_comp).sum(axis=1)))
         hzy_vals.append(_conditional_entropy(_joint(w, mt_rows, est.tau, t).sum(axis=2)))
     identity_gap = abs(float(np.mean(lhs_vals)) - float(np.mean(ce_vals)))
     jensen_ok = float(np.mean(hzy_vals)) <= float(np.mean(ce_vals)) + 1e-9

@@ -65,6 +65,14 @@ def kl_oracle(p_probs, q_probs):
     return total
 
 
+def conditional_entropy_oracle(joint):
+    """H(Z|C) of a 2-d (Z, C) joint by the where-masked expression and math.fsum."""
+    pc = joint.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(joint > 0.0, joint * (np.log(joint) - np.log(pc)), 0.0)
+    return -math.fsum(terms.ravel().tolist())
+
+
 def random_markov(rng, M, T, order, concentration=1.0):
     return MarkovModel.random(make_spec(M, T), order, rng, concentration=concentration)
 

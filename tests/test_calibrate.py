@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,6 +724,11 @@ def _mu_bar(truth, feature_base, sampler):
     return total / T
 
 
+def _inner(a, b):
+    """The weighted sums' inner product, numpy's own loop rather than BLAS's."""
+    return float(np.einsum("i,i", a, b))
+
+
 def _row_layout_probe(problem, alpha):
     """A per-step probe computed on (N, M) rows, one context per row."""
     log_rows = np.ascontiguousarray(problem.log_rows.T)
@@ -733,12 +742,12 @@ def _row_layout_probe(problem, alpha):
     m = (rows * feats).sum(axis=1)
     var = (rows * (feats - m[:, None]) ** 2).sum(axis=1)
     T, w = problem.T, problem.weights
-    c = float(np.dot(w, var)) / T
+    c = _inner(w, var) / T
     out = {
-        "g": (float(np.dot(w, m)) - problem.target_feat_sum) / T,
+        "g": (_inner(w, m) - problem.target_feat_sum) / T,
         "c": c,
-        "obj": (problem.xent_sum - alpha * problem.target_feat_sum + float(np.dot(w, log_z))) / T,
-        "mu": float(np.dot(w, m)) / T,
+        "obj": (problem.xent_sum - alpha * problem.target_feat_sum + _inner(w, log_z)) / T,
+        "mu": _inner(w, m) / T,
         "var": c * T,
     }
     if problem.obs_feats is not None:
@@ -858,9 +867,9 @@ def _whole_level_problem(target, tilt):
             f = np.zeros_like(base_rows)
         with np.errstate(invalid="ignore"):
             xent = np.where(w[:, None] * true_rows > 0.0, true_rows * lr, 0.0).sum(axis=1)
-        xent_sum += -float(np.dot(w, xent))
+        xent_sum += -_inner(w, xent)
         tf = (true_rows * f).sum(axis=1)
-        target_sum += float(np.dot(w, tf))
+        target_sum += _inner(w, tf)
         log_rows.append(lr.T)
         feats.append(f.T)
         weights.append(w)
@@ -1014,3 +1023,36 @@ class TestResultArtifacts:
         clone = sc.model_from_dict(sc.model_to_dict(tilted))
         for w in all_seqs(2, 3):
             assert clone.seq_log_prob(w) == pytest.approx(tilted.seq_log_prob(w), abs=1e-12)
+
+
+_THREADS_SCRIPT = """
+import json
+import numpy as np
+import seqcal as sc
+rng = np.random.default_rng(3)
+truth = sc.MarkovModel.random(sc.make_spec(4, 8), 2, rng, concentration=0.8)
+full = sc.DriftModel(truth.perturbed(rng, 0.3), 0.1)
+docs = [
+    sc.memory_bound(truth, full, sc.marginalize_to_window(truth, 1)).to_dict(),
+    sc.fit_alpha_local(truth, full)[1].to_dict(),
+    sc.fit_alpha_global(truth, full, sc.FunctionalF.log_prob(full)).to_dict(),
+]
+print(json.dumps(docs, sort_keys=True, default=repr))
+"""
+
+
+class TestBlasThreads:
+    def test_fits_do_not_depend_on_the_blas_thread_count(self):
+        # BLAS may split a long dot product across its threads, which
+        # changes its rounding; every weighted sum of a fit is numpy's own
+        # loop, so one and two threads give the same bytes at M = 4, T = 8.
+        src = str(Path(sc.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]

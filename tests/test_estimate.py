@@ -275,6 +275,20 @@ class TestDriftCurveExact:
         sc.drift_curve_exact(wrap(inner), seed_model=seeder, prefix_len=1, t_max=8)
         assert [c[0] for c in calls] == [1, 7, 0]
 
+    def test_local_tilt_steps_its_base_once_per_level(self, rng):
+        # The same walk of a LocalTilt(Drift), as calibrate-local runs it on
+        # its fitted tilt.  Levels 1..7 each make one lattice step of the
+        # innermost model, whose children are the next level and whose rows
+        # the tilt's lookahead reads; level 8's read makes one lookahead
+        # step more.  A tilt whose next state repeats the base's lattice
+        # step makes 14 steps; each lookahead reads its children's rows.
+        seeder = random_markov(rng, 4, 9, 2)
+        inner = random_markov(rng, 4, 9, 2)
+        calls = [count_calls(inner, name) for name in ("rows", "step", "advance")]
+        model = sc.LocalTiltModel(sc.DriftModel(inner, 0.1), 0.6)
+        sc.drift_curve_exact(model, seed_model=seeder, prefix_len=1, t_max=8)
+        assert [c[0] for c in calls] == [7, 8, 0]
+
     @pytest.mark.parametrize("prefix_len, t_max", [(0, 3), (1, 4), (2, 5)])
     def test_walk_stops_at_t_max(self, rng, prefix_len, t_max):
         # The curve ends at t_max and the walk's budget is M**t_max.

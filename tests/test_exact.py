@@ -11,6 +11,7 @@ from seqcal.exact import (
     _FSUM_DIRECT,
     FunctionalF,
     _conditional_entropy,
+    _ConditionalMi,
     _cross_entropy_from_log_probs,
     _entropy_from_log_probs,
     _fsum,
@@ -26,6 +27,7 @@ from seqcal.exact import (
 
 from conftest import (
     all_seqs,
+    conditional_entropy_oracle,
     cross_entropy_oracle,
     entropy_oracle,
     heap_peak,
@@ -250,6 +252,37 @@ class TestConditionalMi:
 
 
     @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_mi_is_bitwise_the_whole_joint_formula(self, layout):
+        # H(Z|Y) from the joint's own sum over X, less H(Z|Y,X) from its
+        # (Z, Y*X) view, each by the masked formula, as before the MI was
+        # accumulated by blocks; whatever the joint's memory order.
+        rng = np.random.default_rng(13)
+        for shape in ((2, 1, 3), (3, 4, 5), (4, 16, 64), (9, 9, 81), (2, 2, 3000)):
+            joint = rng.random(shape) ** 3
+            joint[rng.random(shape) < 0.2] = 0.0
+            joint /= joint.sum()
+            if layout == "F":
+                joint = np.asfortranarray(joint)
+            yx = joint.reshape(shape[0], -1, order="A")
+            expected = conditional_entropy_oracle(joint.sum(axis=2)) - conditional_entropy_oracle(yx)
+            assert sc.conditional_mi_exact(joint).hex() == expected.hex(), shape
+
+    @pytest.mark.parametrize("M, Y, X", [(2, 1, 40), (3, 9, 30), (4, 16, 64), (9, 9, 27)])
+    def test_blocks_of_deep_pasts_give_the_whole_joints_bits(self, M, Y, X):
+        # A (Z, Y, X) joint whose X axis is its slowest, as the memory
+        # bound builds it, added one run of deep pasts at a time.
+        rng = np.random.default_rng(M * Y)
+        rows = rng.random((X, Y, M)) ** 3
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        joint = (rows / rows.sum()).transpose(2, 1, 0)
+        expected = sc.conditional_mi_exact(joint)
+        for block in (1, 2, 7, X - 1, X):
+            mi = _ConditionalMi()
+            for lo in range(0, X, block):
+                mi.add(joint[:, :, lo:lo + block])
+            assert mi.value().hex() == expected.hex(), block
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
     def test_conditional_entropy_is_bitwise_the_masked_formula(self, layout):
         # Built in place, the terms are bitwise the where-masked expression's,
         # zeros of the joint and of whole columns included.
@@ -261,10 +294,7 @@ class TestConditionalMi:
             joint /= joint.sum()
             if layout == "F":
                 joint = np.asfortranarray(joint)
-            pc = joint.sum(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(joint > 0.0, joint * (np.log(joint) - np.log(pc)), 0.0)
-            expected = -math.fsum(terms.ravel().tolist())
+            expected = conditional_entropy_oracle(joint)
             assert _conditional_entropy(joint).hex() == expected.hex()
 
     @pytest.mark.parametrize("layout", ["C", "F"])

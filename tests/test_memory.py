@@ -15,7 +15,14 @@ from seqcal.exact import (
 from seqcal.memory import _comparator_ce, _joint
 from seqcal.models import row_entropies
 
-from conftest import all_seqs, count_calls, heap_peak, random_markov, random_pair
+from conftest import (
+    all_seqs,
+    conditional_entropy_oracle,
+    count_calls,
+    heap_peak,
+    random_markov,
+    random_pair,
+)
 
 
 def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1e-4):
@@ -64,6 +71,40 @@ class TestFitLimitedMemory:
         totals = counts.sum(axis=1, keepdims=True)
         stderr = np.sqrt(exact.tables[2] * (1 - exact.tables[2]) / totals)
         assert np.all(np.abs(fitted.tables[2] - exact.tables[2]) <= 3 * stderr + 1e-9)
+
+    @pytest.mark.parametrize("sample", [False, True])
+    @pytest.mark.parametrize("M, T", [(2, 6), (3, 5), (4, 5)])
+    def test_tables_are_bitwise_the_per_row_sums(self, rng, monkeypatch, sample, M, T):
+        # Each window's mass is added one prefix at a time, in lattice (or
+        # sample) order, then smoothed and normalized, whatever the chunk
+        # of rows the index is built for.
+        truth = random_markov(rng, M, T, 2, concentration=0.5)
+        samples = truth.sample_batch(400, rng) if sample else None
+        smoothing = 0.1 / 400 if sample else 0.0
+        for window in (1, 2, 3):
+            tail = sc.MarkovModel.uniform(truth.spec, min(window, T - 1))
+            walk = sample_expansion(samples, tail) if sample else prefix_expansion(truth, None, tail)
+            acc = [np.zeros((M**ell, M)) for ell in range(tail.order + 1)]
+            for t, states, weights, rows in walk:
+                table = acc[min(tail.order, t - 1)]
+                for code, w, row in zip(states[-1][1].tolist(), weights, rows):
+                    table[code] += w * row
+            expected = []
+            for table in acc:
+                smoothed = table + smoothing
+                mass = smoothed.sum(axis=1, keepdims=True)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    expected.append(np.where(mass > 0.0, smoothed / np.where(mass > 0.0, mass, 1.0),
+                                             np.full_like(table, 1.0 / M)))
+            for block in (1, 3, 2**14):
+                monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+                if sample:
+                    fitted = sc.fit_limited_memory(samples, window, spec=truth.spec, smoothing=0.1)
+                else:
+                    fitted = sc.fit_limited_memory(truth, window)
+                assert len(fitted.tables) == len(expected)
+                for got, want in zip(fitted.tables, expected):
+                    assert np.array_equal(got, want), (window, block)
 
     def test_min_samples_enforced(self, rng):
         spec = sc.make_spec(2, 3)
@@ -440,8 +481,8 @@ class TestComparatorWalks:
 
     def test_build_heap_peak_in_last_level_arrays(self):
         # memory_bound's build, the per-step problem reading the comparator
-        # CE terms off its blocked walk, peaks at 5.69 arrays of the last
-        # level's (M**(T-1), M) rows, 0.11 above the problem alone: each
+        # CE terms off its blocked walk, peaks at 5.41 arrays of the last
+        # level's (M**(T-1), M) rows, 0.02 above the problem alone: each
         # level's CE is one streamed sum across its blocks.  Whole levels
         # took 9.27; keeping the CE pass's log rows while it sums adds 0.25.
         truth, full, comparator, size = self._heap_case()
@@ -455,14 +496,14 @@ class TestComparatorWalks:
 
     def test_memory_bound_heap_peak_in_last_level_arrays(self):
         # The whole estimate, build, fit and per-step report with its exact
-        # MI, peaks at 7.11 arrays of the last level: the problem's 3.0, the
-        # last step's tilted rows and joint, and the conditional entropy's
-        # one array of terms.  A whole-level build alone took 9.27, and the
-        # masked conditional-entropy formula adds 1.0.
+        # MI, peaks at 5.42 arrays of the last level, in its build: the
+        # report holds the problem's 3.0 and one block of deep pasts at a
+        # time, 4.91 in all.  A report of whole levels, their tilted rows,
+        # joint and conditional-entropy terms, peaked at 7.11.
         truth, full, comparator, size = self._heap_case()
         est, peak = heap_peak(lambda: sc.memory_bound(truth, full, comparator))
         assert est.exact_mi is not None
-        assert peak < 7.4 * size
+        assert peak < 5.5 * size
 
 
 
@@ -500,7 +541,9 @@ class TestBoundFromTheFitsWalk:
                 continue
             state = states[-1]
             rows = tilted.rows(state)
-            w, problem_rows = problem.tilted_rows(result.alpha_star, t)
+            blocks = list(problem.tilted_rows(result.alpha_star, t, 1))
+            w = np.concatenate([b[0] for b in blocks])
+            problem_rows = np.concatenate([b[1] for b in blocks])
             assert np.array_equal(w, weights)
             assert np.array_equal(problem_rows, rows)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -513,6 +556,69 @@ class TestBoundFromTheFitsWalk:
             if case != "sample":
                 mi = conditional_mi_exact(_joint(weights, rows, est.tau, t))
                 assert est.per_step[t]["mi"] == mi
+
+
+def _whole_level_report(target, tilted, steps, tau):
+    """Each step's (ce, cond_entropy, mi) and each sequence's summed h-terms, from whole levels.
+
+    A second walk with the fitted tilt model reads each level whole; the
+    CE and conditional entropy are math.fsum of their terms and the MI is
+    H(Z|Y) of the joint's own sum over X less H(Z|Y,X), each by the
+    masked formula.  (The h-terms are kept in sample mode only.)
+    """
+    sample = not isinstance(target, sc.ConditionalModel)
+    walk = sample_expansion(target, tilted) if sample else prefix_expansion(target, None, tilted)
+    report, h_seq = {}, 0.0
+    for t, states, weights, true_rows in walk:
+        if t not in steps:
+            continue
+        rows = tilted.rows(states[-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass = weights[:, None] * true_rows
+            terms = np.where(mass > 0.0, mass * np.log(tilted.comparator.rows(states[-1][2])), 0.0)
+        h_terms = weights * row_entropies(rows)
+        mi = None
+        if sample:
+            h_seq = h_seq + h_terms
+        else:
+            joint = _joint(weights, rows, tau, t)
+            mi = (conditional_entropy_oracle(joint.sum(axis=2))
+                  - conditional_entropy_oracle(joint.reshape(joint.shape[0], -1, order="A")))
+        report[t] = (-math.fsum(terms.ravel().tolist()), math.fsum(h_terms.tolist()), mi)
+    return report, h_seq
+
+
+class TestBlockedReport:
+    """The per-step report reads the calibrated rows by blocks of deep pasts.
+
+    Whatever the block size, down to one run of recent contexts, each
+    step's CE, conditional entropy and exact MI, and in sample mode the
+    per-sequence terms behind the stderrs, are bitwise the whole-level
+    formulas'.
+    """
+
+    @pytest.mark.parametrize("M, T", [(2, 6), (3, 5), (4, 5), (9, 4)])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_bitwise_the_whole_level_report(self, monkeypatch, M, T, tau, sample):
+        rng = np.random.default_rng(100 * M + 10 * tau + sample)
+        truth = random_markov(rng, M, T, 2, concentration=0.5)
+        full = sc.DriftModel(truth.perturbed(rng, 0.4), 0.1)
+        comparator = sc.fit_limited_memory(truth, tau)
+        target = truth.sample_batch(300, rng) if sample else truth
+        for block in (1, 5, 2 * M**2 + 1, 2**14):
+            monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+            est = sc.memory_bound(target, full, comparator, min_samples=1)
+            tilted = sc.MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
+            expected, h_seq = _whole_level_report(target, tilted, est.steps, tau)
+            assert sorted(est.per_step) == sorted(expected)
+            for t, (ce, h, mi) in expected.items():
+                got = est.per_step[t]
+                assert (got["ce"], got["cond_entropy"], got["mi"]) == (ce, h, mi), (block, t)
+            if sample:
+                # memory_bound's per-sequence step averages, from whole levels.
+                h_seq = h_seq * target.shape[0] / len(est.steps)
+                assert est.cond_entropy_stderr == float(h_seq.std(ddof=1) / math.sqrt(h_seq.shape[0]))
 
 
 class TestSampleLayouts:
