@@ -34,6 +34,7 @@ empirical distribution, instead of the truth's
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -44,6 +45,7 @@ from .exact import (
     EnumerationBudget,
     FunctionalF,
     _dot,
+    _log_prob_blocks,
     _prefix_blocks,
     _support_fsum,
     logsumexp,
@@ -161,29 +163,29 @@ def _minimize_convex(evaluate, stop):
 class _GlobalTiltProblem:
     """The M**T lattice vectors of a sequence-level tilt, and its formulas.
 
-    Holds log B(w), f(w) and, when fitting, log P_true(w), all in
-    lexicographic order.  It is the one place that computes the tilted
-    log-probabilities alpha f + log B - log Z_alpha, the tilted feature
-    moments and the objective CE(truth || B_alpha) with its derivatives.
-    A probe (:meth:`moments`) runs over blocks of `_FSUM_BLOCK` values in
-    the problem's one preallocated buffer, so it builds no lattice-sized
-    array; only the tilted model's log-probabilities (:meth:`tilt`) are a
-    whole vector.  With a truth, one blocked pass over its support gives
-    the target moments and ``kl``, KL(truth || B).
+    Holds log B(w) and f(w) in lexicographic order (one vector when f is
+    log B).  It is the one place that computes the tilted
+    log-probabilities alpha f + log B - log Z_alpha (:meth:`tilt`), the
+    tilted feature moments and the objective CE(truth || B_alpha) with
+    its derivatives.  A probe (:meth:`moments`) and :meth:`tilt` run over
+    blocks of `_FSUM_BLOCK` values, so neither builds a lattice-sized
+    array.  When fitting, log P_true(w), a vector or the stream of its
+    blocks (:func:`seqcal.exact._log_prob_blocks`), goes through one
+    pass over the truth's support that sums the target moments and
+    ``kl``, KL(truth || B); it is not kept.
     """
 
-    def __init__(self, lp_base: np.ndarray, fv: np.ndarray, T: int, lp_true: np.ndarray | None = None):
+    def __init__(self, lp_base: np.ndarray, fv: np.ndarray, T: int, lp_true=None):
         self.lp_base = lp_base
         self.fv = fv
         self.T = T
-        self.lp_true = lp_true
         if lp_true is not None:
             # Correctly rounded sums over the truth's support, with no
             # masked copies: p log B, p f (the same sum when f is log B)
             # and p (log P_true - log B).  A -inf of log B there makes the
             # first infinite.
             xs = (lp_base,) if fv is lp_base else (lp_base, fv)
-            ce_base, *mu, self.kl = _support_fsum(lp_true, *xs, (lp_true, lp_base))
+            ce_base, *mu, self.kl = _support_fsum(lp_true, *xs, (None, lp_base))
             self.mu_target = mu[0] if mu else ce_base
             self.ce_base_term = -ce_base
             if self.ce_base_term == math.inf:
@@ -197,25 +199,29 @@ class _GlobalTiltProblem:
 
     @classmethod
     def build(cls, base, f, budget=None, truth=None) -> "_GlobalTiltProblem":
-        """One lattice walk per distinct model: base, f's model, truth."""
+        """One lattice walk per distinct model: base, f's model, truth (streamed)."""
         if truth is not None and truth.spec != base.spec:
             raise ValueError("models must share the same sequence spec")
         lp_base = sequence_log_probs(base, budget)
         fv = f._on_lattice(base, lp_base, budget)
         lp_true = None
         if truth is not None:
-            lp_true = lp_base if truth is base else sequence_log_probs(truth, budget)
+            lp_true = lp_base if truth is base else _log_prob_blocks(truth, budget)
         return cls(lp_base, fv, base.spec.T, lp_true)
 
-    def tilt(self, alpha: float) -> tuple[np.ndarray, float]:
-        """(log B_alpha(w) for every sequence, log Z_alpha)."""
-        # Every pass after the first writes into the one fresh array;
-        # `fv` may be `lp_base` itself, so neither is written.
-        log_p = alpha * self.fv
-        log_p += self.lp_base
-        log_z = float(logsumexp(log_p))
-        log_p -= log_z
-        return log_p, log_z
+    def tilt(self, alpha: float):
+        """Yield (lo, log B_alpha(w) of sequences lo, lo+1, ...), one block at a time.
+
+        Each entry is alpha f + log B - log Z_alpha, with :meth:`moments`'
+        blocked log Z, the one the fit's objective reads.  A block is a
+        fresh array; `fv` may be `lp_base` itself, so neither is written.
+        """
+        log_z = self.moments(alpha)[2]
+        for lo in range(0, self.fv.shape[0], exact._FSUM_BLOCK):
+            log_p = np.multiply(self.fv[lo:lo + exact._FSUM_BLOCK], alpha)
+            log_p += self.lp_base[lo:lo + log_p.shape[0]]
+            log_p -= log_z
+            yield lo, log_p
 
     def moments(self, alpha: float) -> tuple[float, float, float]:
         """(mean, variance) of f under B_alpha, and log Z_alpha, in one blocked pass.
@@ -267,12 +273,15 @@ class GlobalTiltModel(ConditionalModel):
     """Sequence-level tilt: P_a(w) = exp(a f(w)) B(w) / Z_a.
 
     The tilt does not factor across steps, so construction enumerates
-    the full sequence distribution (budget-guarded) and precomputes a
-    pyramid of prefix marginals; the state is the prefix's lexicographic
-    code, and its rows are exact ratios of adjacent pyramid levels.  Contexts with zero probability under the
-    tilt get a uniform row; they are unreachable.  A fit passes the
-    lattice problem it already built as `_problem`; otherwise the model
-    builds the same problem itself.
+    the base's sequence distribution (budget-guarded) into its lattice
+    problem.  The first read of its rows builds the tilted sequence
+    log-probabilities (:meth:`_GlobalTiltProblem.tilt`) and a pyramid of
+    prefix marginals over them; the state is the prefix's lexicographic
+    code, and its rows are exact ratios of adjacent pyramid levels.
+    Contexts with zero probability under the tilt get a uniform row;
+    they are unreachable.  A fit passes the lattice problem it already
+    built as `_problem`; otherwise the model builds the same problem
+    itself.
     """
 
     kind = "global_tilt"
@@ -290,13 +299,19 @@ class GlobalTiltModel(ConditionalModel):
         self.base = base
         self.f = f
         self.alpha = _finite(float(alpha), "alpha")
-        problem = _problem if _problem is not None else _GlobalTiltProblem.build(base, f, budget)
+        self._problem = _problem if _problem is not None else _GlobalTiltProblem.build(base, f, budget)
+
+    @functools.cached_property
+    def _levels(self) -> list[np.ndarray]:
+        """Level t: the tilted log-probability of every length-t prefix, t = 0..T."""
         M, T = self.spec.M, self.spec.T
         levels = [None] * (T + 1)
-        levels[T], _ = problem.tilt(self.alpha)
+        levels[T] = np.empty(M**T)
+        for lo, log_p in self._problem.tilt(self.alpha):
+            levels[T][lo:lo + log_p.shape[0]] = log_p
         for t in range(T - 1, -1, -1):
             levels[t] = _logsumexp_rows(levels[t + 1].reshape(-1, M))
-        self._levels = levels
+        return levels
 
     def init_state(self, n: int):
         # Step count and the lexicographic code of the whole prefix.

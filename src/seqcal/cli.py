@@ -224,10 +224,11 @@ def _pipeline_calibrate_global(cfg, truth, model, budget):
         budget=budget,
         provenance=_seed_prov(cfg, "calibrate-global"),
     )
-    # The fit's objective is CE(truth || tilted), and the tilted model
-    # already holds its own sequence log-probabilities.
+    # The fit's objective is CE(truth || tilted); the tilted entropy is
+    # one blocked pass over the fit's problem at alpha*, so the tilted
+    # model's lattice vector and pyramid are never built.
     extra = {
-        "entropy_rate_tilted": _entropy_from_log_probs(tilted._levels[cfg.T]) / cfg.T,
+        "entropy_rate_tilted": _entropy_from_log_probs(tilted._problem.tilt(tilted.alpha)) / cfg.T,
         "cross_entropy_tilted": result.objective,
     }
     return 0, _calibration_artifacts(cfg, "calibration_global", tilted, result, extra)

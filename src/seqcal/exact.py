@@ -10,18 +10,20 @@ Every exact routine in the package walks the prefix lattice of
 lexicographic order (prefix i has code i) as model states, with their
 probabilities and next-token rows, and
 the last level's rows give every sequence's log-probability
-(:func:`sequence_log_probs`).  The walks that keep what they read of the
-last levels, :func:`sequence_log_probs` and the per-step tilt problem
+(:func:`sequence_log_probs`).  The walks that read the last levels,
+:func:`_log_prob_blocks` and the per-step tilt problem
 (``calibrate._StepTiltProblem``), run one blocked walk
 (:func:`_prefix_blocks`): whole levels only up to level
 T - `_TAIL_LEVELS`, then one block of parents at a time, each block a
-view of the parents' states, and each piece is written into its slice
-of a preallocated output.  So `sequence_log_probs`' heap stays near one
-lattice vector, and the per-step problem's near its own columns: 5.5
-arrays of the last level's (M**(T-1), M) rows at M = 4, T = 8, 3.67 of
-them its columns.  The memory bound's exact MI is read off that
-problem's columns by blocks of deep pasts (:class:`_ConditionalMi`), so
-a whole memory estimate peaks in its build.  All walks run the same
+view of the parents' states.  :func:`sequence_log_probs` writes each
+block of log-probabilities into its slice of a preallocated output, so
+its heap stays near one lattice vector; a reader that sums the blocks
+as they pass (the global tilt's truth) holds none, and the per-step
+problem stays near its own columns: 5.5 arrays of the last level's
+(M**(T-1), M) rows at M = 4, T = 8, 3.67 of them its columns.  The
+memory bound's exact MI is read off that problem's columns by blocks of
+deep pasts (:class:`_ConditionalMi`), so a whole memory estimate peaks
+in its build.  All walks run the same
 growth loop (:func:`_grow`).
 Sequence functionals are evaluated on that lattice, never on an
 enumerated token array; :func:`enumerate_sequences` remains only as an
@@ -225,12 +227,27 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
     """log P(w) for every sequence, lexicographic order, shape (M**T,).
 
     Entries are -inf exactly where the model assigns zero probability.
-    The walk is blocked (:func:`_prefix_blocks`), and each block of the
-    last level writes its slice of the output; every entry is the same
-    sum in the same order as on a whole-level walk.
+    Each block of :func:`_log_prob_blocks` is written into its slice of
+    the output; every entry is the same sum in the same order as on a
+    whole-level walk.
+    """
+    size = model.spec.M**model.spec.T
+    (budget or DEFAULT_BUDGET).check(size, "prefix enumeration")  # before the output is allocated
+    out = np.empty(size)
+    for _ in _log_prob_blocks(model, budget, out):
+        pass
+    return out
+
+
+def _log_prob_blocks(model: "ConditionalModel", budget: EnumerationBudget | None = None,
+                     out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, log P(w) of sequences lo, lo+1, ...), one block of the blocked walk at a time.
+
+    The walk is :func:`_prefix_blocks`; a block is written into its
+    slice of `out` if given, else into a fresh array, so a reader that
+    sums the blocks as they pass holds no lattice vector.
     """
     M, T = model.spec.M, model.spec.T
-    out = None
     # Level t: the offset and log-probabilities of its latest prefixes.
     # A piece's parents are the whole level below the blocked levels, or
     # its block's piece one level down; a piece that reads all of them
@@ -241,13 +258,12 @@ def sequence_log_probs(model: "ConditionalModel", budget: EnumerationBudget | No
         n = rows.shape[0]
         if n == lp.size:
             del lps[t]
-        last = None
-        if t == T:
-            if out is None:  # allocated once the whole levels' walk is done
-                out = np.empty(M**T)
-            last = out[lo * M:(lo + n) * M].reshape(-1, M)
-        lps[t + 1] = lo * M, _extend(lp[lo - at:lo - at + n], rows, last)
-    return out
+        lp = lp[lo - at:lo - at + n]
+        if t < T:
+            lps[t + 1] = lo * M, _extend(lp, rows)
+        else:
+            last = None if out is None else out[lo * M:(lo + n) * M].reshape(-1, M)
+            yield lo * M, _extend(lp, rows, last)
 
 
 def _extend(lp: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -462,7 +478,8 @@ class FunctionalF:
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         if self.bound is not None and out.size:
-            worst = float(np.max(np.abs(out)))
+            # The largest |f| from the two ends, with no |out| copy.
+            worst = float(max(out.max(), -out.min()))
             if worst > self.bound + 1e-12:
                 raise ValueError(
                     f"functional exceeded its declared bound: |f| reached {worst} "
@@ -519,39 +536,44 @@ def kl_exact(
     return _kl_from_log_probs(sequence_log_probs(p, budget), sequence_log_probs(q, budget))
 
 
-def _support_fsum(lpp: np.ndarray, *xs) -> list[float]:
+def _support_fsum(lpp, *xs) -> list[float]:
     """The correctly rounded sums of p * x over the support of p = exp(lpp), one per x.
 
-    One pass of `_FSUM_BLOCK` values at a time, which takes each block's
+    `lpp` is a vector, or an iterator of its (lo, block) pieces in order
+    (:func:`_log_prob_blocks`), so it need not be held whole.  One pass
+    of `_FSUM_BLOCK` values at a time, which takes each block's
     exponentials once for every x and builds its terms in an array of
-    this function's own.  An x given as a pair (a, b) of arrays stands
-    for a - b, formed one block at a time, so no whole difference is
-    built.  Off the support, where p * x may be nan, the terms are set
-    to -0.0, the exact additive identity, so no masked copy is made and
-    each sum is bitwise the sum of the support's terms, the sign of a
-    zero included.  An infinite x on the support makes its sum infinite
-    with its sign.
+    this function's own.  An x is a vector or None, which stands for
+    lpp itself; an x given as a pair (a, b) of those stands for a - b,
+    formed one block at a time, so no whole difference is built.  Off
+    the support, where p * x may be nan, the terms are set to -0.0, the
+    exact additive identity, so no masked copy is made and each sum is
+    bitwise the sum of the support's terms, the sign of a zero included.
+    An infinite x on the support makes its sum infinite with its sign.
     """
     sums = [_Fsum() for _ in xs]
-    for lo in range(0, lpp.shape[0], _FSUM_BLOCK):
-        block = slice(lo, lo + _FSUM_BLOCK)
-        p = np.exp(lpp[block])
-        off = p == 0.0
-        for x, total in zip(xs, sums):
-            with np.errstate(invalid="ignore"):  # -inf - -inf, 0 * inf off the support
-                if isinstance(x, tuple):
-                    terms = np.subtract(x[0][block], x[1][block])
-                    terms *= p
-                else:
-                    terms = p * x[block]
-            terms[off] = -0.0
-            total.add(terms)
+    for at, piece in lpp if isinstance(lpp, Iterator) else ((0, lpp),):
+        for lo in range(0, piece.shape[0], _FSUM_BLOCK):
+            lpp_block = piece[lo:lo + _FSUM_BLOCK]
+            block = slice(at + lo, at + lo + lpp_block.shape[0])
+            part = lambda v: lpp_block if v is None else v[block]  # noqa: E731
+            p = np.exp(lpp_block)
+            off = p == 0.0
+            for x, total in zip(xs, sums):
+                with np.errstate(invalid="ignore"):  # -inf - -inf, 0 * inf off the support
+                    if isinstance(x, tuple):
+                        terms = np.subtract(part(x[0]), part(x[1]))
+                        terms *= p
+                    else:
+                        terms = p * part(x)
+                terms[off] = -0.0
+                total.add(terms)
     return [total.value() for total in sums]
 
 
-def _entropy_from_log_probs(lp: np.ndarray) -> float:
-    """Entropy of a lattice log-probability vector, as :func:`entropy_exact`."""
-    return -_support_fsum(lp, lp)[0]
+def _entropy_from_log_probs(lp) -> float:
+    """Entropy of a lattice log-probability vector or its pieces, as :func:`entropy_exact`."""
+    return -_support_fsum(lp, None)[0]
 
 
 def _cross_entropy_from_log_probs(lpp: np.ndarray, lpq: np.ndarray, T: int) -> float:

@@ -25,6 +25,7 @@ from seqcal.cli import parse_config, run
 from seqcal.exact import (
     P_MIN,
     FunctionalF,
+    _entropy_from_log_probs,
     enumerate_sequences,
     logsumexp,
     prefix_expansion,
@@ -224,7 +225,7 @@ class TestFitAlphaGlobal:
             truth = sc.MarkovModel(sc.make_spec(3, 4), 1, [[[0.6, 0.4, 0.0]], rows])
             base = sc.MixtureModel(random_markov(rng, 3, 4, 1), 0.05)
             problem = _GlobalTiltProblem.build(base, FunctionalF.neg_log_prob(base), truth=truth)
-            p = np.exp(problem.lp_true)
+            p = np.exp(sequence_log_probs(truth))
             support = p > 0.0
             assert 0 < support.sum() < support.size
             assert problem.mu_target == math.fsum((p * problem.fv)[support].tolist())
@@ -379,29 +380,59 @@ class TestEntropyRateCalibration:
     def test_heap_peaks_in_lattice_vectors(self):
         # Heap peaks of the fit and its phases, in lattice vectors, on
         # top of what each phase is given.  The walks grow their last
-        # levels in blocks, the constructor sums over the truth's support
-        # (its KL included) without masked copies or a whole difference,
-        # a probe runs over blocks in the problem's own buffer, and the
-        # tilt model's pyramid runs over columns; whole-level walks (6.1
-        # vectors), masked copies (3.1), a whole log P_true - log B (4.0
-        # for the build), a whole-vector probe (2.0) or a row-wise
-        # logsumexp pyramid (3.0) each break a bound.
+        # levels in blocks, the truth's log-probabilities are summed
+        # block by block as its walk yields them, a probe and the tilted
+        # entropy run over blocks, and the tilt model builds its tilted
+        # vector and pyramid (over columns) only when its rows are read.
+        # At T = 8 a block is a quarter of the lattice, so the blocks'
+        # temporaries are most of each peak; whole-level walks (6.1
+        # vectors), a kept log P_true (+1.0), a whole log P_true - log B
+        # or an |f| copy in the bound check (+1.0 while log B is held),
+        # a whole-vector probe (2.0) or a row-wise logsumexp pyramid
+        # (3.0) each break a bound.
         truth = random_markov(np.random.default_rng(3), 4, 8, 2, concentration=0.8)
         base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
         mixture = sc.MixtureModel(base, 0.05)
         f = FunctionalF.log_prob(mixture)
         size = 8 * 4**8
-        _, peak = heap_peak(lambda: sc.calibrate_entropy_rate(truth, base, 0.05))
-        assert peak < 4.9 * size
+        (model, result), peak = heap_peak(lambda: sc.calibrate_entropy_rate(truth, base, 0.05))
+        assert peak < 2.9 * size
         problem, build = heap_peak(lambda: _GlobalTiltProblem.build(mixture, f, truth=truth))
-        assert build < 3.4 * size
+        assert build < 2.9 * size
         assert problem.fv is problem.lp_base
-        _, init = heap_peak(lambda: _GlobalTiltProblem(problem.lp_base, problem.fv, 8, problem.lp_true))
-        assert init < 1.8 * size
-        _, tilt = heap_peak(lambda: sc.GlobalTiltModel(mixture, f, 0.3, _problem=problem))
-        assert tilt < 2.2 * size
+        lp_true = sequence_log_probs(truth)
+        _, init = heap_peak(lambda: _GlobalTiltProblem(problem.lp_base, problem.fv, 8, lp_true))
+        assert init < 1.2 * size
+        tilted, tilt = heap_peak(lambda: sc.GlobalTiltModel(mixture, f, 0.3, _problem=problem))
+        assert tilt < 0.1 * size
         _, probe = heap_peak(lambda: problem.evaluate(0.3))
         assert probe < 0.1 * size
+        # The fitted model holds no tilted vector until its rows are read;
+        # then its levels are bitwise the problem's tilt and the pyramid
+        # of row-wise logsumexps over it.
+        assert "_levels" not in vars(model)
+        model.rows(model.init_state(1))
+        levels = [np.concatenate([log_p for _, log_p in model._problem.tilt(result.alpha_star)])]
+        for _ in range(8):
+            levels.insert(0, logsumexp(levels[0].reshape(-1, 4), axis=1))
+        assert [lv.tobytes() for lv in model._levels] == [lv.tobytes() for lv in levels]
+        _, pyramid = heap_peak(lambda: tilted._levels)
+        assert pyramid < 2.2 * size
+
+    def test_heap_peak_at_the_benchmark_size(self):
+        # At M = 4, T = 10 a block is 1/64 of the lattice, and the fit
+        # with its tilted entropy holds one lattice vector, log B, with
+        # the base's walk peaking at 1.2; any second lattice vector
+        # breaks the bound.
+        truth = random_markov(np.random.default_rng(3), 4, 10, 2, concentration=0.8)
+        base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
+
+        def fit():
+            model, _ = sc.calibrate_entropy_rate(truth, base, 0.05, budget=sc.EnumerationBudget(4**10))
+            return _entropy_from_log_probs(model._problem.tilt(model.alpha))
+
+        _, peak = heap_peak(fit)
+        assert peak < 1.3 * 8 * 4**10
 
     @pytest.mark.parametrize("seed, probes", [(7, 4), (11, 5)])
     def test_probe_count_at_the_benchmark_config(self, tmp_path, seed, probes):
@@ -471,16 +502,23 @@ class TestEntropyRateCalibration:
 
 
     def test_one_lattice_walk_per_model(self, rng, monkeypatch):
+        # Every walk of sequence log-probabilities is one
+        # `_log_prob_blocks` stream: `sequence_log_probs` collects one
+        # into a vector, and the fit streams the truth's into its sums.
         import seqcal.calibrate as cal
         import seqcal.exact as ex
 
-        walked, calls = [], {"enumerate_sequences": 0, "values": 0}
-        real_walk, real_enum, real_values = (
-            ex.sequence_log_probs, ex.enumerate_sequences, ex.FunctionalF.values
+        walked, collected, calls = [], [], {"enumerate_sequences": 0, "values": 0}
+        real_blocks, real_walk, real_enum, real_values = (
+            ex._log_prob_blocks, ex.sequence_log_probs, ex.enumerate_sequences, ex.FunctionalF.values
         )
 
-        def counting_walk(model, budget=None):
+        def counting_blocks(model, budget=None, out=None):
             walked.append(model)
+            return real_blocks(model, budget, out)
+
+        def counting_walk(model, budget=None):
+            collected.append(model)
             return real_walk(model, budget)
 
         def counting_enum(*args, **kwargs):
@@ -492,6 +530,7 @@ class TestEntropyRateCalibration:
             return real_values(*args, **kwargs)
 
         for module in (cal, ex):
+            monkeypatch.setattr(module, "_log_prob_blocks", counting_blocks)
             monkeypatch.setattr(module, "sequence_log_probs", counting_walk)
             monkeypatch.setattr(module, "enumerate_sequences", counting_enum, raising=False)
         monkeypatch.setattr(ex.FunctionalF, "values", counting_values)
@@ -501,6 +540,7 @@ class TestEntropyRateCalibration:
         assert [m is truth for m in walked].count(True) == 1
         assert [m is mixture for m in walked].count(True) == 1
         assert len(walked) == 2
+        assert not any(m is truth for m in collected)
         assert calls == {"enumerate_sequences": 0, "values": 0}
 
     def test_rebuilt_model_has_bitwise_equal_levels(self, rng):

@@ -150,6 +150,19 @@ class TestMoments:
         with pytest.raises(ValueError, match="bound"):
             sc.mean_var_exact(model, f)
 
+    def test_bound_checked_from_the_negative_side(self, rng):
+        # Only the most negative value breaks the bound, both in a table
+        # and in a log-probability functional, whose values are all
+        # negative; a check of the largest value alone passes both.
+        model = random_markov(rng, 2, 2, 0)
+        f = FunctionalF.from_table([0.5, -2.0, 1.0, 0.0], model.spec, bound=1.0)
+        with pytest.raises(ValueError, match=r"\|f\| reached 2\.0 "):
+            sc.mean_var_exact(model, f)
+        worst = -float(sequence_log_probs(model).min())
+        with pytest.raises(ValueError, match="bound"):
+            sc.mean_var_exact(model, FunctionalF.log_prob(model, bound=0.5 * worst))
+        sc.mean_var_exact(model, FunctionalF.log_prob(model, bound=worst))
+
 
 class TestLogPartition:
     def test_alpha_zero(self, rng):
@@ -322,6 +335,12 @@ class TestBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             sc.EnumerationBudget(0)
+
+    def test_fails_before_allocating_the_output(self, rng):
+        # 4**40 log-probabilities could not even be allocated; the budget
+        # must refuse them first.
+        with pytest.raises(sc.BudgetExceededError, match="budget"):
+            sequence_log_probs(random_markov(rng, 4, 40, 1))
 
     # Each routine on M=3, T=4 with the number of states it enumerates.
     BOUNDARY_CASES = {
