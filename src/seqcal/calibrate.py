@@ -30,6 +30,9 @@ and a sample-average mode.  The sample mode is the exact routine run on
 :func:`seqcal.exact.sample_expansion`, the lattice of the sample's
 empirical distribution, instead of the truth's
 :func:`seqcal.exact.prefix_expansion`.
+
+Every per-context sum and log-partition, the global tilt's prefix
+pyramid included, is a short-axis kernel of :mod:`seqcal.models`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .exact import (
     _log_prob_blocks,
     _prefix_blocks,
     _support_fsum,
-    logsumexp,
     sample_expansion,
     sequence_log_probs,
 )
@@ -57,6 +59,8 @@ from .models import (
     MixtureModel,
     _append_code,
     _finite,
+    _logsumexp_columns,
+    _sum_columns,
     _try_model_hash,
     check_samples,
     model_from_dict,
@@ -309,8 +313,14 @@ class GlobalTiltModel(ConditionalModel):
         levels[T] = np.empty(M**T)
         for lo, log_p in self._problem.tilt(self.alpha):
             levels[T][lo:lo + log_p.shape[0]] = log_p
+        # Each level is built from blocks of its children, so the blocks'
+        # temporaries stay small.
+        step = max(1, exact._TAIL_BLOCK // M)
         for t in range(T - 1, -1, -1):
-            levels[t] = _logsumexp_rows(levels[t + 1].reshape(-1, M))
+            children = levels[t + 1].reshape(-1, M)
+            levels[t] = np.empty(M**t)
+            for lo in range(0, M**t, step):
+                levels[t][lo:lo + step] = _logsumexp_columns(children[lo:lo + step].T)
         return levels
 
     def init_state(self, n: int):
@@ -535,49 +545,6 @@ def calibrate_entropy_rate(
 # -- per-step tilts ----------------------------------------------------------
 
 
-def _sum_columns(x: np.ndarray) -> np.ndarray:
-    """Sum an (M, n) array over axis 0, adding each column as numpy adds a row.
-
-    The one short-axis sum.  numpy adds a row of fewer than 8 entries
-    left to right, starting from +0.0.  Below M = 8 the M rows of `x`
-    are added in that order, elementwise, whatever its memory layout,
-    so the transpose of (n, M) rows is summed one strided column at a
-    time rather than along its short rows.  A longer row numpy adds
-    pairwise, so for M >= 8 the sum goes through the row layout.
-    """
-    if x.shape[0] >= 8:
-        return np.ascontiguousarray(x.T).sum(axis=1)
-    total = x[0] + 0.0
-    for row in x[1:]:
-        total += row
-    return total
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """``logsumexp(a, axis=1)`` of an (n, M) array, bitwise.
-
-    Below M = 8 (:func:`_sum_columns`' rule) it runs over the M strided
-    columns with (n,) temporaries only, adding them left to right as
-    numpy adds a short row.
-    """
-    M = a.shape[1]
-    if M >= 8:
-        return logsumexp(a, axis=1)
-    shift = a[:, 0].copy()
-    for j in range(1, M):
-        np.maximum(shift, a[:, j], out=shift)
-    shift[~np.isfinite(shift)] = 0.0
-    total = np.exp(a[:, 0] - shift)
-    term = np.empty_like(total)
-    for j in range(1, M):
-        np.subtract(a[:, j], shift, out=term)
-        total += np.exp(term, out=term)
-    with np.errstate(divide="ignore"):
-        np.log(total, out=total)
-    total += shift
-    return total
-
-
 def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
     """Rows proportional to exp(log_rows + alpha * feats), and their log Z.
 
@@ -588,15 +555,9 @@ def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
     """
     logits = alpha * feats
     logits += log_rows
-    shift = logits.max(axis=0)
-    shift[~np.isfinite(shift)] = 0.0
-    rows = logits - shift
-    np.exp(rows, out=rows)
-    with np.errstate(divide="ignore"):
-        log_z = np.log(_sum_columns(rows))
-    log_z += shift
-    np.subtract(logits, log_z, out=rows)
-    return np.exp(rows, out=rows), log_z
+    log_z = _logsumexp_columns(logits)
+    logits -= log_z
+    return np.exp(logits, out=logits), log_z
 
 
 class _StepTiltProblem:

@@ -148,12 +148,14 @@ def build_learned_model(cfg: ExperimentConfig, truth: ConditionalModel) -> Condi
 
 
 def _described(build, key: str, *args) -> ConditionalModel:
-    """``build(*args)``, turning a ValueError or OSError of a bad description into a ConfigError."""
+    """``build(*args)``, turning the error of a bad value, type, field or file into a ConfigError."""
     try:
         return build(*args)
     except ConfigError:
         raise
-    except (ValueError, OSError) as err:
+    except KeyError as err:
+        raise ConfigError(key, f"missing field {err}") from err
+    except (ValueError, TypeError, AttributeError, OSError) as err:
         raise ConfigError(key, str(err)) from err
 
 

@@ -21,10 +21,11 @@ identity behind the bound aligned with what is reported.  Those steps
 are the :class:`MemoryTiltModel`'s own ``active_steps``, read by the fit
 and by the bound alike.
 
-The calibration, the bound and the window fit each have an exact and a
-sample mode.  A sample mode is the exact routine run on
-:func:`seqcal.exact.sample_expansion`, the lattice of the sample's
-empirical distribution, instead of the truth's
+The comparator's window fit, :func:`marginalize_to_window` or
+:func:`fit_limited_memory`, lives here too.  The calibration, the bound
+and the window fit each have an exact and a sample mode.  A sample mode
+is the exact routine run on :func:`seqcal.exact.sample_expansion`, the
+lattice of the sample's empirical distribution, instead of the truth's
 :func:`seqcal.exact.prefix_expansion`.
 """
 
@@ -35,10 +36,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _StepTiltProblem, _fit_step, _sum_columns, _tilt_rows
+from .calibrate import CalibrationResult, _StepTiltProblem, _fit_step, _tilt_rows
 from .estimate import _unit_scale
 from .exact import (
     P_MIN,
+    _TAIL_BLOCK,
     EnumerationBudget,
     _ConditionalMi,
     _Fsum,
@@ -49,10 +51,10 @@ from .models import (
     ConditionalModel,
     LimitedMemoryModel,
     MarkovModel,
+    _append_code,
     _finite,
-    _fit_window,
+    _sum_columns,
     check_samples,
-    marginalize_to_window,
     model_from_dict,
     model_hash,
     model_to_dict,
@@ -182,6 +184,56 @@ def fit_limited_memory(
     # Counts weighted 1/n: smoothing/n per token keeps the count ratio.
     tail = MarkovModel.uniform(spec, min(window, spec.T - 1))
     return _fit_window(sample_expansion(samples, tail), tail, smoothing / samples.shape[0])
+
+
+def marginalize_to_window(
+    model: ConditionalModel, window: int, budget=None
+) -> LimitedMemoryModel:
+    """Exact limited-memory marginal of `model` with the given window.
+
+    For each window-sized context y, the returned row is the conditional
+    distribution of the next token given y, with deep pasts summed out
+    under `model` and positions pooled:
+
+        row(y)[z]  =  sum_t P(window at t = y, next = z) / sum_t P(window at t = y)
+
+    i.e. the best window-limited predictor of `model` in log loss, which
+    is what training a context-truncated model to convergence yields.
+    Contexts shorter than the window (the first steps of a sequence) get
+    their own exact tables.  Contexts with zero probability get uniform
+    rows; they are never reached under `model`.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    tail = MarkovModel.uniform(model.spec, min(window, model.spec.T - 1))
+    return _fit_window(prefix_expansion(model, budget, tail), tail)
+
+
+def _fit_window(walk, tail: MarkovModel, smoothing: float = 0.0) -> LimitedMemoryModel:
+    """Window tables pooled over the levels of a lattice or sample walk.
+
+    `tail` is the uniform order-``window`` Markov model, walked last, so
+    its state code is the window of every prefix.  Each window's row
+    is its accumulated next-token mass plus `smoothing` per token,
+    normalized; a window without mass gets the uniform row.
+    """
+    M, eff = tail.spec.M, tail.order
+    acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
+    for t, states, weights, rows in walk:
+        # Cell code*M + j of the flat table, so numpy takes its 1-d
+        # ``ufunc.at`` path; each cell's additions keep their order.  The
+        # index is built for one chunk of rows at a time.
+        table, code = acc[min(eff, t - 1)].reshape(-1), states[-1][1]
+        for lo in range(0, code.shape[0], _TAIL_BLOCK):
+            hi = lo + _TAIL_BLOCK
+            np.add.at(table, _append_code(code[lo:hi], None, M),
+                      (weights[lo:hi, None] * rows[lo:hi]).reshape(-1))
+    tables = []
+    for table in acc:
+        table += smoothing
+        mass = table.sum(axis=1, keepdims=True)
+        tables.append(np.where(mass > 0.0, table / np.where(mass > 0.0, mass, 1.0), 1.0 / M))
+    return LimitedMemoryModel(tail.spec, eff, tables)
 
 
 def _default_steps(comparator: ConditionalModel, T: int):

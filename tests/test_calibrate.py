@@ -15,9 +15,7 @@ import seqcal as sc
 from seqcal.calibrate import (
     _GlobalTiltProblem,
     _StepTiltProblem,
-    _logsumexp_rows,
     _minimize_convex,
-    _sum_columns,
     fit_per_step_tilt,
     tilted_variance_max,
 )
@@ -33,6 +31,7 @@ from seqcal.exact import (
     sequence_log_probs,
 )
 from seqcal.memory import _comparator_ce
+from seqcal.models import _logsumexp_columns, _sum_columns
 
 from conftest import (
     all_seqs,
@@ -95,14 +94,18 @@ class TestGlobalTiltModel:
     def test_pyramid_step_is_bitwise_logsumexp(self, M):
         # The column loop adds the M terms left to right, as numpy adds a
         # row of fewer than 8; from M = 8 the row formula is used.  Rows
-        # with -inf entries and rows that are all -inf included.
+        # with -inf entries and rows that are all -inf included, in the
+        # pyramid's layout (the transpose of (n, M) rows) and in the
+        # per-step tilt's (a C-contiguous (M, n) array).
         rng = np.random.default_rng(M)
         for _ in range(1000):
             n = int(rng.integers(1, 30))
             a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(n, M))
             a[rng.random((n, M)) < 0.3] = -np.inf
             a[rng.random(n) < 0.15] = -np.inf
-            assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
+            expected = logsumexp(a, axis=1)
+            assert np.array_equal(_logsumexp_columns(a.T), expected)
+            assert np.array_equal(_logsumexp_columns(np.ascontiguousarray(a.T)), expected)
 
     def test_alpha_zero_scores_like_base(self, rng):
         base = sc.MixtureModel(random_markov(rng, 3, 3, 1), 0.2)

@@ -275,7 +275,15 @@ class TestMainEntry:
         ("model", {"recipe": "mixture", "gamma": "x"}),
         ("true_model", {"kind": "file", "path": "missing.json"}),
         ("model", {"kind": "file", "path": "missing.json"}),
-    ], ids=["t_policy", "order", "concentration", "drift_p", "gamma", "true_file", "model_file"])
+        ("model", {"recipe": "mixture", "gamma": None}),
+        ("model", {"recipe": "drift", "p": [0.1]}),
+        ("true_model", {"kind": "random_markov", "order": None}),
+        ("true_model", {"kind": "inline", "model": 5}),
+        ("true_model", {"kind": "inline", "model": {
+            "format_version": 1, "kind": "markov", "M": 3, "T": 4,
+            "parameters": {"tables": [[[1 / 3] * 3]]}}}),
+    ], ids=["t_policy", "order", "concentration", "drift_p", "gamma", "true_file", "model_file",
+            "null_gamma", "list_p", "null_order", "inline_not_a_document", "inline_no_order"])
     def test_bad_description_exits_2_naming_its_key(self, tmp_path, capsys, monkeypatch, key, value):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, {"M": 3, "T": 4, key: value})

@@ -1,0 +1,63 @@
+"""The package's modules form layers: each imports only the modules below it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import seqcal
+
+SRC = Path(seqcal.__file__).parent
+
+# Bottom first.  ``__init__`` and ``__main__`` sit on top and are not listed.
+LAYERS = ("rng", "models", "exact", "estimate", "calibrate", "memory", "verify", "cli")
+
+
+def _package_imports(source: str) -> set:
+    """Names a module's source imports from its package, function-level imports included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif (node.module or "").split(".")[0] == "seqcal":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                names.add(module.split(".")[0])
+            else:  # ``from . import x``
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "seqcal":
+                    names.add(parts[1] if len(parts) > 1 else "__init__")
+    return names
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("position, name", list(enumerate(LAYERS)), ids=LAYERS)
+def test_imports_only_the_layers_below(position, name):
+    allowed = set(LAYERS[:position])
+    if name == "cli":
+        allowed.add("__version__")  # ``from . import __version__``
+    assert _package_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) <= allowed
+
+
+def test_reads_every_form_of_package_import():
+    source = (
+        "import numpy\n"
+        "from .models import pick\n"
+        "def f():\n"
+        "    from .exact import logsumexp\n"
+        "    from . import memory\n"
+        "    import seqcal.cli\n"
+        "    from seqcal.rng import named_stream\n"
+        "    from seqcal import verify\n"
+    )
+    assert _package_imports(source) == {"models", "exact", "memory", "cli", "rng", "verify"}

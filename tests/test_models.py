@@ -323,10 +323,15 @@ class TestShortAxisKernels:
         zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
     )
     def test_row_entropies_are_the_row_sum(self, M, n, seed, zero_frac):
-        rows = _probability_rows(np.random.default_rng(seed), M, n, zero_frac)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(rows > 0.0, rows * np.log(rows), 0.0)
-        assert np.array_equal(row_entropies(rows), -terms.sum(axis=-1))
+        # A single row, a batch of rows and a 3-d stack of them alike.
+        rows = _probability_rows(np.random.default_rng(seed), M, 2 * n, zero_frac)
+        for batch in (rows[0], rows, rows.reshape(2, n, M), rows.reshape(n, 2, M)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(batch > 0.0, batch * np.log(batch), 0.0)
+            expected = -terms.sum(axis=-1)
+            got = row_entropies(batch)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected)
 
 
 class TestTokenProbs:
@@ -792,6 +797,23 @@ class TestSerialization:
         clone = sc.load_model(path)
         for w in all_seqs(2, 3):
             assert clone.seq_log_prob(w) == pytest.approx(model.seq_log_prob(w), abs=1e-12)
+
+    def test_declared_spec_must_be_the_models(self, rng):
+        # A wrapper's spec is its base's, so a document declaring another
+        # M or T than its parameters build is rejected, not loaded at the
+        # base's spec.  A table model is built at the declared spec.
+        doc = sc.model_to_dict(sc.MixtureModel(random_markov(rng, 2, 3, 1), 0.1))
+        doc["M"], doc["T"] = 3, 5
+        with pytest.raises(ValueError, match="declared M/T"):
+            sc.model_from_dict(doc)
+        for model in _zoo(rng):
+            if model.kind in ("markov", "limited_memory"):
+                continue
+            for key in ("M", "T"):
+                doc = sc.model_to_dict(model)
+                doc[key] += 1
+                with pytest.raises(ValueError, match="declared M/T"):
+                    sc.model_from_dict(doc)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
