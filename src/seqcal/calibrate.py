@@ -422,7 +422,11 @@ class LocalTiltModel(ConditionalModel):
         base_rows, feats, children = self._lookahead(base_state)
         return _tilt_rows(base_rows, feats, self.alpha), (t + 1, children)
 
-    def _fit_extras(self, feats: np.ndarray) -> dict:
+    def _feature_period(self, t: int) -> int | None:
+        """0: step t's feature is identically 0 (the final step); else None, no known period."""
+        return 0 if t == self.spec.T else None
+
+    def _fit_extras(self, tables) -> dict:
         return {}
 
     def _descriptor(self) -> dict:
@@ -571,14 +575,17 @@ class _StepTiltProblem:
     wraps the walk of (t, lo, states, weights, rows) pieces, so a caller
     can read each piece as it passes.
 
-    The N contexts of all steps are columns, step t's in ``spans[t]``:
-    ``log_rows`` (the log base conditional) and ``feats`` (the
-    per-candidate feature, zeroed on inactive steps, so those steps stay
-    untilted and only add constants) are C-contiguous (M, N) arrays and
-    ``weights`` an (N,) vector, allocated before the walk; each piece
-    writes its own columns, so no level is held twice.  Every
-    per-context reduction is :func:`_sum_columns`, bitwise the
-    row-layout sum, and a probe runs over blocks of `_TAIL_BLOCK` values.
+    The N contexts of all steps are columns, step t's in ``spans[t]``,
+    with (N,) ``weights``.  A step whose feature is identically 0
+    (inactive, or ``tilt._feature_period(t) == 0``) is folded: only its
+    log Z, ``log_z0[t]``, is kept, and its probe moments are 0.  A tilted
+    step keeps its log base rows ``log_rows[t]``, C-contiguous (M, n_t),
+    and its features as an (M, P_t) table ``feats[t]`` read at column c
+    mod P_t: P_t is the tilt's period on the exact lattice, else n_t, and
+    every walked piece is checked against the table.  Each piece writes
+    its columns of arrays allocated before the walk.  Every per-context
+    reduction is :func:`_sum_columns`, bitwise the row-layout sum, and a
+    probe runs over blocks of `_TAIL_BLOCK` values.
     Beside them: the target feature moments -- either exact conditional
     means under the truth or realized values from samples -- summed one
     step at a time.  In sample mode the target's rows are the realised
@@ -608,8 +615,15 @@ class _StepTiltProblem:
 
         ends = np.cumsum(sizes).tolist()
         self.spans = {t: slice(end - size, end) for t, size, end in zip(range(1, T + 1), sizes, ends)}
+        self.log_rows, self.feats, self.log_z0 = {}, {}, {}
+        for t, size in zip(range(1, T + 1), sizes):
+            period = tilt._feature_period(t) if t in active else 0
+            if period == 0:
+                self.log_z0[t] = np.empty(size)
+            else:
+                self.log_rows[t] = np.empty((M, size))
+                self.feats[t] = np.empty((M, size if period is None or n_seqs is not None else period))
         N = ends[-1]
-        self.log_rows, self.feats = np.empty((M, N)), np.empty((M, N))
         self.weights = np.empty(N)
         xent, target_feats = np.empty(N), np.empty(N)
         for t, lo, states, weights, true_rows in walk:
@@ -623,15 +637,24 @@ class _StepTiltProblem:
                     "base assigns zero probability on the target's support; the "
                     "objective is infinite for every alpha"
                 )
-            if t not in active:
-                feats = np.zeros_like(log_rows)
+            n = weights.shape[0]
             start = self.spans[t].start + lo
-            cols = slice(start, start + weights.shape[0])
+            cols = slice(start, start + n)
             self.weights[cols] = weights
-            self.log_rows[:, cols] = log_rows.T
-            self.feats[:, cols] = feats.T
-            target_feats[cols] = _sum_columns((true_rows * feats).T)
-            # The log rows are in their columns, so their array takes the
+            if t in self.log_z0:
+                # Untilted at every alpha: alpha * 0 + log rows is the log rows.
+                self.log_z0[t][lo:lo + n] = _logsumexp_columns(log_rows.T)
+                target_feats[cols] = 0.0
+            else:
+                self.log_rows[t][:, lo:lo + n] = log_rows.T
+                # The table's P columns are the first P contexts'; every
+                # context must equal its column, context mod P.
+                table, P = self.feats[t], self.feats[t].shape[1]
+                table[:, lo:lo + n] = feats[:max(P - lo, 0)].T
+                if not np.array_equal(feats.T, table[:, np.arange(lo, lo + n) % P]):
+                    raise RuntimeError(f"step {t}'s features do not repeat with period {P}")
+                target_feats[cols] = _sum_columns((true_rows * feats).T)
+            # The log rows are stored, so their array takes the
             # cross-entropy terms.
             with np.errstate(invalid="ignore"):  # 0 * -inf off the support
                 terms = np.multiply(true_rows, log_rows, out=log_rows)
@@ -654,20 +677,38 @@ class _StepTiltProblem:
         # (T, n) realized features, sample mode only
         self.obs_feats = None if n_seqs is None else target_feats.reshape(T, n_seqs)
 
+    def _blocks(self, t: int, unit: int = 1):
+        """Yield (lo, log rows, features) of tilted step t's contexts lo.., in blocks.
+
+        A block is a multiple of `unit` contexts and of a periodic table's
+        width, about `_TAIL_BLOCK` values, and reads that table tiled once.
+        """
+        log_rows, table = self.log_rows[t], self.feats[t]
+        (M, n), P = log_rows.shape, table.shape[1]
+        width = math.lcm(unit, P) if P < n else unit
+        step = max(1, exact._TAIL_BLOCK // (M * width)) * width
+        tiled = np.tile(table, (1, min(step, n) // P)) if P < n else table
+        for lo in range(0, n, step):
+            at = lo % tiled.shape[1]
+            yield lo, log_rows[:, lo:lo + step], tiled[:, at:at + min(step, n - lo)]
+
     def evaluate(self, alpha: float) -> dict:
-        M, N = self.feats.shape
+        N = self.weights.shape[0]
         m, var, log_z = np.empty(N), np.empty(N), np.empty(N)
-        step = max(1, exact._TAIL_BLOCK // M)
-        for lo in range(0, N, step):
-            cols = slice(lo, lo + step)
-            feats = self.feats[:, cols]
-            rows, log_z[cols] = _tilt_columns(self.log_rows[:, cols], feats, alpha)
-            m[cols] = _sum_columns(rows * feats)
-            dev = feats - m[cols]
-            dev *= dev
-            dev *= rows
-            var[cols] = _sum_columns(dev)
-            del rows, dev  # before the next block's are built
+        for t, span in self.spans.items():
+            if t in self.log_z0:  # a folded step's moments are 0 and its log Z is kept
+                m[span] = var[span] = 0.0
+                log_z[span] = self.log_z0[t]
+                continue
+            for lo, log_rows, feats in self._blocks(t):
+                cols = slice(span.start + lo, span.start + lo + feats.shape[1])
+                rows, log_z[cols] = _tilt_columns(log_rows, feats, alpha)
+                m[cols] = _sum_columns(rows * feats)
+                dev = feats - m[cols]
+                dev *= dev
+                dev *= rows
+                var[cols] = _sum_columns(dev)
+                del rows, dev  # before the next block's are built
         g = (_dot(self.weights, m) - self.target_feat_sum) / self.T
         c = _dot(self.weights, var) / self.T
         obj = (
@@ -689,13 +730,13 @@ class _StepTiltProblem:
 
     def extras(self, info: dict) -> dict:
         """The fit report's own entries, given the optimum's probe."""
-        out = {"active_steps": sorted(self.active), **self.tilt._fit_extras(self.feats)}
+        out = {"active_steps": sorted(self.active), **self.tilt._fit_extras(self.feats.values())}
         if self.n_seqs is not None:
             out.update(gradient_stderr=info["g_stderr"], n_sequences=self.n_seqs)
         return out
 
     def tilted_rows(self, alpha: float, t: int, unit: int):
-        """Step t's context weights and (n, M) rows tilted by alpha, in blocks.
+        """Tilted step t's context weights and (n, M) rows tilted by alpha, in blocks.
 
         Each block is a multiple of `unit` contexts, about `_TAIL_BLOCK`
         values; the last one too if `unit` divides the step's context
@@ -703,12 +744,10 @@ class _StepTiltProblem:
         active step: both are :func:`_tilt_columns` of the same base rows
         and features.
         """
-        span = self.spans[t]
-        step = max(1, exact._TAIL_BLOCK // (self.feats.shape[0] * unit)) * unit
-        for lo in range(span.start, span.stop, step):
-            cols = slice(lo, min(lo + step, span.stop))
-            rows, _ = _tilt_columns(self.log_rows[:, cols], self.feats[:, cols], alpha)
-            yield self.weights[cols], np.ascontiguousarray(rows.T)
+        weights = self.weights[self.spans[t]]
+        for lo, log_rows, feats in self._blocks(t, unit):
+            rows, _ = _tilt_columns(log_rows, feats, alpha)
+            yield weights[lo:lo + feats.shape[1]], np.ascontiguousarray(rows.T)
             del rows  # before the next block's are built
 
 

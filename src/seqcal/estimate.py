@@ -9,9 +9,8 @@ the same expectation as the sampled token's surprisal but strictly lower
 variance.  Both Monte-Carlo estimators consume the sampler's token
 stream (:meth:`ConditionalModel._generate`) step by step and keep no
 (n, T) sample, so their memory is linear in n.
-:func:`drift_curve_exact` is the curve's exact counterpart, one walk of
-:func:`seqcal.exact.prefix_expansion` over the seeded lattice up to
-level ``t_max``.
+:func:`drift_curve_exact` is the curve's exact counterpart, one blocked
+walk over the seeded lattice up to level ``t_max``.
 :func:`ent_rate_gap` reads the endpoints of a given curve; its early
 value is a cross-entropy estimate on real data when one is passed.
 """
@@ -24,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exact import EnumerationBudget, _fsum, prefix_expansion
+from .exact import EnumerationBudget, _Fsum, _prefix_blocks
 from .models import ConditionalModel, _try_model_hash, check_tokens, row_entropies
 
 
@@ -264,8 +263,9 @@ def drift_curve_exact(
     The mean at step t is E[H(model(.|w_{<t}))] with the context
     distributed per `seed_model` for the first `prefix_len` steps and
     per the model's own generations afterwards, for t = prefix_len+1..t_max
-    (default T); standard errors are zero.  The walk stops at level
-    `t_max`, so the budget is checked against M**t_max.  With no seeding
+    (default T); standard errors are zero.  The blocked walk stops at
+    level `t_max` (budget M**t_max) and holds no level whole; a mean is
+    one correctly rounded sum over its level's pieces.  With no seeding
     this is the model's pure self-generation curve.
     """
     T = model.spec.T
@@ -280,10 +280,11 @@ def drift_curve_exact(
     t_max = int(t_max)
 
     walk = model if seeder is model else _SeededWalk(model, seeder, prefix_len)
-    means = np.empty(t_max - prefix_len)
-    for t, _, weights, rows in prefix_expansion(walk, budget, last=t_max):
+    sums = {t: _Fsum() for t in range(prefix_len + 1, t_max + 1)}
+    for t, _, _, weights, rows in _prefix_blocks(walk, budget, weights=True, last=t_max):
         if t > prefix_len:
-            means[t - 1 - prefix_len] = _fsum(weights * row_entropies(rows))
+            sums[t].add(weights * row_entropies(rows))
+    means = np.array([total.value() for total in sums.values()])
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_model_hash(model))
     return DriftCurve(

@@ -8,23 +8,22 @@ the Monte-Carlo estimators and all fitted quantities are tested against.
 Every exact routine in the package walks the prefix lattice of
 :func:`prefix_expansion`: level t holds all length-(t-1) prefixes in
 lexicographic order (prefix i has code i) as model states, with their
-probabilities and next-token rows, and
-the last level's rows give every sequence's log-probability
-(:func:`sequence_log_probs`).  The walks that read the last levels,
-:func:`_log_prob_blocks` and the per-step tilt problem
-(``calibrate._StepTiltProblem``), run one blocked walk
-(:func:`_prefix_blocks`): whole levels only up to level
-T - `_TAIL_LEVELS`, then one block of parents at a time, each block a
-view of the parents' states.  :func:`sequence_log_probs` writes each
-block of log-probabilities into its slice of a preallocated output, so
-its heap stays near one lattice vector; a reader that sums the blocks
-as they pass (the global tilt's truth) holds none, and the per-step
-problem stays near its own columns: 5.5 arrays of the last level's
-(M**(T-1), M) rows at M = 4, T = 8, 3.67 of them its columns.  The
-memory bound's exact MI is read off that problem's columns by blocks of
-deep pasts (:class:`_ConditionalMi`), so a whole memory estimate peaks
-in its build.  All walks run the same
-growth loop (:func:`_grow`).
+probabilities and next-token rows, and the last level's rows give every
+sequence's log-probability (:func:`sequence_log_probs`).  Whole levels
+remain only for the window fit, ``memory.prediction_joint``, verify's
+memory chain and the oracles.  The other walks, :func:`_log_prob_blocks`,
+the per-step tilt problem and the exact drift curve, run one blocked
+walk (:func:`_prefix_blocks`): whole levels below the last level less
+`_TAIL_LEVELS`, then one block of parents at a time, each a view of the
+parents' states.
+:func:`sequence_log_probs` writes each block into its slice of a
+preallocated output, so its heap stays near one lattice vector; a
+reader that sums the blocks as they pass (the global tilt's truth, the
+drift curve) holds none, and the per-step problem stays near its own
+storage.  The memory bound's exact MI is read off that problem by
+blocks of deep pasts (:class:`_ConditionalMi`), so a whole memory
+estimate peaks in its build.  All walks run the same growth loop
+(:func:`_grow`).
 Sequence functionals are evaluated on that lattice, never on an
 enumerated token array; :func:`enumerate_sequences` remains only as an
 independent oracle.
@@ -333,22 +332,24 @@ def _prefix_blocks(
     budget: EnumerationBudget | None = None,
     *others: "ConditionalModel",
     weights: bool = False,
+    last: int | None = None,
 ) -> Iterator[tuple[int, int, tuple, np.ndarray | None, np.ndarray]]:
     """The one blocked lattice walk: :func:`prefix_expansion`'s levels in pieces.
 
-    Yields (t, lo, states, prefix_probs, next_rows): level t's prefixes
-    lo, lo+1, ... as :func:`prefix_expansion` holds them, their states
-    each a view of the level's.  Levels below T - `_TAIL_LEVELS` come
-    whole (lo = 0).  From that level on, one block of its parents at a
-    time is grown to level T, so the pieces of a block come level by
-    level and a block is `_TAIL_BLOCK` sequences or one parent.
+    Yields (t, lo, states, prefix_probs, next_rows) for t = 1..last
+    (default T): level t's prefixes lo, lo+1, ... as
+    :func:`prefix_expansion` holds them, their states each a view of the
+    level's.  Levels below last - `_TAIL_LEVELS` come whole (lo = 0).
+    From that level on, one block of its parents at a time is grown to
+    level `last`, so the pieces of a block come level by level and a
+    block is `_TAIL_BLOCK` values of level `last`'s rows or one parent.
     ``prefix_probs`` are multiplied out only if `weights`, else None.
-    The budget is checked against M**T states before the walk starts.
+    The budget is checked against M**last states before the walk starts.
     """
-    M, T = model.spec.M, model.spec.T
-    (budget or DEFAULT_BUDGET).check(M**T, "prefix enumeration")
+    M, last = model.spec.M, model.spec.T if last is None else last
+    (budget or DEFAULT_BUDGET).check(M**last, "prefix enumeration")
     models = (model, *others)
-    split = max(T - _TAIL_LEVELS, 1)
+    split = max(last - _TAIL_LEVELS, 1)
 
     def pieces():
         states = tuple(m.init_state(1) for m in models)
@@ -359,10 +360,10 @@ def _prefix_blocks(
             if t < split:
                 yield t, 0, states, level_weights, rows
         n = M ** (split - 1)
-        step = max(1, _TAIL_BLOCK // M ** (T - split + 1))
+        step = max(1, _TAIL_BLOCK // M ** (last - split + 1))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            block = _grow(models, _state_slice(states, lo, hi), split, T,
+            block = _grow(models, _state_slice(states, lo, hi), split, last,
                           None if level_weights is None else level_weights[lo:hi])
             for t, block_states, block_weights, block_rows in block:
                 yield t, lo * M ** (t - split), block_states, block_weights, block_rows

@@ -119,9 +119,14 @@ class MemoryTiltModel(ConditionalModel):
             return self.base.rows(state[1])
         return _tilt_rows(*self._step(state), self.alpha)
 
-    def _fit_extras(self, feats: np.ndarray) -> dict:
+    def _feature_period(self, t: int) -> int | None:
+        """A window-w table comparator's features repeat every M**min(w, t-1) contexts of level t."""
+        windowed = isinstance(self.comparator, MarkovModel)
+        return self.spec.M ** min(self.comparator.order, t - 1) if windowed else None
+
+    def _fit_extras(self, tables) -> dict:
         # A feature at the floor marks a comparator entry floored to P_MIN.
-        return {"feature_floored": bool(np.any(feats <= _LOG_P_MIN))}
+        return {"feature_floored": any(bool(np.any(f <= _LOG_P_MIN)) for f in tables)}
 
     def _descriptor(self) -> dict:
         return {"kind": "log_comparator", "comparator_hash": model_hash(self.comparator)}

@@ -772,10 +772,14 @@ def _inner(a, b):
     return float(np.einsum("i,i", a, b))
 
 
-def _row_layout_probe(problem, alpha):
-    """A per-step probe computed on (N, M) rows, one context per row."""
-    log_rows = np.ascontiguousarray(problem.log_rows.T)
-    feats = np.ascontiguousarray(problem.feats.T)
+def _row_layout_probe(problem, alpha, log_rows, feats):
+    """A per-step probe computed on (N, M) rows, one context per row.
+
+    `log_rows` and `feats` are the whole (M, N) arrays of
+    :func:`_whole_level_problem`, not the problem's own storage.
+    """
+    log_rows = np.ascontiguousarray(log_rows.T)
+    feats = np.ascontiguousarray(feats.T)
     logits = log_rows + alpha * feats
     peak = np.max(logits, axis=1, keepdims=True)
     shift = np.where(np.isfinite(peak), peak, 0.0)
@@ -797,6 +801,24 @@ def _row_layout_probe(problem, alpha):
         per_seq = (m.reshape(T, problem.n_seqs) - problem.obs_feats).sum(axis=0) / T
         out["g_stderr"] = float(per_seq.std(ddof=1) / math.sqrt(problem.n_seqs))
     return out
+
+
+def _assert_expands_to(problem, log_rows, feats):
+    """The problem's per-step storage expands to the whole (M, N) log rows and features.
+
+    A folded step keeps neither and has zero features; a tilted step's
+    table, read at column c mod its width, gives the step's features.
+    """
+    for t, span in problem.spans.items():
+        if t in problem.log_z0:
+            assert t not in problem.log_rows and t not in problem.feats
+            assert not np.any(feats[:, span]), t
+            continue
+        table = problem.feats[t]
+        assert problem.log_rows[t].flags.c_contiguous and table.flags.c_contiguous
+        assert np.array_equal(problem.log_rows[t], log_rows[:, span]), t
+        columns = np.arange(span.stop - span.start) % table.shape[1]
+        assert np.array_equal(table[:, columns], feats[:, span]), t
 
 
 class TestStepProblemLayout:
@@ -837,9 +859,17 @@ class TestStepProblemLayout:
             tilt = sc.MemoryTiltModel(base, comparator, 0.0, active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
         problem = _StepTiltProblem(target, tilt, min_samples=1)
-        assert problem.log_rows.flags.c_contiguous and problem.feats.flags.c_contiguous
+        whole_rows, whole_feats = _whole_level_problem(target, tilt)[:2]
+        _assert_expands_to(problem, whole_rows, whole_feats)
+        # Folded: a local tilt's step T and a memory tilt's inactive steps.
+        # The order-0 comparator's lattice features are one column a step.
+        folded = [T] if kind == "local" else sorted(set(range(1, T + 1)) - active)
+        assert sorted(problem.log_z0) == folded
+        for t, table in problem.feats.items():
+            span = problem.spans[t]
+            assert table.shape[1] == (1 if kind == "memory" and not sample else span.stop - span.start)
         for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
-            assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha)
+            assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha, whole_rows, whole_feats)
             if alpha != 0.0:
                 # The model's own rows on every level it tilts are the
                 # row formula: log rows + alpha * feats, less the logsumexp.
@@ -864,23 +894,35 @@ class TestStepProblemLayout:
             tilt = sc.MemoryTiltModel(base, sc.marginalize_to_window(truth, 1), 0.0)
         return truth, tilt, 8 * M**T
 
-    @pytest.mark.parametrize("kind, bound", [("memory", 5.8), ("local", 5.7)])
+    @pytest.mark.parametrize("kind, bound", [("memory", 4.2), ("local", 3.65)])
     def test_build_heap_peak_in_last_level_arrays(self, kind, bound):
         # The build's heap peak, in arrays of the last level's
-        # (M**(T-1), M) rows: 5.58 (memory) and 5.50 (local).  The problem
-        # holds 3.67 (log rows, features, weights and the per-context
-        # moments), and one block of the walk takes the rest; a
-        # whole-level walk with parts copied into columns took 9.27 and
-        # 9.02.
+        # (M**(T-1), M) rows: 4.07 (memory) and 3.54 (local).  During the
+        # build the problem holds its (N,) weights and two (N,) per-context
+        # sums, 1.0, and its per-step storage: every step's log rows, 1.33,
+        # beside a window-1 comparator's 4-column tables, or the local
+        # tilt's log rows and features of steps 1..7, 0.67, and the folded
+        # step 8's log Z, 0.25; one block of the walk takes the rest.
+        # (M, N) log rows and features took 5.39 and 5.19; a whole-level
+        # walk with parts copied into columns took 9.27 and 9.02.
         truth, tilt, size = self._heap_case(kind)
         _, peak = heap_peak(lambda: _StepTiltProblem(truth, tilt))
         assert peak < bound * size
 
     def test_probe_heap_peak_in_last_level_arrays(self):
         # One probe: its three (N,) results (1.0 array) and one block of
-        # columns at a time, 1.75 in all; a probe over all columns at once
+        # columns at a time, 1.69 in all; a probe over all columns at once
         # took 3.67.
         truth, tilt, size = self._heap_case("local")
+        problem = _StepTiltProblem(truth, tilt)
+        _, peak = heap_peak(lambda: problem.evaluate(0.3))
+        assert peak < 1.75 * size
+
+    def test_tiled_table_probe_heap_peak_in_last_level_arrays(self):
+        # A memory tilt's probe also holds its comparator table tiled once
+        # into one block: 1.94.  Tiling a table to its whole level would
+        # add that level's (M, n_t) array, 1.0 for step 8.
+        truth, tilt, size = self._heap_case("memory")
         problem = _StepTiltProblem(truth, tilt)
         _, peak = heap_peak(lambda: problem.evaluate(0.3))
         assert peak < 2.0 * size
@@ -974,8 +1016,7 @@ class TestBlockedStepProblem:
             if kind == "memory":
                 observe = lambda walk: _comparator_ce(walk, tilt, ce, sample)  # noqa: E731
             problem = _StepTiltProblem(target, tilt, min_samples=1, observe=observe)
-            assert np.array_equal(problem.log_rows, log_rows), block
-            assert np.array_equal(problem.feats, feats), block
+            _assert_expands_to(problem, log_rows, feats)
             assert np.array_equal(problem.weights, weights), block
             assert problem.spans == spans
             assert (problem.xent_sum, problem.target_feat_sum) == (xent_sum, target_sum), block
@@ -983,7 +1024,7 @@ class TestBlockedStepProblem:
                 assert np.array_equal(problem.obs_feats, np.array(obs))
             for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
                 assert problem.evaluate(alpha) == whole.evaluate(alpha), (block, alpha)
-                assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha), (block, alpha)
+                assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha, log_rows, feats), (block, alpha)
             if kind == "memory":
                 assert sorted(ce) == sorted(expected_ce)
                 for t, (total, per_context) in expected_ce.items():
@@ -992,6 +1033,18 @@ class TestBlockedStepProblem:
                         assert np.array_equal(ce[t][1], per_context)
                     else:
                         assert ce[t][1] is None
+
+    def test_features_off_their_declared_period_fail_the_build(self, monkeypatch):
+        # A window-1 comparator's features repeat every M contexts of a
+        # level; a declared period of 1 does not hold them.
+        rng = np.random.default_rng(5)
+        truth = random_markov(rng, 3, 4, 2, concentration=0.5)
+        tilt = sc.MemoryTiltModel(truth.perturbed(rng, 0.4), sc.marginalize_to_window(truth, 1), 0.0)
+        assert {t: f.shape[1] for t, f in _StepTiltProblem(truth, tilt).feats.items()} == {
+            1: 1, 2: 3, 3: 3, 4: 3}
+        monkeypatch.setattr(sc.MemoryTiltModel, "_feature_period", lambda self, t: 1)
+        with pytest.raises(RuntimeError, match="step 2's features do not repeat with period 1"):
+            _StepTiltProblem(truth, tilt)
 
 
 class TestShortAxisSums:

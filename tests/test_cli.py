@@ -290,6 +290,14 @@ class TestMainEntry:
         assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix_len, code", [(4, 2), (3, 0)])
+    def test_prefix_len_must_be_below_T(self, tmp_path, capsys, prefix_len, code):
+        # A seed as long as the sequence leaves no generated step to measure.
+        cfg = write_config(tmp_path, {"M": 2, "T": 4, "prefix_len": prefix_len})
+        assert main(["calibrate-local", "--config", str(cfg), "--out", str(tmp_path / "c")]) == code
+        if code == 2:
+            assert "config key 'prefix_len'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["random_markov", "stationary_markov"])
     @pytest.mark.parametrize("concentration", [0, -2.0])
     def test_non_positive_concentration_exits_2_naming_it(

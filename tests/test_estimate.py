@@ -238,20 +238,20 @@ class TestDriftCurveExact:
 
     @pytest.mark.parametrize("prefix_len", [0, 1, 3])
     def test_one_walk_and_the_seeder_dropped_after_the_seed(self, rng, monkeypatch, prefix_len):
-        # One prefix_expansion; the model moves once per level and the
-        # seeder only while the next prefix is still shorter than the seed.
-        # A move is a step or an advance; the Drift's both make one step of
-        # its base.
+        # One blocked walk, in one block at this size; the model moves once
+        # per level and the seeder only while the next prefix is still
+        # shorter than the seed.  A move is a step or an advance; the
+        # Drift's both make one step of its base.
         seeder = random_markov(rng, 2, 5, 1)
         model = sc.DriftModel(random_markov(rng, 2, 5, 1), 0.3)
         calls = []
-        walk = seqcal.estimate.prefix_expansion
+        walk = seqcal.estimate._prefix_blocks
 
         def counted(*args, **kwargs):
             calls.append(args)
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(seqcal.estimate, "prefix_expansion", counted)
+        monkeypatch.setattr(seqcal.estimate, "_prefix_blocks", counted)
         model_steps = count_calls(model.base, "step", "advance")
         seeder_steps = count_calls(seeder, "step", "advance")
         sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
@@ -265,29 +265,65 @@ class TestDriftCurveExact:
     ], ids=["drift", "mixture-drift"])
     def test_seeded_walk_reads_each_level_once(self, rng, wrap):
         # As calibrate-local runs it: M = 4, T = 9, seeded for one token,
-        # walked to t_max = 8.  Levels 1..7 each make one lattice step of
-        # the innermost model, and only level 8 reads its rows; a seeded
-        # walk that reads each level's rows and then advances makes 7
-        # (rows, step) pairs.
+        # walked to t_max = 8.  Levels 1..5 come whole and levels 6..8 in
+        # 4 blocks of 256 level-6 parents.  Levels 1..7 each make one
+        # lattice step of the innermost model per piece, 5 + 4 * 2, and
+        # only level 8's 4 pieces read its rows; a seeded walk that reads
+        # each piece's rows and then advances makes 13 (rows, step) pairs.
         seeder = random_markov(rng, 4, 9, 2)
         inner = random_markov(rng, 4, 9, 2)
         calls = [count_calls(inner, name) for name in ("rows", "step", "advance")]
         sc.drift_curve_exact(wrap(inner), seed_model=seeder, prefix_len=1, t_max=8)
-        assert [c[0] for c in calls] == [1, 7, 0]
+        assert [c[0] for c in calls] == [4, 13, 0]
 
     def test_local_tilt_steps_its_base_once_per_level(self, rng):
         # The same walk of a LocalTilt(Drift), as calibrate-local runs it on
-        # its fitted tilt.  Levels 1..7 each make one lattice step of the
-        # innermost model, whose children are the next level and whose rows
-        # the tilt's lookahead reads; level 8's read makes one lookahead
-        # step more.  A tilt whose next state repeats the base's lattice
-        # step makes 14 steps; each lookahead reads its children's rows.
+        # its fitted tilt, in the pieces above.  Levels 1..7 each make one
+        # lattice step of the innermost model per piece, whose children are
+        # the next level and whose rows the tilt's lookahead reads (the
+        # seeded level 1 reads none); level 8's 4 reads make one lookahead
+        # step more each: 1 + 4 + 4 * 3 steps.  A tilt whose next state
+        # repeats the base's lattice step makes 30; each lookahead reads its
+        # children's rows.
         seeder = random_markov(rng, 4, 9, 2)
         inner = random_markov(rng, 4, 9, 2)
         calls = [count_calls(inner, name) for name in ("rows", "step", "advance")]
         model = sc.LocalTiltModel(sc.DriftModel(inner, 0.1), 0.6)
         sc.drift_curve_exact(model, seed_model=seeder, prefix_len=1, t_max=8)
-        assert [c[0] for c in calls] == [7, 8, 0]
+        assert [c[0] for c in calls] == [16, 17, 0]
+
+    @pytest.mark.parametrize("M, T, prefix_len, t_max", [(2, 1, 0, 1), (2, 6, 0, 6), (3, 5, 1, 4),
+                                                         (4, 5, 2, 5), (9, 3, 1, 3)])
+    @pytest.mark.parametrize("tilt", [False, True])
+    def test_blocked_means_are_bitwise_the_whole_levels(self, rng, monkeypatch, M, T, prefix_len,
+                                                        t_max, tilt):
+        # Whatever the block size, down to one parent, each mean is the
+        # correctly rounded sum of a whole level's weighted entropies.
+        seeder = random_markov(rng, M, T, 1, concentration=0.5)
+        model = sc.DriftModel(random_markov(rng, M, T, 2, concentration=0.5), 0.2)
+        if tilt:
+            model = sc.LocalTiltModel(model, -0.7)
+        walk = model if prefix_len == 0 else seqcal.estimate._SeededWalk(model, seeder, prefix_len)
+        expected = [math.fsum((weights * sc.row_entropies(rows)).tolist())
+                    for t, _, weights, rows in sc.exact.prefix_expansion(walk, None, last=t_max)
+                    if t > prefix_len]
+        for block in (1, 5, 2 * M**2 + 1, 2**14):
+            monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+            curve = sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len, t_max=t_max)
+            assert curve.means.tolist() == expected, block
+
+    def test_tilted_curve_heap_peak_in_last_level_arrays(self):
+        # A seeded LocalTilt(Drift) curve at M = 4, T = 8 peaks at 1.19
+        # arrays of the last level's (M**(T-1), M) rows: one block of
+        # level-8 prefixes at a time, its lookahead included.  A walk that
+        # holds each level whole, as the curve's did, peaked at 4.18.
+        M, T = 4, 8
+        truth = random_markov(np.random.default_rng(3), M, T, 2, concentration=0.8)
+        base = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
+        tilted = sc.LocalTiltModel(base, 0.3)
+        curve, peak = heap_peak(lambda: sc.drift_curve_exact(tilted, seed_model=truth, prefix_len=1))
+        assert curve.steps.tolist() == list(range(2, T + 1))
+        assert peak < 1.3 * 8 * M**T
 
     @pytest.mark.parametrize("prefix_len, t_max", [(0, 3), (1, 4), (2, 5)])
     def test_walk_stops_at_t_max(self, rng, prefix_len, t_max):

@@ -176,6 +176,27 @@ class TestCalibrateToComparator:
         assert res.extras["feature_floored"]
         assert math.isfinite(res.objective)
 
+    def test_zero_reachable_only_on_inactive_steps_is_not_floored(self, rng):
+        # The order-1 comparator's step-1 table has a zero, but step 1 is not
+        # fitted: only the tilted steps' features are read.
+        spec = sc.make_spec(2, 3)
+        truth = sc.MarkovModel.uniform(spec)
+        comparator = sc.MarkovModel(
+            spec, 1, [np.array([[1.0, 0.0]]), np.array([[0.6, 0.4], [0.3, 0.7]])]
+        )
+        _, res = sc.calibrate_to_comparator(truth, truth, comparator, steps=(2, 3))
+        assert res.extras["feature_floored"] is False
+        _, res = sc.calibrate_to_comparator(truth, truth, comparator, steps=(1, 2, 3))
+        assert res.extras["feature_floored"] is True
+
+    def test_window_below_T_by_one_fits_the_last_step_only(self, rng):
+        # A window-(T - 1) comparator has a full window only at step T, so
+        # the default steps are (T,).
+        truth = random_markov(rng, 2, 4, 2)
+        comparator = sc.fit_limited_memory(truth, 3)
+        _, res = sc.calibrate_to_comparator(truth, truth.perturbed(rng, 0.3), comparator)
+        assert res.extras["active_steps"] == [4]
+
     def test_improvement_when_comparator_knows_more(self, rng):
         # A full model blind to the previous token gains from tilting
         # toward an informed comparator.
@@ -481,10 +502,12 @@ class TestComparatorWalks:
 
     def test_build_heap_peak_in_last_level_arrays(self):
         # memory_bound's build, the per-step problem reading the comparator
-        # CE terms off its blocked walk, peaks at 5.41 arrays of the last
+        # CE terms off its blocked walk, peaks at 4.09 arrays of the last
         # level's (M**(T-1), M) rows, 0.02 above the problem alone: each
-        # level's CE is one streamed sum across its blocks.  Whole levels
-        # took 9.27; keeping the CE pass's log rows while it sums adds 0.25.
+        # level's CE is one streamed sum across its blocks, and the
+        # problem keeps the comparator's features as 4-column tables.
+        # (M, N) features took 5.41, whole levels 9.27; keeping the CE
+        # pass's log rows while it sums adds 0.25.
         truth, full, comparator, size = self._heap_case()
         T = truth.spec.T
         tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=range(2, T + 1))
@@ -492,18 +515,19 @@ class TestComparatorWalks:
         _, peak = heap_peak(lambda: _StepTiltProblem(
             truth, tilt, observe=lambda walk: _comparator_ce(walk, tilt, ce, False)))
         assert sorted(ce) == list(range(2, T + 1))
-        assert peak < 5.9 * size
+        assert peak < 4.2 * size
 
     def test_memory_bound_heap_peak_in_last_level_arrays(self):
         # The whole estimate, build, fit and per-step report with its exact
-        # MI, peaks at 5.42 arrays of the last level, in its build: the
-        # report holds the problem's 3.0 and one block of deep pasts at a
-        # time, 4.91 in all.  A report of whole levels, their tilted rows,
-        # joint and conditional-entropy terms, peaked at 7.11.
+        # MI, peaks at 4.09 arrays of the last level, in its build (5.41
+        # with (M, N) features): the report holds the problem's 1.67 and
+        # one block of deep pasts at a time.  A report of whole levels,
+        # their tilted rows, joint and conditional-entropy terms, peaked at
+        # 7.11.
         truth, full, comparator, size = self._heap_case()
         est, peak = heap_peak(lambda: sc.memory_bound(truth, full, comparator))
         assert est.exact_mi is not None
-        assert peak < 5.5 * size
+        assert peak < 4.2 * size
 
 
 
