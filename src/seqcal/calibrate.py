@@ -28,8 +28,8 @@ feature, fitted steps, descriptor) and returns it at the fitted
 exponent, so the report describes the returned model.  It has an exact
 and a sample-average mode.  The sample mode is the exact routine run on
 :func:`seqcal.exact.sample_expansion`, the lattice of the sample's
-empirical distribution, instead of the truth's
-:func:`seqcal.exact.prefix_expansion`.
+empirical distribution, instead of the truth's blocked
+:func:`seqcal.exact.prefix_expansion`, in the same pieces.
 
 Every per-context sum and log-partition, the global tilt's prefix
 pyramid included, is a short-axis kernel of :mod:`seqcal.models`.
@@ -49,8 +49,8 @@ from .exact import (
     FunctionalF,
     _dot,
     _log_prob_blocks,
-    _prefix_blocks,
     _support_fsum,
+    prefix_expansion,
     sample_expansion,
     sequence_log_probs,
 )
@@ -567,13 +567,12 @@ def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
 class _StepTiltProblem:
     """The per-step problem of a tilt against a truth model or samples.
 
-    Walks ``_prefix_blocks(target, budget, tilt)`` (exact) or
+    Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
     ``sample_expansion(target, tilt)`` (sample-average over the n
-    sequences, each level one piece at offset 0) once, reading the base
-    rows and the feature from ``tilt._step`` and the fitted steps from
-    ``tilt.active_steps`` (None for every step).  `observe`, if given,
-    wraps the walk of (t, lo, states, weights, rows) pieces, so a caller
-    can read each piece as it passes.
+    sequences) once, reading the base rows and the feature from
+    ``tilt._step`` and the fitted steps from ``tilt.active_steps`` (None
+    for every step).  `observe`, if given, wraps the walk of its pieces,
+    so a caller can read each piece as it passes.
 
     The N contexts of all steps are columns, step t's in ``spans[t]``,
     with (N,) ``weights``.  A step whose feature is identically 0
@@ -602,13 +601,13 @@ class _StepTiltProblem:
             if target.spec != tilt.spec:
                 raise ValueError("models must share the same sequence spec")
             n_seqs = None
-            walk = _prefix_blocks(target, budget, tilt, weights=True)
+            walk = prefix_expansion(target, budget, tilt)
             sizes = [M ** (t - 1) for t in range(1, T + 1)]
         else:
             n_seqs = check_samples(target, tilt.spec).shape[0]
             if n_seqs < min_samples:
                 raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n_seqs}")
-            walk = ((t, 0, *level) for t, *level in sample_expansion(target, tilt))
+            walk = sample_expansion(target, tilt)
             sizes = [n_seqs] * T
         if observe is not None:
             walk = observe(walk)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exact import EnumerationBudget, _Fsum, _prefix_blocks
+from .exact import EnumerationBudget, _Fsum, prefix_expansion
 from .models import ConditionalModel, _try_model_hash, check_tokens, row_entropies
 
 
@@ -281,7 +281,7 @@ def drift_curve_exact(
 
     walk = model if seeder is model else _SeededWalk(model, seeder, prefix_len)
     sums = {t: _Fsum() for t in range(prefix_len + 1, t_max + 1)}
-    for t, _, _, weights, rows in _prefix_blocks(walk, budget, weights=True, last=t_max):
+    for t, _, _, weights, rows in prefix_expansion(walk, budget, last=t_max):
         if t > prefix_len:
             sums[t].add(weights * row_entropies(rows))
     means = np.array([total.value() for total in sums.values()])

@@ -5,30 +5,28 @@ step) and is therefore only usable on small instances, guarded by an
 :class:`EnumerationBudget`.  These routines are the ground truth that
 the Monte-Carlo estimators and all fitted quantities are tested against.
 
-Every exact routine in the package walks the prefix lattice of
-:func:`prefix_expansion`: level t holds all length-(t-1) prefixes in
-lexicographic order (prefix i has code i) as model states, with their
-probabilities and next-token rows, and the last level's rows give every
-sequence's log-probability (:func:`sequence_log_probs`).  Whole levels
-remain only for the window fit, ``memory.prediction_joint``, verify's
-memory chain and the oracles.  The other walks, :func:`_log_prob_blocks`,
-the per-step tilt problem and the exact drift curve, run one blocked
-walk (:func:`_prefix_blocks`): whole levels below the last level less
-`_TAIL_LEVELS`, then one block of parents at a time, each a view of the
-parents' states.
+Every exact routine in the package walks the prefix lattice by one
+generator, :func:`prefix_expansion`: level t holds all length-(t-1)
+prefixes in lexicographic order (prefix i has code i) as model states,
+with their probabilities (or log-probabilities) and next-token rows, and
+the last level's rows give every sequence's log-probability
+(:func:`sequence_log_probs`).  It yields (t, lo, states, weights, rows)
+pieces, prefixes lo, lo+1, ... of level t, in one of two modes.  The
+blocked mode, the default, grows the last `_TAIL_LEVELS` levels one
+block of parents at a time, each a view of the parents' states;
 :func:`sequence_log_probs` writes each block into its slice of a
-preallocated output, so its heap stays near one lattice vector; a
+preallocated output, so its heap stays near one lattice vector, a
 reader that sums the blocks as they pass (the global tilt's truth, the
 drift curve) holds none, and the per-step problem stays near its own
-storage.  The memory bound's exact MI is read off that problem by
-blocks of deep pasts (:class:`_ConditionalMi`), so a whole memory
-estimate peaks in its build.  All walks run the same growth loop
-(:func:`_grow`).
+storage.  The whole-level mode, one block that holds every parent, gives
+each level as one piece; only the window fit, ``memory.prediction_joint``
+and verify's memory chain read it.  The memory bound's exact MI is read
+off the per-step problem by blocks of deep pasts
+(:class:`_ConditionalMi`), so a whole memory estimate peaks in its build.
 Sequence functionals are evaluated on that lattice, never on an
-enumerated token array; :func:`enumerate_sequences` remains only as an
-independent oracle.
-:func:`sample_expansion` walks an (n, T) sample array the same way, as
-the lattice of its empirical distribution.
+enumerated token array.  :func:`sample_expansion` walks an (n, T)
+sample array the same way, as the lattice of its empirical
+distribution, in the same pieces, one per level.
 
 Conventions: natural log everywhere (nats); an infinite cross entropy or
 divergence is returned as ``math.inf`` (never produced via floating
@@ -93,23 +91,16 @@ _FSUM_HUGE = 2.0**990
 
 
 def _fsum(values) -> float:
-    """The correctly rounded sum, bitwise ``math.fsum`` of the values.
+    """The correctly rounded sum, bitwise ``math.fsum`` of an array-like's values.
 
-    `values` is an array-like, or an iterator of array-likes summed as
-    their concatenation, one at a time (:class:`_Fsum`).  A single
-    array of fewer than `_FSUM_DIRECT` values goes to ``math.fsum``
-    directly, which is faster there.  It reads the values from a buffer.
+    Fewer than `_FSUM_DIRECT` values go to ``math.fsum`` directly, read
+    from a buffer, which is faster there; more go through :class:`_Fsum`.
     """
-    if isinstance(values, Iterator):
-        pieces = values
-    else:
-        flat = np.ascontiguousarray(values, dtype=float).ravel()
-        if flat.size < _FSUM_DIRECT:
-            return math.fsum(memoryview(flat))
-        pieces = (flat,)
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    if flat.size < _FSUM_DIRECT:
+        return math.fsum(memoryview(flat))
     total = _Fsum()
-    for piece in pieces:
-        total.add(piece)
+    total.add(flat)
     return total.value()
 
 
@@ -207,15 +198,7 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     return out
 
 
-def enumerate_sequences(M: int, T: int, budget: EnumerationBudget | None = None) -> np.ndarray:
-    """All length-T sequences in lexicographic order, shape (M**T, T)."""
-    (budget or DEFAULT_BUDGET).check(M**T, "sequence enumeration")
-    codes = np.arange(M**T, dtype=np.int64)
-    powers = M ** np.arange(T - 1, -1, -1, dtype=np.int64)
-    return (codes[:, None] // powers) % M
-
-
-# The last `_TAIL_LEVELS` levels of a blocked walk (:func:`_prefix_blocks`)
+# The last `_TAIL_LEVELS` levels of a blocked walk (:func:`prefix_expansion`)
 # are grown one block of parents at a time, each block `_TAIL_BLOCK`
 # sequences (128 KB of log-probabilities) or one parent.
 _TAIL_LEVELS = 2
@@ -242,26 +225,15 @@ def _log_prob_blocks(model: "ConditionalModel", budget: EnumerationBudget | None
                      out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, log P(w) of sequences lo, lo+1, ...), one block of the blocked walk at a time.
 
-    The walk is :func:`_prefix_blocks`; a block is written into its
-    slice of `out` if given, else into a fresh array, so a reader that
-    sums the blocks as they pass holds no lattice vector.
+    A block is a last-level piece of the log-weighted
+    :func:`prefix_expansion`, its log-weights extended by its rows; it is
+    written into its slice of `out` if given, else into a fresh array, so
+    a reader that sums the blocks as they pass holds no lattice vector.
     """
     M, T = model.spec.M, model.spec.T
-    # Level t: the offset and log-probabilities of its latest prefixes.
-    # A piece's parents are the whole level below the blocked levels, or
-    # its block's piece one level down; a piece that reads all of them
-    # is their last reader.
-    lps = {1: (0, np.zeros(1))}
-    for t, lo, _, _, rows in _prefix_blocks(model, budget):
-        at, lp = lps[t]
-        n = rows.shape[0]
-        if n == lp.size:
-            del lps[t]
-        lp = lp[lo - at:lo - at + n]
-        if t < T:
-            lps[t + 1] = lo * M, _extend(lp, rows)
-        else:
-            last = None if out is None else out[lo * M:(lo + n) * M].reshape(-1, M)
+    for t, lo, _, lp, rows in prefix_expansion(model, budget, log=True):
+        if t == T:
+            last = None if out is None else out[lo * M:(lo + rows.shape[0]) * M].reshape(-1, M)
             yield lo * M, _extend(lp, rows, last)
 
 
@@ -291,71 +263,36 @@ def prefix_expansion(
     budget: EnumerationBudget | None = None,
     *others: "ConditionalModel",
     last: int | None = None,
-) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
-    """Yield (t, states, prefix_probs, next_rows) for t = 1..last (default T).
+    log: bool = False,
+    whole: bool = False,
+) -> Iterator[tuple[int, int, tuple, np.ndarray, np.ndarray]]:
+    """The one prefix-lattice walk: yield (t, lo, states, weights, next_rows) pieces.
 
-    Level t holds every length-(t-1) prefix in lexicographic order, so
-    prefix i has code i.  ``states`` holds the batch state of `model`,
-    then of each of `others`, at those prefixes; ``prefix_probs`` are
-    their probabilities under `model` and ``next_rows`` its rows there.
-    The budget is checked against M**last states.
-    """
-    last = model.spec.T if last is None else last
-    (budget or DEFAULT_BUDGET).check(model.spec.M**last, "prefix enumeration")
-    models = (model, *others)
-    yield from _grow(models, tuple(m.init_state(1) for m in models), 1, last, np.ones(1))
-
-
-def _grow(models: tuple, states: tuple, first: int, last: int, weights=None, read_last=True):
-    """The one loop that grows a prefix lattice, as :func:`prefix_expansion` yields it.
-
-    Starts from the states of `models` at level `first` and yields levels
-    first..last.  Below the last level one lattice step of models[0]
-    gives its rows and children, and the others advance; the last level's
-    rows are read only if `read_last`, else None is yielded for them.
-    Prefix probabilities are multiplied out only from given `weights`.
-    """
-    for t in range(first, last):
-        # Prefix i followed by token j is child i*M + j, and no model
-        # repeats a parent's (n, M) rows.  The old level is released only
-        # once the new one is built.
-        rows, child = models[0].step(states[0], None)
-        yield t, states, weights, rows
-        states = (child, *(m.advance(s, None) for m, s in zip(models[1:], states[1:])))
-        if weights is not None:
-            weights = (weights[:, None] * rows).reshape(-1)
-    yield last, states, weights, models[0].rows(states[0]) if read_last else None
-
-
-def _prefix_blocks(
-    model: "ConditionalModel",
-    budget: EnumerationBudget | None = None,
-    *others: "ConditionalModel",
-    weights: bool = False,
-    last: int | None = None,
-) -> Iterator[tuple[int, int, tuple, np.ndarray | None, np.ndarray]]:
-    """The one blocked lattice walk: :func:`prefix_expansion`'s levels in pieces.
-
-    Yields (t, lo, states, prefix_probs, next_rows) for t = 1..last
-    (default T): level t's prefixes lo, lo+1, ... as
-    :func:`prefix_expansion` holds them, their states each a view of the
-    level's.  Levels below last - `_TAIL_LEVELS` come whole (lo = 0).
-    From that level on, one block of its parents at a time is grown to
-    level `last`, so the pieces of a block come level by level and a
-    block is `_TAIL_BLOCK` values of level `last`'s rows or one parent.
-    ``prefix_probs`` are multiplied out only if `weights`, else None.
-    The budget is checked against M**last states before the walk starts.
+    Level t, for t = 1..last (default T), holds every length-(t-1)
+    prefix in lexicographic order, so prefix i has code i.  A piece is
+    its prefixes lo, lo+1, ...: ``states`` holds the batch state of
+    `model`, then of each of `others`, at them, each a view of the
+    level's; ``weights`` are their probabilities under `model`, or the
+    logs of those if `log`, and ``next_rows`` its rows there.  Levels
+    below last - `_TAIL_LEVELS` come whole (lo = 0).  From that level
+    on, one block of its parents at a time is grown to level `last`, so
+    the pieces of a block come level by level and a block is
+    `_TAIL_BLOCK` values of level `last`'s rows or one parent.  With
+    `whole`, one block grows from level 1, whose one prefix is the parent
+    of all, so every level is one piece.  The budget is checked against
+    M**last states when the walk is made, before it starts.
     """
     M, last = model.spec.M, model.spec.T if last is None else last
     (budget or DEFAULT_BUDGET).check(M**last, "prefix enumeration")
     models = (model, *others)
-    split = max(last - _TAIL_LEVELS, 1)
+    split = 1 if whole else max(last - _TAIL_LEVELS, 1)
 
     def pieces():
         states = tuple(m.init_state(1) for m in models)
         # Level `split` is stepped one block at a time, so the whole-level
         # walk does not read its rows.
-        walk = _grow(models, states, 1, split, np.ones(1) if weights else None, read_last=False)
+        walk = _grow(models, states, 1, split, np.zeros(1) if log else np.ones(1), log,
+                     read_last=False)
         for t, states, level_weights, rows in walk:
             if t < split:
                 yield t, 0, states, level_weights, rows
@@ -363,8 +300,7 @@ def _prefix_blocks(
         step = max(1, _TAIL_BLOCK // M ** (last - split + 1))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            block = _grow(models, _state_slice(states, lo, hi), split, last,
-                          None if level_weights is None else level_weights[lo:hi])
+            block = _grow(models, _state_slice(states, lo, hi), split, last, level_weights[lo:hi], log)
             for t, block_states, block_weights, block_rows in block:
                 yield t, lo * M ** (t - split), block_states, block_weights, block_rows
                 # Released before the block grows its next level.
@@ -373,10 +309,32 @@ def _prefix_blocks(
     return pieces()
 
 
+def _grow(models: tuple, states: tuple, first: int, last: int, weights: np.ndarray, log: bool,
+          read_last=True):
+    """The one loop that grows a prefix lattice, for :func:`prefix_expansion`.
+
+    Starts from the states and weights of `models` at level `first` and
+    yields (t, states, weights, rows) for levels first..last.  Below the
+    last level one lattice step of models[0] gives its rows and
+    children, and the others advance; the last level's rows are read
+    only if `read_last`, else None is yielded for them.  The weights are
+    multiplied out, or their logs extended (:func:`_extend`) if `log`.
+    """
+    for t in range(first, last):
+        # Prefix i followed by token j is child i*M + j, and no model
+        # repeats a parent's (n, M) rows.  The old level is released only
+        # once the new one is built.
+        rows, child = models[0].step(states[0], None)
+        yield t, states, weights, rows
+        states = (child, *(m.advance(s, None) for m, s in zip(models[1:], states[1:])))
+        weights = _extend(weights, rows) if log else (weights[:, None] * rows).reshape(-1)
+    yield last, states, weights, models[0].rows(states[0]) if read_last else None
+
+
 def sample_expansion(
     samples: np.ndarray, *models: "ConditionalModel"
-) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
-    """The sample counterpart of :func:`prefix_expansion`, for t = 1..T.
+) -> Iterator[tuple[int, int, tuple, np.ndarray, np.ndarray]]:
+    """The sample counterpart of :func:`prefix_expansion`, each level one piece (lo = 0).
 
     Level t holds the n sampled length-(t-1) prefixes of an (n, T)
     sample array, each of probability 1/n; ``states`` holds the batch
@@ -395,7 +353,7 @@ def sample_expansion(
         # A column of a column-major sample is read as a view; any other
         # layout is copied once per step for both reads.
         tokens = np.ascontiguousarray(samples[:, t - 1])
-        yield t, states, weights, np.take(one_hot, tokens, axis=0)
+        yield t, 0, states, weights, np.take(one_hot, tokens, axis=0)
         if t < T:
             states = tuple(m.advance(s, tokens) for m, s in zip(models, states))
 
@@ -412,8 +370,7 @@ class FunctionalF:
     Exact routines evaluate a functional on the prefix lattice they
     already walk (:meth:`_on_lattice`): a table is its own lattice
     vector, and a log-probability reuses the walk's log-probabilities
-    when it scores with the walked model.  :meth:`values` evaluates
-    explicit token arrays and serves as the independent oracle.
+    when it scores with the walked model.
 
     When a bound is declared, every evaluation checks |f(w)| <= bound.
     """
@@ -447,13 +404,6 @@ class FunctionalF:
     @classmethod
     def from_table(cls, values, spec, bound=None) -> "FunctionalF":
         return cls("table", table=values, spec=spec, bound=bound)
-
-    def values(self, seqs: np.ndarray) -> np.ndarray:
-        seqs = np.asarray(seqs, dtype=np.int64)
-        if self.kind == "table":
-            powers = self.spec.M ** np.arange(self.spec.T - 1, -1, -1, dtype=np.int64)
-            return self._checked(self.table[seqs @ powers])
-        return self._from_log_probs(self.model.seq_log_prob_batch(seqs))
 
     def _on_lattice(self, model, lp, budget=None) -> np.ndarray:
         """Values at every sequence of `model`'s spec, lexicographic order.

@@ -26,7 +26,7 @@ The comparator's window fit, :func:`marginalize_to_window` or
 and the window fit each have an exact and a sample mode.  A sample mode
 is the exact routine run on :func:`seqcal.exact.sample_expansion`, the
 lattice of the sample's empirical distribution, instead of the truth's
-:func:`seqcal.exact.prefix_expansion`.
+:func:`seqcal.exact.prefix_expansion`, in the same pieces.
 """
 
 from __future__ import annotations
@@ -211,11 +211,11 @@ def marginalize_to_window(
     if window < 1:
         raise ValueError("window must be >= 1")
     tail = MarkovModel.uniform(model.spec, min(window, model.spec.T - 1))
-    return _fit_window(prefix_expansion(model, budget, tail), tail)
+    return _fit_window(prefix_expansion(model, budget, tail, whole=True), tail)
 
 
 def _fit_window(walk, tail: MarkovModel, smoothing: float = 0.0) -> LimitedMemoryModel:
-    """Window tables pooled over the levels of a lattice or sample walk.
+    """Window tables pooled, level by level, over a whole-level lattice walk or a sample walk.
 
     `tail` is the uniform order-``window`` Markov model, walked last, so
     its state code is the window of every prefix.  Each window's row
@@ -224,7 +224,7 @@ def _fit_window(walk, tail: MarkovModel, smoothing: float = 0.0) -> LimitedMemor
     """
     M, eff = tail.spec.M, tail.order
     acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
-    for t, states, weights, rows in walk:
+    for t, _, states, weights, rows in walk:
         # Cell code*M + j of the flat table, so numpy takes its 1-d
         # ``ufunc.at`` path; each cell's additions keep their order.  The
         # index is built for one chunk of rows at a time.
@@ -358,7 +358,7 @@ def prediction_joint(
         raise ValueError(f"step t must lie in 1..{truth.spec.T}")
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    for _, (_, state), weights, _ in prefix_expansion(truth, budget, predictor, last=t):
+    for _, _, (_, state), weights, _ in prefix_expansion(truth, budget, predictor, last=t, whole=True):
         pass
     return _joint(weights, predictor.rows(state), tau, t)
 

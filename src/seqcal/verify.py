@@ -354,7 +354,7 @@ def _memory_chain_holds(truth, full, comparator, est, budget, tolerance):
     # Jensen then caps H(Z|Y) by the same quantity.
     tilted = MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
     lhs_vals, ce_vals, hzy_vals = [], [], []
-    for t, (_, tilted_state), w, true_rows in prefix_expansion(truth, budget, tilted):
+    for t, _, (_, tilted_state), w, true_rows in prefix_expansion(truth, budget, tilted, whole=True):
         if t not in est.steps:
             continue
         mt_rows = tilted.rows(tilted_state)

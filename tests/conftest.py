@@ -27,6 +27,28 @@ def all_seqs(M, T):
     return list(itertools.product(range(M), repeat=T))
 
 
+def enumerate_sequences(M, T, budget=None):
+    """All length-T sequences in lexicographic order, shape (M**T, T)."""
+    (budget or seqcal.exact.DEFAULT_BUDGET).check(M**T, "sequence enumeration")
+    codes = np.arange(M**T, dtype=np.int64)
+    powers = M ** np.arange(T - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] // powers) % M
+
+
+def functional_values(f, seqs):
+    """The functional f at every row of an (n, T) token array, by direct scoring.
+
+    A table is indexed by each row's lexicographic code, and a
+    log-probability scores the rows with its model; the package itself
+    evaluates functionals only on its prefix lattice.
+    """
+    seqs = np.asarray(seqs, dtype=np.int64)
+    if f.kind == "table":
+        powers = f.spec.M ** np.arange(f.spec.T - 1, -1, -1, dtype=np.int64)
+        return f._checked(f.table[seqs @ powers])
+    return f._from_log_probs(f.model.seq_log_prob_batch(seqs))
+
+
 def model_probs(model):
     """{sequence tuple: probability} using only next_dist and Python math."""
     M, T = model.spec.M, model.spec.T

@@ -14,9 +14,15 @@ import pytest
 import seqcal as sc
 from seqcal.calibrate import tilted_variance_max
 from seqcal.cli import main as cli_main
-from seqcal.exact import FunctionalF, enumerate_sequences, sequence_log_probs
+from seqcal.exact import FunctionalF, sequence_log_probs
 
-from conftest import random_markov, random_pair, stationary_sharp_truth
+from conftest import (
+    enumerate_sequences,
+    functional_values,
+    random_markov,
+    random_pair,
+    stationary_sharp_truth,
+)
 from test_calibrate import grid_argmin_alpha
 
 
@@ -175,7 +181,7 @@ def test_criterion_6_gradient_curvature_checks():
         res = sc.fit_alpha_global(truth, mixture, f)
 
         lp_base = sequence_log_probs(mixture)
-        fv = f.values(enumerate_sequences(3, 4))
+        fv = functional_values(f, enumerate_sequences(3, 4))
         pw = np.exp(sequence_log_probs(truth))
         mu_true = float(np.dot(pw, fv))
         ce_term = -float(np.dot(pw, lp_base))

@@ -24,7 +24,6 @@ from seqcal.exact import (
     P_MIN,
     FunctionalF,
     _entropy_from_log_probs,
-    enumerate_sequences,
     logsumexp,
     prefix_expansion,
     sample_expansion,
@@ -35,6 +34,8 @@ from seqcal.models import _logsumexp_columns, _sum_columns
 
 from conftest import (
     all_seqs,
+    enumerate_sequences,
+    functional_values,
     heap_peak,
     model_probs,
     one_hot_model,
@@ -48,7 +49,7 @@ def global_objective_grid(truth, base, f, alphas):
     """Independent vectorized CE(truth || tilt_a) over an alpha grid."""
     spec = base.spec
     lp_base = sequence_log_probs(base)
-    fv = f.values(enumerate_sequences(spec.M, spec.T))
+    fv = functional_values(f, enumerate_sequences(spec.M, spec.T))
     pw = np.exp(sequence_log_probs(truth))
     mask = pw > 0.0
     mu_true = float(np.dot(pw, np.where(mask, fv, 0.0)))
@@ -508,13 +509,14 @@ class TestEntropyRateCalibration:
         # Every walk of sequence log-probabilities is one
         # `_log_prob_blocks` stream: `sequence_log_probs` collects one
         # into a vector, and the fit streams the truth's into its sums.
+        # A model reads a token array only through `_score` or
+        # `_state_at`, so the fit builds none if it calls neither.
         import seqcal.calibrate as cal
         import seqcal.exact as ex
 
-        walked, collected, calls = [], [], {"enumerate_sequences": 0, "values": 0}
-        real_blocks, real_walk, real_enum, real_values = (
-            ex._log_prob_blocks, ex.sequence_log_probs, ex.enumerate_sequences, ex.FunctionalF.values
-        )
+        walked, collected, token_reads = [], [], []
+        real_blocks, real_walk = ex._log_prob_blocks, ex.sequence_log_probs
+        real_score, real_state_at = sc.ConditionalModel._score, sc.ConditionalModel._state_at
 
         def counting_blocks(model, budget=None, out=None):
             walked.append(model)
@@ -524,19 +526,19 @@ class TestEntropyRateCalibration:
             collected.append(model)
             return real_walk(model, budget)
 
-        def counting_enum(*args, **kwargs):
-            calls["enumerate_sequences"] += 1
-            return real_enum(*args, **kwargs)
+        def counting_score(model, columns, n):
+            token_reads.append("_score")
+            return real_score(model, columns, n)
 
-        def counting_values(*args, **kwargs):
-            calls["values"] += 1
-            return real_values(*args, **kwargs)
+        def counting_state_at(model, contexts):
+            token_reads.append("_state_at")
+            return real_state_at(model, contexts)
 
         for module in (cal, ex):
             monkeypatch.setattr(module, "_log_prob_blocks", counting_blocks)
             monkeypatch.setattr(module, "sequence_log_probs", counting_walk)
-            monkeypatch.setattr(module, "enumerate_sequences", counting_enum, raising=False)
-        monkeypatch.setattr(ex.FunctionalF, "values", counting_values)
+        monkeypatch.setattr(sc.ConditionalModel, "_score", counting_score)
+        monkeypatch.setattr(sc.ConditionalModel, "_state_at", counting_state_at)
         truth, base = random_pair(rng, T=4, scale=0.3)
         tilted, _ = sc.calibrate_entropy_rate(truth, base, 0.05)
         mixture = tilted.base
@@ -544,7 +546,9 @@ class TestEntropyRateCalibration:
         assert [m is mixture for m in walked].count(True) == 1
         assert len(walked) == 2
         assert not any(m is truth for m in collected)
-        assert calls == {"enumerate_sequences": 0, "values": 0}
+        assert token_reads == []
+        # The token-array oracles live in the tests only.
+        assert not hasattr(ex, "enumerate_sequences") and not hasattr(ex.FunctionalF, "values")
 
     def test_rebuilt_model_has_bitwise_equal_levels(self, rng):
         truth, base = random_pair(rng, T=4, scale=0.3)
@@ -720,7 +724,7 @@ class TestObjectiveGeometry:
         truth, mixture, f, res = self._fit(rng)
         ce = lambda a: global_objective_grid(truth, mixture, f, [a])[0]  # noqa: E731
         pw = np.exp(sequence_log_probs(truth))
-        fv = f.values(enumerate_sequences(3, 4))
+        fv = functional_values(f, enumerate_sequences(3, 4))
         mu_true = float(np.dot(pw, fv))
         for off in (-1.0, -0.4, 0.4, 1.0):
             a = res.alpha_star + off
@@ -758,7 +762,7 @@ def _mu_bar(truth, feature_base, sampler):
     """(1/T) sum_t E_{ctx~truth} E_{w_t~sampler}[lookahead entropy]."""
     M, T = truth.spec.M, truth.spec.T
     total = 0.0
-    levels = {t: w for t, _states, w, _rows in prefix_expansion(truth)}
+    levels = {t: w for t, _lo, _states, w, _rows in prefix_expansion(truth, whole=True)}
     for t in range(1, T + 1):
         ctx, w = enumerate_sequences(M, t - 1), levels[t]
         rows = sampler.next_dist_batch(ctx)
@@ -875,7 +879,7 @@ class TestStepProblemLayout:
                 # row formula: log rows + alpha * feats, less the logsumexp.
                 model = (sc.LocalTiltModel(base, alpha) if kind == "local" else
                          sc.MemoryTiltModel(base, comparator, alpha, active_steps=active))
-                for t, states, _, _ in prefix_expansion(truth, None, model):
+                for t, _, states, _, _ in prefix_expansion(truth, None, model, whole=True):
                     if (t < T) if kind == "local" else (t in active):
                         base_rows, feats = model._step(states[-1])
                         with np.errstate(divide="ignore"):
@@ -938,13 +942,13 @@ def _whole_level_problem(target, tilt):
     T = tilt.spec.T
     active = range(1, T + 1) if tilt.active_steps is None else tilt.active_steps
     if isinstance(target, sc.ConditionalModel):
-        walk = prefix_expansion(target, None, tilt)
+        walk = prefix_expansion(target, None, tilt, whole=True)
     else:
         walk = sample_expansion(target, tilt)
     log_rows, feats, weights, obs, spans = [], [], [], [], {}
     xent_sum = target_sum = 0.0
     start = 0
-    for t, states, w, true_rows in walk:
+    for t, _, states, w, true_rows in walk:
         base_rows, f = tilt._step(states[-1])
         with np.errstate(divide="ignore"):
             lr = np.log(base_rows)
@@ -968,11 +972,11 @@ def _whole_level_problem(target, tilt):
 def _whole_level_ce(target, tilt):
     """Each active level's comparator CE, and its per-context sums, from whole levels."""
     if isinstance(target, sc.ConditionalModel):
-        walk = prefix_expansion(target, None, tilt)
+        walk = prefix_expansion(target, None, tilt, whole=True)
     else:
         walk = sample_expansion(target, tilt)
     ce = {}
-    for t, states, w, true_rows in walk:
+    for t, _, states, w, true_rows in walk:
         if t in tilt.active_steps:
             with np.errstate(divide="ignore", invalid="ignore"):
                 mass = w[:, None] * true_rows

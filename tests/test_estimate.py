@@ -245,13 +245,13 @@ class TestDriftCurveExact:
         seeder = random_markov(rng, 2, 5, 1)
         model = sc.DriftModel(random_markov(rng, 2, 5, 1), 0.3)
         calls = []
-        walk = seqcal.estimate._prefix_blocks
+        walk = seqcal.estimate.prefix_expansion
 
         def counted(*args, **kwargs):
             calls.append(args)
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(seqcal.estimate, "_prefix_blocks", counted)
+        monkeypatch.setattr(seqcal.estimate, "prefix_expansion", counted)
         model_steps = count_calls(model.base, "step", "advance")
         seeder_steps = count_calls(seeder, "step", "advance")
         sc.drift_curve_exact(model, seed_model=seeder, prefix_len=prefix_len)
@@ -305,7 +305,8 @@ class TestDriftCurveExact:
             model = sc.LocalTiltModel(model, -0.7)
         walk = model if prefix_len == 0 else seqcal.estimate._SeededWalk(model, seeder, prefix_len)
         expected = [math.fsum((weights * sc.row_entropies(rows)).tolist())
-                    for t, _, weights, rows in sc.exact.prefix_expansion(walk, None, last=t_max)
+                    for t, _, _, weights, rows in sc.exact.prefix_expansion(walk, None, last=t_max,
+                                                                            whole=True)
                     if t > prefix_len]
         for block in (1, 5, 2 * M**2 + 1, 2**14):
             monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from seqcal.exact import (
     FunctionalF,
     _conditional_entropy,
     _ConditionalMi,
+    _Fsum,
     _cross_entropy_from_log_probs,
     _entropy_from_log_probs,
     _fsum,
     _kl_from_log_probs,
     _support_fsum,
-    enumerate_sequences,
     log_partition_exact,
     logsumexp,
     prefix_expansion,
@@ -27,11 +28,14 @@ from seqcal.exact import (
 
 from conftest import (
     all_seqs,
+    assert_states_equal,
     conditional_entropy_oracle,
     cross_entropy_oracle,
     entropy_oracle,
+    enumerate_sequences,
     heap_peak,
     kl_oracle,
+    model_of_kind,
     model_probs,
     one_hot_model,
     random_markov,
@@ -431,7 +435,7 @@ class TestWalkHeap:
 def _level_by_level_log_probs(model):
     """log P(w) for every sequence, adding each whole level's log rows."""
     lp = np.zeros(1)
-    for _t, _states, _weights, rows in prefix_expansion(model):
+    for _t, _lo, _states, _weights, rows in prefix_expansion(model, whole=True):
         with np.errstate(divide="ignore"):
             lp = (lp[:, None] + np.log(rows)).reshape(-1)
     return lp
@@ -644,8 +648,16 @@ class TestFsum:
         assert_fsum_matches(x)
 
 
+def _fsum_of_pieces(pieces):
+    """One `_Fsum` given the pieces in turn."""
+    total = _Fsum()
+    for piece in pieces:
+        total.add(piece)
+    return total.value()
+
+
 class TestStreamingFsum:
-    """`_fsum` of an iterator of arrays is math.fsum of their concatenation."""
+    """`_Fsum` given arrays one at a time is math.fsum of their concatenation."""
 
     @settings(max_examples=80)
     @given(
@@ -676,7 +688,7 @@ class TestStreamingFsum:
                 at = rng.integers(0, x.size - len(special) + 1)
                 x[at:at + len(special)] = special
         as_list = np.concatenate(pieces).tolist()
-        assert _fsum_outcome(lambda p: _fsum(iter(p)), pieces) == _fsum_outcome(math.fsum, as_list)
+        assert _fsum_outcome(_fsum_of_pieces, pieces) == _fsum_outcome(math.fsum, as_list)
 
     def test_pieces_may_reuse_one_buffer(self):
         # A caller may refill the array it passed; from a value that is not
@@ -692,7 +704,7 @@ class TestStreamingFsum:
                 buf[:] = row
                 yield buf
 
-        assert _fsum_outcome(_fsum, refilled()) == _fsum_outcome(
+        assert _fsum_outcome(_fsum_of_pieces, refilled()) == _fsum_outcome(
             math.fsum, values.ravel().tolist()
         )
 
@@ -700,7 +712,7 @@ class TestStreamingFsum:
         for pieces in ([np.full(3, -0.0), np.full(_FSUM_BLOCK + 1, -0.0)],
                        [np.full(3, -0.0), np.zeros(0), np.full(2, 0.0)]):
             expected = math.fsum(np.concatenate(pieces).tolist())
-            assert _fsum(iter(pieces)).hex() == expected.hex()
+            assert _fsum_of_pieces(pieces).hex() == expected.hex()
 
 
 def _layout(x: np.ndarray, layout: str) -> np.ndarray:
@@ -758,15 +770,115 @@ class TestPrefixExpansion:
     def test_last_level_cuts_the_full_walk(self, rng):
         truth = random_markov(rng, 3, 4, 2)
         others = (sc.LocalTiltModel(truth.perturbed(rng, 0.3), 0.7), random_markov(rng, 3, 4, 1))
-        full = list(prefix_expansion(truth, None, *others))
+        full = list(prefix_expansion(truth, None, *others, whole=True))
         for last in range(1, 5):
-            cut = list(prefix_expansion(truth, None, *others, last=last))
+            cut = list(prefix_expansion(truth, None, *others, last=last, whole=True))
             assert [level[0] for level in cut] == list(range(1, last + 1))
-            for (t, states, weights, rows), level in zip(cut, full):
-                assert t == level[0]
-                assert _same_state(states, level[1])
-                assert np.array_equal(weights, level[2])
-                assert np.array_equal(rows, level[3])
+            for (t, lo, states, weights, rows), level in zip(cut, full):
+                assert (t, lo) == (level[0], 0)
+                assert _same_state(states, level[2])
+                assert np.array_equal(weights, level[3])
+                assert np.array_equal(rows, level[4])
+
+
+# Model kinds whose walks the one-walk properties cover.
+_WALKED_KINDS = ["markov", "mixture-0.3", "per_token_mixture", "drift-1/T", "local_tilt",
+                 "global_tilt"]
+_last_levels = st.integers(1, 5).flatmap(lambda T: st.tuples(st.just(T), st.integers(1, T)))
+
+
+def _reference_levels(models, last, log):
+    """Each level's (states, weights, rows), from the models' own rows and advance, level by level."""
+    states = tuple(m.init_state(1) for m in models)
+    weights = np.zeros(1) if log else np.ones(1)
+    for t in range(1, last + 1):
+        rows = models[0].rows(states[0])
+        yield states, weights, rows
+        if t < last:
+            with np.errstate(divide="ignore"):
+                grown = weights[:, None] + np.log(rows) if log else weights[:, None] * rows
+            weights = grown.reshape(-1)
+            states = tuple(m.advance(s, None) for m, s in zip(models, states))
+
+
+def _joined(states):
+    """One state from consecutive pieces' states: each array concatenated along its prefixes."""
+    first = states[0]
+    if isinstance(first, tuple):
+        return tuple(_joined([s[i] for s in states]) for i in range(len(first)))
+    if isinstance(first, np.ndarray):
+        return np.concatenate(states)
+    assert all(s == first for s in states)
+    return first
+
+
+def _walk(model, *others, block, **kwargs):
+    """`prefix_expansion`'s pieces, blocked at `block` values, or whole levels if `block` is None.
+
+    Whole levels are walked with blocks of one value, which they ignore.
+    """
+    with mock.patch.object(sc.exact, "_TAIL_BLOCK", block or 1):
+        return list(prefix_expansion(model, None, *others, whole=block is None, **kwargs))
+
+
+class TestOneWalk:
+    """Both modes of the one walk yield each level's prefixes in order, bitwise.
+
+    At any block size, and in whole levels, each level's pieces tile it
+    contiguously, with the states, weights and rows of a level-by-level
+    walk of the models' own rows and advance; and the log-weights
+    extended by the last level's log rows are every sequence's
+    chain-rule log-probability.
+    """
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+    @settings(max_examples=10)
+    @given(cut=st.integers(0, 4), kind=st.sampled_from(_WALKED_KINDS), log=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_pieces_tile_each_level(self, M, T, cut, kind, log, seed):
+        last = max(T - cut, 1)
+        rng = np.random.default_rng(seed)
+        models = (model_of_kind(kind, rng, M, T), random_markov(rng, M, T, 1))
+        expected = list(_reference_levels(models, last, log))
+        for block in (1, 5, 2 * M**2 + 1, None):
+            pieces = _walk(*models, block=block, last=last, log=log)
+            levels = [[piece for piece in pieces if piece[0] == t] for t in range(1, last + 1)]
+            assert sum(map(len, levels)) == len(pieces)
+            if block is None:
+                assert [len(level) for level in levels] == [1] * last
+            for level, (states, weights, rows) in zip(levels, expected):
+                ends = np.cumsum([piece[3].shape[0] for piece in level]).tolist()
+                assert [piece[1] for piece in level] == [0, *ends[:-1]]
+                assert ends[-1] == weights.shape[0]
+                assert_states_equal(_joined([piece[2] for piece in level]), states)
+                assert np.concatenate([piece[3] for piece in level]).tobytes() == weights.tobytes()
+                assert np.concatenate([piece[4] for piece in level]).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+    @settings(max_examples=12)
+    @given(kind=st.sampled_from(_WALKED_KINDS), block=st.sampled_from([1, 5, None]),
+           seed=st.integers(0, 2**16))
+    def test_log_weights_extend_to_each_sequence_log_prob(self, M, T, kind, block, seed):
+        model = model_of_kind(kind, np.random.default_rng(seed), M, T)
+        with np.errstate(divide="ignore"):
+            lp = np.concatenate([(weights[:, None] + np.log(rows)).reshape(-1)
+                                 for t, _, _, weights, rows in _walk(model, block=block, log=True)
+                                 if t == T])
+        assert lp.tobytes() == model.seq_log_prob_batch(enumerate_sequences(M, T)).tobytes()
+
+    @settings(max_examples=40)
+    @given(M=st.integers(2, 4), T_last=_last_levels, whole=st.booleans())
+    def test_budget_of_the_last_level_exactly(self, M, T_last, whole):
+        # A walk to level `last` enumerates M**last states; one fewer is
+        # refused when the walk is made, before any piece.
+        T, last = T_last
+        model = sc.MarkovModel.uniform(sc.make_spec(M, T), 1)
+        walk = prefix_expansion(model, sc.EnumerationBudget(M**last), last=last, whole=whole)
+        assert list(walk)[-1][0] == last
+        with pytest.raises(sc.BudgetExceededError, match=f"needs {M**last} states"):
+            prefix_expansion(model, sc.EnumerationBudget(M**last - 1), last=last, whole=whole)
 
 
 class TestSampleExpansion:
@@ -775,7 +887,8 @@ class TestSampleExpansion:
         samples = truth.sample_batch(50, rng)
         levels = list(sample_expansion(samples, truth))
         assert [level[0] for level in levels] == [1, 2, 3, 4]
-        for t, (state,), weights, rows in levels:
+        for t, lo, (state,), weights, rows in levels:
+            assert lo == 0
             np.testing.assert_array_equal(weights, np.full(50, 1 / 50))
             np.testing.assert_array_equal(rows.sum(axis=1), np.ones(50))
             np.testing.assert_array_equal(rows.argmax(axis=1), samples[:, t - 1])

@@ -61,3 +61,34 @@ def test_reads_every_form_of_package_import():
         "    from seqcal import verify\n"
     )
     assert _package_imports(source) == {"models", "exact", "memory", "cli", "rng", "verify"}
+
+
+def _names(tree) -> set:
+    """Every name a module's source reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_one_lattice_walk():
+    # `exact._grow` grows every lattice, and only `prefix_expansion` runs
+    # it; no other module reaches into the walk's growth or its blocks.
+    # So a second lattice loop fails here, as a wrong import does above.
+    tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
+    callers = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name != "_grow" and "_grow" in _names(node)
+    }
+    assert callers == {"prefix_expansion"}
+    outside = [node for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert not any("_grow" in _names(node) for node in outside)
+    for name in set(LAYERS) - {"exact"}:
+        source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+        assert not {"_grow", "_state_slice"} & _names(ast.parse(source)), name

@@ -7,7 +7,6 @@ import seqcal as sc
 from seqcal.calibrate import _StepTiltProblem, _fit_step
 from seqcal.exact import (
     conditional_mi_exact,
-    enumerate_sequences,
     prefix_expansion,
     sample_expansion,
     sequence_log_probs,
@@ -19,6 +18,7 @@ from conftest import (
     all_seqs,
     conditional_entropy_oracle,
     count_calls,
+    enumerate_sequences,
     heap_peak,
     random_markov,
     random_pair,
@@ -30,7 +30,7 @@ def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1
     alphas = np.arange(lo, hi + step / 2, step)
     total = np.zeros_like(alphas)
     for t in steps:
-        *_, (_, _, w, _) = prefix_expansion(truth, sc.EnumerationBudget(), last=t)
+        *_, (_, _, _, w, _) = prefix_expansion(truth, sc.EnumerationBudget(), last=t, whole=True)
         ctx = enumerate_sequences(truth.spec.M, t - 1)
         true_rows = truth.next_dist_batch(ctx)
         log_full = np.log(full.next_dist_batch(ctx))
@@ -83,9 +83,9 @@ class TestFitLimitedMemory:
         smoothing = 0.1 / 400 if sample else 0.0
         for window in (1, 2, 3):
             tail = sc.MarkovModel.uniform(truth.spec, min(window, T - 1))
-            walk = sample_expansion(samples, tail) if sample else prefix_expansion(truth, None, tail)
+            walk = sample_expansion(samples, tail) if sample else prefix_expansion(truth, None, tail, whole=True)
             acc = [np.zeros((M**ell, M)) for ell in range(tail.order + 1)]
-            for t, states, weights, rows in walk:
+            for t, _, states, weights, rows in walk:
                 table = acc[min(tail.order, t - 1)]
                 for code, w, row in zip(states[-1][1].tolist(), weights, rows):
                     table[code] += w * row
@@ -319,7 +319,7 @@ class TestMemoryBound:
         steps = res.extras["active_steps"]
         lhs, ce, hzy = [], [], []
         for t in steps:
-            *_, (_, _, w, _) = prefix_expansion(truth, sc.EnumerationBudget(), last=t)
+            *_, (_, _, _, w, _) = prefix_expansion(truth, sc.EnumerationBudget(), last=t, whole=True)
             ctx = enumerate_sequences(truth.spec.M, t - 1)
             mt_rows = tilted.next_dist_batch(ctx)
             comp_rows = comparator.next_dist_batch(ctx)
@@ -559,8 +559,8 @@ class TestBoundFromTheFitsWalk:
         if case == "sample":
             walk = sample_expansion(target, tilted)
         else:
-            walk = prefix_expansion(truth, None, tilted)
-        for t, states, weights, true_rows in walk:
+            walk = prefix_expansion(truth, None, tilted, whole=True)
+        for t, _, states, weights, true_rows in walk:
             if t not in steps:
                 continue
             state = states[-1]
@@ -591,9 +591,9 @@ def _whole_level_report(target, tilted, steps, tau):
     masked formula.  (The h-terms are kept in sample mode only.)
     """
     sample = not isinstance(target, sc.ConditionalModel)
-    walk = sample_expansion(target, tilted) if sample else prefix_expansion(target, None, tilted)
+    walk = sample_expansion(target, tilted) if sample else prefix_expansion(target, None, tilted, whole=True)
     report, h_seq = {}, 0.0
-    for t, states, weights, true_rows in walk:
+    for t, _, states, weights, true_rows in walk:
         if t not in steps:
             continue
         rows = tilted.rows(states[-1])

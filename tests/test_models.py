@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import seqcal as sc
 from seqcal.exact import (
-    enumerate_sequences,
     prefix_expansion,
     sample_expansion,
     sequence_log_probs,
@@ -20,6 +19,7 @@ from conftest import (
     all_seqs,
     assert_states_equal,
     count_calls,
+    enumerate_sequences,
     model_of_kind,
     model_probs,
     one_hot_model,
@@ -724,8 +724,8 @@ class TestDeterministicBinary:
             samples = model.sample_batch(n, gen)
             np.testing.assert_array_equal(samples, support)
         exact_means, sample_means = [], []
-        walks = zip(prefix_expansion(model), sample_expansion(samples, model))
-        for (t, _, weights, rows), (_, states, s_weights, s_rows) in walks:
+        walks = zip(prefix_expansion(model, whole=True), sample_expansion(samples, model))
+        for (t, _, _, weights, rows), (_, _, states, s_weights, s_rows) in walks:
             positive = np.flatnonzero(weights > 0.0)
             code = int("0" + "".join(map(str, self.SUPPORT[: t - 1])), 2)
             np.testing.assert_array_equal(positive, [code])
