@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,19 +133,21 @@ def cross_entropy_mc(
         raise ValueError("models must share the same sequence spec")
     T = q.spec.T
     replay = copy.deepcopy(rng)
-    steps = p_sampler._generate(p_sampler.init_state(n), 0, rng)
-    vals = -q._score((tokens for _, _, tokens in steps), n) / T
+    # Only the tokens are taken from each step, so its rows are freed
+    # before q scores them.
+    tokens = map(itemgetter(2), p_sampler._generate(p_sampler.init_state(n), 0, rng))
+    vals = -q._score(tokens, n) / T
     prov = dict(provenance or {})
     prov.setdefault("q_model_hash", _try_model_hash(q))
     if np.any(np.isinf(vals)):
         bad = int(np.flatnonzero(np.isinf(vals))[0])
-        steps = p_sampler._generate(p_sampler.init_state(n), 0, replay)
+        tokens = map(itemgetter(2), p_sampler._generate(p_sampler.init_state(n), 0, replay))
         return McEstimate(
             value=math.inf,
             stderr=math.inf,
             n_samples=n,
             infinite=True,
-            offending=tuple(int(tokens[bad]) for _, _, tokens in steps),
+            offending=tuple(int(step_tokens[bad]) for step_tokens in tokens),
             provenance=prov,
         )
     # Shift before the variance: exact zero spread for a constant
@@ -174,6 +177,12 @@ def drift_curve(
     over generations.  The first measured step sits right after the seed,
     so its context is entirely real.  The final step is the asymptote
     proxy (``t_max``).
+
+    Each step's moments are summed as it is drawn, one generation at a
+    time (``np.cumsum``) as numpy reduces axis 0 of the C-ordered
+    (n_gen, steps) entropy matrix: means and stderrs are bitwise its
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1) / sqrt(n_gen)``, except
+    on a one-step curve, whose column numpy sums pairwise.
     """
     if n_gen < 2:
         raise ValueError("need at least 2 generations")
@@ -192,16 +201,19 @@ def drift_curve(
         policy = f"cyclic({pfx.shape[0]} prefixes, length {pfx.shape[1]})"
 
     start = seeds.shape[1]
-    ent = np.empty((n_gen, T - start))
-    for t, rows, _ in model._generate(model._state_at(seeds), start, rng):
-        ent[:, t - start] = row_entropies(rows)
+    means, squares = np.empty(T - start), np.empty(T - start)
+    rows = map(itemgetter(1), model._generate(model._state_at(seeds), start, rng))
+    for k, ent in enumerate(map(row_entropies, rows)):
+        # numpy's sum starts from +0.0, so all -0.0 entropies sum to +0.0.
+        means[k] = mean = (np.cumsum(ent)[-1] + 0.0) / n_gen
+        squares[k] = np.cumsum(np.square(ent - mean))[-1]
 
     prov = dict(provenance or {})
     prov.setdefault("model_hash", _try_model_hash(model))
     return DriftCurve(
         steps=np.arange(start + 1, T + 1),
-        means=ent.mean(axis=0),
-        stderrs=ent.std(axis=0, ddof=1) / math.sqrt(n_gen),
+        means=means,
+        stderrs=np.sqrt(squares / (n_gen - 1)) / math.sqrt(n_gen),
         n_generations=n_gen,
         prefix_policy=policy,
         t_max=T,

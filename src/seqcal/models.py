@@ -46,6 +46,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -179,6 +180,7 @@ def _sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     for j in range(M):
         cdf += rows[:, j]
         count += np.less_equal(cdf, u, out=below)
+    del u, cdf  # freed before the tokens are allocated
     idx = count.astype(np.int64)
     over = np.flatnonzero(idx == M)
     idx[over] = M - 1 - np.argmax(rows[over, ::-1] > 0.0, axis=1)
@@ -311,7 +313,7 @@ class ConditionalModel(ABC):
             p, state = self.step(state, tokens)
             with np.errstate(divide="ignore"):
                 total += np.log(p)
-            del p  # not held through the next step
+            del p, tokens  # not held through the next step
         return total
 
     def _generate(self, state, start: int, rng: np.random.Generator):
@@ -322,15 +324,17 @@ class ConditionalModel(ABC):
         inverting the CDF in ascending token-id order with one
         ``rng.random(n)`` per step, so results are reproducible across
         platforms for a fixed generator state.  Nothing is stored: the
-        caller keeps what it needs of each step.
+        caller keeps what it needs of each step.  The rows leave this frame
+        before the yield, so a yielded rows array lives as long as the caller holds it.
         """
         T = self.spec.T
         for t in range(start, T):
-            rows = self.rows(state)
-            tokens = _sample_rows(rows, rng)
-            yield t, rows, tokens
+            rows = [self.rows(state)]
+            tokens = _sample_rows(rows[0], rng)
+            yield t, rows.pop(), tokens
             if t + 1 < T:
                 state = self.advance(state, tokens)
+            del tokens  # not held through the next draw
 
     def sample_batch(
         self, n: int, rng: np.random.Generator, prefix=None
@@ -347,7 +351,8 @@ class ConditionalModel(ABC):
             pfx = self._check_context(prefix)  # enforces length < T
             start = pfx.size
             out[:, :start] = pfx
-        for t, _, tokens in self._generate(self._state_at(out[:, :start]), start, rng):
+        steps = self._generate(self._state_at(out[:, :start]), start, rng)
+        for t, tokens in enumerate(map(itemgetter(2), steps), start):
             out[:, t] = tokens
         return out
 
@@ -651,7 +656,11 @@ class DriftModel(ConditionalModel):
         if tokens is None:
             beta_f = beta_f[:, None]
         num = beta_f * pf
-        den = num + (1.0 - beta_f) / self.spec.M
+        # den in one buffer.  (beta_f - 1) / -M is (1 - beta_f) / M but for
+        # the sign of a zero, which adding num >= 0 drops.
+        den = beta_f - 1.0
+        den /= -self.spec.M
+        den = num + den if tokens is None else np.add(num, den, out=den)
         # den is 0 only where both of its nonnegative terms are, so num is
         # already the 0 that q takes there.
         q = np.divide(num, den, out=num, where=den > 0.0)

@@ -365,6 +365,16 @@ class TestMinimizeConvex:
         with pytest.raises(sc.CalibrationDivergenceError, match=re.escape(toward)):
             _minimize_convex(_lse_problem(f, w, mu), self.stop)
 
+    def test_open_bracket_moves_out_by_max_of_x_and_1(self):
+        # With f in {0, 1} and mu = 0.8, Newton's step at 0 is 0.3 / 0.25
+        # = 1.2, not under max(|0|, 1), so the first move is outward to 1;
+        # Newton's step there, 0.35, is taken, and the fit ends at log 4.
+        problem = _lse_problem([0, 1], [1, 1], 0.8)
+        assert problem(0.0)["g"] / problem(0.0)["c"] == pytest.approx(-1.2, abs=1e-15)
+        x, trace = self.minimize([0, 1], [1, 1], 0.8)
+        assert [i["alpha"] for i in trace[:3]] == [0.0, 1.0, 1.0 - trace[1]["g"] / trace[1]["c"]]
+        assert x == pytest.approx(math.log(4.0), abs=1e-12)
+
     def test_one_sided_newton_at_zero_tolerance_stops_at_the_resolution(self):
         # With f in {0, 50} and mu below the mean 25, the gradient is
         # convex on the way down, so Newton's iterates approach the root

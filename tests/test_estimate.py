@@ -1,5 +1,6 @@
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ class TestCrossEntropyMc:
         assert est.infinite and len(est.offending) == spec.T
         assert peak < 2**20
 
+    def test_sampled_rows_are_dead_when_the_scorer_steps(self, rng, monkeypatch):
+        # Only the tokens of a step are passed on, so neither the sampler's
+        # suspended frame nor the token stream keeps that step's rows.
+        p = random_markov(rng, 3, 6, 2)
+        q = sc.DriftModel(random_markov(rng, 3, 6, 1), 0.2)
+        refs, scored = [], []
+
+        def rows(state, _rows=p.rows):
+            out = _rows(state)
+            refs.append(weakref.ref(out))
+            return out
+
+        def step(state, tokens, _step=q.step):
+            scored.append([ref() is None for ref in refs])
+            return _step(state, tokens)
+
+        monkeypatch.setattr(p, "rows", rows)
+        monkeypatch.setattr(q, "step", step)
+        sc.cross_entropy_mc(p, q, 64, sc.named_stream(3, "mc"))
+        assert scored == [[True] * t for t in range(1, 7)]
+
     def test_memory_does_not_grow_with_n_times_T(self, rng):
         # An (n, T) int64 sample here is 4 MB; the streamed estimate keeps
         # only a few length-n arrays per step.
@@ -153,6 +175,38 @@ class TestDriftCurve:
         assert np.array_equal(curve.means, ent.mean(axis=0))
         assert np.array_equal(curve.stderrs, ent.std(axis=0, ddof=1) / math.sqrt(n))
         assert stream.random() == materialized.random()
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("n_gen", [2, 7, 33, 512])
+    @pytest.mark.parametrize("kind", ["drift-0.2", "mixture-0.3", "one_hot"])
+    def test_streamed_moments_are_bitwise_the_matrix_formula(self, kind, n_gen, seeded):
+        # The oracle replays the draw and stacks the (n_gen, steps) entropy
+        # matrix.  Bytes are compared, so the sign of a zero counts: a
+        # one-hot row's entropy is -0.0, and numpy sums those to +0.0.
+        M, T = 3, 6
+        rng = np.random.default_rng(n_gen)
+        spec = sc.make_spec(M, T)
+        model = one_hot_model(spec) if kind == "one_hot" else model_of_kind(kind, rng, M, T)
+        pool = rng.integers(0, M, size=(5, 2)) if seeded else np.empty((1, 0), dtype=np.int64)
+        stream = sc.named_stream(8, "drift")
+        replay = copy.deepcopy(stream)
+        curve = sc.drift_curve(model, n_gen, stream, prefixes=pool if seeded else None)
+        seeds = pool[np.arange(n_gen) % len(pool)]
+        steps = model._generate(model._state_at(seeds), seeds.shape[1], replay)
+        ent = np.stack([sc.row_entropies(rows) for _, rows, _ in steps], axis=1)
+        assert ent.shape == (n_gen, T - seeds.shape[1])
+        assert curve.means.tobytes() == ent.mean(axis=0).tobytes()
+        assert curve.stderrs.tobytes() == (ent.std(axis=0, ddof=1) / math.sqrt(n_gen)).tobytes()
+        assert stream.random() == replay.random()
+
+    def test_heap_does_not_grow_with_T(self, rng):
+        # The (n_gen, T) entropy matrix here is 4 MB; the streamed curve
+        # keeps two length-T vectors and one step's length-n_gen arrays.
+        spec = sc.make_spec(4, 512)
+        model = sc.DriftModel(sc.MarkovModel.random(spec, 2, rng, concentration=0.8), 0.01)
+        curve, peak = heap_peak(lambda: sc.drift_curve(model, 1024, sc.named_stream(2, "drift")))
+        assert curve.means.shape == (512,)
+        assert peak < 2**19
 
     def test_stationary_self_generation_is_flat(self, rng):
         truth = stationary_sharp_truth(sc.make_spec(3, 8), rng)

@@ -218,6 +218,22 @@ class TestMemoryBound:
         assert est.bound >= -1e-9
         assert est.valid
 
+    @pytest.mark.parametrize("shift, valid", [(0.0, True), (-5e-7, True), (5e-7, False)])
+    def test_valid_forgives_rounding_only(self, monkeypatch, shift, valid):
+        # A truth that is its own window-1 marginal has bound 0 up to
+        # rounding (here -1.1e-16); raising each conditional entropy by
+        # 5e-7 lowers the bound by as much, which is past rounding.
+        truth = sc.fit_limited_memory(random_markov(np.random.default_rng(1), 2, 5, 2), 1)
+        comparator = sc.fit_limited_memory(truth, 1)
+        monkeypatch.setattr(sc.memory, "row_entropies", lambda rows: row_entropies(rows) + shift)
+        est = sc.memory_bound(truth, truth, comparator)
+        assert est.alpha_star == 0.0
+        if shift == 0.0:
+            assert -1e-15 < est.bound < 0.0
+        else:
+            assert est.bound == pytest.approx(-shift, abs=1e-15)
+        assert est.valid is valid
+
     def test_bound_dominates_exact_mi(self, rng):
         for _ in range(20):
             truth = random_markov(rng, 2, int(rng.integers(4, 7)), 2)
