@@ -24,7 +24,7 @@ base after appending the candidate token; the lookahead feature is 0 at
 the final step, where no next step exists.
 
 A per-step fit takes the tilt model as its only specification (rows,
-feature, fitted steps, descriptor) and returns it at the fitted
+problem build, fitted steps, descriptor) and returns it at the fitted
 exponent, so the report describes the returned model.  It has an exact
 and a sample-average mode.  The sample mode is the exact routine run on
 :func:`seqcal.exact.sample_expansion`, the lattice of the sample's
@@ -37,6 +37,7 @@ pyramid included, is a short-axis kernel of :mod:`seqcal.models`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import asdict, dataclass, field
@@ -422,9 +423,28 @@ class LocalTiltModel(ConditionalModel):
         base_rows, feats, children = self._lookahead(base_state)
         return _tilt_rows(base_rows, feats, self.alpha), (t + 1, children)
 
-    def _feature_period(self, t: int) -> int | None:
-        """0: step t's feature is identically 0 (the final step); else None, no known period."""
-        return 0 if t == self.spec.T else None
+    def _problem(self, target, budget=None, min_samples=1000) -> "_StepTiltProblem":
+        """The per-step problem of this tilt, each context's feature read off the walk; step T is folded."""
+        T = self.spec.T
+        exact_mode = isinstance(target, ConditionalModel)
+        pieces = prefix_expansion(target, budget, self) if exact_mode else sample_expansion(target, self)
+        walk = _StepTiltProblem(target, self.spec, range(1, T), min_samples)
+        feats = {t: np.empty_like(log_rows) for t, log_rows in walk.log_rows.items()}
+        target_feats = np.zeros(walk.weights.shape[0])
+
+        def read(cols, t, lo, states, weights, true_rows):
+            base_rows, f = self._step(states[-1])
+            if t in feats:
+                feats[t][:, lo:lo + f.shape[0]] = f.T
+                target_feats[cols] = _sum_columns((true_rows * f).T)
+            return base_rows
+
+        walk.run(pieces, read)
+        target_feat_sum = 0.0
+        for span in walk.spans.values():
+            target_feat_sum += _dot(walk.weights[span], target_feats[span])
+        obs_feats = None if walk.n_seqs is None else target_feats.reshape(T, walk.n_seqs)
+        return walk.tilted_by(self, feats, target_feat_sum, obs_feats)
 
     def _fit_extras(self, tables) -> dict:
         return {}
@@ -564,95 +584,77 @@ def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
     return np.exp(logits, out=logits), log_z
 
 
+def _active_steps(tilt) -> frozenset:
+    """The steps a per-step tilt fits: its ``active_steps``, or every step for None."""
+    T = tilt.spec.T
+    active = frozenset(range(1, T + 1)) if tilt.active_steps is None else tilt.active_steps
+    if not active or not active.issubset(range(1, T + 1)):
+        raise ValueError("active_steps must be a nonempty subset of 1..T")
+    return active
+
+
 class _StepTiltProblem:
     """The per-step problem of a tilt against a truth model or samples.
 
-    Walks ``prefix_expansion(target, budget, tilt)`` (exact) or
-    ``sample_expansion(target, tilt)`` (sample-average over the n
-    sequences) once, reading the base rows and the feature from
-    ``tilt._step`` and the fitted steps from ``tilt.active_steps`` (None
-    for every step).  `observe`, if given, wraps the walk of its pieces,
-    so a caller can read each piece as it passes.
-
-    The N contexts of all steps are columns, step t's in ``spans[t]``,
-    with (N,) ``weights``.  A step whose feature is identically 0
-    (inactive, or ``tilt._feature_period(t) == 0``) is folded: only its
-    log Z, ``log_z0[t]``, is kept, and its probe moments are 0.  A tilted
-    step keeps its log base rows ``log_rows[t]``, C-contiguous (M, n_t),
-    and its features as an (M, P_t) table ``feats[t]`` read at column c
-    mod P_t: P_t is the tilt's period on the exact lattice, else n_t, and
-    every walked piece is checked against the table.  Each piece writes
-    its columns of arrays allocated before the walk.  Every per-context
-    reduction is :func:`_sum_columns`, bitwise the row-layout sum, and a
-    probe runs over blocks of `_TAIL_BLOCK` values.
-    Beside them: the target feature moments -- either exact conditional
-    means under the truth or realized values from samples -- summed one
-    step at a time.  In sample mode the target's rows are the realised
-    tokens, so its per-context feature means are the realised features;
-    they are kept for the gradient's standard error.
+    One walk of the target, ``prefix_expansion`` (exact) or
+    ``sample_expansion`` (sample-average over the n sequences), is read
+    once by :meth:`run`.  The N contexts of all steps are columns, step
+    t's in ``spans[t]``, with (N,) ``weights``; ``xent_sum`` is -sum of
+    the target's mass times the log base rows, one dot product per step
+    over its whole span.  A step of `tilted` keeps its log base rows
+    ``log_rows[t]``, C-contiguous (M, n_t), any other only their log Z,
+    ``log_z0[t]``; each piece writes its columns of arrays allocated
+    before the walk.  :meth:`tilted_by` gives the problem of a tilt
+    fitted on its ``active_steps`` (None for every step): a step with
+    features keeps its log rows and an (M, P_t) table ``feats[t]`` read
+    at column c mod P_t; any other is folded, its feature identically 0,
+    so only its log Z is kept and its probe moments are 0.  With the
+    features come the target feature sum and, in sample mode, the (T, n)
+    realized features for the gradient's standard error.  Every
+    per-context reduction is :func:`_sum_columns`, bitwise the row-layout
+    sum, and a probe runs over blocks of `_TAIL_BLOCK` values.
     """
 
-    def __init__(self, target, tilt, budget=None, min_samples=1000, observe=None):
-        M, T = tilt.spec.M, tilt.spec.T
-        active = frozenset(range(1, T + 1)) if tilt.active_steps is None else tilt.active_steps
-        if not active or not active.issubset(range(1, T + 1)):
-            raise ValueError("active_steps must be a nonempty subset of 1..T")
+    def __init__(self, target, spec, tilted, min_samples=1000):
+        M, T = spec.M, spec.T
         if isinstance(target, ConditionalModel):
-            if target.spec != tilt.spec:
+            if target.spec != spec:
                 raise ValueError("models must share the same sequence spec")
-            n_seqs = None
-            walk = prefix_expansion(target, budget, tilt)
+            self.n_seqs = None
             sizes = [M ** (t - 1) for t in range(1, T + 1)]
         else:
-            n_seqs = check_samples(target, tilt.spec).shape[0]
-            if n_seqs < min_samples:
-                raise ValueError(f"sample mode needs at least {min_samples} sequences, got {n_seqs}")
-            walk = sample_expansion(target, tilt)
-            sizes = [n_seqs] * T
-        if observe is not None:
-            walk = observe(walk)
-
+            self.n_seqs = check_samples(target, spec).shape[0]
+            if self.n_seqs < min_samples:
+                raise ValueError(f"sample mode needs at least {min_samples} sequences, got {self.n_seqs}")
+            sizes = [self.n_seqs] * T
+        self.T = T
         ends = np.cumsum(sizes).tolist()
         self.spans = {t: slice(end - size, end) for t, size, end in zip(range(1, T + 1), sizes, ends)}
-        self.log_rows, self.feats, self.log_z0 = {}, {}, {}
-        for t, size in zip(range(1, T + 1), sizes):
-            period = tilt._feature_period(t) if t in active else 0
-            if period == 0:
-                self.log_z0[t] = np.empty(size)
-            else:
-                self.log_rows[t] = np.empty((M, size))
-                self.feats[t] = np.empty((M, size if period is None or n_seqs is not None else period))
-        N = ends[-1]
-        self.weights = np.empty(N)
-        xent, target_feats = np.empty(N), np.empty(N)
-        for t, lo, states, weights, true_rows in walk:
-            base_rows, feats = tilt._step(states[-1])
+        self.log_rows = {t: np.empty((M, sizes[t - 1])) for t in sorted(tilted)}
+        self.log_z0 = {t: np.empty(size) for t, size in zip(range(1, T + 1), sizes) if t not in self.log_rows}
+        self.weights = np.empty(ends[-1])
+
+    def run(self, pieces, read) -> None:
+        """Read the walk's pieces; ``read(cols, *piece)`` gives a piece's base rows, `cols` its columns."""
+        xent = np.empty(self.weights.shape[0])
+        for t, lo, states, weights, true_rows in pieces:
+            n = weights.shape[0]
+            start = self.spans[t].start + lo
+            cols = slice(start, start + n)
             with np.errstate(divide="ignore"):
-                log_rows = np.log(base_rows)
-            del base_rows
+                log_rows = np.log(read(cols, t, lo, states, weights, true_rows))
             support = (weights[:, None] * true_rows) > 0.0
             if np.any(support & np.isneginf(log_rows)):
                 raise CalibrationDivergenceError(
                     "base assigns zero probability on the target's support; the "
                     "objective is infinite for every alpha"
                 )
-            n = weights.shape[0]
-            start = self.spans[t].start + lo
-            cols = slice(start, start + n)
             self.weights[cols] = weights
             if t in self.log_z0:
                 # Untilted at every alpha: alpha * 0 + log rows is the log rows.
                 self.log_z0[t][lo:lo + n] = _logsumexp_columns(log_rows.T)
-                target_feats[cols] = 0.0
             else:
                 self.log_rows[t][:, lo:lo + n] = log_rows.T
-                # The table's P columns are the first P contexts'; every
-                # context must equal its column, context mod P.
-                table, P = self.feats[t], self.feats[t].shape[1]
-                table[:, lo:lo + n] = feats[:max(P - lo, 0)].T
-                if not np.array_equal(feats.T, table[:, np.arange(lo, lo + n) % P]):
-                    raise RuntimeError(f"step {t}'s features do not repeat with period {P}")
-                target_feats[cols] = _sum_columns((true_rows * feats).T)
             # The log rows are stored, so their array takes the
             # cross-entropy terms.
             with np.errstate(invalid="ignore"):  # 0 * -inf off the support
@@ -660,21 +662,21 @@ class _StepTiltProblem:
             terms[~support] = 0.0
             xent[cols] = _sum_columns(terms.T)
             # Released before the walk grows the next piece.
-            del feats, log_rows, terms, support
-        # One dot product per step over its whole span, as a whole-level
-        # walk takes them.
+            del states, weights, true_rows, log_rows, terms, support
         self.xent_sum = 0.0
-        self.target_feat_sum = 0.0
         for span in self.spans.values():
             self.xent_sum += -_dot(self.weights[span], xent[span])
-            self.target_feat_sum += _dot(self.weights[span], target_feats[span])
-        self.tilt = tilt
-        self.active = active
-        self.T = T
-        self.mu_target = self.target_feat_sum / T
-        self.n_seqs = n_seqs
-        # (T, n) realized features, sample mode only
-        self.obs_feats = None if n_seqs is None else target_feats.reshape(T, n_seqs)
+
+    def tilted_by(self, tilt, feats, target_feat_sum, obs_feats=None) -> "_StepTiltProblem":
+        """The problem of `tilt` with these features, sharing this walk's arrays."""
+        problem = copy.copy(self)
+        problem.tilt, problem.active, problem.feats = tilt, _active_steps(tilt), feats
+        problem.log_rows = {t: self.log_rows[t] for t in feats}
+        problem.log_z0 = {t: self.log_z0[t] if t in self.log_z0 else _logsumexp_columns(self.log_rows[t])
+                          for t in self.spans if t not in feats}
+        problem.target_feat_sum, problem.mu_target = target_feat_sum, target_feat_sum / self.T
+        problem.obs_feats = obs_feats  # sample mode: the (T, n) realized features
+        return problem
 
     def _blocks(self, t: int, unit: int = 1):
         """Yield (lo, log rows, features) of tilted step t's contexts lo.., in blocks.
@@ -735,7 +737,7 @@ class _StepTiltProblem:
         return out
 
     def tilted_rows(self, alpha: float, t: int, unit: int):
-        """Tilted step t's context weights and (n, M) rows tilted by alpha, in blocks.
+        """Tilted step t's context weights and (M, n) rows tilted by alpha, in blocks.
 
         Each block is a multiple of `unit` contexts, about `_TAIL_BLOCK`
         values; the last one too if `unit` divides the step's context
@@ -746,7 +748,7 @@ class _StepTiltProblem:
         weights = self.weights[self.spans[t]]
         for lo, log_rows, feats in self._blocks(t, unit):
             rows, _ = _tilt_columns(log_rows, feats, alpha)
-            yield weights[lo:lo + feats.shape[1]], np.ascontiguousarray(rows.T)
+            yield weights[lo:lo + feats.shape[1]], rows
             del rows  # before the next block's are built
 
 
@@ -775,15 +777,15 @@ def fit_per_step_tilt(
     """Fit a shared per-step tilt exponent against a truth model or samples.
 
     `tilt` is a per-step tilt model (:class:`LocalTiltModel`,
-    :class:`seqcal.memory.MemoryTiltModel`): its ``_step`` gives the base
-    rows and the feature, its ``active_steps`` the fitted steps (None for
+    :class:`seqcal.memory.MemoryTiltModel`): its ``_problem`` builds the
+    per-step problem, its ``active_steps`` are the fitted steps (None for
     all), and the tilt at the fitted exponent is returned with the
     result.  With a ConditionalModel target the fit is exact (stop at
     |gradient| <= tolerance); with an (n, T) sample array it is the same
     fit under the sample's empirical distribution (stop at |gradient| <=
     0.1 * stderr(gradient)).
     """
-    return _fit_step(_StepTiltProblem(target, tilt, budget, min_samples), tolerance, provenance)
+    return _fit_step(tilt._problem(target, budget, min_samples), tolerance, provenance)
 
 
 def fit_alpha_local(
@@ -801,8 +803,7 @@ def fit_alpha_local(
     """
     # fit_per_step_tilt's body, inlined: perfbench's tracer wraps that
     # function and reads its return value as a bare CalibrationResult.
-    problem = _StepTiltProblem(target, LocalTiltModel(base, 0.0), budget, min_samples)
-    return _fit_step(problem, tolerance, provenance)
+    return _fit_step(LocalTiltModel(base, 0.0)._problem(target, budget, min_samples), tolerance, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +49,7 @@ from .exact import (
     entropy_rate_exact,
     sequence_log_probs,
 )
-from .memory import (
-    fit_limited_memory,
-    memory_bound,
-    memory_table_csv,
-)
+from .memory import memory_bounds, memory_table_csv
 from .models import (
     ConditionalModel,
     DriftModel,
@@ -177,7 +174,7 @@ def _sample_prefixes(cfg: ExperimentConfig, truth: ConditionalModel):
         return None
     rng = named_stream(cfg.seed, "prefixes")
     steps = truth._generate(truth.init_state(cfg.n_prefixes), 0, rng)
-    return np.stack([tokens for _, _, tokens in islice(steps, cfg.prefix_len)], axis=1)
+    return np.stack(list(islice(map(itemgetter(2), steps), cfg.prefix_len)), axis=1)
 
 
 def _pipeline_drift(cfg, truth, model, budget):
@@ -270,20 +267,8 @@ def _pipeline_calibrate_local(cfg, truth, model, budget):
 
 
 def _pipeline_memory(cfg, truth, model, budget):
-    estimates = []
-    for tau in cfg.tau:
-        comparator = fit_limited_memory(truth, tau, budget=budget)
-        estimates.append(
-            memory_bound(
-                truth,
-                model,
-                comparator,
-                t_policy=cfg.t_policy,
-                budget=budget,
-                tolerance=cfg.tolerance,
-                provenance=_seed_prov(cfg, "memory"),
-            )
-        )
+    estimates = memory_bounds(truth, model, cfg.tau, t_policy=cfg.t_policy, budget=budget,
+                              tolerance=cfg.tolerance, provenance=_seed_prov(cfg, "memory"))
     artifacts = {"memory.json": _json_bytes([e.to_dict() for e in estimates])}
     if cfg.format == "csv":
         artifacts["memory.csv"] = memory_table_csv(estimates, cfg.units).encode("utf-8")

@@ -19,11 +19,8 @@ preallocated output, so its heap stays near one lattice vector, a
 reader that sums the blocks as they pass (the global tilt's truth, the
 drift curve) holds none, and the per-step problem stays near its own
 storage.  The whole-level mode, one block that holds every parent, gives
-each level as one piece; only the window fit, ``memory.prediction_joint``
-and verify's memory chain read it.  The memory bound's exact MI is read
-off the per-step problem by blocks of deep pasts
-(:class:`_ConditionalMi`), so a whole memory estimate peaks in its build.
-Sequence functionals are evaluated on that lattice, never on an
+each level as one piece; only ``memory.prediction_joint`` and verify's
+memory chain read it.  Sequence functionals are evaluated on that lattice, never on an
 enumerated token array.  :func:`sample_expansion` walks an (n, T)
 sample array the same way, as the lattice of its empirical
 distribution, in the same pieces, one per level.
@@ -565,59 +562,25 @@ def log_partition_exact(
     return float(logsumexp(alpha * fv + lp))
 
 
-def _entropy_terms(joint: np.ndarray) -> np.ndarray:
-    """The terms p(z, c) log p(z | c) of a 2-d (Z, C) joint, 0 off its support, flat."""
+def _conditional_entropy(joint: np.ndarray) -> float:
+    """H(Z|C) in nats from a 2-d joint indexed (Z, C), by direct marginalization."""
     pc = joint.sum(axis=0)
-    # One array of terms, built in place; ravel order "K" reads it without a copy.
+    # The terms p(z, c) log p(z | c), 0 off the support, in one array built
+    # in place; ravel order "K" reads it without a copy.
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(joint)
         terms -= np.log(pc)
         terms *= joint
     terms[~(joint > 0.0)] = 0.0
-    return terms.ravel(order="K")
-
-
-def _conditional_entropy(joint: np.ndarray) -> float:
-    """H(Z|C) in nats from a 2-d joint indexed (Z, C), by direct marginalization."""
-    return -_fsum(_entropy_terms(joint))
-
-
-class _ConditionalMi:
-    """I(Z; X | Y) = H(Z|Y) - H(Z|Y,X) of a (Z, Y, X) joint added in blocks of X, in order.
-
-    The H(Z|Y,X) terms are one correctly rounded sum.  The (Z, Y)
-    marginal is the first block's ``sum(axis=2)``; a later block's
-    (X, Y, Z) rows are summed under it along their C-contiguous leading
-    axis, which adds them one at a time in X order, as numpy sums over
-    an X axis that is not contiguous (a contiguous one it sums
-    pairwise).  So blocks of a joint whose X axis is its slowest give
-    bitwise the whole joint's value.
-    """
-
-    def __init__(self):
-        self._marginal = None
-        self._terms = _Fsum()  # -H(Z|Y,X)
-
-    def add(self, joint: np.ndarray) -> None:
-        if self._marginal is None:
-            self._marginal = joint.sum(axis=2)
-        else:
-            rows = np.concatenate((self._marginal.T[None], joint.transpose(2, 1, 0)))
-            self._marginal[...] = rows.sum(axis=0).T
-        # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
-        # joint, so each marginal over Z is summed along the same memory
-        # axis as in the 3-d layout.
-        self._terms.add(_entropy_terms(joint.reshape(joint.shape[0], -1, order="A")))
-
-    def value(self) -> float:
-        return _conditional_entropy(self._marginal) + self._terms.value()
+    return -_fsum(terms.ravel(order="K"))
 
 
 def conditional_mi_exact(joint: np.ndarray) -> float:
     """I(Z; X | Y) in nats from an explicit joint indexed (Z, Y, X).
 
-    Computed as H(Z|Y) - H(Z|Y,X) by :class:`_ConditionalMi`, the whole
-    joint as one block.  The joint must be a normalized distribution.
+    Computed as H(Z|Y) - H(Z|Y,X), H(Z|Y) from the joint's sum over X
+    and H(Z|Y,X) from its (Z, Y*X) view.  The joint must be a normalized
+    distribution.
     """
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 3:
@@ -627,6 +590,8 @@ def conditional_mi_exact(joint: np.ndarray) -> float:
     total = float(joint.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint must sum to 1, got {total}")
-    mi = _ConditionalMi()
-    mi.add(joint)
-    return mi.value()
+    # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
+    # joint, so each marginal over Z is summed along the same memory axis
+    # as in the 3-d layout.
+    return _conditional_entropy(joint.sum(axis=2)) - _conditional_entropy(
+        joint.reshape(joint.shape[0], -1, order="A"))

@@ -22,11 +22,17 @@ are the :class:`MemoryTiltModel`'s own ``active_steps``, read by the fit
 and by the bound alike.
 
 The comparator's window fit, :func:`marginalize_to_window` or
-:func:`fit_limited_memory`, lives here too.  The calibration, the bound
-and the window fit each have an exact and a sample mode.  A sample mode
-is the exact routine run on :func:`seqcal.exact.sample_expansion`, the
-lattice of the sample's empirical distribution, instead of the truth's
-:func:`seqcal.exact.prefix_expansion`, in the same pieces.
+:func:`fit_limited_memory`, lives here too.  A comparator is a window
+table model, so the window fit, the tilt's features, the target feature
+sum and each step's CE(truth || comparator) are sums over one small
+table per level: the target's mass by window code and next token
+(:class:`_WindowMass`).  One walk of the target builds these tables for
+every window of a run beside the full model's log rows, and
+:func:`memory_bounds` reads all of a run's gaps off it.  Each routine
+has an exact and a sample mode: the same code run on
+:func:`seqcal.exact.sample_expansion`, the lattice of the sample's
+empirical distribution, instead of the truth's
+:func:`seqcal.exact.prefix_expansion`.
 """
 
 from __future__ import annotations
@@ -36,14 +42,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _StepTiltProblem, _fit_step, _tilt_rows
+from .calibrate import (
+    CalibrationResult,
+    _active_steps,
+    _fit_step,
+    _StepTiltProblem,
+    _tilt_rows,
+)
 from .estimate import _unit_scale
 from .exact import (
     P_MIN,
-    _TAIL_BLOCK,
     EnumerationBudget,
-    _ConditionalMi,
+    _conditional_entropy,
     _Fsum,
+    _fsum,
     prefix_expansion,
     sample_expansion,
 )
@@ -53,7 +65,6 @@ from .models import (
     MarkovModel,
     _append_code,
     _finite,
-    _sum_columns,
     check_samples,
     model_from_dict,
     model_hash,
@@ -69,7 +80,8 @@ class MemoryTiltModel(ConditionalModel):
     On the active steps each conditional row is reweighted by
     comparator_row ** alpha and renormalized; other steps pass the full
     model through unchanged.  Comparator zeros are floored in log space
-    so the tilt stays well defined for any alpha.  The state is the step
+    so the tilt stays well defined for any alpha.  The comparator is a
+    window table model (a :class:`MarkovModel`).  The state is the step
     count with the full model's and the comparator's states.
     """
 
@@ -83,6 +95,8 @@ class MemoryTiltModel(ConditionalModel):
         active_steps=None,
     ):
         super().__init__(full.spec)
+        if not isinstance(comparator, MarkovModel):
+            raise ValueError("comparator must be a window table model (a MarkovModel)")
         if comparator.spec != full.spec:
             raise ValueError("comparator must share the full model's sequence spec")
         self.base = full
@@ -119,14 +133,15 @@ class MemoryTiltModel(ConditionalModel):
             return self.base.rows(state[1])
         return _tilt_rows(*self._step(state), self.alpha)
 
-    def _feature_period(self, t: int) -> int | None:
-        """A window-w table comparator's features repeat every M**min(w, t-1) contexts of level t."""
-        windowed = isinstance(self.comparator, MarkovModel)
-        return self.spec.M ** min(self.comparator.order, t - 1) if windowed else None
+    def _problem(self, target, budget=None, min_samples=1000) -> _StepTiltProblem:
+        """The per-step problem of this tilt's exponent, read off one walk's window-mass tables."""
+        steps = _active_steps(self)
+        walk = _WindowMass(target, self.spec, (self.comparator.order,), budget, self.base, steps, min_samples)
+        return walk.problem(self)
 
     def _fit_extras(self, tables) -> dict:
         # A feature at the floor marks a comparator entry floored to P_MIN.
-        return {"feature_floored": any(bool(np.any(f <= _LOG_P_MIN)) for f in tables)}
+        return {"feature_floored": any(bool(np.any(f <= np.log(P_MIN))) for f in tables)}
 
     def _descriptor(self) -> dict:
         return {"kind": "log_comparator", "comparator_hash": model_hash(self.comparator)}
@@ -143,8 +158,6 @@ class MemoryTiltModel(ConditionalModel):
         }
 
 
-_LOG_P_MIN = float(np.log(P_MIN))
-
 register_model_kind(
     "memory_tilt",
     lambda spec, params: MemoryTiltModel(
@@ -156,14 +169,12 @@ register_model_kind(
 )
 
 
-def fit_limited_memory(
-    source,
-    window: int,
-    spec=None,
-    budget: EnumerationBudget | None = None,
-    smoothing: float = 0.1,
-    min_samples: int = 10,
-) -> LimitedMemoryModel:
+# The empirical-ngram fit's additive smoothing per token, by default.
+_SMOOTHING = 0.1
+
+
+def fit_limited_memory(source, window: int, spec=None, budget: EnumerationBudget | None = None,
+                       smoothing: float = _SMOOTHING, min_samples: int = 10) -> LimitedMemoryModel:
     """Learn a model conditioned only on the last `window` tokens.
 
     A true model is marginalized over deep pasts exactly (enumeration,
@@ -187,8 +198,7 @@ def fit_limited_memory(
             f"got {samples.shape[0]}"
         )
     # Counts weighted 1/n: smoothing/n per token keeps the count ratio.
-    tail = MarkovModel.uniform(spec, min(window, spec.T - 1))
-    return _fit_window(sample_expansion(samples, tail), tail, smoothing / samples.shape[0])
+    return _WindowMass(samples, spec, (window,)).window_fit(window, smoothing / samples.shape[0])
 
 
 def marginalize_to_window(
@@ -210,35 +220,98 @@ def marginalize_to_window(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    tail = MarkovModel.uniform(model.spec, min(window, model.spec.T - 1))
-    return _fit_window(prefix_expansion(model, budget, tail, whole=True), tail)
+    return _WindowMass(model, model.spec, (window,), budget).window_fit(window)
 
 
-def _fit_window(walk, tail: MarkovModel, smoothing: float = 0.0) -> LimitedMemoryModel:
-    """Window tables pooled, level by level, over a whole-level lattice walk or a sample walk.
+def _walk(target, budget, *models, **kwargs):
+    """The module's one walk: a truth's (blocked) ``prefix_expansion`` or a sample's ``sample_expansion``."""
+    if isinstance(target, ConditionalModel):
+        return prefix_expansion(target, budget, *models, **kwargs)
+    return sample_expansion(target, *models)
 
-    `tail` is the uniform order-``window`` Markov model, walked last, so
-    its state code is the window of every prefix.  Each window's row
-    is its accumulated next-token mass plus `smoothing` per token,
-    normalized; a window without mass gets the uniform row.
+
+class _WindowMass:
+    """The target's mass by window code and next token, per level and window, from one walk.
+
+    ``mass[w][t - 1]`` is an (M**min(w, t-1), M) table: cell (y, z) sums
+    weight times true-row entry z over level t's contexts whose last
+    min(w, t-1) tokens have code y, one context at a time in context
+    order (``np.add.at``), so no table depends on the walk's blocks.  The
+    walk's last model, the uniform Markov model of the largest window,
+    codes each prefix's window.  With `full`, the walk also fills
+    ``steps`` with `full`'s rows, tilted on the steps `tilted`.
     """
-    M, eff = tail.spec.M, tail.order
-    acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
-    for t, _, states, weights, rows in walk:
-        # Cell code*M + j of the flat table, so numpy takes its 1-d
-        # ``ufunc.at`` path; each cell's additions keep their order.  The
-        # index is built for one chunk of rows at a time.
-        table, code = acc[min(eff, t - 1)].reshape(-1), states[-1][1]
-        for lo in range(0, code.shape[0], _TAIL_BLOCK):
-            hi = lo + _TAIL_BLOCK
-            np.add.at(table, _append_code(code[lo:hi], None, M),
-                      (weights[lo:hi, None] * rows[lo:hi]).reshape(-1))
-    tables = []
-    for table in acc:
-        table += smoothing
-        mass = table.sum(axis=1, keepdims=True)
-        tables.append(np.where(mass > 0.0, table / np.where(mass > 0.0, mass, 1.0), 1.0 / M))
-    return LimitedMemoryModel(tail.spec, eff, tables)
+
+    def __init__(self, target, spec, windows, budget=None, full=None, tilted=(), min_samples=1000):
+        M, T = spec.M, spec.T
+        self.spec, self.windows = spec, sorted({min(w, T - 1) for w in windows})
+        self.samples = None if isinstance(target, ConditionalModel) else check_samples(target, spec)
+        self.mass = {w: [np.zeros((M ** min(w, t - 1), M)) for t in range(1, T + 1)] for w in self.windows}
+        self.codes = {}  # sample mode: each tilted step's largest-window codes
+        tail = MarkovModel.uniform(spec, max(self.windows, default=0))
+        pieces = _walk(target, budget, *((tail,) if full is None else (full, tail)))
+
+        def read(cols, t, lo, states, weights, true_rows):
+            # Window w's cell is the largest window's cell mod M**(min(w, t-1) + 1).
+            cells, mass = _append_code(states[-1][1], None, M), (weights[:, None] * true_rows).reshape(-1)
+            for w in self.windows:
+                np.add.at(self.mass[w][t - 1].reshape(-1), cells % M ** (min(w, t - 1) + 1), mass)
+            if self.samples is not None and t in tilted:
+                self.codes[t] = states[-1][1]
+            return None if full is None else full.rows(states[-2])
+
+        if full is None:
+            for piece in pieces:
+                read(None, *piece)
+        else:
+            self.steps = _StepTiltProblem(target, spec, tilted, min_samples)
+            self.steps.run(pieces, read)
+
+    def window_fit(self, window: int, smoothing: float = 0.0) -> LimitedMemoryModel:
+        """The window fit: level tables pooled in level order, plus `smoothing`; massless rows uniform."""
+        M, eff = self.spec.M, min(window, self.spec.T - 1)
+        mass, tables = self.mass[eff], []
+        for ell in range(eff + 1):
+            table = sum(mass[ell:] if ell == eff else mass[ell:ell + 1]) + smoothing
+            total = table.sum(axis=1, keepdims=True)
+            tables.append(np.where(total > 0.0, table / np.where(total > 0.0, total, 1.0), 1.0 / M))
+        return LimitedMemoryModel(self.spec, eff, tables)
+
+    def _tables(self, comparator: MarkovModel, t: int):
+        """Step t's mass table, the comparator's table there, and in sample mode each sequence's cell."""
+        M, ell = self.spec.M, min(comparator.order, t - 1)
+        cells = None if self.samples is None else (self.codes[t] % M**ell) * M + self.samples[:, t - 1]
+        return self.mass[min(comparator.order, self.spec.T - 1)][t - 1], comparator.tables[ell], cells
+
+    def problem(self, tilt) -> _StepTiltProblem:
+        """A memory tilt's problem: its features are the comparator's log-floored tables.
+
+        A sample's sequences gather their rows; the target feature sum is
+        the tables' products.
+        """
+        M, T = self.spec.M, self.spec.T
+        feats, target_feat_sum = {}, 0.0
+        obs_feats = None if self.samples is None else np.zeros((T, self.samples.shape[0]))
+        for t in sorted(_active_steps(tilt)):
+            mass, table, cells = self._tables(tilt.comparator, t)
+            log_table = np.log(np.maximum(table, P_MIN))
+            target_feat_sum += _fsum(mass * log_table)
+            if cells is None:
+                feats[t] = np.ascontiguousarray(log_table.T)
+            else:
+                feats[t] = np.take(log_table.T, cells // M, axis=1)
+                obs_feats[t - 1] = log_table.reshape(-1)[cells]
+        return self.steps.tilted_by(tilt, feats, target_feat_sum, obs_feats)
+
+    def cross_entropy(self, comparator: MarkovModel, t: int):
+        """Step t's CE(target || comparator), inf at a zero under mass; per-sequence terms in sample mode."""
+        mass, table, cells = self._tables(comparator, t)
+        with np.errstate(divide="ignore"):
+            log_table = np.log(table)
+        terms = np.multiply(mass, log_table, out=np.zeros_like(mass), where=mass > 0.0)
+        if cells is None:
+            return -_fsum(terms), None
+        return -_fsum(terms), -(self.steps.weights[self.steps.spans[t]] * log_table.reshape(-1)[cells])
 
 
 def _default_steps(comparator: ConditionalModel, T: int):
@@ -274,7 +347,7 @@ def calibrate_to_comparator(
     if steps is None:
         steps = _default_steps(comparator, full.spec.T)
     tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-    return _fit_step(_StepTiltProblem(target, tilt, budget, min_samples), tolerance, provenance)
+    return _fit_step(tilt._problem(target, budget, min_samples), tolerance, provenance)
 
 
 @dataclass
@@ -358,93 +431,114 @@ def prediction_joint(
         raise ValueError(f"step t must lie in 1..{truth.spec.T}")
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    for _, _, (_, state), weights, _ in prefix_expansion(truth, budget, predictor, last=t, whole=True):
+    for _, _, (_, state), weights, _ in _walk(truth, budget, predictor, last=t, whole=True):
         pass
     return _joint(weights, predictor.rows(state), tau, t)
 
 
-def memory_bound(
-    target,
-    full: ConditionalModel,
-    comparator: ConditionalModel,
-    t_policy="average",
-    tau: int | None = None,
-    tolerance: float = 1e-10,
-    budget: EnumerationBudget | None = None,
-    attach_exact_mi: bool = True,
-    min_samples: int = 1000,
-    provenance: dict | None = None,
-) -> MemoryEstimate:
+def memory_bound(target, full: ConditionalModel, comparator: MarkovModel, t_policy="average",
+                 tau: int | None = None, tolerance: float = 1e-10, budget: EnumerationBudget | None = None,
+                 attach_exact_mi: bool = True, min_samples: int = 1000,
+                 provenance: dict | None = None) -> MemoryEstimate:
     """Upper-bound the memory at gap tau of `full` using the comparator.
 
-    Calibrates `full` to the comparator on the measured steps, then
-    reports  bound = CE(truth || comparator) - H(calibrated next token |
-    full past), each term averaged over the steps selected by
-    `t_policy` ("average" pools t = tau+1..T; an integer selects a
-    single step).  The truth's prefix lattice, or the samples, is
-    walked once per estimate: the calibration's walk also yields the CE
-    terms of each measured level as it passes, and the calibrated rows
-    are the calibration problem's rows at the fitted exponent, bitwise
-    those of the returned tilt model, read one block of deep pasts at a
-    time.  Exact mode attaches, unless `attach_exact_mi` is False, the
-    exact conditional mutual information, which the bound dominates by
-    construction.  In sample mode both terms carry standard errors; a
-    sampled token the comparator gives probability 0 makes the CE
-    infinite, and a negative or infinite bound is reported as-is with
-    the validity flag cleared rather than clamped.
+    Calibrates `full` to the comparator, a window table model (else
+    ValueError), on the measured steps, then reports  bound =
+    CE(truth || comparator) - H(calibrated next token | full past), each
+    term averaged over the steps selected by `t_policy` ("average" pools
+    t = tau+1..T; an integer selects a single step).  One walk of the
+    truth's lattice, or of the samples, gives the window-mass tables and
+    the calibration problem, whose tilted rows are read one block of
+    deep pasts at a time.  Exact mode attaches, unless `attach_exact_mi`
+    is False, the exact conditional mutual information H(Z | Y) - H(Z |
+    Y, X), H(Z | Y, X) being the reported conditional entropy.  In sample
+    mode both terms carry standard errors; a sampled token the
+    comparator gives probability 0 makes the CE infinite, and a negative
+    or infinite bound is reported as-is with the validity flag cleared.
     """
-    T = full.spec.T
     if tau is None:
         tau = getattr(comparator, "window", None)
         if tau is None:
             raise ValueError("tau is required when the comparator has no window")
+    tau, steps = _measured_steps(tau, t_policy, full.spec.T)
+    tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
+    walk = _WindowMass(target, full.spec, (comparator.order,), budget, full, steps, min_samples)
+    return _bound(walk, tilt, tau, t_policy, tolerance, attach_exact_mi, provenance)
+
+
+def memory_bounds(target, full: ConditionalModel, taus, t_policy="average", tolerance: float = 1e-10,
+                  budget: EnumerationBudget | None = None, attach_exact_mi: bool = True,
+                  min_samples: int = 1000, provenance: dict | None = None) -> list[MemoryEstimate]:
+    """The bound at each gap of `taus` against the target's window fit, all from one walk.
+
+    The estimate at tau is bitwise ``memory_bound(target, full,
+    fit_limited_memory(target, tau, ...))``, whose gap is the fit's
+    window min(tau, T - 1); in sample mode the fit takes `full`'s spec
+    and the default smoothing.
+    """
+    T = full.spec.T
+    gaps = [_measured_steps(min(tau, T - 1), t_policy, T) for tau in taus]
+    tilted = set().union(*(steps for _, steps in gaps))
+    walk = _WindowMass(target, full.spec, [tau for tau, _ in gaps], budget, full, tilted, min_samples)
+    smoothing = 0.0 if walk.samples is None else _SMOOTHING / walk.samples.shape[0]
+    return [_bound(walk, MemoryTiltModel(full, walk.window_fit(tau, smoothing), 0.0, active_steps=steps),
+                   tau, t_policy, tolerance, attach_exact_mi, provenance) for tau, steps in gaps]
+
+
+def _measured_steps(tau, t_policy, T: int) -> tuple[int, tuple]:
+    """The gap as an int and the steps `t_policy` measures at it."""
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if t_policy == "average":
-        steps = tuple(range(min(tau + 1, T), T + 1))
-    elif isinstance(t_policy, int) and not isinstance(t_policy, bool):
-        if not 1 <= t_policy <= T:
-            raise ValueError(f"t_policy step must lie in 1..{T}")
-        steps = (t_policy,)
-    else:
+        return tau, tuple(range(min(tau + 1, T), T + 1))
+    if not isinstance(t_policy, int) or isinstance(t_policy, bool):
         raise ValueError(f"t_policy must be 'average' or a step index, got {t_policy!r}")
+    if not 1 <= t_policy <= T:
+        raise ValueError(f"t_policy step must lie in 1..{T}")
+    return tau, (t_policy,)
 
-    exact_mode = isinstance(target, ConditionalModel)
-    tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-    ce: dict = {}
-    problem = _StepTiltProblem(target, tilt, budget, min_samples,
-                               observe=lambda walk: _comparator_ce(walk, tilt, ce, not exact_mode))
+
+def _bound(walk, tilt, tau, t_policy, tolerance, attach_exact_mi, provenance) -> MemoryEstimate:
+    """Calibrate `tilt` on `walk` and report its bound at gap tau."""
+    problem = walk.problem(tilt)
     _, calibration = _fit_step(problem, tolerance, provenance)
-
-    # Each block of calibrated rows is a range of deep pasts of the joint.
-    # Only sample mode keeps per-context terms, for its stderrs.
-    M = full.spec.M
-    per_step: dict = {}
-    ce_parts, h_parts = [], []
+    steps, M = sorted(problem.active), tilt.spec.M
+    exact_mode = walk.samples is None
+    per_step, ce_parts, h_parts = {}, [], []
     for t in steps:
-        h_sum, h_terms = _Fsum(), []
-        mi = _ConditionalMi() if exact_mode and attach_exact_mi else None
-        for weights, rows in problem.tilted_rows(calibration.alpha_star, t, M ** min(tau, t - 1)):
-            h = weights * row_entropies(rows)
+        ce, ce_terms = walk.cross_entropy(tilt.comparator, t)
+        recent = M ** min(tau, t - 1)
+        deep = exact_mode and attach_exact_mi and t - 1 > tau
+        h_sum, h_terms, marginal = _Fsum(), [], None
+        # Each block is a range of deep pasts X; the (Z, Y) marginal adds
+        # them one at a time, in order.  Only sample mode keeps per-context
+        # terms, for its stderrs.
+        for weights, rows in problem.tilted_rows(calibration.alpha_star, t, recent):
+            h = weights * row_entropies(rows.T)
             h_sum.add(h)
             if not exact_mode:
                 h_terms.append(h)
-            if mi is not None:
-                mi.add(_joint(weights, rows, tau, t))
+            if deep:
+                mass = (rows * weights).reshape(M, -1, recent)
+                if marginal is not None:
+                    mass = np.concatenate((marginal[:, None], mass), axis=1)
+                marginal = mass.sum(axis=1)
             del h, rows  # before the next block's are built
-        per_step[t] = {"ce": ce[t][0], "cond_entropy": h_sum.value(),
-                       "mi": None if mi is None else mi.value()}
-        ce_parts.append(ce[t][1])
+        h_t = h_sum.value()
+        # With no deep past, H(Z | Y) is H(Z | Y, X).
+        mi = None
+        if exact_mode and attach_exact_mi:
+            mi = _conditional_entropy(marginal) - h_t if deep else 0.0
+        per_step[t] = {"ce": ce, "cond_entropy": h_t, "mi": mi}
+        ce_parts.append(ce_terms)
         if not exact_mode:
             h_parts.append(np.concatenate(h_terms))
     ce_term = float(np.mean([v["ce"] for v in per_step.values()]))
     h_term = float(np.mean([v["cond_entropy"] for v in per_step.values()]))
     bound = ce_term - h_term
     if exact_mode:
-        exact_mi = None
-        if attach_exact_mi:
-            exact_mi = float(np.mean([v["mi"] for v in per_step.values()]))
+        exact_mi = float(np.mean([v["mi"] for v in per_step.values()])) if attach_exact_mi else None
         mode_fields = {"mode": "exact", "valid": bound >= -1e-9, "exact_mi": exact_mi}
     else:
         # Each part holds 1/n times one sequence's term at one step, so
@@ -452,58 +546,13 @@ def memory_bound(
         n = h_parts[0].shape[0]
         ce_seq = np.sum(ce_parts, axis=0) * n / len(steps)
         h_seq = np.sum(h_parts, axis=0) * n / len(steps)
-        mode_fields = {
-            "mode": "mc",
-            "valid": math.isfinite(bound) and bound >= 0.0,
-            "exact_mi": None,
-            "ce_stderr": _stderr(ce_seq),
-            "cond_entropy_stderr": _stderr(h_seq),
-            "bound_stderr": _stderr(ce_seq - h_seq),
-            "n_samples": n,
-        }
-    return MemoryEstimate(
-        tau=tau,
-        ce_comparator=ce_term,
-        cond_entropy=h_term,
-        bound=bound,
-        alpha_star=calibration.alpha_star,
-        t_policy=t_policy,
-        steps=list(steps),
-        per_step=per_step,
-        calibration=calibration,
-        provenance=dict(provenance or {}),
-        **mode_fields,
-    )
-
-
-def _comparator_ce(walk, tilt, ce: dict, per_context: bool):
-    """Pass `walk`'s pieces through, putting each measured level's CE terms in `ce`.
-
-    ``ce[t]``, for each active step t of the last walked model `tilt`,
-    is -sum of mass * log comparator over level t's contexts and tokens,
-    one correctly rounded sum across the level's pieces, and, if
-    `per_context`, the per-context sums (else None); a sample walk,
-    which `per_context` serves, yields each level as one piece.  `ce`
-    is filled once the walk is done.
-    """
-    sums, per_ctx = {}, {}
-    for piece in walk:
-        t, _, states, weights, true_rows = piece
-        if t in tilt.active_steps:
-            with np.errstate(divide="ignore"):
-                log_comp = np.log(tilt.comparator.rows(states[-1][2]))
-            terms = weights[:, None] * true_rows
-            # A comparator zero under positive mass makes the sum infinite.
-            np.multiply(terms, log_comp, out=terms, where=terms > 0.0)
-            del log_comp
-            sums.setdefault(t, _Fsum()).add(terms)
-            if per_context:
-                per_ctx[t] = -_sum_columns(terms.T)
-            # Released before the consumer processes the same piece.
-            del terms
-        yield piece
-    for t, total in sums.items():
-        ce[t] = (-total.value(), per_ctx.get(t))
+        mode_fields = {"mode": "mc", "valid": math.isfinite(bound) and bound >= 0.0, "exact_mi": None,
+                       "ce_stderr": _stderr(ce_seq), "cond_entropy_stderr": _stderr(h_seq),
+                       "bound_stderr": _stderr(ce_seq - h_seq), "n_samples": n}
+    return MemoryEstimate(tau=tau, ce_comparator=ce_term, cond_entropy=h_term, bound=bound,
+                          alpha_star=calibration.alpha_star, t_policy=t_policy, steps=steps,
+                          per_step=per_step, calibration=calibration, provenance=dict(provenance or {}),
+                          **mode_fields)
 
 
 def _stderr(values: np.ndarray) -> float:

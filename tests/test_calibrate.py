@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import seqcal as sc
 from seqcal.calibrate import (
     _GlobalTiltProblem,
-    _StepTiltProblem,
     _minimize_convex,
     fit_per_step_tilt,
     tilted_variance_max,
@@ -29,7 +28,6 @@ from seqcal.exact import (
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.memory import _comparator_ce
 from seqcal.models import _logsumexp_columns, _sum_columns
 
 from conftest import (
@@ -872,7 +870,7 @@ class TestStepProblemLayout:
             comparator = sc.MarkovModel(spec, 0, [comparator_row[None, :]])
             tilt = sc.MemoryTiltModel(base, comparator, 0.0, active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
-        problem = _StepTiltProblem(target, tilt, min_samples=1)
+        problem = tilt._problem(target, min_samples=1)
         whole_rows, whole_feats = _whole_level_problem(target, tilt)[:2]
         _assert_expands_to(problem, whole_rows, whole_feats)
         # Folded: a local tilt's step T and a memory tilt's inactive steps.
@@ -911,16 +909,18 @@ class TestStepProblemLayout:
     @pytest.mark.parametrize("kind, bound", [("memory", 4.2), ("local", 3.65)])
     def test_build_heap_peak_in_last_level_arrays(self, kind, bound):
         # The build's heap peak, in arrays of the last level's
-        # (M**(T-1), M) rows: 4.07 (memory) and 3.54 (local).  During the
-        # build the problem holds its (N,) weights and two (N,) per-context
-        # sums, 1.0, and its per-step storage: every step's log rows, 1.33,
-        # beside a window-1 comparator's 4-column tables, or the local
-        # tilt's log rows and features of steps 1..7, 0.67, and the folded
-        # step 8's log Z, 0.25; one block of the walk takes the rest.
-        # (M, N) log rows and features took 5.39 and 5.19; a whole-level
-        # walk with parts copied into columns took 9.27 and 9.02.
+        # (M**(T-1), M) rows: 3.55 (memory) and 3.31 (local).  During the
+        # build the walk holds its (N,) weights and cross-entropy terms,
+        # 0.67, the local tilt also its (N,) feature means, 0.33, and the
+        # per-step storage: every step's log rows, 1.33, beside the
+        # memory tilt's window-mass tables, or the local tilt's log rows
+        # and features of steps 1..7, 0.67, and the folded step 8's log Z,
+        # 0.25; one block of the walk takes the rest.  A memory build that
+        # also kept per-context feature means took 4.07, (M, N) log rows
+        # and features 5.39 and 5.19, and a whole-level walk with parts
+        # copied into columns 9.27 and 9.02.
         truth, tilt, size = self._heap_case(kind)
-        _, peak = heap_peak(lambda: _StepTiltProblem(truth, tilt))
+        _, peak = heap_peak(lambda: tilt._problem(truth))
         assert peak < bound * size
 
     def test_probe_heap_peak_in_last_level_arrays(self):
@@ -928,7 +928,7 @@ class TestStepProblemLayout:
         # columns at a time, 1.69 in all; a probe over all columns at once
         # took 3.67.
         truth, tilt, size = self._heap_case("local")
-        problem = _StepTiltProblem(truth, tilt)
+        problem = tilt._problem(truth)
         _, peak = heap_peak(lambda: problem.evaluate(0.3))
         assert peak < 1.75 * size
 
@@ -937,7 +937,7 @@ class TestStepProblemLayout:
         # into one block: 1.94.  Tiling a table to its whole level would
         # add that level's (M, n_t) array, 1.0 for step 8.
         truth, tilt, size = self._heap_case("memory")
-        problem = _StepTiltProblem(truth, tilt)
+        problem = tilt._problem(truth)
         _, peak = heap_peak(lambda: problem.evaluate(0.3))
         assert peak < 2.0 * size
 
@@ -979,29 +979,38 @@ def _whole_level_problem(target, tilt):
             xent_sum, target_sum, obs)
 
 
-def _whole_level_ce(target, tilt):
-    """Each active level's comparator CE, and its per-context sums, from whole levels."""
+def _table_target_sum(target, tilt):
+    """A memory tilt's target feature sum by its definition, from whole levels.
+
+    Each tilted step's window-mass table, every context's weight times
+    its true row added to its comparator window's row one context at a
+    time, times the step's log-floored comparator table, by math.fsum;
+    the steps' sums are added in step order.
+    """
     if isinstance(target, sc.ConditionalModel):
         walk = prefix_expansion(target, None, tilt, whole=True)
     else:
         walk = sample_expansion(target, tilt)
-    ce = {}
+    M, order, total = tilt.spec.M, tilt.comparator.order, 0.0
     for t, _, states, w, true_rows in walk:
-        if t in tilt.active_steps:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mass = w[:, None] * true_rows
-                terms = np.where(mass > 0.0, mass * np.log(tilt.comparator.rows(states[-1][2])), 0.0)
-            ce[t] = (-math.fsum(terms.ravel().tolist()), -terms.sum(axis=1))
-    return ce
+        if t not in tilt.active_steps:
+            continue
+        table = np.zeros((M ** min(order, t - 1), M))
+        for code, wi, row in zip(states[-1][2][1].tolist(), w, true_rows):
+            table[code] += wi * row
+        log_table = np.log(np.maximum(tilt.comparator.tables[min(order, t - 1)], 1e-300))
+        total += math.fsum((table * log_table).ravel().tolist())
+    return total
 
 
 class TestBlockedStepProblem:
     """The per-step problem is built from a blocked walk and probed by blocks.
 
     Whatever the block size, including blocks that do not divide a level
-    and blocks of one parent or one column, its arrays, sums, probes and
-    the comparator CE read off its walk are bitwise those of whole
-    levels.
+    and blocks of one parent or one column, its arrays, sums and probes
+    are bitwise those of whole levels.  A memory tilt's target feature
+    sum is its window-mass tables' (:func:`_table_target_sum`), within
+    1e-12 of the per-context formula.
     """
 
     @pytest.mark.parametrize("M, T", [(2, 1), (2, 5), (3, 4), (3, 5), (4, 5), (9, 4)])
@@ -1020,16 +1029,15 @@ class TestBlockedStepProblem:
                                       active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
         log_rows, feats, weights, spans, xent_sum, target_sum, obs = _whole_level_problem(target, tilt)
-        expected_ce = _whole_level_ce(target, tilt) if kind == "memory" else None
+        if kind == "memory":
+            table_sum = _table_target_sum(target, tilt)
+            assert table_sum == pytest.approx(target_sum, rel=1e-12, abs=1e-15)
+            target_sum = table_sum
         monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", 2**40)
-        whole = _StepTiltProblem(target, tilt, min_samples=1)
+        whole = tilt._problem(target, min_samples=1)
         for block in (1, 5, 2 * M**2 + 1, 7 * M**2, 2**14):
             monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
-            ce = {}
-            observe = None
-            if kind == "memory":
-                observe = lambda walk: _comparator_ce(walk, tilt, ce, sample)  # noqa: E731
-            problem = _StepTiltProblem(target, tilt, min_samples=1, observe=observe)
+            problem = tilt._problem(target, min_samples=1)
             _assert_expands_to(problem, log_rows, feats)
             assert np.array_equal(problem.weights, weights), block
             assert problem.spans == spans
@@ -1039,26 +1047,22 @@ class TestBlockedStepProblem:
             for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
                 assert problem.evaluate(alpha) == whole.evaluate(alpha), (block, alpha)
                 assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha, log_rows, feats), (block, alpha)
-            if kind == "memory":
-                assert sorted(ce) == sorted(expected_ce)
-                for t, (total, per_context) in expected_ce.items():
-                    assert ce[t][0] == total, (block, t)
-                    if sample:
-                        assert np.array_equal(ce[t][1], per_context)
-                    else:
-                        assert ce[t][1] is None
 
-    def test_features_off_their_declared_period_fail_the_build(self, monkeypatch):
-        # A window-1 comparator's features repeat every M contexts of a
-        # level; a declared period of 1 does not hold them.
+    def test_features_are_the_comparators_log_floored_tables(self):
+        # A memory tilt's features at step t are its window-w comparator's
+        # table for contexts of length min(w, t-1), floored at P_MIN and
+        # logged: an (M, M**min(w, t-1)) table on the lattice, whose
+        # column c mod its width every context c reads.
         rng = np.random.default_rng(5)
         truth = random_markov(rng, 3, 4, 2, concentration=0.5)
-        tilt = sc.MemoryTiltModel(truth.perturbed(rng, 0.4), sc.marginalize_to_window(truth, 1), 0.0)
-        assert {t: f.shape[1] for t, f in _StepTiltProblem(truth, tilt).feats.items()} == {
-            1: 1, 2: 3, 3: 3, 4: 3}
-        monkeypatch.setattr(sc.MemoryTiltModel, "_feature_period", lambda self, t: 1)
-        with pytest.raises(RuntimeError, match="step 2's features do not repeat with period 1"):
-            _StepTiltProblem(truth, tilt)
+        tables = [np.array([[0.5, 0.5, 0.0]]), rng.dirichlet(np.ones(3), size=3)]
+        comparator = sc.LimitedMemoryModel(truth.spec, 1, tables)
+        tilt = sc.MemoryTiltModel(truth.perturbed(rng, 0.4), comparator, 0.0)
+        feats = tilt._problem(truth).feats
+        assert {t: f.shape[1] for t, f in feats.items()} == {1: 1, 2: 3, 3: 3, 4: 3}
+        for t, f in feats.items():
+            expected = np.log(np.maximum(tables[min(1, t - 1)], 1e-300)).T
+            assert f.flags.c_contiguous and np.array_equal(f, expected), t
 
 
 class TestShortAxisSums:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from seqcal.cli import (
     ConfigError,
     ExperimentConfig,
     _add_common_flags,
+    _sample_prefixes,
     build_learned_model,
     build_true_model,
     main,
@@ -153,6 +155,24 @@ class TestPipelines:
         means = np.array(doc["means"])
         stderrs = np.array(doc["stderrs"])
         assert means.max() - means.min() <= 3 * math.hypot(*stderrs.tolist())
+
+    def test_sampled_prefix_rows_are_dead_at_the_next_draw(self, monkeypatch):
+        # Only the tokens of a prefix step are kept, so no step's rows stay
+        # alive, in the reader or the sampler's frame, when the next rows
+        # are drawn.
+        cfg = parse_config({**BASE_CONFIG, "prefix_len": 4, "n_prefixes": 32})
+        truth = build_true_model(cfg)
+        refs, dead = [], []
+
+        def rows(state, _rows=truth.rows):
+            dead.append([ref() is None for ref in refs])
+            out = _rows(state)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(truth, "rows", rows)
+        assert _sample_prefixes(cfg, truth).shape == (32, 4)
+        assert dead == [[True] * t for t in range(4)]
 
     def test_calibrate_global(self, tmp_path):
         cfg = parse_config({**BASE_CONFIG, "pipeline": "calibrate-global",

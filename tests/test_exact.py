@@ -12,7 +12,6 @@ from seqcal.exact import (
     _FSUM_DIRECT,
     FunctionalF,
     _conditional_entropy,
-    _ConditionalMi,
     _Fsum,
     _cross_entropy_from_log_probs,
     _entropy_from_log_probs,
@@ -283,21 +282,6 @@ class TestConditionalMi:
             yx = joint.reshape(shape[0], -1, order="A")
             expected = conditional_entropy_oracle(joint.sum(axis=2)) - conditional_entropy_oracle(yx)
             assert sc.conditional_mi_exact(joint).hex() == expected.hex(), shape
-
-    @pytest.mark.parametrize("M, Y, X", [(2, 1, 40), (3, 9, 30), (4, 16, 64), (9, 9, 27)])
-    def test_blocks_of_deep_pasts_give_the_whole_joints_bits(self, M, Y, X):
-        # A (Z, Y, X) joint whose X axis is its slowest, as the memory
-        # bound builds it, added one run of deep pasts at a time.
-        rng = np.random.default_rng(M * Y)
-        rows = rng.random((X, Y, M)) ** 3
-        rows[rng.random(rows.shape) < 0.2] = 0.0
-        joint = (rows / rows.sum()).transpose(2, 1, 0)
-        expected = sc.conditional_mi_exact(joint)
-        for block in (1, 2, 7, X - 1, X):
-            mi = _ConditionalMi()
-            for lo in range(0, X, block):
-                mi.add(joint[:, :, lo:lo + block])
-            assert mi.value().hex() == expected.hex(), block
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_conditional_entropy_is_bitwise_the_masked_formula(self, layout):

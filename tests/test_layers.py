@@ -92,3 +92,15 @@ def test_one_lattice_walk():
     for name in set(LAYERS) - {"exact"}:
         source = (SRC / f"{name}.py").read_text(encoding="utf-8")
         assert not {"_grow", "_state_slice"} & _names(ast.parse(source)), name
+
+
+def test_memory_walks_at_one_site():
+    # A memory run walks its target once, for every gap's window fit and
+    # bound; the module's every lattice walk, prediction_joint's too, goes
+    # through one call of prefix_expansion, so a per-gap walk added beside
+    # it fails here.
+    tree = ast.parse((SRC / "memory.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "prefix_expansion" in _names(node.func)]
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "prefix_expansion"]
+    assert len(calls) == 1 and len(reads) == 1

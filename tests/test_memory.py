@@ -1,17 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import seqcal as sc
-from seqcal.calibrate import _StepTiltProblem, _fit_step
+from seqcal.cli import _pipeline_memory, parse_config
+from seqcal.calibrate import _fit_step
 from seqcal.exact import (
     conditional_mi_exact,
     prefix_expansion,
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.memory import _comparator_ce, _joint
+from seqcal.memory import _joint, _WindowMass
 from seqcal.models import row_entropies
 
 from conftest import (
@@ -42,6 +44,32 @@ def per_step_grid_argmin(truth, full, comparator, steps, lo=-4.0, hi=4.0, step=1
             nll = -(true_rows * (logits - log_z[:, None])).sum(axis=1)
             total[k] += float(np.dot(w, nll))
     return float(alphas[int(np.argmin(total))])
+
+
+def window_mass_tables(target, spec, window):
+    """Each level's window-mass table: every prefix's weight times its next row, added to its
+    window's row one prefix at a time, in lattice (or sample) order."""
+    M = spec.M
+    tail = sc.MarkovModel.uniform(spec, min(window, spec.T - 1))
+    if isinstance(target, sc.ConditionalModel):
+        walk = prefix_expansion(target, None, tail, whole=True)
+    else:
+        walk = sample_expansion(target, tail)
+    levels = []
+    for t, _, states, weights, rows in walk:
+        table = np.zeros((M ** min(tail.order, t - 1), M))
+        for code, w, row in zip(states[-1][1].tolist(), weights, rows):
+            table[code] += w * row
+        levels.append(table)
+    return levels
+
+
+def _normalized(table):
+    """Rows of `table` normalized; a row without mass is uniform."""
+    mass = table.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(mass > 0.0, table / np.where(mass > 0.0, mass, 1.0),
+                        np.full_like(table, 1.0 / table.shape[1]))
 
 
 class TestFitLimitedMemory:
@@ -75,36 +103,40 @@ class TestFitLimitedMemory:
     @pytest.mark.parametrize("sample", [False, True])
     @pytest.mark.parametrize("M, T", [(2, 6), (3, 5), (4, 5)])
     def test_tables_are_bitwise_the_per_row_sums(self, rng, monkeypatch, sample, M, T):
-        # Each window's mass is added one prefix at a time, in lattice (or
-        # sample) order, then smoothed and normalized, whatever the chunk
-        # of rows the index is built for.
+        # Each level's window mass is added one prefix at a time, in lattice
+        # (or sample) order; the levels' tables are pooled in level order,
+        # then smoothed and normalized, whatever the walk's blocks.
         truth = random_markov(rng, M, T, 2, concentration=0.5)
-        samples = truth.sample_batch(400, rng) if sample else None
+        target = truth.sample_batch(400, rng) if sample else truth
         smoothing = 0.1 / 400 if sample else 0.0
         for window in (1, 2, 3):
-            tail = sc.MarkovModel.uniform(truth.spec, min(window, T - 1))
-            walk = sample_expansion(samples, tail) if sample else prefix_expansion(truth, None, tail, whole=True)
-            acc = [np.zeros((M**ell, M)) for ell in range(tail.order + 1)]
+            levels = window_mass_tables(target, truth.spec, window)
+            eff = min(window, T - 1)
+            pooled = levels[eff].copy()
+            for table in levels[eff + 1:]:
+                pooled += table
+            expected = [_normalized(table + smoothing) for table in levels[:eff] + [pooled]]
+            # One table per context length, each prefix added straight into
+            # it across the levels, moves the rows by rounding only.
+            tail = sc.MarkovModel.uniform(truth.spec, eff)
+            if sample:
+                walk = sample_expansion(target, tail)
+            else:
+                walk = prefix_expansion(truth, None, tail, whole=True)
+            acc = [np.zeros((M**ell, M)) for ell in range(eff + 1)]
             for t, _, states, weights, rows in walk:
-                table = acc[min(tail.order, t - 1)]
                 for code, w, row in zip(states[-1][1].tolist(), weights, rows):
-                    table[code] += w * row
-            expected = []
-            for table in acc:
-                smoothed = table + smoothing
-                mass = smoothed.sum(axis=1, keepdims=True)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    expected.append(np.where(mass > 0.0, smoothed / np.where(mass > 0.0, mass, 1.0),
-                                             np.full_like(table, 1.0 / M)))
+                    acc[min(eff, t - 1)][code] += w * row
             for block in (1, 3, 2**14):
                 monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
                 if sample:
-                    fitted = sc.fit_limited_memory(samples, window, spec=truth.spec, smoothing=0.1)
+                    fitted = sc.fit_limited_memory(target, window, spec=truth.spec, smoothing=0.1)
                 else:
                     fitted = sc.fit_limited_memory(truth, window)
                 assert len(fitted.tables) == len(expected)
-                for got, want in zip(fitted.tables, expected):
+                for got, want, old in zip(fitted.tables, expected, acc):
                     assert np.array_equal(got, want), (window, block)
+                    np.testing.assert_allclose(got, _normalized(old + smoothing), rtol=1e-12, atol=0.0)
 
     def test_min_samples_enforced(self, rng):
         spec = sc.make_spec(2, 3)
@@ -488,16 +520,16 @@ class TestSampleModeZeroComparator:
 
 
 class TestComparatorWalks:
-    def test_memory_bound_advances_comparator_once_per_level(self, rng):
-        # The comparator's state lives inside the tilted model's, and the
-        # bound reads its terms from the calibration's own walk, so the
-        # comparator is advanced once per level: T - 1 batches in all.
+    def test_memory_bound_reads_the_comparator_by_its_tables(self, rng):
+        # The comparator's rows at a context depend only on its window, so
+        # its features and CE terms are read off its tables against the
+        # walk's window-mass tables: it is never walked or asked for rows.
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
         comparator = sc.fit_limited_memory(truth, 1)
-        calls = count_calls(comparator, "advance")
+        calls = count_calls(comparator, "rows", "step", "advance")
         sc.memory_bound(truth, full, comparator)
-        assert calls == [truth.spec.T - 1]
+        assert calls == [0]
 
     def test_memory_bound_walks_the_truth_once(self, rng):
         # One lattice walk per estimate: the truth drives it and makes one
@@ -509,6 +541,18 @@ class TestComparatorWalks:
         sc.memory_bound(truth, full, comparator)
         assert calls == [truth.spec.T - 1]
 
+    def test_memory_pipeline_walks_the_truth_once(self, rng):
+        # One walk for the whole run: every gap's window fit and bound read
+        # the same window-mass tables, so tau = 1, 2, 3 take T - 1 lattice
+        # steps of the truth; a walk per fit and per bound took 6 (T - 1).
+        cfg = parse_config({"M": 2, "T": 6, "pipeline": "memory", "tau": [1, 2, 3]})
+        truth = random_markov(rng, 2, 6, 3)
+        full = truth.perturbed(rng, 0.3)
+        calls = count_calls(truth, "step", "advance")
+        code, artifacts = _pipeline_memory(cfg, truth, full, None)
+        assert code == 0 and len(json.loads(artifacts["memory.json"])) == 3
+        assert calls == [truth.spec.T - 1]
+
     @staticmethod
     def _heap_case():
         M, T = 4, 8
@@ -517,34 +561,38 @@ class TestComparatorWalks:
         return truth, full, sc.marginalize_to_window(truth, 1), 8 * M**T
 
     def test_build_heap_peak_in_last_level_arrays(self):
-        # memory_bound's build, the per-step problem reading the comparator
-        # CE terms off its blocked walk, peaks at 4.09 arrays of the last
-        # level's (M**(T-1), M) rows, 0.02 above the problem alone: each
-        # level's CE is one streamed sum across its blocks, and the
-        # problem keeps the comparator's features as 4-column tables.
-        # (M, N) features took 5.41, whole levels 9.27; keeping the CE
-        # pass's log rows while it sums adds 0.25.
+        # memory_bound's build, one blocked walk into the per-step problem's
+        # storage and the window-mass tables, the problem read off them and
+        # each step's comparator CE, peaks at 3.55 arrays of the last
+        # level's (M**(T-1), M) rows: the walk's (N,) weights and
+        # cross-entropy terms, every tilted step's log rows and one block
+        # of the walk.  A build that also kept each context's target
+        # feature mean and read the CE off its walk peaked at 4.09 (5.41
+        # with (M, N) features, 9.27 from whole levels).
         truth, full, comparator, size = self._heap_case()
         T = truth.spec.T
-        tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=range(2, T + 1))
-        ce = {}
-        _, peak = heap_peak(lambda: _StepTiltProblem(
-            truth, tilt, observe=lambda walk: _comparator_ce(walk, tilt, ce, False)))
-        assert sorted(ce) == list(range(2, T + 1))
+        steps = range(2, T + 1)
+        tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
+
+        def build():
+            walk = _WindowMass(truth, truth.spec, (1,), None, full, steps)
+            return walk.problem(tilt), [walk.cross_entropy(comparator, t)[0] for t in steps]
+
+        (problem, ce), peak = heap_peak(build)
+        assert sorted(problem.feats) == list(steps) and len(ce) == len(steps)
         assert peak < 4.2 * size
 
     def test_memory_bound_heap_peak_in_last_level_arrays(self):
         # The whole estimate, build, fit and per-step report with its exact
-        # MI, peaks at 4.09 arrays of the last level, in its build (5.41
-        # with (M, N) features): the report holds the problem's 1.67 and
-        # one block of deep pasts at a time.  A report of whole levels,
-        # their tilted rows, joint and conditional-entropy terms, peaked at
-        # 7.11.
+        # MI, peaks at 3.64 arrays of the last level, in its probes (4.09
+        # in a build that kept per-context feature means, 5.41 with (M, N)
+        # features): the report holds the problem's 1.67 and one block of
+        # deep pasts at a time.  A report of whole levels, their tilted
+        # rows, joint and conditional-entropy terms, peaked at 7.11.
         truth, full, comparator, size = self._heap_case()
         est, peak = heap_peak(lambda: sc.memory_bound(truth, full, comparator))
         assert est.exact_mi is not None
         assert peak < 4.2 * size
-
 
 
 class TestBoundFromTheFitsWalk:
@@ -552,7 +600,10 @@ class TestBoundFromTheFitsWalk:
 
     Walking the truth (or the samples) again with the fitted tilt model,
     as a separate bound walk would, gives bitwise the same rows and
-    per-step terms.
+    conditional entropies, and the CE and MI of their definitions: the
+    CE from each step's window-mass table, the MI as H(Z | Y) of the
+    (Z, Y) marginal summed one deep past at a time, less the conditional
+    entropy.  Both are within 1e-12 of the per-context formulas.
     """
 
     @pytest.mark.parametrize("case", ["exact", "alpha_zero", "pairwise_rows", "sample"])
@@ -566,7 +617,7 @@ class TestBoundFromTheFitsWalk:
         target = truth.sample_batch(2000, rng) if case == "sample" else truth
         steps = tuple(range(2, T + 1))
         tilt = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-        problem = _StepTiltProblem(target, tilt)
+        problem = tilt._problem(target)
         tilted, result = _fit_step(problem, 1e-10)
         est = sc.memory_bound(target, full, comparator)
         assert est.alpha_star == result.alpha_star
@@ -583,49 +634,79 @@ class TestBoundFromTheFitsWalk:
             rows = tilted.rows(state)
             blocks = list(problem.tilted_rows(result.alpha_star, t, 1))
             w = np.concatenate([b[0] for b in blocks])
-            problem_rows = np.concatenate([b[1] for b in blocks])
+            problem_rows = np.concatenate([b[1] for b in blocks], axis=1).T
             assert np.array_equal(w, weights)
             assert np.array_equal(problem_rows, rows)
+            # The comparator's own state code is each context's window.
+            table = np.zeros((M, M))
+            for code, wi, row in zip(state[2][1].tolist(), weights, true_rows):
+                table[code] += wi * row
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_comp = np.log(comparator.rows(state[2]))
+                terms = np.where(table > 0.0, table * np.log(comparator.tables[1]), 0.0)
                 mass = weights[:, None] * true_rows
-                terms = np.where(mass > 0.0, mass * log_comp, 0.0)
+                per_context = np.where(mass > 0.0, mass * np.log(comparator.rows(state[2])), 0.0)
             assert est.per_step[t]["ce"] == -math.fsum(terms.ravel().tolist())
+            assert est.per_step[t]["ce"] == pytest.approx(-math.fsum(per_context.ravel().tolist()),
+                                                          rel=1e-12, abs=1e-15)
             h = math.fsum((weights * row_entropies(rows)).tolist())
             assert est.per_step[t]["cond_entropy"] == h
             if case != "sample":
-                mi = conditional_mi_exact(_joint(weights, rows, est.tau, t))
+                joint = _joint(weights, rows, est.tau, t)
+                mi = 0.0 if t - 1 <= est.tau else _sequential_mi(joint, h)
                 assert est.per_step[t]["mi"] == mi
+                assert mi == pytest.approx(conditional_mi_exact(joint), rel=1e-12, abs=1e-15)
+
+
+def _sequential_mi(joint, h):
+    """H(Z|Y) of a (Z, Y, X) joint's (Z, Y) marginal, summed one X at a time in order, less `h`."""
+    marginal = joint[:, :, 0].copy()
+    for x in range(1, joint.shape[2]):
+        marginal += joint[:, :, x]
+    return conditional_entropy_oracle(marginal) - h
 
 
 def _whole_level_report(target, tilted, steps, tau):
-    """Each step's (ce, cond_entropy, mi) and each sequence's summed h-terms, from whole levels.
+    """Each step's (ce, cond_entropy, mi), per-context formulas and per-sequence terms, from whole levels.
 
-    A second walk with the fitted tilt model reads each level whole; the
-    CE and conditional entropy are math.fsum of their terms and the MI is
-    H(Z|Y) of the joint's own sum over X less H(Z|Y,X), each by the
-    masked formula.  (The h-terms are kept in sample mode only.)
+    A second walk with the fitted tilt model reads each level whole.  The
+    CE is math.fsum of the step's window-mass table times the log
+    comparator table, the conditional entropy math.fsum of the weighted
+    row entropies, and the MI :func:`_sequential_mi` (0 with no deep
+    past).  Beside them, the CE and MI by the per-context formulas:
+    math.fsum of each context's masked terms, and H(Z|Y) - H(Z|Y,X) of
+    the joint.  In sample mode, each sequence's summed CE and h-terms.
     """
     sample = not isinstance(target, sc.ConditionalModel)
+    M, order = tilted.spec.M, tilted.comparator.order
     walk = sample_expansion(target, tilted) if sample else prefix_expansion(target, None, tilted, whole=True)
-    report, h_seq = {}, 0.0
+    report, per_context, ce_seq, h_seq = {}, {}, 0.0, 0.0
     for t, _, states, weights, true_rows in walk:
         if t not in steps:
             continue
         rows = tilted.rows(states[-1])
+        comp_state = states[-1][2]
+        table = np.zeros((M ** min(order, t - 1), M))
+        for code, w, row in zip(comp_state[1].tolist(), weights, true_rows):
+            table[code] += w * row
         with np.errstate(divide="ignore", invalid="ignore"):
+            log_table = np.log(tilted.comparator.tables[min(order, t - 1)])
+            terms = np.where(table > 0.0, table * log_table, 0.0)
             mass = weights[:, None] * true_rows
-            terms = np.where(mass > 0.0, mass * np.log(tilted.comparator.rows(states[-1][2])), 0.0)
+            context_terms = np.where(mass > 0.0, mass * np.log(tilted.comparator.rows(comp_state)), 0.0)
         h_terms = weights * row_entropies(rows)
-        mi = None
+        h = math.fsum(h_terms.tolist())
+        mi = old_mi = None
         if sample:
+            ce_seq = ce_seq - context_terms.sum(axis=1)
             h_seq = h_seq + h_terms
         else:
             joint = _joint(weights, rows, tau, t)
-            mi = (conditional_entropy_oracle(joint.sum(axis=2))
-                  - conditional_entropy_oracle(joint.reshape(joint.shape[0], -1, order="A")))
-        report[t] = (-math.fsum(terms.ravel().tolist()), math.fsum(h_terms.tolist()), mi)
-    return report, h_seq
+            mi = 0.0 if t - 1 <= tau else _sequential_mi(joint, h)
+            old_mi = (conditional_entropy_oracle(joint.sum(axis=2))
+                      - conditional_entropy_oracle(joint.reshape(joint.shape[0], -1, order="A")))
+        report[t] = (-math.fsum(terms.ravel().tolist()), h, mi)
+        per_context[t] = (-math.fsum(context_terms.ravel().tolist()), old_mi)
+    return report, per_context, ce_seq, h_seq
 
 
 class TestBlockedReport:
@@ -634,7 +715,7 @@ class TestBlockedReport:
     Whatever the block size, down to one run of recent contexts, each
     step's CE, conditional entropy and exact MI, and in sample mode the
     per-sequence terms behind the stderrs, are bitwise the whole-level
-    formulas'.
+    formulas', and within 1e-12 of the per-context ones.
     """
 
     @pytest.mark.parametrize("M, T", [(2, 6), (3, 5), (4, 5), (9, 4)])
@@ -650,15 +731,72 @@ class TestBlockedReport:
             monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
             est = sc.memory_bound(target, full, comparator, min_samples=1)
             tilted = sc.MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
-            expected, h_seq = _whole_level_report(target, tilted, est.steps, tau)
+            expected, per_context, ce_seq, h_seq = _whole_level_report(target, tilted, est.steps, tau)
             assert sorted(est.per_step) == sorted(expected)
             for t, (ce, h, mi) in expected.items():
                 got = est.per_step[t]
                 assert (got["ce"], got["cond_entropy"], got["mi"]) == (ce, h, mi), (block, t)
+                old_ce, old_mi = per_context[t]
+                assert ce == pytest.approx(old_ce, rel=1e-12, abs=1e-15)
+                if not sample:
+                    assert mi == pytest.approx(old_mi, rel=1e-12, abs=1e-15)
             if sample:
                 # memory_bound's per-sequence step averages, from whole levels.
-                h_seq = h_seq * target.shape[0] / len(est.steps)
-                assert est.cond_entropy_stderr == float(h_seq.std(ddof=1) / math.sqrt(h_seq.shape[0]))
+                n = target.shape[0]
+                ce_seq, h_seq = ce_seq * n / len(est.steps), h_seq * n / len(est.steps)
+                assert est.ce_stderr == float(ce_seq.std(ddof=1) / math.sqrt(n))
+                assert est.cond_entropy_stderr == float(h_seq.std(ddof=1) / math.sqrt(n))
+
+
+class TestOneWalkPerRun:
+    """Every gap of a run reads one walk's window-mass tables.
+
+    For M in 2..4, T in 3..6 and tau in 1..3, in exact and sample mode:
+    each level's table is added one context at a time in context order,
+    so the tables, the window fits and the estimates do not depend on the
+    walk's blocks, and the estimate at each gap is bitwise the one-gap
+    pipeline, ``memory_bound`` against ``fit_limited_memory``'s
+    comparator.
+    """
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_each_gap_is_its_own_pipeline_at_every_block(self, monkeypatch, M, T, sample):
+        rng = np.random.default_rng(100 * M + 10 * T + sample)
+        truth = random_markov(rng, M, T, 3, concentration=0.5)
+        full = sc.DriftModel(truth.perturbed(rng, 0.4), 0.1)
+        target = truth.sample_batch(60, rng) if sample else truth
+        taus = [1, 2, 3]
+        levels = {tau: window_mass_tables(target, truth.spec, tau) for tau in taus}
+        first = None
+        for block in (1, 5, 2**14):
+            monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+            walk = _WindowMass(target, truth.spec, taus)
+            for tau in taus:
+                tables = walk.mass[min(tau, T - 1)]
+                assert len(tables) == T, (tau, block)
+                assert all(np.array_equal(a, b) for a, b in zip(tables, levels[tau])), (tau, block)
+            docs = [est.to_dict() for est in sc.memory_bounds(target, full, taus, min_samples=1)]
+            for tau, doc in zip(taus, docs, strict=True):
+                if sample:
+                    comparator = sc.fit_limited_memory(target, tau, spec=truth.spec)
+                else:
+                    comparator = sc.fit_limited_memory(truth, tau)
+                assert doc == sc.memory_bound(target, full, comparator, min_samples=1).to_dict(), (tau, block)
+            first = first or docs
+            assert docs == first, block
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_comparator_must_be_a_window_table_model(self, rng, sample):
+        truth = random_markov(rng, 2, 4, 2)
+        full = truth.perturbed(rng, 0.3)
+        target = truth.sample_batch(50, rng) if sample else truth
+        for comparator in (sc.DriftModel(truth, 0.2), sc.MixtureModel(sc.fit_limited_memory(truth, 1), 0.1)):
+            with pytest.raises(ValueError, match="window table model"):
+                sc.memory_bound(target, full, comparator, tau=1, min_samples=1)
+            with pytest.raises(ValueError, match="window table model"):
+                sc.calibrate_to_comparator(target, full, comparator, min_samples=1)
 
 
 class TestSampleLayouts:
