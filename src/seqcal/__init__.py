@@ -15,7 +15,6 @@ from .models import (
     MixtureModel,
     PerTokenMixture,
     SequenceSpec,
-    Vocab,
     load_model,
     make_spec,
     model_from_dict,
@@ -29,7 +28,6 @@ from .exact import (
     BudgetExceededError,
     EnumerationBudget,
     FunctionalF,
-    conditional_mi_exact,
     cross_entropy_exact,
     entropy_exact,
     entropy_rate_exact,
@@ -56,18 +54,14 @@ from .calibrate import (
     calibrate_entropy_rate,
     fit_alpha_global,
     fit_alpha_local,
-    lookahead_entropy_vector,
 )
 from .memory import (
     MemoryEstimate,
     MemoryTiltModel,
-    calibrate_to_comparator,
     fit_limited_memory,
-    marginalize_to_window,
     memory_bound,
     memory_bounds,
     memory_table_csv,
-    prediction_joint,
 )
 from .rng import named_stream
 
@@ -94,11 +88,8 @@ __all__ = [
     "MixtureModel",
     "PerTokenMixture",
     "SequenceSpec",
-    "Vocab",
     "amplification_bound",
     "calibrate_entropy_rate",
-    "calibrate_to_comparator",
-    "conditional_mi_exact",
     "cross_entropy_exact",
     "cross_entropy_mc",
     "drift_curve",
@@ -112,9 +103,7 @@ __all__ = [
     "kl_exact",
     "load_model",
     "log_partition_exact",
-    "lookahead_entropy_vector",
     "make_spec",
-    "marginalize_to_window",
     "mean_var_exact",
     "memory_bound",
     "memory_bounds",
@@ -123,7 +112,6 @@ __all__ = [
     "model_hash",
     "model_to_dict",
     "named_stream",
-    "prediction_joint",
     "row_entropies",
     "save_model",
     "stationary_distribution",

@@ -357,16 +357,6 @@ def _tilt_rows(base_rows: np.ndarray, feats: np.ndarray, alpha: float) -> np.nda
     return _tilt_columns(log_rows.T, feats.T, alpha)[0].T
 
 
-def lookahead_entropy_vector(base: ConditionalModel, context) -> np.ndarray:
-    """Entropy of the base's next conditional after appending each token.
-
-    Entry j is H(B(. | context + [j])) in nats; at the final step (where
-    no next conditional exists) every entry is 0.
-    """
-    tilt = LocalTiltModel(base, 0.0)
-    return tilt._step(tilt._state_at(base._check_context(context)[None, :]))[1][0]
-
-
 class LocalTiltModel(ConditionalModel):
     """Per-step lookahead-entropy tilt.
 

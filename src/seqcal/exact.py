@@ -19,8 +19,8 @@ preallocated output, so its heap stays near one lattice vector, a
 reader that sums the blocks as they pass (the global tilt's truth, the
 drift curve) holds none, and the per-step problem stays near its own
 storage.  The whole-level mode, one block that holds every parent, gives
-each level as one piece; only ``memory.prediction_joint`` and verify's
-memory chain read it.  Sequence functionals are evaluated on that lattice, never on an
+each level as one piece; only the test oracles and verify's memory chain
+read it.  Sequence functionals are evaluated on that lattice, never on an
 enumerated token array.  :func:`sample_expansion` walks an (n, T)
 sample array the same way, as the lattice of its empirical
 distribution, in the same pieces, one per level.
@@ -573,25 +573,3 @@ def _conditional_entropy(joint: np.ndarray) -> float:
         terms *= joint
     terms[~(joint > 0.0)] = 0.0
     return -_fsum(terms.ravel(order="K"))
-
-
-def conditional_mi_exact(joint: np.ndarray) -> float:
-    """I(Z; X | Y) in nats from an explicit joint indexed (Z, Y, X).
-
-    Computed as H(Z|Y) - H(Z|Y,X), H(Z|Y) from the joint's sum over X
-    and H(Z|Y,X) from its (Z, Y*X) view.  The joint must be a normalized
-    distribution.
-    """
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 3:
-        raise ValueError("joint must be a 3-d array indexed (Z, Y, X)")
-    if np.any(joint < 0.0):
-        raise ValueError("joint must be nonnegative")
-    total = float(joint.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint must sum to 1, got {total}")
-    # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
-    # joint, so each marginal over Z is summed along the same memory axis
-    # as in the 3-d layout.
-    return _conditional_entropy(joint.sum(axis=2)) - _conditional_entropy(
-        joint.reshape(joint.shape[0], -1, order="A"))

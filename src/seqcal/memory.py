@@ -21,11 +21,11 @@ identity behind the bound aligned with what is reported.  Those steps
 are the :class:`MemoryTiltModel`'s own ``active_steps``, read by the fit
 and by the bound alike.
 
-The comparator's window fit, :func:`marginalize_to_window` or
-:func:`fit_limited_memory`, lives here too.  A comparator is a window
-table model, so the window fit, the tilt's features, the target feature
-sum and each step's CE(truth || comparator) are sums over one small
-table per level: the target's mass by window code and next token
+The comparator's window fit, :func:`fit_limited_memory`, lives here
+too.  A comparator is a window table model, so the window fit, the
+tilt's features, the target feature sum and each step's CE(truth ||
+comparator) are sums over one small table per level: the target's mass
+by window code and next token
 (:class:`_WindowMass`).  One walk of the target builds these tables for
 every window of a run beside the full model's log rows, and
 :func:`memory_bounds` reads all of a run's gaps off it.  Each routine
@@ -178,15 +178,28 @@ def fit_limited_memory(source, window: int, spec=None, budget: EnumerationBudget
     """Learn a model conditioned only on the last `window` tokens.
 
     A true model is marginalized over deep pasts exactly (enumeration,
-    budget-guarded; ``exact-marginal``).  An (n, T) sample array of
-    `spec` gives additive-smoothed window-gram tables
-    (``empirical-ngram``); contexts never observed get (with positive
-    smoothing) the uniform row.
+    budget-guarded; ``exact-marginal``).  For each window-sized context
+    y, the returned row is the conditional distribution of the next
+    token given y, with deep pasts summed out under the model and
+    positions pooled:
+
+        row(y)[z]  =  sum_t P(window at t = y, next = z) / sum_t P(window at t = y)
+
+    i.e. the best window-limited predictor of the model in log loss,
+    which is what training a context-truncated model to convergence
+    yields.  Contexts shorter than the window (the first steps of a
+    sequence) get their own exact tables.  Contexts with zero
+    probability get uniform rows; they are never reached under the
+    model.
+
+    An (n, T) sample array of `spec` gives additive-smoothed window-gram
+    tables (``empirical-ngram``); contexts never observed get (with
+    positive smoothing) the uniform row.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if isinstance(source, ConditionalModel):
-        return marginalize_to_window(source, window, budget)
+        return _WindowMass(source, source.spec, (window,), budget).window_fit(window)
     if spec is None:
         raise ValueError("spec is required for empirical-ngram mode")
     if smoothing < 0.0:
@@ -201,32 +214,10 @@ def fit_limited_memory(source, window: int, spec=None, budget: EnumerationBudget
     return _WindowMass(samples, spec, (window,)).window_fit(window, smoothing / samples.shape[0])
 
 
-def marginalize_to_window(
-    model: ConditionalModel, window: int, budget=None
-) -> LimitedMemoryModel:
-    """Exact limited-memory marginal of `model` with the given window.
-
-    For each window-sized context y, the returned row is the conditional
-    distribution of the next token given y, with deep pasts summed out
-    under `model` and positions pooled:
-
-        row(y)[z]  =  sum_t P(window at t = y, next = z) / sum_t P(window at t = y)
-
-    i.e. the best window-limited predictor of `model` in log loss, which
-    is what training a context-truncated model to convergence yields.
-    Contexts shorter than the window (the first steps of a sequence) get
-    their own exact tables.  Contexts with zero probability get uniform
-    rows; they are never reached under `model`.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    return _WindowMass(model, model.spec, (window,), budget).window_fit(window)
-
-
-def _walk(target, budget, *models, **kwargs):
-    """The module's one walk: a truth's (blocked) ``prefix_expansion`` or a sample's ``sample_expansion``."""
+def _walk(target, budget, *models):
+    """The module's one walk: a truth's blocked ``prefix_expansion`` or a sample's ``sample_expansion``."""
     if isinstance(target, ConditionalModel):
-        return prefix_expansion(target, budget, *models, **kwargs)
+        return prefix_expansion(target, budget, *models)
     return sample_expansion(target, *models)
 
 
@@ -314,42 +305,6 @@ class _WindowMass:
         return -_fsum(terms), -(self.steps.weights[self.steps.spans[t]] * log_table.reshape(-1)[cells])
 
 
-def _default_steps(comparator: ConditionalModel, T: int):
-    window = getattr(comparator, "window", None)
-    if window is None or window + 1 > T:
-        return tuple(range(1, T + 1))
-    return tuple(range(window + 1, T + 1))
-
-
-def calibrate_to_comparator(
-    target,
-    full: ConditionalModel,
-    comparator: ConditionalModel,
-    tolerance: float = 1e-10,
-    budget: EnumerationBudget | None = None,
-    steps=None,
-    min_samples: int = 1000,
-    provenance: dict | None = None,
-) -> tuple[MemoryTiltModel, CalibrationResult]:
-    """Calibrate `full` to the comparator's predictions on the given steps.
-
-    Fits the shared exponent of full_row * comparator_row**alpha per
-    step; at the optimum the tilted model is unimprovable within this
-    family (zero gradient), which is the calibrated-model condition the
-    memory bound requires.  `target` is the true model (exact mode) or
-    an (n, T) sample array.
-
-    Comparator zeros under positive full-model mass are floored in log
-    space, which leaves alpha > 0 well defined; for alpha < 0 the
-    objective blows up there and the convex fit simply stays in the
-    finite region (the flooring is recorded in the result).
-    """
-    if steps is None:
-        steps = _default_steps(comparator, full.spec.T)
-    tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-    return _fit_step(tilt._problem(target, budget, min_samples), tolerance, provenance)
-
-
 @dataclass
 class MemoryEstimate:
     """The memory bound at one gap, with everything needed to audit it."""
@@ -409,33 +364,6 @@ def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarra
     return (weights[:, None] * rows).reshape(-1, M ** min(tau, t - 1), M).transpose(2, 1, 0)
 
 
-def prediction_joint(
-    truth: ConditionalModel,
-    predictor: ConditionalModel,
-    tau: int,
-    t: int,
-    budget: EnumerationBudget | None = None,
-) -> np.ndarray:
-    """Joint (Z, Y, X) of the predictor's step-t token with the true past.
-
-    Z is the predictor's next token at step t, Y the most recent
-    min(tau, t-1) tokens, X the deep past before them; (X, Y) carries the
-    truth's prefix distribution, walked to level t against a budget of
-    M**t states.  Feeding this to
-    :func:`seqcal.exact.conditional_mi_exact` yields the exact memory at
-    gap tau for this step.
-    """
-    if predictor.spec != truth.spec:
-        raise ValueError("models must share the same sequence spec")
-    if not 1 <= t <= truth.spec.T:
-        raise ValueError(f"step t must lie in 1..{truth.spec.T}")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    for _, _, (_, state), weights, _ in _walk(truth, budget, predictor, last=t, whole=True):
-        pass
-    return _joint(weights, predictor.rows(state), tau, t)
-
-
 def memory_bound(target, full: ConditionalModel, comparator: MarkovModel, t_policy="average",
                  tau: int | None = None, tolerance: float = 1e-10, budget: EnumerationBudget | None = None,
                  attach_exact_mi: bool = True, min_samples: int = 1000,
@@ -487,6 +415,8 @@ def memory_bounds(target, full: ConditionalModel, taus, t_policy="average", tole
 
 def _measured_steps(tau, t_policy, T: int) -> tuple[int, tuple]:
     """The gap as an int and the steps `t_policy` measures at it."""
+    if T < 2:
+        raise ValueError(f"memory gaps need T >= 2, got T = {T}")
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")

@@ -58,42 +58,25 @@ _ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Vocab:
-    """Token alphabet ``{0, ..., size-1}``."""
-
-    size: int
-
-    def __post_init__(self):
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise ValueError("vocabulary size must be an integer")
-        if self.size < 2:
-            raise ValueError(f"vocabulary size must be >= 2, got {self.size}")
-
-
-@dataclass(frozen=True)
 class SequenceSpec:
-    """Vocabulary plus the common sequence length all models are bound to."""
+    """Vocabulary size M (tokens 0..M-1) and the sequence length T every model is bound to."""
 
-    vocab: Vocab
-    length: int
+    M: int
+    T: int
 
     def __post_init__(self):
-        if not isinstance(self.length, int) or isinstance(self.length, bool):
+        if not isinstance(self.M, int) or isinstance(self.M, bool):
+            raise ValueError("vocabulary size must be an integer")
+        if self.M < 2:
+            raise ValueError(f"vocabulary size must be >= 2, got {self.M}")
+        if not isinstance(self.T, int) or isinstance(self.T, bool):
             raise ValueError("sequence length must be an integer")
-        if self.length < 1:
-            raise ValueError(f"sequence length must be >= 1, got {self.length}")
-
-    @property
-    def M(self) -> int:
-        return self.vocab.size
-
-    @property
-    def T(self) -> int:
-        return self.length
+        if self.T < 1:
+            raise ValueError(f"sequence length must be >= 1, got {self.T}")
 
 
 def make_spec(M: int, T: int) -> SequenceSpec:
-    return SequenceSpec(Vocab(M), T)
+    return SequenceSpec(M, T)
 
 
 def row_entropies(rows: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .exact import (
     prefix_expansion,
     sequence_log_probs,
 )
-from .memory import MemoryTiltModel, _joint, fit_limited_memory, memory_bound
+from .memory import MemoryTiltModel, _joint, fit_limited_memory, memory_bound, memory_bounds
 from .models import (
     DriftModel,
     MarkovModel,
@@ -378,11 +378,8 @@ def _check_memory_decay(rng, n, budget, tolerance):
         spec = make_spec(2, 6)
         truth = MarkovModel.random(spec, 3, rng, concentration=1.0)
         full = truth.perturbed(rng, 0.3)
-        for j, tau in enumerate(taus):
-            comparator = fit_limited_memory(truth, tau, budget=budget)
-            est = memory_bound(truth, full, comparator, budget=budget,
-                               tolerance=tolerance, attach_exact_mi=False)
-            bounds[i, j] = est.bound
+        ests = memory_bounds(truth, full, taus, budget=budget, tolerance=tolerance, attach_exact_mi=False)
+        bounds[i] = [est.bound for est in ests]
         # A window-limited model must carry zero memory beyond its window.
         windowed = fit_limited_memory(truth, 1, budget=budget)
         est = memory_bound(truth, windowed, windowed, budget=budget, tolerance=tolerance)

@@ -3,7 +3,11 @@
 The oracle helpers here deliberately avoid the package's enumeration
 code paths: probabilities are multiplied out with plain Python loops
 from raw tables or via single next_dist calls, so they can serve as an
-independent cross-check of everything in seqcal.exact.
+independent cross-check of everything in seqcal.exact.  The exact
+memory's oracles, :func:`prediction_joint` and
+:func:`conditional_mi_exact`, are the exception: they read the
+package's whole-level walk, against which the memory bound's blocked
+report is checked.
 """
 
 import itertools
@@ -95,6 +99,50 @@ def conditional_entropy_oracle(joint):
     return -math.fsum(terms.ravel().tolist())
 
 
+def prediction_joint(truth, predictor, tau, t, budget=None):
+    """Joint (Z, Y, X) of the predictor's step-t token with the true past.
+
+    Z is the predictor's next token at step t, Y the most recent
+    min(tau, t-1) tokens, X the deep past before them; (X, Y) carries the
+    truth's prefix distribution, from the whole-level walk to level t
+    against a budget of M**t states.  Feeding this to
+    :func:`conditional_mi_exact` yields the exact memory at gap tau for
+    this step.
+    """
+    if predictor.spec != truth.spec:
+        raise ValueError("models must share the same sequence spec")
+    if not 1 <= t <= truth.spec.T:
+        raise ValueError(f"step t must lie in 1..{truth.spec.T}")
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    for _, _, (_, state), weights, _ in seqcal.exact.prefix_expansion(truth, budget, predictor,
+                                                                      last=t, whole=True):
+        pass
+    return seqcal.memory._joint(weights, predictor.rows(state), tau, t)
+
+
+def conditional_mi_exact(joint):
+    """I(Z; X | Y) in nats from an explicit joint indexed (Z, Y, X).
+
+    Computed as H(Z|Y) - H(Z|Y,X), H(Z|Y) from the joint's sum over X
+    and H(Z|Y,X) from its (Z, Y*X) view.  The joint must be a normalized
+    distribution.
+    """
+    joint = np.asarray(joint, dtype=float)
+    if joint.ndim != 3:
+        raise ValueError("joint must be a 3-d array indexed (Z, Y, X)")
+    if np.any(joint < 0.0):
+        raise ValueError("joint must be nonnegative")
+    total = float(joint.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"joint must sum to 1, got {total}")
+    # Order "A" merges (Y, X) without a copy for a C- or F-contiguous
+    # joint, so each marginal over Z is summed along the same memory axis
+    # as in the 3-d layout.
+    entropy = seqcal.exact._conditional_entropy
+    return entropy(joint.sum(axis=2)) - entropy(joint.reshape(joint.shape[0], -1, order="A"))
+
+
 def random_markov(rng, M, T, order, concentration=1.0):
     return MarkovModel.random(make_spec(M, T), order, rng, concentration=concentration)
 
@@ -134,7 +182,7 @@ def model_of_kind(kind, rng, M, T, zero_frac=0.0):
     if name == "markov":
         return base
     if name == "limited_memory":
-        return seqcal.marginalize_to_window(base, 1)
+        return seqcal.fit_limited_memory(base, 1)
     if name == "mixture":
         return seqcal.MixtureModel(base, float(param))
     if name == "per_token_mixture":
@@ -146,7 +194,7 @@ def model_of_kind(kind, rng, M, T, zero_frac=0.0):
         return seqcal.GlobalTiltModel(drift, seqcal.FunctionalF.log_prob(base), -0.7)
     if name == "local_tilt":
         return seqcal.LocalTiltModel(drift, 0.6)
-    comparator = seqcal.marginalize_to_window(base, 1)
+    comparator = seqcal.fit_limited_memory(base, 1)
     return seqcal.MemoryTiltModel(drift, comparator, -0.8, active_steps=(2, 3, 4))
 
 

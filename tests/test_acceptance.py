@@ -321,10 +321,10 @@ def test_criterion_9_reproducibility(tmp_path):
         mixture,
         sc.DriftModel(base, 0.25),
         sc.PerTokenMixture(base, 0.2),
-        sc.marginalize_to_window(base, 1),
+        sc.fit_limited_memory(base, 1),
         sc.GlobalTiltModel(mixture, FunctionalF.log_prob(mixture), 0.3),
         sc.LocalTiltModel(base, -0.7),
-        sc.MemoryTiltModel(base, sc.marginalize_to_window(base, 1), 0.2, (2, 3, 4)),
+        sc.MemoryTiltModel(base, sc.fit_limited_memory(base, 1), 0.2, (2, 3, 4)),
     ]
     probes = base.sample_batch(64, _stream("acceptance-probes"))
     for model in models:

@@ -135,7 +135,7 @@ class TestNonFiniteParameters:
     def test_tilts_reject_a_non_finite_alpha(self, rng, bad):
         base = random_markov(rng, 2, 3, 1)
         f = FunctionalF.log_prob(base)
-        comparator = sc.marginalize_to_window(base, 1)
+        comparator = sc.fit_limited_memory(base, 1)
         builds = [
             lambda alpha: sc.GlobalTiltModel(base, f, alpha),
             lambda alpha: sc.LocalTiltModel(base, alpha),
@@ -567,16 +567,22 @@ class TestEntropyRateCalibration:
             assert ours.tobytes() == theirs.tobytes()
 
 
+def lookahead_entropy_vector(base, context):
+    """Entry j: the entropy of the base's next row after context + [j]; 0 at the final step."""
+    tilt = sc.LocalTiltModel(base, 0.0)
+    return tilt._step(tilt._state_at(base._check_context(context)[None, :]))[1][0]
+
+
 class TestLookahead:
     def test_uniform_base(self):
         base = sc.MarkovModel.uniform(sc.make_spec(4, 3))
         np.testing.assert_allclose(
-            sc.lookahead_entropy_vector(base, [1]), np.full(4, math.log(4)), atol=1e-12
+            lookahead_entropy_vector(base, [1]), np.full(4, math.log(4)), atol=1e-12
         )
 
     def test_deterministic_base(self):
         base = one_hot_model(sc.make_spec(3, 3))
-        np.testing.assert_allclose(sc.lookahead_entropy_vector(base, [0]), np.zeros(3))
+        np.testing.assert_allclose(lookahead_entropy_vector(base, [0]), np.zeros(3))
 
     def test_binary_markov_rows(self):
         spec = sc.make_spec(2, 4)
@@ -586,13 +592,13 @@ class TestLookahead:
         h09 = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
         h05 = math.log(2)
         np.testing.assert_allclose(
-            sc.lookahead_entropy_vector(base, [0]), [h09, h05], atol=1e-12
+            lookahead_entropy_vector(base, [0]), [h09, h05], atol=1e-12
         )
 
     def test_final_step_is_zero(self, rng):
         base = random_markov(rng, 3, 3, 1)
         np.testing.assert_array_equal(
-            sc.lookahead_entropy_vector(base, [0, 1]), np.zeros(3)
+            lookahead_entropy_vector(base, [0, 1]), np.zeros(3)
         )
 
     def test_local_rows_normalize(self, rng):
@@ -774,7 +780,7 @@ def _mu_bar(truth, feature_base, sampler):
     for t in range(1, T + 1):
         ctx, w = enumerate_sequences(M, t - 1), levels[t]
         rows = sampler.next_dist_batch(ctx)
-        feats = np.vstack([sc.lookahead_entropy_vector(feature_base, c) for c in ctx])
+        feats = np.vstack([lookahead_entropy_vector(feature_base, c) for c in ctx])
         total += float(np.dot(w, (rows * feats).sum(axis=1)))
     return total / T
 
@@ -903,7 +909,7 @@ class TestStepProblemLayout:
         if kind == "local":
             tilt = sc.LocalTiltModel(base, 0.0)
         else:
-            tilt = sc.MemoryTiltModel(base, sc.marginalize_to_window(truth, 1), 0.0)
+            tilt = sc.MemoryTiltModel(base, sc.fit_limited_memory(truth, 1), 0.0)
         return truth, tilt, 8 * M**T
 
     @pytest.mark.parametrize("kind, bound", [("memory", 4.2), ("local", 3.65)])
@@ -1025,7 +1031,7 @@ class TestBlockedStepProblem:
         else:
             # A partial step set: step 1 and the second to last stay untilted.
             active = set(range(2, T + 1)) - {T - 1} or {T}
-            tilt = sc.MemoryTiltModel(base, sc.marginalize_to_window(truth, 1), 0.0,
+            tilt = sc.MemoryTiltModel(base, sc.fit_limited_memory(truth, 1), 0.0,
                                       active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
         log_rows, feats, weights, spans, xent_sum, target_sum, obs = _whole_level_problem(target, tilt)
@@ -1147,7 +1153,7 @@ rng = np.random.default_rng(3)
 truth = sc.MarkovModel.random(sc.make_spec(4, 8), 2, rng, concentration=0.8)
 full = sc.DriftModel(truth.perturbed(rng, 0.3), 0.1)
 docs = [
-    sc.memory_bound(truth, full, sc.marginalize_to_window(truth, 1)).to_dict(),
+    sc.memory_bound(truth, full, sc.fit_limited_memory(truth, 1)).to_dict(),
     sc.fit_alpha_local(truth, full)[1].to_dict(),
     sc.fit_alpha_global(truth, full, sc.FunctionalF.log_prob(full)).to_dict(),
 ]

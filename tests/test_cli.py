@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import seqcal.exact
+import seqcal.memory
 import seqcal.verify
 from seqcal import (
     EnumerationBudget,
@@ -33,7 +34,7 @@ from seqcal.cli import (
     run,
 )
 from seqcal.rng import named_stream
-from seqcal.verify import _check_local_fit, _memory_chain_holds, verify_suite
+from seqcal.verify import _check_local_fit, _check_memory_decay, _memory_chain_holds, verify_suite
 
 from conftest import count_calls
 
@@ -416,6 +417,22 @@ class TestVerifyPipeline:
         calls = count_calls(comparator, "advance")
         assert _memory_chain_holds(truth, full, comparator, est, None, 1e-10)
         assert calls == [truth.spec.T - 1]
+
+    def test_decay_check_walks_each_instance_three_times(self, monkeypatch):
+        # One walk serves the fits and bounds at tau = 1, 2, 3, and the
+        # windowed check's fit and bound take one each; a walk per fit and
+        # per bound made 8.
+        walks = []
+
+        class Counted(seqcal.memory._WindowMass):
+            def __init__(self, *args, **kwargs):
+                walks.append(tuple(args[2]))  # the walk's windows
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(seqcal.memory, "_WindowMass", Counted)
+        report = _check_memory_decay(named_stream(1, "verify-decay"), 1, EnumerationBudget(), 1e-10)
+        assert report["failures"] == []
+        assert walks == [(1, 2, 3), (1,), (1,)]
 
     @pytest.mark.parametrize("seed, instance", [(1, 37), (29, 27)])
     def test_local_premise_miss_is_redrawn(self, seed, instance):

@@ -29,6 +29,7 @@ from conftest import (
     all_seqs,
     assert_states_equal,
     conditional_entropy_oracle,
+    conditional_mi_exact,
     cross_entropy_oracle,
     entropy_oracle,
     enumerate_sequences,
@@ -37,6 +38,7 @@ from conftest import (
     model_of_kind,
     model_probs,
     one_hot_model,
+    prediction_joint,
     random_markov,
     random_pair,
 )
@@ -198,9 +200,9 @@ class TestLogPartition:
 class TestConditionalMi:
     def test_window_predictor_has_zero_memory(self, rng):
         truth = random_markov(rng, 2, 4, 2)
-        predictor = sc.marginalize_to_window(truth, 1)
-        joint = sc.prediction_joint(truth, predictor, tau=1, t=4)
-        assert sc.conditional_mi_exact(joint) == pytest.approx(0.0, abs=1e-12)
+        predictor = sc.fit_limited_memory(truth, 1)
+        joint = prediction_joint(truth, predictor, tau=1, t=4)
+        assert conditional_mi_exact(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_copy_channel(self):
         # Z copies the first token of X while Y is independent noise:
@@ -212,13 +214,13 @@ class TestConditionalMi:
             for y in range(2):
                 joint[x, y, x] = px[x] * py[y]
         expected = -(0.2 * math.log(0.2) + 0.8 * math.log(0.8))
-        assert sc.conditional_mi_exact(joint) == pytest.approx(expected, abs=1e-12)
+        assert conditional_mi_exact(joint) == pytest.approx(expected, abs=1e-12)
 
     def test_full_context_predictor_matches_double_marginalization(self, rng):
         truth = random_markov(rng, 2, 4, 2)
         predictor = truth.perturbed(rng, 0.4)
         t, tau = 4, 1
-        joint = sc.prediction_joint(truth, predictor, tau=tau, t=t)
+        joint = prediction_joint(truth, predictor, tau=tau, t=t)
         # Independent oracle: explicit loops over (z, y, x).
         prefix_probs = {}
         for w in all_seqs(2, t - 1):
@@ -250,19 +252,19 @@ class TestConditionalMi:
             for y in range(2)
             if pzy[z, y] > 0
         )
-        assert sc.conditional_mi_exact(joint) == pytest.approx(h_zy - h_zyx, abs=1e-11)
+        assert conditional_mi_exact(joint) == pytest.approx(h_zy - h_zyx, abs=1e-11)
 
     def test_requires_normalized_joint(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            sc.conditional_mi_exact(np.ones((2, 2, 2)))
+            conditional_mi_exact(np.ones((2, 2, 2)))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_normalization_tolerance_is_1e_9(self, sign):
         # The sums-to-1 check allows a total within 1e-9 of 1 and no more.
         joint = np.full((2, 3, 4), 1.0 / 24)
         with pytest.raises(ValueError, match="sum to 1"):
-            sc.conditional_mi_exact(joint * (1.0 + sign * 2e-9))
-        assert sc.conditional_mi_exact(joint * (1.0 + sign * 1e-12)) == pytest.approx(
+            conditional_mi_exact(joint * (1.0 + sign * 2e-9))
+        assert conditional_mi_exact(joint * (1.0 + sign * 1e-12)) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -281,7 +283,7 @@ class TestConditionalMi:
                 joint = np.asfortranarray(joint)
             yx = joint.reshape(shape[0], -1, order="A")
             expected = conditional_entropy_oracle(joint.sum(axis=2)) - conditional_entropy_oracle(yx)
-            assert sc.conditional_mi_exact(joint).hex() == expected.hex(), shape
+            assert conditional_mi_exact(joint).hex() == expected.hex(), shape
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_conditional_entropy_is_bitwise_the_masked_formula(self, layout):
@@ -337,7 +339,7 @@ class TestBudget:
         "prefix_expansion_last": (9, lambda m, b: list(prefix_expansion(m, b, last=2))),
         "enumerate_sequences": (81, lambda m, b: enumerate_sequences(3, 4, b)),
         "drift_curve_exact": (81, lambda m, b: sc.drift_curve_exact(m, b)),
-        "marginalize_to_window": (81, lambda m, b: sc.marginalize_to_window(m, 1, b)),
+        "fit_limited_memory": (81, lambda m, b: sc.fit_limited_memory(m, 1, budget=b)),
         "GlobalTiltModel": (81, lambda m, b: sc.GlobalTiltModel(m, FunctionalF.log_prob(m), 0.5, b)),
         "memory_bound": (81, lambda m, b: sc.memory_bound(
             m, m.perturbed(np.random.default_rng(1), 0.3), sc.fit_limited_memory(m, 1), budget=b)),
@@ -428,7 +430,7 @@ def _level_by_level_log_probs(model):
 def _walked_models(rng, M, T):
     truth = random_markov(rng, M, T, 2, concentration=0.5)
     drift = sc.DriftModel(truth, 0.1)
-    comparator = sc.marginalize_to_window(truth, 1)
+    comparator = sc.fit_limited_memory(truth, 1)
     yield truth
     for gamma in (0.0, 0.05, 1.0):
         yield sc.MixtureModel(drift, gamma)

@@ -1,0 +1,28 @@
+"""Every artifact byte against the committed golden digests.
+
+``tests/golden/digests.json`` holds the SHA-256 of each artifact of the
+runs in ``golden_digests.py``; regenerate it with that script.  The
+bytes depend on the Python and numpy versions and the machine, so on an
+environment other than the file's the test skips and names both.
+"""
+
+import json
+
+import pytest
+
+from golden_digests import GOLDEN, environment, run_digests
+
+
+def test_artifacts_keep_their_golden_bytes(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    made, here = golden["environment"], environment()
+    if made != here:
+        differs = {key: {"file": made.get(key), "here": here.get(key)}
+                   for key in sorted(made.keys() | here.keys()) if made.get(key) != here.get(key)}
+        pytest.skip(f"golden digests were made on another environment: {differs}")
+    runs = run_digests(tmp_path)
+    assert runs.keys() == golden["runs"].keys()
+    moved = [f"{key}/{name}" for key, digests in golden["runs"].items()
+             for name in sorted(digests.keys() | runs[key].keys())
+             if digests.get(name) != runs[key].get(name)]
+    assert not moved, f"artifacts whose bytes moved: {moved}"

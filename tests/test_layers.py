@@ -96,9 +96,8 @@ def test_one_lattice_walk():
 
 def test_memory_walks_at_one_site():
     # A memory run walks its target once, for every gap's window fit and
-    # bound; the module's every lattice walk, prediction_joint's too, goes
-    # through one call of prefix_expansion, so a per-gap walk added beside
-    # it fails here.
+    # bound; the module's every lattice walk goes through one call of
+    # prefix_expansion, so a per-gap walk added beside it fails here.
     tree = ast.parse((SRC / "memory.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call) and "prefix_expansion" in _names(node.func)]

@@ -6,9 +6,8 @@ import pytest
 
 import seqcal as sc
 from seqcal.cli import _pipeline_memory, parse_config
-from seqcal.calibrate import _fit_step
+from seqcal.calibrate import _fit_step, fit_per_step_tilt
 from seqcal.exact import (
-    conditional_mi_exact,
     prefix_expansion,
     sample_expansion,
     sequence_log_probs,
@@ -19,9 +18,11 @@ from seqcal.models import row_entropies
 from conftest import (
     all_seqs,
     conditional_entropy_oracle,
+    conditional_mi_exact,
     count_calls,
     enumerate_sequences,
     heap_peak,
+    prediction_joint,
     random_markov,
     random_pair,
 )
@@ -167,11 +168,11 @@ class TestFitLimitedMemory:
             sc.fit_limited_memory(np.zeros((100, 3), dtype=int), 1)
 
 
-class TestCalibrateToComparator:
+class TestMemoryTiltFit:
     def test_truth_full_model_is_already_calibrated(self, rng):
         truth = random_markov(rng, 2, 5, 2)
         comparator = sc.fit_limited_memory(truth, 1)
-        tilted, res = sc.calibrate_to_comparator(truth, truth, comparator)
+        tilted, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(truth, comparator, 0.0, (2, 3, 4, 5)))
         assert abs(res.alpha_star) <= 1e-8
         assert res.objective <= res.baseline_objective + 1e-12
 
@@ -192,7 +193,7 @@ class TestCalibrateToComparator:
         full = truth.perturbed(rng, 0.4)
         comparator = sc.fit_limited_memory(truth, 1)
         steps = (2, 3, 4, 5)
-        tilted, res = sc.calibrate_to_comparator(truth, full, comparator, steps=steps)
+        tilted, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(full, comparator, 0.0, steps))
         oracle = per_step_grid_argmin(truth, full, comparator, steps)
         assert abs(res.alpha_star) < 3.8
         assert abs(res.alpha_star - oracle) <= 2e-4
@@ -204,7 +205,7 @@ class TestCalibrateToComparator:
         comparator = sc.LimitedMemoryModel(
             spec, 1, [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])]
         )
-        tilted, res = sc.calibrate_to_comparator(truth, full, comparator, steps=(2, 3))
+        tilted, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(full, comparator, 0.0, (2, 3)))
         assert res.extras["feature_floored"]
         assert math.isfinite(res.objective)
 
@@ -216,18 +217,10 @@ class TestCalibrateToComparator:
         comparator = sc.MarkovModel(
             spec, 1, [np.array([[1.0, 0.0]]), np.array([[0.6, 0.4], [0.3, 0.7]])]
         )
-        _, res = sc.calibrate_to_comparator(truth, truth, comparator, steps=(2, 3))
+        _, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(truth, comparator, 0.0, (2, 3)))
         assert res.extras["feature_floored"] is False
-        _, res = sc.calibrate_to_comparator(truth, truth, comparator, steps=(1, 2, 3))
+        _, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(truth, comparator, 0.0, (1, 2, 3)))
         assert res.extras["feature_floored"] is True
-
-    def test_window_below_T_by_one_fits_the_last_step_only(self, rng):
-        # A window-(T - 1) comparator has a full window only at step T, so
-        # the default steps are (T,).
-        truth = random_markov(rng, 2, 4, 2)
-        comparator = sc.fit_limited_memory(truth, 3)
-        _, res = sc.calibrate_to_comparator(truth, truth.perturbed(rng, 0.3), comparator)
-        assert res.extras["active_steps"] == [4]
 
     def test_improvement_when_comparator_knows_more(self, rng):
         # A full model blind to the previous token gains from tilting
@@ -235,7 +228,7 @@ class TestCalibrateToComparator:
         truth = random_markov(rng, 2, 5, 1, concentration=0.4)
         full = sc.MarkovModel(truth.spec, 0, [truth.tables[0]])
         comparator = sc.fit_limited_memory(truth, 1)
-        tilted, res = sc.calibrate_to_comparator(truth, full, comparator)
+        tilted, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(full, comparator, 0.0, (2, 3, 4, 5)))
         assert res.alpha_star > 0.1
         assert res.improvement > 1e-3
 
@@ -287,7 +280,7 @@ class TestMemoryBound:
         assert est.bound >= est.exact_mi - 1e-9
         kl_terms = []
         for t in est.steps:
-            joint = sc.prediction_joint(
+            joint = prediction_joint(
                 truth,
                 sc.MemoryTiltModel(truth, comparator, est.alpha_star, est.steps),
                 est.tau,
@@ -306,6 +299,14 @@ class TestMemoryBound:
                 )
             kl_terms.append(kl_t)
         assert est.bound - est.exact_mi == pytest.approx(np.mean(kl_terms), abs=1e-9)
+
+    def test_window_below_T_by_one_fits_the_last_step_only(self, rng):
+        # A window-(T - 1) comparator has a full window only at step T, so
+        # the measured steps are (T,).
+        truth = random_markov(rng, 2, 4, 2)
+        comparator = sc.fit_limited_memory(truth, 3)
+        res = sc.memory_bound(truth, truth.perturbed(rng, 0.3), comparator).calibration
+        assert res.extras["active_steps"] == [4]
 
     def test_single_step_policy(self, rng):
         truth = random_markov(rng, 2, 5, 2)
@@ -326,6 +327,18 @@ class TestMemoryBound:
         assert doc["t_policy"] == str(t_policy)
         assert list(doc["per_step"]) == [str(t) for t in est.steps]
         assert doc["calibration"] == est.calibration.to_dict()
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_gaps_need_two_steps(self, rng, sample):
+        # At T = 1 every gap is past the last step; the error says so
+        # rather than naming a gap of 1 as below 1.
+        truth = random_markov(rng, 2, 1, 0)
+        target = truth.sample_batch(50, rng) if sample else truth
+        comparator = sc.MarkovModel.uniform(truth.spec, 0)
+        with pytest.raises(ValueError, match="memory gaps need T >= 2, got T = 1"):
+            sc.memory_bounds(target, truth, [1], min_samples=1)
+        with pytest.raises(ValueError, match="memory gaps need T >= 2, got T = 1"):
+            sc.memory_bound(target, truth, comparator, tau=1, min_samples=1)
 
     def test_tau_below_one_rejected(self, rng):
         truth = random_markov(rng, 2, 4, 2)
@@ -354,7 +367,7 @@ class TestMemoryBound:
         with pytest.raises(ValueError, match="vocabulary"):
             sc.memory_bound(samples, truth, comparator)
         with pytest.raises(ValueError, match="vocabulary"):
-            sc.calibrate_to_comparator(samples, truth, comparator)
+            fit_per_step_tilt(samples, sc.MemoryTiltModel(truth, comparator, 0.0, (2, 3, 4)))
 
     def test_calibrated_condition_chain(self, rng):
         # Zero gradient makes E[-log comparator] under the calibrated
@@ -363,7 +376,7 @@ class TestMemoryBound:
         truth = random_markov(rng, 2, 5, 2)
         full = truth.perturbed(rng, 0.3)
         comparator = sc.fit_limited_memory(truth, 1)
-        tilted, res = sc.calibrate_to_comparator(truth, full, comparator)
+        tilted, res = fit_per_step_tilt(truth, sc.MemoryTiltModel(full, comparator, 0.0, (2, 3, 4, 5)))
         steps = res.extras["active_steps"]
         lhs, ce, hzy = [], [], []
         for t in steps:
@@ -375,7 +388,7 @@ class TestMemoryBound:
             log_comp = np.log(comp_rows)
             lhs.append(-float(np.dot(w, (mt_rows * log_comp).sum(axis=1))))
             ce.append(-float(np.dot(w, (true_rows * log_comp).sum(axis=1))))
-            joint = sc.prediction_joint(truth, tilted, 1, t)
+            joint = prediction_joint(truth, tilted, 1, t)
             pzy = joint.sum(axis=2)
             py = pzy.sum(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -424,34 +437,34 @@ def _decode(code, length, M):
 class TestPredictionJoint:
     def test_normalized(self, rng):
         truth = random_markov(rng, 2, 5, 2)
-        joint = sc.prediction_joint(truth, truth.perturbed(rng, 0.3), tau=1, t=4)
+        joint = prediction_joint(truth, truth.perturbed(rng, 0.3), tau=1, t=4)
         assert joint.sum() == pytest.approx(1.0, abs=1e-12)
-        assert sc.conditional_mi_exact(joint) >= -1e-12
+        assert conditional_mi_exact(joint) >= -1e-12
 
     def test_early_step_has_empty_deep_past(self, rng):
         truth = random_markov(rng, 2, 5, 2)
-        joint = sc.prediction_joint(truth, truth, tau=3, t=3)
+        joint = prediction_joint(truth, truth, tau=3, t=3)
         assert joint.shape == (2, 4, 1)
-        assert sc.conditional_mi_exact(joint) == pytest.approx(0.0, abs=1e-12)
+        assert conditional_mi_exact(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_predictor_must_share_the_spec(self, rng):
         truth = random_markov(rng, 2, 5, 2)
         for predictor in (random_markov(rng, 3, 5, 1), random_markov(rng, 2, 7, 1)):
             with pytest.raises(ValueError, match="models must share the same sequence spec"):
-                sc.prediction_joint(truth, predictor, tau=1, t=4)
+                prediction_joint(truth, predictor, tau=1, t=4)
 
     def test_budget(self, rng):
         truth = random_markov(rng, 2, 5, 2)
         with pytest.raises(sc.BudgetExceededError):
-            sc.prediction_joint(truth, truth, tau=1, t=5, budget=sc.EnumerationBudget(4))
+            prediction_joint(truth, truth, tau=1, t=5, budget=sc.EnumerationBudget(4))
 
     def test_budget_is_checked_at_step_t(self, rng):
         # Step t < T walks the lattice to level t only: M**t states.
         truth = random_markov(rng, 2, 5, 2)
         for t in (1, 3, 4):
-            sc.prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t))
+            prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t))
             with pytest.raises(sc.BudgetExceededError, match=f"needs {2**t} states"):
-                sc.prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t - 1))
+                prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t - 1))
 
 
 class TestSampleModeOnEnumeratedSample:
@@ -479,8 +492,9 @@ class TestSampleModeOnEnumeratedSample:
         _, exact = sc.fit_alpha_local(truth, full)
         _, sample = sc.fit_alpha_local(samples, full, min_samples=1)
         self._assert_same_fixed_values(exact, sample)
-        _, exact = sc.calibrate_to_comparator(truth, full, comparator)
-        _, sample = sc.calibrate_to_comparator(samples, full, comparator, min_samples=1)
+        tilt = sc.MemoryTiltModel(full, comparator, 0.0, (2, 3, 4))
+        _, exact = fit_per_step_tilt(truth, tilt)
+        _, sample = fit_per_step_tilt(samples, tilt, min_samples=1)
         self._assert_same_fixed_values(exact, sample)
 
     def test_memory_bound_cross_entropy(self, rng):
@@ -558,7 +572,7 @@ class TestComparatorWalks:
         M, T = 4, 8
         truth = random_markov(np.random.default_rng(3), M, T, 2, concentration=0.8)
         full = sc.DriftModel(truth.perturbed(np.random.default_rng(4), 0.3), 0.1)
-        return truth, full, sc.marginalize_to_window(truth, 1), 8 * M**T
+        return truth, full, sc.fit_limited_memory(truth, 1), 8 * M**T
 
     def test_build_heap_peak_in_last_level_arrays(self):
         # memory_bound's build, one blocked walk into the per-step problem's
@@ -796,7 +810,7 @@ class TestOneWalkPerRun:
             with pytest.raises(ValueError, match="window table model"):
                 sc.memory_bound(target, full, comparator, tau=1, min_samples=1)
             with pytest.raises(ValueError, match="window table model"):
-                sc.calibrate_to_comparator(target, full, comparator, min_samples=1)
+                fit_per_step_tilt(target, sc.MemoryTiltModel(full, comparator, 0.0), min_samples=1)
 
 
 class TestSampleLayouts:

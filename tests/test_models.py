@@ -30,12 +30,30 @@ from conftest import (
 class TestSpecTypes:
     def test_vocab_requires_two_tokens(self):
         with pytest.raises(ValueError):
-            sc.Vocab(1)
-        assert sc.Vocab(2).size == 2
+            sc.make_spec(1, 3)
+        assert sc.make_spec(2, 3).M == 2
 
     def test_length_positive(self):
         with pytest.raises(ValueError):
             sc.make_spec(3, 0)
+
+    @pytest.mark.parametrize("M, T, message", [
+        (2.0, 3, "vocabulary size must be an integer"),
+        (True, 3, "vocabulary size must be an integer"),
+        (1, 3, "vocabulary size must be >= 2, got 1"),
+        (2, 3.0, "sequence length must be an integer"),
+        (2, False, "sequence length must be an integer"),
+        (2, 0, "sequence length must be >= 1, got 0"),
+    ])
+    def test_spec_checks_name_the_bad_field(self, M, T, message):
+        with pytest.raises(ValueError, match=message):
+            sc.make_spec(M, T)
+
+    def test_spec_is_its_two_sizes(self):
+        spec = sc.make_spec(3, 4)
+        assert (spec.M, spec.T) == (3, 4)
+        assert spec == sc.SequenceSpec(3, 4) and hash(spec) == hash(sc.SequenceSpec(3, 4))
+        assert spec != sc.make_spec(4, 3)
 
     def test_row_validation(self):
         spec = sc.make_spec(2, 3)
@@ -385,16 +403,16 @@ class TestTokenProbs:
         assert calls[0] == 0 and inner[0] == 0
 
 
-class TestMarginalizeToWindow:
+class TestExactMarginal:
     def test_order1_window1_recovers_transitions(self, rng):
         truth = random_markov(rng, 3, 5, 1)
-        limited = sc.marginalize_to_window(truth, 1)
+        limited = sc.fit_limited_memory(truth, 1)
         np.testing.assert_allclose(limited.tables[1], truth.tables[1], atol=1e-12)
         np.testing.assert_allclose(limited.tables[0], truth.tables[0], atol=1e-12)
 
     def test_iid_any_window(self, rng):
         truth = random_markov(rng, 3, 4, 0)
-        limited = sc.marginalize_to_window(truth, 2)
+        limited = sc.fit_limited_memory(truth, 2)
         for table in limited.tables:
             np.testing.assert_allclose(table, np.broadcast_to(truth.tables[0], table.shape),
                                        atol=1e-12)
@@ -409,14 +427,14 @@ class TestMarginalizeToWindow:
             for t in range(1, 4):
                 joint[w[t - 1], w[t]] += p
         expected = joint / joint.sum(axis=1, keepdims=True)
-        limited = sc.marginalize_to_window(truth, 1)
+        limited = sc.fit_limited_memory(truth, 1)
         np.testing.assert_allclose(limited.tables[1], expected, atol=1e-10)
         np.testing.assert_allclose(limited.tables[0][0], truth.tables[0][0], atol=1e-12)
 
     def test_budget_error(self, rng):
         truth = random_markov(rng, 3, 6, 1)
         with pytest.raises(sc.BudgetExceededError):
-            sc.marginalize_to_window(truth, 2, budget=sc.EnumerationBudget(10))
+            sc.fit_limited_memory(truth, 2, budget=sc.EnumerationBudget(10))
 
 
 def _zoo(rng, M=3, T=4, gamma=0.3, switch_prob=0.25, alpha=-0.8, steps=(2, 3)):
@@ -426,13 +444,13 @@ def _zoo(rng, M=3, T=4, gamma=0.3, switch_prob=0.25, alpha=-0.8, steps=(2, 3)):
     drift = sc.DriftModel(base, switch_prob)
     return [
         base,
-        sc.marginalize_to_window(random_markov(rng, M, T, 2), 1),
+        sc.fit_limited_memory(random_markov(rng, M, T, 2), 1),
         mixture,
         sc.PerTokenMixture(base, gamma),
         drift,
         sc.GlobalTiltModel(mixture, sc.FunctionalF.log_prob(mixture), alpha),
         sc.LocalTiltModel(drift, alpha),
-        sc.MemoryTiltModel(drift, sc.marginalize_to_window(base, 1), alpha, active_steps=steps),
+        sc.MemoryTiltModel(drift, sc.fit_limited_memory(base, 1), alpha, active_steps=steps),
     ]
 
 
@@ -561,7 +579,7 @@ class TestInvariants:
     def test_limited_memory_truncation_invariance(self, seed, window):
         rng = np.random.default_rng(seed)
         truth = random_markov(rng, 2, 5, 2)
-        limited = sc.marginalize_to_window(truth, window)
+        limited = sc.fit_limited_memory(truth, window)
         suffix = rng.integers(0, 2, size=window)
         a = np.concatenate([rng.integers(0, 2, size=4 - window), suffix])
         b = np.concatenate([rng.integers(0, 2, size=4 - window), suffix])
