@@ -8,9 +8,12 @@ the SHA-256 of every file a run writes except the volatile
 ``runinfo.json``, by run, with the environment that made them.
 ``tests/test_golden.py`` compares a fresh run against that file.
 
-The runs are the benchmark's three gated workloads at seeds 7 and 11 and
-``verify`` with 200 instances at seed 1.  Their configs are copies, so
-that editing the benchmark does not move the digests.
+The runs are the benchmark's three gated workloads at seeds 7 and 11,
+``verify`` with 200 instances at seeds 1 and 2, and one small config of
+each other pipeline at seed 3: ``bounds``, ``gen``, ``inspect``,
+``drift`` with prefixes, ``memory`` at an integer ``t_policy``, and a
+``calibrate-local`` run in bits.  The configs are copies, so that
+editing the benchmark does not move the digests.
 
 A change that moves an artifact byte regenerates the file and lists
 each changed artifact, its largest field move and why.  An unchanged
@@ -49,7 +52,20 @@ RUNS = [
 ]
 SEEDS = (7, 11)
 VERIFY = ("verify", "verify", {"M": 3, "T": 4, "instances": 200, "budget": 1_000_000})
-VERIFY_SEED = 1
+VERIFY_SEEDS = (1, 2)
+
+_SMALL_MODELS = {"true_model": {"kind": "random_markov", "order": 1}, "model": {"recipe": "drift", "p": 0.2}}
+# (workload, pipeline, config) of each small run, each made at SMALL_SEED.
+SMALL = [
+    ("small", "bounds", {"M": 3, "T": 6, **_SMALL_MODELS, "epsilon": 0.05}),
+    ("small", "gen", {"M": 3, "T": 6, **_SMALL_MODELS, "n_gen": 64}),
+    ("small", "inspect", {"M": 3, "T": 6, **_SMALL_MODELS}),
+    ("small", "drift", {"M": 3, "T": 16, **_SMALL_MODELS, "n_gen": 128, "n_samples": 2000,
+                        "prefix_len": 2, "n_prefixes": 32}),
+    ("small", "memory", {"M": 3, "T": 6, **_SMALL_MODELS, "tau": [1, 2], "t_policy": 5}),
+    ("small-bits", "calibrate-local", {"M": 3, "T": 5, **_SMALL_MODELS, "prefix_len": 1, "units": "bits"}),
+]
+SMALL_SEED = 3
 
 
 def environment() -> dict:
@@ -75,7 +91,10 @@ def _runs():
         for seed in SEEDS:
             yield f"{workload}/{pipeline}/seed{seed}", pipeline, config, seed
     workload, pipeline, config = VERIFY
-    yield f"{workload}/{pipeline}/seed{VERIFY_SEED}", pipeline, config, VERIFY_SEED
+    for seed in VERIFY_SEEDS:
+        yield f"{workload}/{pipeline}/seed{seed}", pipeline, config, seed
+    for workload, pipeline, config in SMALL:
+        yield f"{workload}/{pipeline}/seed{SMALL_SEED}", pipeline, config, SMALL_SEED
 
 
 def run_digests(root: Path) -> dict:
