@@ -623,6 +623,7 @@ class _StepTiltProblem:
         self.log_rows = {t: np.empty((M, sizes[t - 1])) for t in sorted(tilted)}
         self.log_z0 = {t: np.empty(size) for t, size in zip(range(1, T + 1), sizes) if t not in self.log_rows}
         self.weights = np.empty(ends[-1])
+        self._moments = None  # a probe's (3, n_max) buffer, allocated at the first probe
 
     def run(self, pieces, read) -> None:
         """Read the walk's pieces; ``read(cols, *piece)`` gives a piece's base rows, `cols` its columns."""
@@ -684,38 +685,39 @@ class _StepTiltProblem:
             yield lo, log_rows[:, lo:lo + step], tiled[:, at:at + min(step, n - lo)]
 
     def evaluate(self, alpha: float) -> dict:
-        N = self.weights.shape[0]
-        m, var, log_z = np.empty(N), np.empty(N), np.empty(N)
+        if self._moments is None:  # the first probe's, reused by every later one
+            self._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
+        sums = [0.0, 0.0, 0.0]  # weights times each context's m, var and log Z
+        per_seq = None if self.obs_feats is None else np.zeros(self.n_seqs)
         for t, span in self.spans.items():
+            weights = self.weights[span]
+            moments = self._moments[:, :weights.shape[0]]
             if t in self.log_z0:  # a folded step's moments are 0 and its log Z is kept
-                m[span] = var[span] = 0.0
-                log_z[span] = self.log_z0[t]
-                continue
-            for lo, log_rows, feats in self._blocks(t):
-                cols = slice(span.start + lo, span.start + lo + feats.shape[1])
-                rows, log_z[cols] = _tilt_columns(log_rows, feats, alpha)
-                m[cols] = _sum_columns(rows * feats)
-                dev = feats - m[cols]
+                moments[:2] = 0.0
+                moments[2] = self.log_z0[t]
+            for lo, log_rows, feats in self._blocks(t) if t not in self.log_z0 else ():
+                m, var, log_z = moments[:, lo:lo + feats.shape[1]]
+                rows, log_z[:] = _tilt_columns(log_rows, feats, alpha)
+                m[:] = _sum_columns(rows * feats)
+                dev = feats - m
                 dev *= dev
                 dev *= rows
-                var[cols] = _sum_columns(dev)
+                var[:] = _sum_columns(dev)
                 del rows, dev  # before the next block's are built
-        g = (_dot(self.weights, m) - self.target_feat_sum) / self.T
-        c = _dot(self.weights, var) / self.T
-        obj = (
-            self.xent_sum - alpha * self.target_feat_sum + _dot(self.weights, log_z)
-        ) / self.T
+            for k in range(3):
+                sums[k] += _dot(weights, moments[k])
+            if per_seq is not None:
+                per_seq += moments[0] - self.obs_feats[t - 1]
+        c = sums[1] / self.T
         info = {
-            "g": g,
+            "g": (sums[0] - self.target_feat_sum) / self.T,
             "c": c,
-            "obj": obj,
-            "mu": _dot(self.weights, m) / self.T,
+            "obj": (self.xent_sum - alpha * self.target_feat_sum + sums[2]) / self.T,
+            "mu": sums[0] / self.T,
             "var": c * self.T,
         }
-        if self.obs_feats is not None:
-            per_seq = (
-                m.reshape(self.T, self.n_seqs) - self.obs_feats
-            ).sum(axis=0) / self.T
+        if per_seq is not None:
+            per_seq /= self.T
             info["g_stderr"] = float(per_seq.std(ddof=1) / math.sqrt(self.n_seqs))
         return info
 

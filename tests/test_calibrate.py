@@ -806,13 +806,20 @@ def _row_layout_probe(problem, alpha, log_rows, feats):
     rows = np.exp(logits - log_z[:, None])
     m = (rows * feats).sum(axis=1)
     var = (rows * (feats - m[:, None]) ** 2).sum(axis=1)
+    # Each step's weighted sums are one inner product over its span,
+    # added in step order.
     T, w = problem.T, problem.weights
-    c = _inner(w, var) / T
+    m_sum = var_sum = log_z_sum = 0.0
+    for span in problem.spans.values():
+        m_sum += _inner(w[span], m[span])
+        var_sum += _inner(w[span], var[span])
+        log_z_sum += _inner(w[span], log_z[span])
+    c = var_sum / T
     out = {
-        "g": (_inner(w, m) - problem.target_feat_sum) / T,
+        "g": (m_sum - problem.target_feat_sum) / T,
         "c": c,
-        "obj": (problem.xent_sum - alpha * problem.target_feat_sum + _inner(w, log_z)) / T,
-        "mu": _inner(w, m) / T,
+        "obj": (problem.xent_sum - alpha * problem.target_feat_sum + log_z_sum) / T,
+        "mu": m_sum / T,
         "var": c * T,
     }
     if problem.obs_feats is not None:
