@@ -351,10 +351,8 @@ class GlobalTiltModel(ConditionalModel):
 
 
 def _tilt_rows(base_rows: np.ndarray, feats: np.ndarray, alpha: float) -> np.ndarray:
-    """(n, M) rows proportional to base_rows * exp(alpha * feats), by :func:`_tilt_columns`."""
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(base_rows)
-    return _tilt_columns(log_rows.T, feats.T, alpha)[0].T
+    """(n, M) rows proportional to base_rows * exp(alpha * feats), by :func:`_tilt_columns` of their transposes."""
+    return _tilt_columns(base_rows.T, feats.T, _tilt_factors(feats.T, alpha), alpha).T
 
 
 class LocalTiltModel(ConditionalModel):
@@ -419,7 +417,7 @@ class LocalTiltModel(ConditionalModel):
         exact_mode = isinstance(target, ConditionalModel)
         pieces = prefix_expansion(target, budget, self) if exact_mode else sample_expansion(target, self)
         walk = _StepTiltProblem(target, self.spec, range(1, T), min_samples)
-        feats = {t: np.empty_like(log_rows) for t, log_rows in walk.log_rows.items()}
+        feats = {t: np.empty_like(rows) for t, rows in walk.rows.items()}
         target_feats = np.zeros(walk.weights.shape[0])
 
         def read(cols, t, lo, states, weights, true_rows):
@@ -559,19 +557,65 @@ def calibrate_entropy_rate(
 # -- per-step tilts ----------------------------------------------------------
 
 
-def _tilt_columns(log_rows: np.ndarray, feats: np.ndarray, alpha: float):
-    """Rows proportional to exp(log_rows + alpha * feats), and their log Z.
+# A column whose |alpha| * (max f - min f) exceeds this is tilted in log
+# space: its Z >= exp(-|alpha| * (max f - min f)) could underflow.
+_TILT_RANGE = 2.0**9
 
-    The one tilt formula.  Both arguments and the returned rows are
-    (M, n), column i being context i; the result keeps the memory order
-    of the arguments, so the transpose of (n, M) rows tilts them in
-    their own layout (:func:`_tilt_rows`).
+
+def _tilt_factors(feats: np.ndarray, alpha: float):
+    """(s, exp(alpha f - s), guard) of (M, P) tilt features at alpha, column by column.
+
+    s is the column's max of alpha f, so each exponential is at most 1;
+    ``guard`` marks the columns :func:`_tilt_columns` tilts in log space.
+    All of it depends on a column's features and alpha only, so a feature
+    table's factors serve every context that reads it.
     """
-    logits = alpha * feats
-    logits += log_rows
-    log_z = _logsumexp_columns(logits)
-    logits -= log_z
-    return np.exp(logits, out=logits), log_z
+    hi, lo = feats[0].copy(), feats[0].copy()
+    for row in feats[1:]:
+        np.maximum(hi, row, out=hi)
+        np.minimum(lo, row, out=lo)
+    guard = abs(alpha) * (hi - lo) > _TILT_RANGE
+    top = np.multiply(hi if alpha >= 0.0 else lo, alpha)
+    e = np.multiply(feats, alpha)
+    e -= top
+    return top, np.exp(e, out=e), guard
+
+
+def _tilt_columns(rows: np.ndarray, feats: np.ndarray, factors, alpha: float, out=None):
+    """The one tilt formula: (M, n) base rows and features, column i context i, at alpha.
+
+    With the features' `factors` (:func:`_tilt_factors`), u = rows *
+    exp(alpha f - s) is the tilted row up to its sum Z, and log Z + s the
+    log-partition; a guarded column's u is exp(log rows + alpha f - s - k),
+    k its max, and k adds to its log-partition.  Returns the rows u / Z in
+    the arguments' memory order (:func:`_tilt_rows` tilts transposes), or
+    writes each column's mean m = sum(u f) / Z, variance
+    sum(u (f - m)**2) / Z and log-partition into `out`'s three rows.
+    """
+    shift, e, guard = factors
+    # A block's own factors, not a tiled table's, take u in place.
+    u = np.multiply(rows, e, out=e if e.base is None else None)
+    if guard.any():
+        shift = shift.copy()
+        with np.errstate(divide="ignore"):
+            x = np.log(rows[:, guard])
+        x += alpha * feats[:, guard] - shift[guard]
+        top = x.max(axis=0)
+        u[:, guard] = np.exp(x - top)
+        shift[guard] += top
+    z = _sum_columns(u)
+    if out is None:
+        u /= z
+        return u
+    m, var, log_z = out
+    np.log(z, out=log_z)
+    log_z += shift
+    dev = u * feats
+    np.divide(_sum_columns(dev), z, out=m)
+    np.subtract(feats, m, out=dev)
+    u *= dev
+    u *= dev
+    np.divide(_sum_columns(u), z, out=var)
 
 
 def _active_steps(tilt) -> frozenset:
@@ -591,18 +635,20 @@ class _StepTiltProblem:
     once by :meth:`run`.  The N contexts of all steps are columns, step
     t's in ``spans[t]``, with (N,) ``weights``; ``xent_sum`` is -sum of
     the target's mass times the log base rows, one dot product per step
-    over its whole span.  A step of `tilted` keeps its log base rows
-    ``log_rows[t]``, C-contiguous (M, n_t), any other only their log Z,
-    ``log_z0[t]``; each piece writes its columns of arrays allocated
-    before the walk.  :meth:`tilted_by` gives the problem of a tilt
-    fitted on its ``active_steps`` (None for every step): a step with
-    features keeps its log rows and an (M, P_t) table ``feats[t]`` read
-    at column c mod P_t; any other is folded, its feature identically 0,
-    so only its log Z is kept and its probe moments are 0.  With the
-    features come the target feature sum and, in sample mode, the (T, n)
-    realized features for the gradient's standard error.  Every
-    per-context reduction is :func:`_sum_columns`, bitwise the row-layout
-    sum, and a probe runs over blocks of `_TAIL_BLOCK` values.
+    over its whole span.  A step of `tilted` keeps its base rows
+    ``rows[t]``, C-contiguous (M, n_t) probabilities, any other only their
+    log Z, ``log_z0[t]``; each piece writes its columns of arrays
+    allocated before the walk.  :meth:`tilted_by` gives the problem of a
+    tilt fitted on its ``active_steps`` (None for every step): a step with
+    features keeps its rows and an (M, P_t) table ``feats[t]`` read at
+    column c mod P_t; any other is folded, its feature identically 0, so
+    only its log Z is kept and its probe moments are 0.  With the features
+    come the target feature sum and, in sample mode, the (T, n) realized
+    features for the gradient's standard error.  A probe exponentiates
+    a periodic table once per step and writes each block of `_TAIL_BLOCK`
+    values' moments (:func:`_tilt_columns`) into one (3, n_max) buffer
+    that every probe reuses; each step's weighted sums are added in step
+    order, so no result depends on the block size.
     """
 
     def __init__(self, target, spec, tilted, min_samples=1000):
@@ -620,10 +666,9 @@ class _StepTiltProblem:
         self.T = T
         ends = np.cumsum(sizes).tolist()
         self.spans = {t: slice(end - size, end) for t, size, end in zip(range(1, T + 1), sizes, ends)}
-        self.log_rows = {t: np.empty((M, sizes[t - 1])) for t in sorted(tilted)}
-        self.log_z0 = {t: np.empty(size) for t, size in zip(range(1, T + 1), sizes) if t not in self.log_rows}
+        self.rows = {t: np.empty((M, sizes[t - 1])) for t in sorted(tilted)}
+        self.log_z0 = {t: np.empty(size) for t, size in zip(range(1, T + 1), sizes) if t not in self.rows}
         self.weights = np.empty(ends[-1])
-        self._moments = None  # a probe's (3, n_max) buffer, allocated at the first probe
 
     def run(self, pieces, read) -> None:
         """Read the walk's pieces; ``read(cols, *piece)`` gives a piece's base rows, `cols` its columns."""
@@ -632,8 +677,15 @@ class _StepTiltProblem:
             n = weights.shape[0]
             start = self.spans[t].start + lo
             cols = slice(start, start + n)
+            base_rows = read(cols, t, lo, states, weights, true_rows)
+            if t in self.rows:
+                self.rows[t][:, lo:lo + n] = base_rows.T
+            else:
+                # Untilted at every alpha: the tilt's log Z at features 0.
+                self.log_z0[t][lo:lo + n] = np.log(_sum_columns(base_rows.T))
             with np.errstate(divide="ignore"):
-                log_rows = np.log(read(cols, t, lo, states, weights, true_rows))
+                log_rows = np.log(base_rows)
+            del base_rows
             support = (weights[:, None] * true_rows) > 0.0
             if np.any(support & np.isneginf(log_rows)):
                 raise CalibrationDivergenceError(
@@ -641,13 +693,6 @@ class _StepTiltProblem:
                     "objective is infinite for every alpha"
                 )
             self.weights[cols] = weights
-            if t in self.log_z0:
-                # Untilted at every alpha: alpha * 0 + log rows is the log rows.
-                self.log_z0[t][lo:lo + n] = _logsumexp_columns(log_rows.T)
-            else:
-                self.log_rows[t][:, lo:lo + n] = log_rows.T
-            # The log rows are stored, so their array takes the
-            # cross-entropy terms.
             with np.errstate(invalid="ignore"):  # 0 * -inf off the support
                 terms = np.multiply(true_rows, log_rows, out=log_rows)
             terms[~support] = 0.0
@@ -662,31 +707,39 @@ class _StepTiltProblem:
         """The problem of `tilt` with these features, sharing this walk's arrays."""
         problem = copy.copy(self)
         problem.tilt, problem.active, problem.feats = tilt, _active_steps(tilt), feats
-        problem.log_rows = {t: self.log_rows[t] for t in feats}
-        problem.log_z0 = {t: self.log_z0[t] if t in self.log_z0 else _logsumexp_columns(self.log_rows[t])
+        problem.rows = {t: self.rows[t] for t in feats}
+        problem.log_z0 = {t: self.log_z0[t] if t in self.log_z0 else np.log(_sum_columns(self.rows[t]))
                           for t in self.spans if t not in feats}
         problem.target_feat_sum, problem.mu_target = target_feat_sum, target_feat_sum / self.T
         problem.obs_feats = obs_feats  # sample mode: the (T, n) realized features
+        # Every probe's per-context moments, step by step, once the walk's
+        # blocks are released.
+        problem._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
         return problem
 
-    def _blocks(self, t: int, unit: int = 1):
-        """Yield (lo, log rows, features) of tilted step t's contexts lo.., in blocks.
+    def _blocks(self, t: int, alpha: float, unit: int = 1):
+        """Yield (lo, base rows, features, tilt factors) of tilted step t's contexts lo.., in blocks.
 
         A block is a multiple of `unit` contexts and of a periodic table's
-        width, about `_TAIL_BLOCK` values, and reads that table tiled once.
+        width, about `_TAIL_BLOCK` values.  A periodic table and its factors
+        are tiled once; per-context features' factors are made per block.
         """
-        log_rows, table = self.log_rows[t], self.feats[t]
-        (M, n), P = log_rows.shape, table.shape[1]
+        rows, table = self.rows[t], self.feats[t]
+        (M, n), P = rows.shape, table.shape[1]
         width = math.lcm(unit, P) if P < n else unit
         step = max(1, exact._TAIL_BLOCK // (M * width)) * width
-        tiled = np.tile(table, (1, min(step, n) // P)) if P < n else table
+        if P < n:
+            tiled = [np.tile(x, min(step, n) // P) for x in (table, *_tilt_factors(table, alpha))]
         for lo in range(0, n, step):
-            at = lo % tiled.shape[1]
-            yield lo, log_rows[:, lo:lo + step], tiled[:, at:at + min(step, n - lo)]
+            cols = slice(lo, min(lo + step, n))
+            if P < n:
+                feats, *factors = [x[..., :cols.stop - lo] for x in tiled]
+            else:
+                feats, factors = table[:, cols], _tilt_factors(table[:, cols], alpha)
+            yield lo, rows[:, cols], feats, factors
+            del feats, factors  # before the next block's are built
 
     def evaluate(self, alpha: float) -> dict:
-        if self._moments is None:  # the first probe's, reused by every later one
-            self._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
         sums = [0.0, 0.0, 0.0]  # weights times each context's m, var and log Z
         per_seq = None if self.obs_feats is None else np.zeros(self.n_seqs)
         for t, span in self.spans.items():
@@ -695,15 +748,9 @@ class _StepTiltProblem:
             if t in self.log_z0:  # a folded step's moments are 0 and its log Z is kept
                 moments[:2] = 0.0
                 moments[2] = self.log_z0[t]
-            for lo, log_rows, feats in self._blocks(t) if t not in self.log_z0 else ():
-                m, var, log_z = moments[:, lo:lo + feats.shape[1]]
-                rows, log_z[:] = _tilt_columns(log_rows, feats, alpha)
-                m[:] = _sum_columns(rows * feats)
-                dev = feats - m
-                dev *= dev
-                dev *= rows
-                var[:] = _sum_columns(dev)
-                del rows, dev  # before the next block's are built
+            for lo, rows, feats, factors in self._blocks(t, alpha) if t not in self.log_z0 else ():
+                _tilt_columns(rows, feats, factors, alpha, moments[:, lo:lo + rows.shape[1]])
+                del rows, feats, factors  # before the next block's are built
             for k in range(3):
                 sums[k] += _dot(weights, moments[k])
             if per_seq is not None:
@@ -738,10 +785,11 @@ class _StepTiltProblem:
         and features.
         """
         weights = self.weights[self.spans[t]]
-        for lo, log_rows, feats in self._blocks(t, unit):
-            rows, _ = _tilt_columns(log_rows, feats, alpha)
-            yield weights[lo:lo + feats.shape[1]], rows
-            del rows  # before the next block's are built
+        for lo, rows, feats, factors in self._blocks(t, alpha, unit):
+            tilted = _tilt_columns(rows, feats, factors, alpha)
+            del rows, feats, factors
+            yield weights[lo:lo + tilted.shape[1]], tilted
+            del tilted  # before the next block's are built
 
 
 def _fit_step(problem, tolerance, provenance=None):

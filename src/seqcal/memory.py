@@ -27,7 +27,7 @@ tilt's features, the target feature sum and each step's CE(truth ||
 comparator) are sums over one small table per level: the target's mass
 by window code and next token
 (:class:`_WindowMass`).  One walk of the target builds these tables for
-every window of a run beside the full model's log rows, and
+every window of a run beside the full model's base rows, and
 :func:`memory_bounds` reads all of a run's gaps off it.  Each routine
 has an exact and a sample mode: the same code run on
 :func:`seqcal.exact.sample_expansion`, the lattice of the sample's

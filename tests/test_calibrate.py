@@ -790,24 +790,38 @@ def _inner(a, b):
     return float(np.einsum("i,i", a, b))
 
 
-def _row_layout_probe(problem, alpha, log_rows, feats):
-    """A per-step probe computed on (N, M) rows, one context per row.
+def _row_layout_tilt(rows, feats, alpha, bound=2.0**9):
+    """The tilt formula on (N, M) base rows, one context per row: (u, Z, log Z).
 
-    `log_rows` and `feats` are the whole (M, N) arrays of
-    :func:`_whole_level_problem`, not the problem's own storage.
+    s is each row's max of alpha f and u = rows * exp(alpha f - s); a row
+    whose |alpha| * (max f - min f) exceeds `bound` takes instead
+    u = exp(log rows + alpha f - s - k), k its max, and adds k to s.  Z is
+    numpy's row sum of u, and log Z is log(Z) + s.
     """
-    log_rows = np.ascontiguousarray(log_rows.T)
-    feats = np.ascontiguousarray(feats.T)
-    logits = log_rows + alpha * feats
-    peak = np.max(logits, axis=1, keepdims=True)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
+    logits = alpha * feats
+    s = logits.max(axis=1)
+    logits -= s[:, None]
+    u = rows * np.exp(logits)
+    guard = abs(alpha) * (feats.max(axis=1) - feats.min(axis=1)) > bound
     with np.errstate(divide="ignore"):
-        log_z = np.log(np.sum(np.exp(logits - shift), axis=1)) + np.squeeze(shift, axis=1)
-    rows = np.exp(logits - log_z[:, None])
-    m = (rows * feats).sum(axis=1)
-    var = (rows * (feats - m[:, None]) ** 2).sum(axis=1)
-    # Each step's weighted sums are one inner product over its span,
-    # added in step order.
+        x = np.log(rows[guard]) + logits[guard]
+    k = x.max(axis=1)
+    u[guard] = np.exp(x - k[:, None])
+    s[guard] += k
+    z = u.sum(axis=1)
+    return u, z, np.log(z) + s
+
+
+def _log_space_rows(rows, feats, alpha):
+    """The log-space tilt: (rows tilted by alpha, log Z) by the max-shifted logsumexp of the logits."""
+    with np.errstate(divide="ignore"):
+        logits = np.log(rows) + alpha * feats
+    log_z = logsumexp(logits, axis=1)
+    return np.exp(logits - log_z[:, None]), log_z
+
+
+def _probe_sums(problem, alpha, m, var, log_z):
+    """A probe's dict from each context's moments: each step's weighted sums, added in step order."""
     T, w = problem.T, problem.weights
     m_sum = var_sum = log_z_sum = 0.0
     for span in problem.spans.values():
@@ -828,20 +842,51 @@ def _row_layout_probe(problem, alpha, log_rows, feats):
     return out
 
 
-def _assert_expands_to(problem, log_rows, feats):
-    """The problem's per-step storage expands to the whole (M, N) log rows and features.
+def _row_layout_probe(problem, alpha, rows, feats):
+    """A per-step probe computed on (N, M) rows, one context per row.
+
+    `rows` and `feats` are the whole (M, N) base rows and features of
+    :func:`_whole_level_problem`, not the problem's own storage.  Each
+    context's mean m = sum(u f) / Z and variance sum(u (f - m)**2) / Z
+    are read off :func:`_row_layout_tilt`'s u and Z.
+    """
+    rows, feats = np.ascontiguousarray(rows.T), np.ascontiguousarray(feats.T)
+    u, z, log_z = _row_layout_tilt(rows, feats, alpha)
+    m = (u * feats).sum(axis=1) / z
+    var = (u * (feats - m[:, None]) * (feats - m[:, None])).sum(axis=1) / z
+    return _probe_sums(problem, alpha, m, var, log_z)
+
+
+def _log_space_probe(problem, alpha, rows, feats):
+    """The same probe by the log-space formula: normalized rows, then centered moments."""
+    rows, feats = np.ascontiguousarray(rows.T), np.ascontiguousarray(feats.T)
+    tilted, log_z = _log_space_rows(rows, feats, alpha)
+    m = (tilted * feats).sum(axis=1)
+    var = (tilted * (feats - m[:, None]) ** 2).sum(axis=1)
+    return _probe_sums(problem, alpha, m, var, log_z)
+
+
+def _assert_near(probe, oracle):
+    """Each entry within 1e-12 relative, or 1e-15 absolute where it is at most 1e-6."""
+    assert probe.keys() == oracle.keys()
+    for key, value in oracle.items():
+        assert probe[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
+def _assert_expands_to(problem, rows, feats):
+    """The problem's per-step storage expands to the whole (M, N) base rows and features.
 
     A folded step keeps neither and has zero features; a tilted step's
     table, read at column c mod its width, gives the step's features.
     """
     for t, span in problem.spans.items():
         if t in problem.log_z0:
-            assert t not in problem.log_rows and t not in problem.feats
+            assert t not in problem.rows and t not in problem.feats
             assert not np.any(feats[:, span]), t
             continue
         table = problem.feats[t]
-        assert problem.log_rows[t].flags.c_contiguous and table.flags.c_contiguous
-        assert np.array_equal(problem.log_rows[t], log_rows[:, span]), t
+        assert problem.rows[t].flags.c_contiguous and table.flags.c_contiguous
+        assert np.array_equal(problem.rows[t], rows[:, span]), t
         columns = np.arange(span.stop - span.start) % table.shape[1]
         assert np.array_equal(table[:, columns], feats[:, span]), t
 
@@ -894,19 +939,22 @@ class TestStepProblemLayout:
             span = problem.spans[t]
             assert table.shape[1] == (1 if kind == "memory" and not sample else span.stop - span.start)
         for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
-            assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha, whole_rows, whole_feats)
+            probe = problem.evaluate(alpha)
+            assert probe == _row_layout_probe(problem, alpha, whole_rows, whole_feats)
+            _assert_near(probe, _log_space_probe(problem, alpha, whole_rows, whole_feats))
             if alpha != 0.0:
                 # The model's own rows on every level it tilts are the
-                # row formula: log rows + alpha * feats, less the logsumexp.
+                # row formula's u / Z, and within 1e-12 of the log-space rows.
                 model = (sc.LocalTiltModel(base, alpha) if kind == "local" else
                          sc.MemoryTiltModel(base, comparator, alpha, active_steps=active))
                 for t, _, states, _, _ in prefix_expansion(truth, None, model, whole=True):
                     if (t < T) if kind == "local" else (t in active):
                         base_rows, feats = model._step(states[-1])
-                        with np.errstate(divide="ignore"):
-                            logits = np.log(base_rows) + alpha * feats
-                        rows = np.exp(logits - logsumexp(logits, axis=1)[:, None])
-                        assert np.array_equal(model.rows(states[-1]), rows)
+                        u, z, _ = _row_layout_tilt(base_rows, feats, alpha)
+                        rows = model.rows(states[-1])
+                        assert np.array_equal(rows, u / z[:, None])
+                        assert rows == pytest.approx(_log_space_rows(base_rows, feats, alpha)[0],
+                                                     rel=1e-12, abs=1e-15)
 
     @staticmethod
     def _heap_case(kind):
@@ -937,28 +985,112 @@ class TestStepProblemLayout:
         assert peak < bound * size
 
     def test_probe_heap_peak_in_last_level_arrays(self):
-        # One probe: its three (N,) results (1.0 array) and one block of
-        # columns at a time, 1.69 in all; a probe over all columns at once
-        # took 3.67.
+        # One probe: one block of columns at a time, its exponentials
+        # becoming the block's weights u, and u times the features, 0.76
+        # in all; the build allocates the moment buffer every probe
+        # writes.  A probe that allocated its three (N,) results took
+        # 1.69, and a probe over all columns at once 3.67.
         truth, tilt, size = self._heap_case("local")
         problem = tilt._problem(truth)
         _, peak = heap_peak(lambda: problem.evaluate(0.3))
         assert peak < 1.75 * size
 
     def test_tiled_table_probe_heap_peak_in_last_level_arrays(self):
-        # A memory tilt's probe also holds its comparator table tiled once
-        # into one block: 1.94.  Tiling a table to its whole level would
-        # add that level's (M, n_t) array, 1.0 for step 8.
+        # A memory tilt's probe also holds its comparator table and the
+        # table's exponentials tiled once into one block each: 1.27
+        # (1.94 when every probe allocated its (N,) results).  Tiling a
+        # table to its whole level would add that level's (M, n_t)
+        # array, 1.0 for step 8.
         truth, tilt, size = self._heap_case("memory")
         problem = tilt._problem(truth)
         _, peak = heap_peak(lambda: problem.evaluate(0.3))
         assert peak < 2.0 * size
 
+    @pytest.mark.parametrize("kind, bound", [("memory", 1.3), ("local", 0.8)])
+    def test_second_probe_reuses_the_moment_buffer(self, kind, bound):
+        # A probe writes each context's moments into the problem's one
+        # (3, n_max) buffer, so a second probe allocates only its blocks:
+        # 1.27 (memory) and 0.76 (local) arrays of the last level.  Probes
+        # that allocated three (N,) arrays each took 1.94 and 1.69.
+        truth, tilt, size = self._heap_case(kind)
+        problem = tilt._problem(truth)
+        problem.evaluate(0.3)
+        _, peak = heap_peak(lambda: problem.evaluate(-0.3))
+        assert peak < bound * size
+
+
+class TestTiltFormula:
+    """The probability-form tilt, its log-space range guard and its centered variance."""
+
+    @staticmethod
+    def _floored_case():
+        # Token 2 is a zero of the comparator, floored to log(1e-300), and
+        # of the full model after token 0: there alpha < 0 puts the tilt's
+        # peak where the base row has no mass.  The comparator's feature
+        # range is log(0.6) - log(1e-300) = 690.27, so the guard's bound
+        # 2**9 lies at |alpha| = 0.7417.
+        spec = sc.make_spec(3, 3)
+        rng = np.random.default_rng(11)
+        tables = [rng.dirichlet(np.ones(3))[None, :], rng.dirichlet(np.ones(3), size=3)]
+        tables[1][0] = [0.6, 0.4, 0.0]
+        full = sc.MarkovModel(spec, 1, tables)
+        comparator = sc.MarkovModel(spec, 0, [np.array([[0.6, 0.4, 0.0]])])
+        return full, comparator
+
+    @pytest.mark.parametrize("alpha", [-0.74, -2.0])
+    def test_floored_zero_on_both_sides_of_the_range_guard(self, alpha):
+        full, comparator = self._floored_case()
+        steps = (2, 3)
+        problem = sc.MemoryTiltModel(full, comparator, 0.0, active_steps=steps)._problem(full)
+        model = sc.MemoryTiltModel(full, comparator, alpha, active_steps=steps)
+        guarded = False
+        for t, _, states, _, _ in prefix_expansion(full, None, model, whole=True):
+            if t not in steps:
+                continue
+            rows = model.rows(states[-1])
+            assert np.all(np.isfinite(rows))
+            assert rows.sum(axis=1) == pytest.approx(1.0, abs=1e-15)
+            blocks = [tilted for _, tilted in problem.tilted_rows(alpha, t, 1)]
+            assert np.array_equal(np.concatenate(blocks, axis=1).T, rows)
+            base_rows, feats = model._step(states[-1])
+            guarded |= bool(np.any(abs(alpha) * np.ptp(feats, axis=1) > 2**9))
+            u, z, _ = _row_layout_tilt(base_rows, feats, alpha)
+            assert np.array_equal(rows, u / z[:, None])
+            if alpha == -0.74:
+                # Just inside the bound: the probability form, within
+                # 1e-12 of the log-space branch of the same formula.
+                u, z, _ = _row_layout_tilt(base_rows, feats, alpha, bound=-1.0)
+                assert rows == pytest.approx(u / z[:, None], rel=1e-12, abs=0.0)
+        assert guarded == (alpha == -2.0)
+        probe = problem.evaluate(alpha)
+        assert all(math.isfinite(value) for value in probe.values())
+
+    def test_curvature_is_centered_for_features_far_from_zero(self):
+        # Features at 1e3 +- 1e-3: the variance about each context's mean
+        # keeps its digits, where E[f**2] - m**2 would lose about twelve.
+        truth = random_markov(np.random.default_rng(8), 3, 4, 2, concentration=0.8)
+        base = sc.DriftModel(truth.perturbed(np.random.default_rng(9), 0.3), 0.1)
+        walk = sc.LocalTiltModel(base, 0.0)._problem(truth)
+        rng = np.random.default_rng(10)
+        feats = {t: 1e3 + rng.uniform(-1e-3, 1e-3, size=table.shape) for t, table in walk.feats.items()}
+        problem = walk.tilted_by(walk.tilt, feats, 0.0)
+        for alpha in (0.0, 300.0, -300.0):
+            # The oracle: centered two-pass moments of the exact offsets
+            # f - 1e3, which tilt the rows as f does.
+            var_sum = 0.0
+            for t, table in feats.items():
+                offsets = np.ascontiguousarray(table.T) - 1e3
+                tilted = _log_space_rows(np.ascontiguousarray(problem.rows[t].T), offsets, alpha)[0]
+                m = (tilted * offsets).sum(axis=1)
+                var = (tilted * (offsets - m[:, None]) ** 2).sum(axis=1)
+                var_sum += _inner(problem.weights[problem.spans[t]], var)
+            assert problem.evaluate(alpha)["c"] == pytest.approx(var_sum / problem.T, rel=1e-9)
+
 
 def _whole_level_problem(target, tilt):
     """The per-step problem's arrays and sums from whole levels, by numpy's row sums.
 
-    (log_rows, feats, weights, spans, xent_sum, target_feat_sum, and
+    (base rows, feats, weights, spans, xent_sum, target_feat_sum, and
     each level's per-context feature means): the formula a blocked build
     must match bit for bit.
     """
@@ -968,7 +1100,7 @@ def _whole_level_problem(target, tilt):
         walk = prefix_expansion(target, None, tilt, whole=True)
     else:
         walk = sample_expansion(target, tilt)
-    log_rows, feats, weights, obs, spans = [], [], [], [], {}
+    rows, feats, weights, obs, spans = [], [], [], [], {}
     xent_sum = target_sum = 0.0
     start = 0
     for t, _, states, w, true_rows in walk:
@@ -982,13 +1114,13 @@ def _whole_level_problem(target, tilt):
         xent_sum += -_inner(w, xent)
         tf = (true_rows * f).sum(axis=1)
         target_sum += _inner(w, tf)
-        log_rows.append(lr.T)
+        rows.append(base_rows.T)
         feats.append(f.T)
         weights.append(w)
         obs.append(tf)
         spans[t] = slice(start, start + w.shape[0])
         start += w.shape[0]
-    return (np.hstack(log_rows), np.hstack(feats), np.concatenate(weights), spans,
+    return (np.hstack(rows), np.hstack(feats), np.concatenate(weights), spans,
             xent_sum, target_sum, obs)
 
 
@@ -1041,7 +1173,7 @@ class TestBlockedStepProblem:
             tilt = sc.MemoryTiltModel(base, sc.fit_limited_memory(truth, 1), 0.0,
                                       active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
-        log_rows, feats, weights, spans, xent_sum, target_sum, obs = _whole_level_problem(target, tilt)
+        rows, feats, weights, spans, xent_sum, target_sum, obs = _whole_level_problem(target, tilt)
         if kind == "memory":
             table_sum = _table_target_sum(target, tilt)
             assert table_sum == pytest.approx(target_sum, rel=1e-12, abs=1e-15)
@@ -1051,15 +1183,17 @@ class TestBlockedStepProblem:
         for block in (1, 5, 2 * M**2 + 1, 7 * M**2, 2**14):
             monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
             problem = tilt._problem(target, min_samples=1)
-            _assert_expands_to(problem, log_rows, feats)
+            _assert_expands_to(problem, rows, feats)
             assert np.array_equal(problem.weights, weights), block
             assert problem.spans == spans
             assert (problem.xent_sum, problem.target_feat_sum) == (xent_sum, target_sum), block
             if sample:
                 assert np.array_equal(problem.obs_feats, np.array(obs))
             for alpha in (0.0, 0.6, -0.6, 8.0, -8.0):
-                assert problem.evaluate(alpha) == whole.evaluate(alpha), (block, alpha)
-                assert problem.evaluate(alpha) == _row_layout_probe(problem, alpha, log_rows, feats), (block, alpha)
+                probe = problem.evaluate(alpha)
+                assert probe == whole.evaluate(alpha), (block, alpha)
+                assert probe == _row_layout_probe(problem, alpha, rows, feats), (block, alpha)
+                _assert_near(probe, _log_space_probe(problem, alpha, rows, feats))
 
     def test_features_are_the_comparators_log_floored_tables(self):
         # A memory tilt's features at step t are its window-w comparator's
