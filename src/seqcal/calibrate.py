@@ -563,38 +563,35 @@ _TILT_RANGE = 2.0**9
 
 
 def _tilt_factors(feats: np.ndarray, alpha: float):
-    """(s, exp(alpha f - s), guard) of (M, P) tilt features at alpha, column by column.
+    """(s, exp(alpha f - s) <= 1, log-space guard) of (M, P) features, s each column's max of alpha f.
 
-    s is the column's max of alpha f, so each exponential is at most 1;
-    ``guard`` marks the columns :func:`_tilt_columns` tilts in log space.
-    All of it depends on a column's features and alpha only, so a feature
-    table's factors serve every context that reads it.
+    Each depends on its column's features and alpha only, so a table's serve every context reading it.
     """
     hi, lo = feats[0].copy(), feats[0].copy()
     for row in feats[1:]:
         np.maximum(hi, row, out=hi)
         np.minimum(lo, row, out=lo)
-    guard = abs(alpha) * (hi - lo) > _TILT_RANGE
     top = np.multiply(hi if alpha >= 0.0 else lo, alpha)
+    guard = np.multiply(np.subtract(hi, lo, out=hi), abs(alpha), out=hi) > _TILT_RANGE
     e = np.multiply(feats, alpha)
-    e -= top
+    for row in e:  # row by row, as numpy buffers a broadcast operand
+        row -= top
     return top, np.exp(e, out=e), guard
 
 
-def _tilt_columns(rows: np.ndarray, feats: np.ndarray, factors, alpha: float, out=None):
+def _tilt_columns(rows: np.ndarray, feats: np.ndarray, factors, alpha: float, out=None, work=None):
     """The one tilt formula: (M, n) base rows and features, column i context i, at alpha.
 
-    With the features' `factors` (:func:`_tilt_factors`), u = rows *
-    exp(alpha f - s) is the tilted row up to its sum Z, and log Z + s the
-    log-partition; a guarded column's u is exp(log rows + alpha f - s - k),
-    k its max, and k adds to its log-partition.  Returns the rows u / Z in
-    the arguments' memory order (:func:`_tilt_rows` tilts transposes), or
-    writes each column's mean m = sum(u f) / Z, variance
-    sum(u (f - m)**2) / Z and log-partition into `out`'s three rows.
+    With the features' `factors`, u = rows * exp(alpha f - s) is the tilted
+    row up to its sum Z, and log Z + s the log-partition; a guarded column's
+    u is exp(log rows + alpha f - s - k), k its max, which adds to its
+    log-partition.  Returns the rows u / Z in the arguments' memory order,
+    or writes each column's mean m = sum(u f) / Z, variance
+    sum(u (f - m)**2) / Z and log-partition into `out`, using `work`.
     """
     shift, e, guard = factors
     # A block's own factors, not a tiled table's, take u in place.
-    u = np.multiply(rows, e, out=e if e.base is None else None)
+    u = np.multiply(rows, e, out=e if e.base is None else None if work is None else work[0])
     if guard.any():
         shift = shift.copy()
         with np.errstate(divide="ignore"):
@@ -610,7 +607,7 @@ def _tilt_columns(rows: np.ndarray, feats: np.ndarray, factors, alpha: float, ou
     m, var, log_z = out
     np.log(z, out=log_z)
     log_z += shift
-    dev = u * feats
+    dev = np.multiply(u, feats, out=work[-1])
     np.divide(_sum_columns(dev), z, out=m)
     np.subtract(feats, m, out=dev)
     u *= dev
@@ -669,6 +666,7 @@ class _StepTiltProblem:
         self.rows = {t: np.empty((M, sizes[t - 1])) for t in sorted(tilted)}
         self.log_z0 = {t: np.empty(size) for t, size in zip(range(1, T + 1), sizes) if t not in self.rows}
         self.weights = np.empty(ends[-1])
+        self._moments = None
 
     def run(self, pieces, read) -> None:
         """Read the walk's pieces; ``read(cols, *piece)`` gives a piece's base rows, `cols` its columns."""
@@ -683,22 +681,21 @@ class _StepTiltProblem:
             else:
                 # Untilted at every alpha: the tilt's log Z at features 0.
                 self.log_z0[t][lo:lo + n] = np.log(_sum_columns(base_rows.T))
-            with np.errstate(divide="ignore"):
-                log_rows = np.log(base_rows)
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0 * -inf off the support
+                terms = np.log(base_rows)
+                terms *= true_rows
             del base_rows
-            support = (weights[:, None] * true_rows) > 0.0
-            if np.any(support & np.isneginf(log_rows)):
+            terms[(weights[:, None] * true_rows) <= 0.0] = 0.0
+            xent[cols] = _sum_columns(terms.T)
+            # A term is -inf exactly where the base has a zero on the support.
+            if np.isneginf(xent[cols]).any():
                 raise CalibrationDivergenceError(
                     "base assigns zero probability on the target's support; the "
                     "objective is infinite for every alpha"
                 )
             self.weights[cols] = weights
-            with np.errstate(invalid="ignore"):  # 0 * -inf off the support
-                terms = np.multiply(true_rows, log_rows, out=log_rows)
-            terms[~support] = 0.0
-            xent[cols] = _sum_columns(terms.T)
             # Released before the walk grows the next piece.
-            del states, weights, true_rows, log_rows, terms, support
+            del states, weights, true_rows, terms
         self.xent_sum = 0.0
         for span in self.spans.values():
             self.xent_sum += -_dot(self.weights[span], xent[span])
@@ -714,20 +711,23 @@ class _StepTiltProblem:
         problem.obs_feats = obs_feats  # sample mode: the (T, n) realized features
         # Every probe's per-context moments, step by step, once the walk's
         # blocks are released.
-        problem._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
+        if self._moments is None:  # shared by every problem of this walk
+            self._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
+        problem._moments = self._moments
         return problem
 
-    def _blocks(self, t: int, alpha: float, unit: int = 1):
-        """Yield (lo, base rows, features, tilt factors) of tilted step t's contexts lo.., in blocks.
+    def _blocks(self, t: int, alpha: float, unit: int = 1, scratch: bool = False):
+        """Yield (lo, base rows, features, tilt factors, work) of tilted step t's contexts lo.., in blocks.
 
         A block is a multiple of `unit` contexts and of a periodic table's
-        width, about `_TAIL_BLOCK` values.  A periodic table and its factors
-        are tiled once; per-context features' factors are made per block.
+        width, about `_TAIL_BLOCK` values.  A table and its factors are tiled
+        once, per-context factors made per block; `scratch` asks for `work`.
         """
         rows, table = self.rows[t], self.feats[t]
         (M, n), P = rows.shape, table.shape[1]
         width = math.lcm(unit, P) if P < n else unit
         step = max(1, exact._TAIL_BLOCK // (M * width)) * width
+        work = np.empty((1 + (P < n), M, min(step, n))) if scratch else np.empty((0, M, n))
         if P < n:
             tiled = [np.tile(x, min(step, n) // P) for x in (table, *_tilt_factors(table, alpha))]
         for lo in range(0, n, step):
@@ -736,7 +736,7 @@ class _StepTiltProblem:
                 feats, *factors = [x[..., :cols.stop - lo] for x in tiled]
             else:
                 feats, factors = table[:, cols], _tilt_factors(table[:, cols], alpha)
-            yield lo, rows[:, cols], feats, factors
+            yield lo, rows[:, cols], feats, factors, work[..., :cols.stop - lo]
             del feats, factors  # before the next block's are built
 
     def evaluate(self, alpha: float) -> dict:
@@ -744,13 +744,15 @@ class _StepTiltProblem:
         per_seq = None if self.obs_feats is None else np.zeros(self.n_seqs)
         for t, span in self.spans.items():
             weights = self.weights[span]
-            moments = self._moments[:, :weights.shape[0]]
             if t in self.log_z0:  # a folded step's moments are 0 and its log Z is kept
-                moments[:2] = 0.0
-                moments[2] = self.log_z0[t]
-            for lo, rows, feats, factors in self._blocks(t, alpha) if t not in self.log_z0 else ():
-                _tilt_columns(rows, feats, factors, alpha, moments[:, lo:lo + rows.shape[1]])
-                del rows, feats, factors  # before the next block's are built
+                sums[2] += _dot(weights, self.log_z0[t])
+                if per_seq is not None:
+                    per_seq -= self.obs_feats[t - 1]
+                continue
+            moments = self._moments[:, :weights.shape[0]]
+            for lo, rows, feats, factors, work in self._blocks(t, alpha, scratch=True):
+                _tilt_columns(rows, feats, factors, alpha, moments[:, lo:lo + rows.shape[1]], work)
+                del rows, feats, factors, work  # before the next block's are built
             for k in range(3):
                 sums[k] += _dot(weights, moments[k])
             if per_seq is not None:
@@ -785,7 +787,7 @@ class _StepTiltProblem:
         and features.
         """
         weights = self.weights[self.spans[t]]
-        for lo, rows, feats, factors in self._blocks(t, alpha, unit):
+        for lo, rows, feats, factors, _ in self._blocks(t, alpha, unit):
             tilted = _tilt_columns(rows, feats, factors, alpha)
             del rows, feats, factors
             yield weights[lo:lo + tilted.shape[1]], tilted
