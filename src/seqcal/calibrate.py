@@ -727,7 +727,7 @@ class _StepTiltProblem:
         (M, n), P = rows.shape, table.shape[1]
         width = math.lcm(unit, P) if P < n else unit
         step = max(1, exact._TAIL_BLOCK // (M * width)) * width
-        work = np.empty((1 + (P < n), M, min(step, n))) if scratch else np.empty((0, M, n))
+        work = np.empty((1 + (P < n) if scratch else 0, M, min(step, n)))
         if P < n:
             tiled = [np.tile(x, min(step, n) // P) for x in (table, *_tilt_factors(table, alpha))]
         for lo in range(0, n, step):

@@ -970,11 +970,11 @@ class TestStepProblemLayout:
     @pytest.mark.parametrize("kind, bound", [("memory", 4.2), ("local", 3.65)])
     def test_build_heap_peak_in_last_level_arrays(self, kind, bound):
         # The build's heap peak, in arrays of the last level's
-        # (M**(T-1), M) rows: 3.55 (memory) and 3.31 (local).  During the
+        # (M**(T-1), M) rows: 3.98 (memory) and 3.31 (local).  During the
         # build the walk holds its (N,) weights and cross-entropy terms,
         # 0.67, the local tilt also its (N,) feature means, 0.33, and the
-        # per-step storage: every step's log rows, 1.33, beside the
-        # memory tilt's window-mass tables, or the local tilt's log rows
+        # per-step storage: every step's base rows, 1.33, beside the
+        # memory tilt's window-mass tables, or the local tilt's base rows
         # and features of steps 1..7, 0.67, and the folded step 8's log Z,
         # 0.25; one block of the walk takes the rest.  A memory build that
         # also kept per-context feature means took 4.07, (M, N) log rows

@@ -580,9 +580,9 @@ class TestComparatorWalks:
     def test_build_heap_peak_in_last_level_arrays(self):
         # memory_bound's build, one blocked walk into the per-step problem's
         # storage and the window-mass tables, the problem read off them and
-        # each step's comparator CE, peaks at 3.55 arrays of the last
+        # each step's comparator CE, peaks at 3.98 arrays of the last
         # level's (M**(T-1), M) rows: the walk's (N,) weights and
-        # cross-entropy terms, every tilted step's log rows and one block
+        # cross-entropy terms, every tilted step's base rows and one block
         # of the walk.  A build that also kept each context's target
         # feature mean and read the CE off its walk peaked at 4.09 (5.41
         # with (M, N) features, 9.27 from whole levels).
