@@ -411,12 +411,12 @@ class LocalTiltModel(ConditionalModel):
         base_rows, feats, children = self._lookahead(base_state)
         return _tilt_rows(base_rows, feats, self.alpha), (t + 1, children)
 
-    def _problem(self, target, budget=None, min_samples=1000) -> "_StepTiltProblem":
+    def _problem(self, target, budget=None) -> "_StepTiltProblem":
         """The per-step problem of this tilt, each context's feature read off the walk; step T is folded."""
         T = self.spec.T
         exact_mode = isinstance(target, ConditionalModel)
         pieces = prefix_expansion(target, budget, self) if exact_mode else sample_expansion(target, self)
-        walk = _StepTiltProblem(target, self.spec, range(1, T), min_samples)
+        walk = _StepTiltProblem(target, self.spec, range(1, T))
         feats = {t: np.empty_like(rows) for t, rows in walk.rows.items()}
         target_feats = np.zeros(walk.weights.shape[0])
 
@@ -433,9 +433,6 @@ class LocalTiltModel(ConditionalModel):
             target_feat_sum += _dot(walk.weights[span], target_feats[span])
         obs_feats = None if walk.n_seqs is None else target_feats.reshape(T, walk.n_seqs)
         return walk.tilted_by(self, feats, target_feat_sum, obs_feats)
-
-    def _fit_extras(self, tables) -> dict:
-        return {}
 
     def _descriptor(self) -> dict:
         return {"kind": "lookahead_entropy"}
@@ -557,6 +554,9 @@ def calibrate_entropy_rate(
 # -- per-step tilts ----------------------------------------------------------
 
 
+# Sample mode's floor on the number of sequences of a per-step problem.
+_MIN_SAMPLES = 1000
+
 # A column whose |alpha| * (max f - min f) exceeds this is tilted in log
 # space: its Z >= exp(-|alpha| * (max f - min f)) could underflow.
 _TILT_RANGE = 2.0**9
@@ -648,7 +648,7 @@ class _StepTiltProblem:
     order, so no result depends on the block size.
     """
 
-    def __init__(self, target, spec, tilted, min_samples=1000):
+    def __init__(self, target, spec, tilted):
         M, T = spec.M, spec.T
         if isinstance(target, ConditionalModel):
             if target.spec != spec:
@@ -657,8 +657,8 @@ class _StepTiltProblem:
             sizes = [M ** (t - 1) for t in range(1, T + 1)]
         else:
             self.n_seqs = check_samples(target, spec).shape[0]
-            if self.n_seqs < min_samples:
-                raise ValueError(f"sample mode needs at least {min_samples} sequences, got {self.n_seqs}")
+            if self.n_seqs < _MIN_SAMPLES:
+                raise ValueError(f"sample mode needs at least {_MIN_SAMPLES} sequences, got {self.n_seqs}")
             sizes = [self.n_seqs] * T
         self.T = T
         ends = np.cumsum(sizes).tolist()
@@ -666,7 +666,6 @@ class _StepTiltProblem:
         self.rows = {t: np.empty((M, sizes[t - 1])) for t in sorted(tilted)}
         self.log_z0 = {t: np.empty(size) for t, size in zip(range(1, T + 1), sizes) if t not in self.rows}
         self.weights = np.empty(ends[-1])
-        self._moments = None
 
     def run(self, pieces, read) -> None:
         """Read the walk's pieces; ``read(cols, *piece)`` gives a piece's base rows, `cols` its columns."""
@@ -699,9 +698,13 @@ class _StepTiltProblem:
         self.xent_sum = 0.0
         for span in self.spans.values():
             self.xent_sum += -_dot(self.weights[span], xent[span])
+        del xent
+        # Every probe's per-context moments, step by step, once the walk's
+        # blocks are released; copies share it with every problem of this walk.
+        self._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
 
-    def tilted_by(self, tilt, feats, target_feat_sum, obs_feats=None) -> "_StepTiltProblem":
-        """The problem of `tilt` with these features, sharing this walk's arrays."""
+    def tilted_by(self, tilt, feats, target_feat_sum, obs_feats=None, extras=None) -> "_StepTiltProblem":
+        """The problem of `tilt` with these features, sharing this walk's arrays; `extras` join its fit report."""
         problem = copy.copy(self)
         problem.tilt, problem.active, problem.feats = tilt, _active_steps(tilt), feats
         problem.rows = {t: self.rows[t] for t in feats}
@@ -709,11 +712,7 @@ class _StepTiltProblem:
                           for t in self.spans if t not in feats}
         problem.target_feat_sum, problem.mu_target = target_feat_sum, target_feat_sum / self.T
         problem.obs_feats = obs_feats  # sample mode: the (T, n) realized features
-        # Every probe's per-context moments, step by step, once the walk's
-        # blocks are released.
-        if self._moments is None:  # shared by every problem of this walk
-            self._moments = np.empty((3, max(span.stop - span.start for span in self.spans.values())))
-        problem._moments = self._moments
+        problem.fit_extras = extras or {}
         return problem
 
     def _blocks(self, t: int, alpha: float, unit: int = 1, scratch: bool = False):
@@ -744,10 +743,8 @@ class _StepTiltProblem:
         per_seq = None if self.obs_feats is None else np.zeros(self.n_seqs)
         for t, span in self.spans.items():
             weights = self.weights[span]
-            if t in self.log_z0:  # a folded step's moments are 0 and its log Z is kept
+            if t in self.log_z0:  # a folded step's moments and realized features are 0; its log Z is kept
                 sums[2] += _dot(weights, self.log_z0[t])
-                if per_seq is not None:
-                    per_seq -= self.obs_feats[t - 1]
                 continue
             moments = self._moments[:, :weights.shape[0]]
             for lo, rows, feats, factors, work in self._blocks(t, alpha, scratch=True):
@@ -772,7 +769,7 @@ class _StepTiltProblem:
 
     def extras(self, info: dict) -> dict:
         """The fit report's own entries, given the optimum's probe."""
-        out = {"active_steps": sorted(self.active), **self.tilt._fit_extras(self.feats.values())}
+        out = {"active_steps": sorted(self.active), **self.fit_extras}
         if self.n_seqs is not None:
             out.update(gradient_stderr=info["g_stderr"], n_sequences=self.n_seqs)
         return out
@@ -813,7 +810,6 @@ def fit_per_step_tilt(
     tilt: ConditionalModel,
     tolerance: float = 1e-10,
     budget: EnumerationBudget | None = None,
-    min_samples: int = 1000,
     provenance: dict | None = None,
 ) -> tuple[ConditionalModel, CalibrationResult]:
     """Fit a shared per-step tilt exponent against a truth model or samples.
@@ -827,7 +823,7 @@ def fit_per_step_tilt(
     fit under the sample's empirical distribution (stop at |gradient| <=
     0.1 * stderr(gradient)).
     """
-    return _fit_step(tilt._problem(target, budget, min_samples), tolerance, provenance)
+    return _fit_step(tilt._problem(target, budget), tolerance, provenance)
 
 
 def fit_alpha_local(
@@ -835,7 +831,6 @@ def fit_alpha_local(
     base: ConditionalModel,
     tolerance: float = 1e-10,
     budget: EnumerationBudget | None = None,
-    min_samples: int = 1000,
     provenance: dict | None = None,
 ) -> tuple[LocalTiltModel, CalibrationResult]:
     """Fit the one-step-lookahead tilt exponent.
@@ -845,7 +840,7 @@ def fit_alpha_local(
     """
     # fit_per_step_tilt's body, inlined: perfbench's tracer wraps that
     # function and reads its return value as a bare CalibrationResult.
-    return _fit_step(LocalTiltModel(base, 0.0)._problem(target, budget, min_samples), tolerance, provenance)
+    return _fit_step(LocalTiltModel(base, 0.0)._problem(target, budget), tolerance, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +899,8 @@ def _functional_to_doc(f: FunctionalF) -> dict:
     return {"kind": f.kind, "bound": f.bound, "p_min": f.p_min, "model": model_to_dict(f.model)}
 
 
-def _global_tilt_from_params(spec, params) -> GlobalTiltModel:
-    base = model_from_dict(params["base"])
+def _global_tilt_from_params(spec, params, budget) -> GlobalTiltModel:
+    base = model_from_dict(params["base"], budget)
     doc = params["f"]
     kind = doc["kind"]
     if kind == "table":
@@ -913,15 +908,15 @@ def _global_tilt_from_params(spec, params) -> GlobalTiltModel:
     elif kind in ("log_prob", "neg_log_prob"):
         # A functional scoring with the base itself shares its object, so
         # the rebuilt tilt walks the base's lattice once, as the fit did.
-        model = base if doc["model"] == params["base"] else model_from_dict(doc["model"])
+        model = base if doc["model"] == params["base"] else model_from_dict(doc["model"], budget)
         f = FunctionalF(kind, model=model, bound=doc.get("bound"), p_min=doc.get("p_min", 1e-300))
     else:
         raise ValueError(f"unknown functional kind {kind!r}")
-    return GlobalTiltModel(base, f, params["alpha"])
+    return GlobalTiltModel(base, f, params["alpha"], budget)
 
 
 register_model_kind("global_tilt", _global_tilt_from_params)
 register_model_kind(
     "local_tilt",
-    lambda spec, params: LocalTiltModel(model_from_dict(params["base"]), params["alpha"]),
+    lambda spec, params, budget: LocalTiltModel(model_from_dict(params["base"], budget), params["alpha"]),
 )

@@ -106,12 +106,12 @@ def _build_described_model(desc: dict, cfg: ExperimentConfig, key: str, stream: 
         path = desc.get("path")
         if not path:
             raise ConfigError(key, "kind 'file' requires a 'path'")
-        model = load_model(path)
+        model = load_model(path, cfg.enumeration_budget())
         if model.spec != spec:
             raise ConfigError(key, "file model does not match configured M/T")
         return model
     if kind == "inline":
-        model = model_from_dict(desc.get("model", {}))
+        model = model_from_dict(desc.get("model", {}), cfg.enumeration_budget())
         if model.spec != spec:
             raise ConfigError(key, "inline model does not match configured M/T")
         return model

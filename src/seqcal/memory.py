@@ -106,9 +106,6 @@ class MemoryTiltModel(ConditionalModel):
             None if active_steps is None else frozenset(int(t) for t in active_steps)
         )
 
-    def _active(self, t: int) -> bool:
-        return self.active_steps is None or t in self.active_steps
-
     def init_state(self, n: int):
         return 0, self.base.init_state(n), self.comparator.init_state(n)
 
@@ -129,19 +126,14 @@ class MemoryTiltModel(ConditionalModel):
     def rows(self, state) -> np.ndarray:
         # Every active step goes through the tilt, alpha = 0 included, so
         # these rows are bitwise the rows a fit's problem tilts.
-        if not self._active(state[0] + 1):
+        if self.active_steps is not None and state[0] + 1 not in self.active_steps:
             return self.base.rows(state[1])
         return _tilt_rows(*self._step(state), self.alpha)
 
-    def _problem(self, target, budget=None, min_samples=1000) -> _StepTiltProblem:
+    def _problem(self, target, budget=None) -> _StepTiltProblem:
         """The per-step problem of this tilt's exponent, read off one walk's window-mass tables."""
         steps = _active_steps(self)
-        walk = _WindowMass(target, self.spec, (self.comparator.order,), budget, self.base, steps, min_samples)
-        return walk.problem(self)
-
-    def _fit_extras(self, tables) -> dict:
-        # A feature at the floor marks a comparator entry floored to P_MIN.
-        return {"feature_floored": any(bool(np.any(f <= np.log(P_MIN))) for f in tables)}
+        return _WindowMass(target, self.spec, (self.comparator.order,), budget, self.base, steps).problem(self)
 
     def _descriptor(self) -> dict:
         return {"kind": "log_comparator", "comparator_hash": model_hash(self.comparator)}
@@ -160,9 +152,9 @@ class MemoryTiltModel(ConditionalModel):
 
 register_model_kind(
     "memory_tilt",
-    lambda spec, params: MemoryTiltModel(
-        model_from_dict(params["base"]),
-        model_from_dict(params["comparator"]),
+    lambda spec, params, budget: MemoryTiltModel(
+        model_from_dict(params["base"], budget),
+        model_from_dict(params["comparator"], budget),
         params["alpha"],
         active_steps=params.get("steps"),
     ),
@@ -171,10 +163,12 @@ register_model_kind(
 
 # The empirical-ngram fit's additive smoothing per token, by default.
 _SMOOTHING = 0.1
+# The empirical-ngram fit's floor on the number of samples.
+_MIN_WINDOW_SAMPLES = 10
 
 
 def fit_limited_memory(source, window: int, spec=None, budget: EnumerationBudget | None = None,
-                       smoothing: float = _SMOOTHING, min_samples: int = 10) -> LimitedMemoryModel:
+                       smoothing: float = _SMOOTHING) -> LimitedMemoryModel:
     """Learn a model conditioned only on the last `window` tokens.
 
     A true model is marginalized over deep pasts exactly (enumeration,
@@ -205,9 +199,9 @@ def fit_limited_memory(source, window: int, spec=None, budget: EnumerationBudget
     if smoothing < 0.0:
         raise ValueError("smoothing must be nonnegative")
     samples = check_samples(source, spec)
-    if samples.shape[0] < min_samples:
+    if samples.shape[0] < _MIN_WINDOW_SAMPLES:
         raise ValueError(
-            f"empirical-ngram mode needs at least {min_samples} samples, "
+            f"empirical-ngram mode needs at least {_MIN_WINDOW_SAMPLES} samples, "
             f"got {samples.shape[0]}"
         )
     # Counts weighted 1/n: smoothing/n per token keeps the count ratio.
@@ -233,7 +227,7 @@ class _WindowMass:
     ``steps`` with `full`'s rows, tilted on the steps `tilted`.
     """
 
-    def __init__(self, target, spec, windows, budget=None, full=None, tilted=(), min_samples=1000):
+    def __init__(self, target, spec, windows, budget=None, full=None, tilted=()):
         M, T = spec.M, spec.T
         self.spec, self.windows = spec, sorted({min(w, T - 1) for w in windows})
         self.samples = None if isinstance(target, ConditionalModel) else check_samples(target, spec)
@@ -255,7 +249,7 @@ class _WindowMass:
             for piece in pieces:
                 read(None, *piece)
         else:
-            self.steps = _StepTiltProblem(target, spec, tilted, min_samples)
+            self.steps = _StepTiltProblem(target, spec, tilted)
             self.steps.run(pieces, read)
 
     def window_fit(self, window: int, smoothing: float = 0.0) -> LimitedMemoryModel:
@@ -292,7 +286,9 @@ class _WindowMass:
             else:
                 feats[t] = np.take(log_table.T, cells // M, axis=1)
                 obs_feats[t - 1] = log_table.reshape(-1)[cells]
-        return self.steps.tilted_by(tilt, feats, target_feat_sum, obs_feats)
+        # A feature at the floor marks a comparator entry floored to P_MIN.
+        floored = any(bool(np.any(f <= np.log(P_MIN))) for f in feats.values())
+        return self.steps.tilted_by(tilt, feats, target_feat_sum, obs_feats, {"feature_floored": floored})
 
     def cross_entropy(self, comparator: MarkovModel, t: int):
         """Step t's CE(target || comparator), inf at a zero under mass; per-sequence terms in sample mode."""
@@ -366,8 +362,7 @@ def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarra
 
 def memory_bound(target, full: ConditionalModel, comparator: MarkovModel, t_policy="average",
                  tau: int | None = None, tolerance: float = 1e-10, budget: EnumerationBudget | None = None,
-                 attach_exact_mi: bool = True, min_samples: int = 1000,
-                 provenance: dict | None = None) -> MemoryEstimate:
+                 attach_exact_mi: bool = True, provenance: dict | None = None) -> MemoryEstimate:
     """Upper-bound the memory at gap tau of `full` using the comparator.
 
     Calibrates `full` to the comparator, a window table model (else
@@ -390,13 +385,13 @@ def memory_bound(target, full: ConditionalModel, comparator: MarkovModel, t_poli
             raise ValueError("tau is required when the comparator has no window")
     tau, steps = _measured_steps(tau, t_policy, full.spec.T)
     tilt = MemoryTiltModel(full, comparator, 0.0, active_steps=steps)
-    walk = _WindowMass(target, full.spec, (comparator.order,), budget, full, steps, min_samples)
+    walk = _WindowMass(target, full.spec, (comparator.order,), budget, full, steps)
     return _bound(walk, tilt, tau, t_policy, tolerance, attach_exact_mi, provenance)
 
 
 def memory_bounds(target, full: ConditionalModel, taus, t_policy="average", tolerance: float = 1e-10,
                   budget: EnumerationBudget | None = None, attach_exact_mi: bool = True,
-                  min_samples: int = 1000, provenance: dict | None = None) -> list[MemoryEstimate]:
+                  provenance: dict | None = None) -> list[MemoryEstimate]:
     """The bound at each gap of `taus` against the target's window fit, all from one walk.
 
     The estimate at tau is bitwise ``memory_bound(target, full,
@@ -407,7 +402,7 @@ def memory_bounds(target, full: ConditionalModel, taus, t_policy="average", tole
     T = full.spec.T
     gaps = [_measured_steps(min(tau, T - 1), t_policy, T) for tau in taus]
     tilted = set().union(*(steps for _, steps in gaps))
-    walk = _WindowMass(target, full.spec, [tau for tau, _ in gaps], budget, full, tilted, min_samples)
+    walk = _WindowMass(target, full.spec, [tau for tau, _ in gaps], budget, full, tilted)
     smoothing = 0.0 if walk.samples is None else _SMOOTHING / walk.samples.shape[0]
     return [_bound(walk, MemoryTiltModel(full, walk.window_fit(tau, smoothing), 0.0, active_steps=steps),
                    tau, t_policy, tolerance, attach_exact_mi, provenance) for tau, steps in gaps]

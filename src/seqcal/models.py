@@ -704,7 +704,8 @@ def model_to_dict(model: ConditionalModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> ConditionalModel:
+def model_from_dict(doc: dict, budget=None) -> ConditionalModel:
+    """The model a document describes; a global tilt, nested ones too, enumerates its base under `budget`."""
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {doc.get('format_version')!r}"
@@ -713,24 +714,25 @@ def model_from_dict(doc: dict) -> ConditionalModel:
     spec = make_spec(int(doc["M"]), int(doc["T"]))
     if kind not in _FROM_PARAMS:
         raise ValueError(f"unknown model kind {kind!r}")
-    model = _FROM_PARAMS[kind](spec, doc.get("parameters", {}))
+    model = _FROM_PARAMS[kind](spec, doc.get("parameters", {}), budget)
     if model.spec != spec:
         raise ValueError(f"{kind} parameters give M={model.spec.M}, T={model.spec.T}, not the declared M/T")
     return model
 
 
-# The deserializer of each model kind, given the declared spec and the
-# parameters; the tilt kinds register theirs in their own modules.
-_FROM_PARAMS: dict[str, Callable[[SequenceSpec, dict], ConditionalModel]] = {
-    "markov": lambda spec, p: MarkovModel(spec, int(p["order"]), p["tables"]),
-    "limited_memory": lambda spec, p: LimitedMemoryModel(spec, int(p["window"]), p["tables"]),
-    "mixture": lambda spec, p: MixtureModel(model_from_dict(p["base"]), p["gamma"]),
-    "per_token_mixture": lambda spec, p: PerTokenMixture(model_from_dict(p["base"]), p["gamma"]),
-    "drift": lambda spec, p: DriftModel(model_from_dict(p["base"]), p["switch_prob"]),
+# The deserializer of each model kind, given the declared spec, the
+# parameters and the enumeration budget; the tilt kinds register theirs in
+# their own modules.
+_FROM_PARAMS: dict[str, Callable[[SequenceSpec, dict, object], ConditionalModel]] = {
+    "markov": lambda spec, p, budget: MarkovModel(spec, int(p["order"]), p["tables"]),
+    "limited_memory": lambda spec, p, budget: LimitedMemoryModel(spec, int(p["window"]), p["tables"]),
+    "mixture": lambda spec, p, budget: MixtureModel(model_from_dict(p["base"], budget), p["gamma"]),
+    "per_token_mixture": lambda spec, p, budget: PerTokenMixture(model_from_dict(p["base"], budget), p["gamma"]),
+    "drift": lambda spec, p, budget: DriftModel(model_from_dict(p["base"], budget), p["switch_prob"]),
 }
 
 
-def register_model_kind(kind: str, builder: Callable[[SequenceSpec, dict], ConditionalModel]):
+def register_model_kind(kind: str, builder: Callable[[SequenceSpec, dict, object], ConditionalModel]):
     """Register the deserializer of a model kind defined outside this module."""
     _FROM_PARAMS[kind] = builder
 
@@ -739,8 +741,8 @@ def model_dumps(model: ConditionalModel) -> str:
     return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
 
 
-def model_loads(text: str) -> ConditionalModel:
-    return model_from_dict(json.loads(text))
+def model_loads(text: str, budget=None) -> ConditionalModel:
+    return model_from_dict(json.loads(text), budget)
 
 
 def save_model(model: ConditionalModel, path) -> None:
@@ -749,9 +751,9 @@ def save_model(model: ConditionalModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> ConditionalModel:
+def load_model(path, budget=None) -> ConditionalModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_loads(fh.read())
+        return model_loads(fh.read(), budget)
 
 
 def model_hash(model: ConditionalModel) -> str:

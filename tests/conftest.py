@@ -275,5 +275,11 @@ def assert_states_equal(a, b):
 
 
 @pytest.fixture
+def few_samples(monkeypatch):
+    """Sample-mode per-step fits and memory bounds accept any number of sequences."""
+    monkeypatch.setattr(seqcal.calibrate, "_MIN_SAMPLES", 1)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -928,7 +928,9 @@ class TestStepProblemLayout:
             comparator = sc.MarkovModel(spec, 0, [comparator_row[None, :]])
             tilt = sc.MemoryTiltModel(base, comparator, 0.0, active_steps=active)
         target = truth.sample_batch(50, rng) if sample else truth
-        problem = tilt._problem(target, min_samples=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sc.calibrate, "_MIN_SAMPLES", 1)
+            problem = tilt._problem(target)
         whole_rows, whole_feats = _whole_level_problem(target, tilt)[:2]
         _assert_expands_to(problem, whole_rows, whole_feats)
         # Folded: a local tilt's step T and a memory tilt's inactive steps.
@@ -1161,7 +1163,7 @@ class TestBlockedStepProblem:
     @pytest.mark.parametrize("M, T", [(2, 1), (2, 5), (3, 4), (3, 5), (4, 5), (9, 4)])
     @pytest.mark.parametrize("kind", ["local", "memory"])
     @pytest.mark.parametrize("sample", [False, True])
-    def test_bitwise_the_whole_level_problem(self, monkeypatch, M, T, kind, sample):
+    def test_bitwise_the_whole_level_problem(self, monkeypatch, few_samples, M, T, kind, sample):
         rng = np.random.default_rng(1000 * M + 10 * T + (kind == "memory"))
         truth = random_markov(rng, M, T, 2, concentration=0.5)
         base = sc.DriftModel(truth.perturbed(rng, 0.4), 0.1)
@@ -1179,10 +1181,10 @@ class TestBlockedStepProblem:
             assert table_sum == pytest.approx(target_sum, rel=1e-12, abs=1e-15)
             target_sum = table_sum
         monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", 2**40)
-        whole = tilt._problem(target, min_samples=1)
+        whole = tilt._problem(target)
         for block in (1, 5, 2 * M**2 + 1, 7 * M**2, 2**14):
             monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
-            problem = tilt._problem(target, min_samples=1)
+            problem = tilt._problem(target)
             _assert_expands_to(problem, rows, feats)
             assert np.array_equal(problem.weights, weights), block
             assert problem.spans == spans
@@ -1284,6 +1286,24 @@ class TestResultArtifacts:
         clone = sc.model_from_dict(sc.model_to_dict(tilted))
         for w in all_seqs(2, 3):
             assert clone.seq_log_prob(w) == pytest.approx(tilted.seq_log_prob(w), abs=1e-12)
+
+    def test_reloads_under_the_budget_it_was_fitted_under(self, rng, tmp_path):
+        # 4**10 prefixes exceed the default budget of 10**6 states, so the
+        # reload rebuilds the tilt's lattice under the fit's budget.
+        truth = random_markov(rng, 4, 10, 2, concentration=0.8)
+        base = sc.DriftModel(truth.perturbed(rng, 0.3), 0.1)
+        budget = sc.EnumerationBudget(2_000_000)
+        tilted, _ = sc.calibrate_entropy_rate(truth, base, 0.05, budget=budget)
+        path = tmp_path / "model.json"
+        sc.save_model(tilted, path)
+        with pytest.raises(sc.BudgetExceededError, match="budget of 1000000"):
+            sc.load_model(path)
+        clone = sc.load_model(path, budget=budget)
+        seqs = tilted.sample_batch(256, rng)
+        state, clone_state = tilted.init_state(256), clone.init_state(256)
+        for t in range(10):
+            assert np.array_equal(clone.rows(clone_state), tilted.rows(state)), t
+            state, clone_state = tilted.advance(state, seqs[:, t]), clone.advance(clone_state, seqs[:, t])
 
 
 _THREADS_SCRIPT = """

@@ -280,6 +280,23 @@ class TestPipelines:
         assert doc["model"]["kind"] == "drift"
 
 
+class TestModelFileBudget:
+    def test_inspect_reloads_a_global_tilt_under_the_configured_budget(self, tmp_path):
+        # calibrate-global at M = 4, T = 10 writes a tilt whose 4**10
+        # lattice exceeds the default budget; a file model loads under the
+        # configured one.
+        config = {**BASE_CONFIG, "M": 4, "T": 10, "true_model": {"kind": "random_markov", "order": 2,
+                  "concentration": 0.8}, "model": {"recipe": "drift", "p": 0.1}, "budget": 2_000_000}
+        code, outdir = run(parse_config({**config, "pipeline": "calibrate-global", "out": str(tmp_path / "c")}))
+        assert code == 0
+        model = {"kind": "file", "path": str(outdir / "calibrated_model.json")}
+        cfg = write_config(tmp_path, {**config, "model": model})
+        assert main(["inspect", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 0
+        doc = json.loads((tmp_path / "i" / "inspect.json").read_text())
+        assert doc["model"]["kind"] == "global_tilt"
+        assert math.isfinite(doc["model"]["entropy_rate"])
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

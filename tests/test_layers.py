@@ -103,3 +103,16 @@ def test_memory_walks_at_one_site():
              if isinstance(node, ast.Call) and "prefix_expansion" in _names(node.func)]
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "prefix_expansion"]
     assert len(calls) == 1 and len(reads) == 1
+
+
+def test_sloc_counts_perfbench_lines_of_every_module(tmp_path):
+    from sloc import counts, main
+
+    # Blank lines and whole-line comments do not count; code with a
+    # trailing comment and docstring lines do.
+    package = tmp_path / "src" / "seqcal"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\n\n  # note\nx = 1  # one\n    \ny = 2\n', encoding="utf-8")
+    assert counts(tmp_path) == {"a": 3}
+    assert set(counts(SRC.parent.parent)) == {p.stem for p in SRC.glob("*.py")}
+    assert main(["sloc.py", str(tmp_path), str(tmp_path)]) == 0

@@ -140,9 +140,12 @@ class TestFitLimitedMemory:
                     np.testing.assert_allclose(got, _normalized(old + smoothing), rtol=1e-12, atol=0.0)
 
     def test_min_samples_enforced(self, rng):
+        # The floor of 10 samples is inclusive.
         spec = sc.make_spec(2, 3)
-        with pytest.raises(ValueError, match="at least"):
-            sc.fit_limited_memory(np.zeros((3, 3), dtype=int), 1, spec=spec)
+        samples = random_markov(rng, 2, 3, 1).sample_batch(10, rng)
+        with pytest.raises(ValueError, match="^empirical-ngram mode needs at least 10 samples, got 9$"):
+            sc.fit_limited_memory(samples[:9], 1, spec=spec)
+        assert sc.fit_limited_memory(samples, 1, spec=spec).window == 1
 
     def test_empirical_rejects_out_of_vocabulary_tokens(self):
         spec = sc.make_spec(3, 4)
@@ -332,16 +335,16 @@ class TestMemoryBound:
         assert doc["calibration"] == est.calibration.to_dict()
 
     @pytest.mark.parametrize("sample", [False, True])
-    def test_gaps_need_two_steps(self, rng, sample):
+    def test_gaps_need_two_steps(self, rng, few_samples, sample):
         # At T = 1 every gap is past the last step; the error says so
         # rather than naming a gap of 1 as below 1.
         truth = random_markov(rng, 2, 1, 0)
         target = truth.sample_batch(50, rng) if sample else truth
         comparator = sc.MarkovModel.uniform(truth.spec, 0)
         with pytest.raises(ValueError, match="memory gaps need T >= 2, got T = 1"):
-            sc.memory_bounds(target, truth, [1], min_samples=1)
+            sc.memory_bounds(target, truth, [1])
         with pytest.raises(ValueError, match="memory gaps need T >= 2, got T = 1"):
-            sc.memory_bound(target, truth, comparator, tau=1, min_samples=1)
+            sc.memory_bound(target, truth, comparator, tau=1)
 
     def test_tau_below_one_rejected(self, rng):
         truth = random_markov(rng, 2, 4, 2)
@@ -470,6 +473,7 @@ class TestPredictionJoint:
                 prediction_joint(truth, truth, tau=1, t=t, budget=sc.EnumerationBudget(2**t - 1))
 
 
+@pytest.mark.usefixtures("few_samples")
 class TestSampleModeOnEnumeratedSample:
     # Every sequence once: the sample's empirical distribution is exactly
     # the uniform truth, so sample mode must reproduce exact mode in every
@@ -493,17 +497,17 @@ class TestSampleModeOnEnumeratedSample:
     def test_per_step_fits(self, rng):
         truth, samples, full, comparator = self._instance(rng)
         _, exact = sc.fit_alpha_local(truth, full)
-        _, sample = sc.fit_alpha_local(samples, full, min_samples=1)
+        _, sample = sc.fit_alpha_local(samples, full)
         self._assert_same_fixed_values(exact, sample)
         tilt = sc.MemoryTiltModel(full, comparator, 0.0, (2, 3, 4))
         _, exact = fit_per_step_tilt(truth, tilt)
-        _, sample = fit_per_step_tilt(samples, tilt, min_samples=1)
+        _, sample = fit_per_step_tilt(samples, tilt)
         self._assert_same_fixed_values(exact, sample)
 
     def test_memory_bound_cross_entropy(self, rng):
         truth, samples, full, comparator = self._instance(rng)
         exact = sc.memory_bound(truth, full, comparator)
-        sample = sc.memory_bound(samples, full, comparator, min_samples=1)
+        sample = sc.memory_bound(samples, full, comparator)
         assert sample.mode == "mc"
         assert sample.ce_comparator == pytest.approx(exact.ce_comparator, abs=1e-10)
 
@@ -511,16 +515,28 @@ class TestSampleModeOnEnumeratedSample:
         truth, samples, _, _ = self._instance(rng)
         for window in (1, 2, 3):
             exact = sc.fit_limited_memory(truth, window)
-            sample = sc.fit_limited_memory(
-                samples, window, spec=self.spec, smoothing=0.0, min_samples=1
-            )
+            sample = sc.fit_limited_memory(samples, window, spec=self.spec, smoothing=0.0)
             assert sample.window == exact.window
             for a, b in zip(sample.tables, exact.tables):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
 
 
+class TestSampleFloor:
+    @pytest.mark.parametrize("fit", ["fit_alpha_local", "memory_bounds"])
+    def test_per_step_fits_need_1000_sequences(self, rng, fit):
+        # The floor is inclusive: 999 sequences are refused, 1000 are fitted.
+        truth = random_markov(rng, 2, 3, 1)
+        full = truth.perturbed(rng, 0.3)
+        samples = truth.sample_batch(1000, rng)
+        run = (lambda s: sc.fit_alpha_local(s, full)) if fit == "fit_alpha_local" else (
+            lambda s: sc.memory_bounds(s, full, [1]))
+        with pytest.raises(ValueError, match="^sample mode needs at least 1000 sequences, got 999$"):
+            run(samples[:999])
+        run(samples)
+
+
 class TestSampleModeZeroComparator:
-    def test_sampled_zero_makes_cross_entropy_infinite(self, rng):
+    def test_sampled_zero_makes_cross_entropy_infinite(self, rng, few_samples):
         # After token 1 the comparator never predicts token 1; the sample
         # contains that transition at step 3.
         spec = sc.make_spec(2, 3)
@@ -530,7 +546,7 @@ class TestSampleModeZeroComparator:
         )
         samples = sc.MarkovModel.uniform(spec).sample_batch(200, rng)
         assert np.any((samples[:, 1] == 1) & (samples[:, 2] == 1))
-        est = sc.memory_bound(samples, full, comparator, min_samples=1)
+        est = sc.memory_bound(samples, full, comparator)
         assert est.per_step[3]["ce"] == math.inf
         assert est.ce_comparator == math.inf
         assert not est.valid
@@ -739,7 +755,7 @@ class TestBlockedReport:
     @pytest.mark.parametrize("M, T", [(2, 6), (3, 5), (4, 5), (9, 4)])
     @pytest.mark.parametrize("tau", [1, 2, 3])
     @pytest.mark.parametrize("sample", [False, True])
-    def test_bitwise_the_whole_level_report(self, monkeypatch, M, T, tau, sample):
+    def test_bitwise_the_whole_level_report(self, monkeypatch, few_samples, M, T, tau, sample):
         rng = np.random.default_rng(100 * M + 10 * tau + sample)
         truth = random_markov(rng, M, T, 2, concentration=0.5)
         full = sc.DriftModel(truth.perturbed(rng, 0.4), 0.1)
@@ -747,7 +763,7 @@ class TestBlockedReport:
         target = truth.sample_batch(300, rng) if sample else truth
         for block in (1, 5, 2 * M**2 + 1, 2**14):
             monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
-            est = sc.memory_bound(target, full, comparator, min_samples=1)
+            est = sc.memory_bound(target, full, comparator)
             tilted = sc.MemoryTiltModel(full, comparator, est.alpha_star, active_steps=est.steps)
             expected, per_context, ce_seq, h_seq = _whole_level_report(target, tilted, est.steps, tau)
             assert sorted(est.per_step) == sorted(expected)
@@ -780,7 +796,7 @@ class TestOneWalkPerRun:
     @pytest.mark.parametrize("M", [2, 3, 4])
     @pytest.mark.parametrize("T", [3, 4, 5, 6])
     @pytest.mark.parametrize("sample", [False, True])
-    def test_each_gap_is_its_own_pipeline_at_every_block(self, monkeypatch, M, T, sample):
+    def test_each_gap_is_its_own_pipeline_at_every_block(self, monkeypatch, few_samples, M, T, sample):
         rng = np.random.default_rng(100 * M + 10 * T + sample)
         truth = random_markov(rng, M, T, 3, concentration=0.5)
         full = sc.DriftModel(truth.perturbed(rng, 0.4), 0.1)
@@ -795,26 +811,26 @@ class TestOneWalkPerRun:
                 tables = walk.mass[min(tau, T - 1)]
                 assert len(tables) == T, (tau, block)
                 assert all(np.array_equal(a, b) for a, b in zip(tables, levels[tau])), (tau, block)
-            docs = [est.to_dict() for est in sc.memory_bounds(target, full, taus, min_samples=1)]
+            docs = [est.to_dict() for est in sc.memory_bounds(target, full, taus)]
             for tau, doc in zip(taus, docs, strict=True):
                 if sample:
                     comparator = sc.fit_limited_memory(target, tau, spec=truth.spec)
                 else:
                     comparator = sc.fit_limited_memory(truth, tau)
-                assert doc == sc.memory_bound(target, full, comparator, min_samples=1).to_dict(), (tau, block)
+                assert doc == sc.memory_bound(target, full, comparator).to_dict(), (tau, block)
             first = first or docs
             assert docs == first, block
 
     @pytest.mark.parametrize("sample", [False, True])
-    def test_comparator_must_be_a_window_table_model(self, rng, sample):
+    def test_comparator_must_be_a_window_table_model(self, rng, few_samples, sample):
         truth = random_markov(rng, 2, 4, 2)
         full = truth.perturbed(rng, 0.3)
         target = truth.sample_batch(50, rng) if sample else truth
         for comparator in (sc.DriftModel(truth, 0.2), sc.MixtureModel(sc.fit_limited_memory(truth, 1), 0.1)):
             with pytest.raises(ValueError, match="window table model"):
-                sc.memory_bound(target, full, comparator, tau=1, min_samples=1)
+                sc.memory_bound(target, full, comparator, tau=1)
             with pytest.raises(ValueError, match="window table model"):
-                fit_per_step_tilt(target, sc.MemoryTiltModel(full, comparator, 0.0), min_samples=1)
+                fit_per_step_tilt(target, sc.MemoryTiltModel(full, comparator, 0.0))
 
 
 class TestSampleLayouts:
