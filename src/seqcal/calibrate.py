@@ -59,6 +59,7 @@ from .models import (
     ConditionalModel,
     MixtureModel,
     _append_code,
+    _dot_columns,
     _finite,
     _logsumexp_columns,
     _sum_columns,
@@ -392,9 +393,10 @@ class LocalTiltModel(ConditionalModel):
         return self._lookahead(base_state)[:2]
 
     def _lookahead(self, base_state):
-        """One lattice step of the base: its rows, each candidate's feature, the children."""
+        """One lattice step of the base: its rows, each candidate's feature, the children and their rows."""
         base_rows, children = self.base.step(base_state, None)
-        return base_rows, row_entropies(self.base.rows(children)).reshape(base_rows.shape), children
+        child_rows = self.base.rows(children)
+        return base_rows, row_entropies(child_rows).reshape(base_rows.shape), children, child_rows
 
     def rows(self, state) -> np.ndarray:
         t, base_state = state
@@ -408,20 +410,21 @@ class LocalTiltModel(ConditionalModel):
         t, base_state = state
         if tokens is not None or self.alpha == 0.0 or t + 1 == self.spec.T:
             return super().step(state, tokens)
-        base_rows, feats, children = self._lookahead(base_state)
+        base_rows, feats, children, _ = self._lookahead(base_state)
         return _tilt_rows(base_rows, feats, self.alpha), (t + 1, children)
 
     def _problem(self, target, budget=None) -> "_StepTiltProblem":
         """The per-step problem of this tilt, each context's feature read off the walk; step T is folded."""
         T = self.spec.T
         exact_mode = isinstance(target, ConditionalModel)
-        pieces = prefix_expansion(target, budget, self) if exact_mode else sample_expansion(target, self)
+        base = _LookaheadWalk(self.base)
+        pieces = prefix_expansion(target, budget, base) if exact_mode else sample_expansion(target, base)
         walk = _StepTiltProblem(target, self.spec, range(1, T))
         feats = {t: np.empty_like(rows) for t, rows in walk.rows.items()}
         target_feats = np.zeros(walk.weights.shape[0])
 
         def read(cols, t, lo, states, weights, true_rows):
-            base_rows, f = self._step(states[-1])
+            base_rows, f = base._step(states[-1])
             if t in feats:
                 feats[t][:, lo:lo + f.shape[0]] = f.T
                 target_feats[cols] = _sum_columns((true_rows * f).T)
@@ -442,6 +445,37 @@ class LocalTiltModel(ConditionalModel):
 
     def params_dict(self) -> dict:
         return {"alpha": self.alpha, "base": model_to_dict(self.base)}
+
+
+class _LookaheadWalk(LocalTiltModel):
+    """The untilted local tilt that a problem build walks beside its target.
+
+    On the lattice its advance takes the children of the lookahead just
+    read at the same state, as a tilted lattice step does, and the last
+    level's rows are that lookahead's rows of them: the base steps once
+    per level and reads each level's rows once.
+    """
+
+    def __init__(self, base: ConditionalModel):
+        super().__init__(base, 0.0)
+        self._read = None  # the last lookahead's base state, children and their rows
+
+    def _lookahead(self, base_state):
+        out = super()._lookahead(base_state)
+        self._read = base_state, *out[2:]
+        return out
+
+    def advance(self, state, tokens):
+        t, base_state = state
+        if tokens is None and self._read is not None and self._read[0] is base_state:
+            return t + 1, self._read[1]
+        return super().advance(state, tokens)
+
+    def _step(self, state):
+        t, base_state = state
+        if t + 1 == self.spec.T and self._read is not None and self._read[1] is base_state:
+            return self._read[2], np.zeros(self._read[2].shape)
+        return super()._step(state)
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +641,10 @@ def _tilt_columns(rows: np.ndarray, feats: np.ndarray, factors, alpha: float, ou
     m, var, log_z = out
     np.log(z, out=log_z)
     log_z += shift
-    dev = np.multiply(u, feats, out=work[-1])
-    np.divide(_sum_columns(dev), z, out=m)
-    np.subtract(feats, m, out=dev)
+    np.divide(_dot_columns(u, feats), z, out=m)
+    dev = np.subtract(feats, m, out=work[-1])
     u *= dev
-    u *= dev
-    np.divide(_sum_columns(u), z, out=var)
+    np.divide(_dot_columns(u, dev), z, out=var)
 
 
 def _active_steps(tilt) -> frozenset:
@@ -789,6 +821,35 @@ class _StepTiltProblem:
             del rows, feats, factors
             yield weights[lo:lo + tilted.shape[1]], tilted
             del tilted  # before the next block's are built
+
+    def forward(self, alpha: float, first: int, last: int):
+        """Yield (t, weights, (n, M) rows) of levels first..last of a walk seeded by the target, in blocks.
+
+        Level `first` has the target's weights; from there the rows are a
+        local tilt's at alpha, the kept base rows at alpha = 0 and
+        :meth:`tilted_rows` else, and each next level's weights are
+        multiplied out of them as a lattice walk does: context i's children
+        get ``weights[i] * rows[i]``.  Every step first..last must be
+        tilted; a block is about `_TAIL_BLOCK` values.
+        """
+        weights = self.weights[self.spans[first]]
+        for t in range(first, last + 1):
+            M, n = self.rows[t].shape
+            if alpha == 0.0:
+                step = max(1, exact._TAIL_BLOCK // M)
+                blocks = (self.rows[t][:, lo:lo + step] for lo in range(0, n, step))
+            else:
+                blocks = (rows for _, rows in self.tilted_rows(alpha, t, 1))
+            children = np.empty(n * M) if t < last else None
+            lo = 0
+            for rows in blocks:
+                w, rows = weights[lo:lo + rows.shape[1]], rows.T
+                yield t, w, rows
+                if children is not None:
+                    children[lo * M:(lo + w.shape[0]) * M] = (w[:, None] * rows).reshape(-1)
+                lo += w.shape[0]
+                del rows  # before the next block's are built
+            weights = children
 
 
 def _fit_step(problem, tolerance, provenance=None):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -35,11 +36,19 @@ import numpy as np
 from . import __version__
 from .calibrate import (
     CalibrationDivergenceError,
+    LocalTiltModel,
+    _fit_step,
     amplification_bound,
     calibrate_entropy_rate,
-    fit_alpha_local,
 )
-from .estimate import _unit_scale, cross_entropy_mc, drift_curve, drift_curve_exact, ent_rate_gap
+from .estimate import (
+    _exact_drift_curve,
+    _unit_scale,
+    cross_entropy_mc,
+    drift_curve,
+    drift_curve_exact,
+    ent_rate_gap,
+)
 from .exact import (
     BudgetExceededError,
     EnumerationBudget,
@@ -162,7 +171,23 @@ def _described(build, key: str, *args) -> ConditionalModel:
 
 
 def _json_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Strict JSON: a float that is not finite is the string "Infinity", "-Infinity" or "NaN"."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_json(doc), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+def _finite_json(doc):
+    """`doc` with each float that is not finite replaced by its name, which keeps the sign."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return "NaN" if math.isnan(doc) else "Infinity" if doc > 0.0 else "-Infinity"
+    if isinstance(doc, dict):
+        return {key: _finite_json(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_json(value) for value in doc]
+    return doc
 
 
 def _seed_prov(cfg: ExperimentConfig, stream: str) -> dict:
@@ -234,22 +259,21 @@ def _pipeline_calibrate_global(cfg, truth, model, budget):
 
 
 def _pipeline_calibrate_local(cfg, truth, model, budget):
-    tilted, result = fit_alpha_local(
-        truth,
-        model,
-        tolerance=cfg.tolerance,
-        budget=budget,
-        provenance=_seed_prov(cfg, "calibrate-local"),
-    )
+    # fit_alpha_local, keeping the problem it fits.
+    problem = LocalTiltModel(model, 0.0)._problem(truth, budget)
+    tilted, result = _fit_step(problem, cfg.tolerance, _seed_prov(cfg, "calibrate-local"))
     # The final step is untilted (lookahead feature 0), so the
     # flattening comparison uses the last tilted step as the proxy.
-    t_max = max(cfg.T - 1, cfg.prefix_len + 1)
-    before = drift_curve_exact(
-        model, budget, seed_model=truth, prefix_len=cfg.prefix_len, t_max=t_max
-    )
-    after = drift_curve_exact(
-        tilted, budget, seed_model=truth, prefix_len=cfg.prefix_len, t_max=t_max
-    )
+    # Seeded by the truth, both curves are read off the problem, which
+    # keeps the rows of every step but the folded last; a curve to step T
+    # walks the lattice.
+    P, t_max = cfg.prefix_len, max(cfg.T - 1, cfg.prefix_len + 1)
+    if t_max < cfg.T:
+        before, after = (_exact_drift_curve(m, problem.forward(alpha, P + 1, t_max), P, t_max)
+                         for m, alpha in ((model, 0.0), (tilted, tilted.alpha)))
+    else:
+        before, after = (drift_curve_exact(m, budget, seed_model=truth, prefix_len=P, t_max=t_max)
+                         for m in (model, tilted))
     artifacts = _calibration_artifacts(
         cfg,
         "calibration_local",

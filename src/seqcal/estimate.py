@@ -292,8 +292,22 @@ def drift_curve_exact(
     t_max = int(t_max)
 
     walk = model if seeder is model else _SeededWalk(model, seeder, prefix_len)
+    levels = ((t, weights, rows) for t, _, _, weights, rows in prefix_expansion(walk, budget, last=t_max))
+    return _exact_drift_curve(model, levels, prefix_len, t_max, provenance)
+
+
+def _exact_drift_curve(model: ConditionalModel, levels, prefix_len: int, t_max: int,
+                       provenance: dict | None = None) -> DriftCurve:
+    """The exact drift curve of `model` from the (t, weights, (n, M) rows) pieces of its seeded walk.
+
+    A piece holds contexts of level t, their probabilities and their
+    next-token rows; a level may come in any number of pieces.  The mean
+    at step t, for t = prefix_len+1..t_max, is one correctly rounded sum
+    of weights times row entropies over level t's pieces, so it does not
+    depend on how the walk was blocked.
+    """
     sums = {t: _Fsum() for t in range(prefix_len + 1, t_max + 1)}
-    for t, _, _, weights, rows in prefix_expansion(walk, budget, last=t_max):
+    for t, weights, rows in levels:
         if t > prefix_len:
             sums[t].add(weights * row_entropies(rows))
     means = np.array([total.value() for total in sums.values()])

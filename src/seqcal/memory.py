@@ -215,16 +215,38 @@ def _walk(target, budget, *models):
     return sample_expansion(target, *models)
 
 
+def _add_by_period(table: np.ndarray, mass: np.ndarray, lo: int) -> None:
+    """Add (n, M) rows of lattice contexts lo.. into (P, M) `table`, context c into row c mod P.
+
+    Bitwise ``np.add.at`` by those rows: each row of the table gets its
+    contexts one at a time, in context order.  The contexts before the
+    piece's first whole period, then its whole periods (numpy reduces
+    the outer axis of ``np.sum`` one entry at a time), then the rest.
+    """
+    P, n = table.shape[0], mass.shape[0]
+    head = min(n, -lo % P)
+    table[lo % P:lo % P + head] += mass[:head]
+    body = (n - head) // P * P
+    if body:
+        periods = mass[head:head + body].reshape(-1, *table.shape)
+        np.sum(np.concatenate((table[None], periods)), axis=0, out=table)
+    rest = mass[head + body:]
+    table[:rest.shape[0]] += rest
+
+
 class _WindowMass:
     """The target's mass by window code and next token, per level and window, from one walk.
 
     ``mass[w][t - 1]`` is an (M**min(w, t-1), M) table: cell (y, z) sums
     weight times true-row entry z over level t's contexts whose last
     min(w, t-1) tokens have code y, one context at a time in context
-    order (``np.add.at``), so no table depends on the walk's blocks.  The
-    walk's last model, the uniform Markov model of the largest window,
-    codes each prefix's window.  With `full`, the walk also fills
-    ``steps`` with `full`'s rows, tilted on the steps `tilted`.
+    order, so no table depends on the walk's blocks.  On a truth's
+    lattice, context c has code c mod M**min(w, t-1), and a piece adds its
+    whole periods of contexts by block sums (:func:`_add_by_period`); a
+    sample's sequences are coded by a uniform Markov model of the largest
+    window, walked beside them, and added by ``np.add.at``.  With `full`,
+    the walk also fills ``steps`` with `full`'s rows, tilted on the steps
+    `tilted`.
     """
 
     def __init__(self, target, spec, windows, budget=None, full=None, tilted=()):
@@ -233,17 +255,24 @@ class _WindowMass:
         self.samples = None if isinstance(target, ConditionalModel) else check_samples(target, spec)
         self.mass = {w: [np.zeros((M ** min(w, t - 1), M)) for t in range(1, T + 1)] for w in self.windows}
         self.codes = {}  # sample mode: each tilted step's largest-window codes
-        tail = MarkovModel.uniform(spec, max(self.windows, default=0))
-        pieces = _walk(target, budget, *((tail,) if full is None else (full, tail)))
+        # A sample's prefixes are coded by the walk's first model, the
+        # uniform Markov model of the largest window; `full` walks last.
+        tail = () if self.samples is None else (MarkovModel.uniform(spec, max(self.windows, default=0)),)
+        pieces = _walk(target, budget, *tail, *(() if full is None else (full,)))
 
         def read(cols, t, lo, states, weights, true_rows):
-            # Window w's cell is the largest window's cell mod M**(min(w, t-1) + 1).
-            cells, mass = _append_code(states[-1][1], None, M), (weights[:, None] * true_rows).reshape(-1)
-            for w in self.windows:
-                np.add.at(self.mass[w][t - 1].reshape(-1), cells % M ** (min(w, t - 1) + 1), mass)
-            if self.samples is not None and t in tilted:
-                self.codes[t] = states[-1][1]
-            return None if full is None else full.rows(states[-2])
+            mass = weights[:, None] * true_rows
+            if self.samples is None:
+                for w in self.windows:
+                    _add_by_period(self.mass[w][t - 1], mass, lo)
+            else:
+                # Window w's cell is the largest window's cell mod M**(min(w, t-1) + 1).
+                cells = _append_code(states[0][1], None, M)
+                for w in self.windows:
+                    np.add.at(self.mass[w][t - 1].reshape(-1), cells % M ** (min(w, t - 1) + 1), mass.reshape(-1))
+                if t in tilted:
+                    self.codes[t] = states[0][1]
+            return None if full is None else full.rows(states[-1])
 
         if full is None:
             for piece in pieces:

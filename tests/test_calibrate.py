@@ -18,7 +18,9 @@ from seqcal.calibrate import (
     fit_per_step_tilt,
     tilted_variance_max,
 )
+from seqcal import cli
 from seqcal.cli import parse_config, run
+from seqcal.estimate import _exact_drift_curve
 from seqcal.exact import (
     P_MIN,
     FunctionalF,
@@ -28,13 +30,15 @@ from seqcal.exact import (
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.models import _logsumexp_columns, _sum_columns
+from seqcal.models import _dot_columns, _logsumexp_columns, _sum_columns
 
 from conftest import (
+    MODEL_KINDS,
     all_seqs,
     enumerate_sequences,
     functional_values,
     heap_peak,
+    model_of_kind,
     model_probs,
     one_hot_model,
     random_markov,
@@ -1238,6 +1242,95 @@ class TestShortAxisSums:
         for total in totals:
             assert np.array_equal(total, expected, equal_nan=True)
             assert np.array_equal(np.signbit(total), np.signbit(expected))
+
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 8, 9, 17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096])
+    def test_column_dot_is_the_sum_of_products(self, M, n):
+        # np.einsum adds a column's products in `_sum_columns`' order only
+        # below M = 8, from n = 2 and along rows; a helper that calls it at
+        # n = 1 (a vector as an (M, 1) column, say), from M = 8 or on a
+        # column-major layout fails here.
+        rng = np.random.default_rng(100 * M + n)
+        for draw in range(64 if n < 4096 else 4):
+            a, b = (rng.standard_normal((M, 2 * n)) * 10.0 ** rng.integers(-8, 8, (M, 2 * n)) ** (draw % 2)
+                    for _ in "ab")
+            layouts = {
+                "contiguous": (a[:, :n].copy(), b[:, :n].copy()),
+                "column_slice": (a[:, :n], b[:, :n]),
+                "strided": (a[:, ::2], b[:, ::2]),
+                "column_major": (np.asfortranarray(a[:, :n]), np.asfortranarray(b[:, :n])),
+            }
+            if n == 1:
+                layouts["vector_column"] = (a[:, 0].copy()[:, None], b[:, 0].copy()[:, None])
+            for name, (x, y) in layouts.items():
+                assert np.array_equal(_dot_columns(x, y), _sum_columns(x * y)), name
+
+
+_PER_STEP = {"M": 4, "T": 9, "true_model": {"kind": "random_markov", "order": 2, "concentration": 0.8},
+             "model": {"recipe": "drift", "p": 0.1}, "tau": [1, 2, 3], "prefix_len": 1}
+
+
+def _pipeline_models(config):
+    cfg = parse_config(config)
+    truth = cli._described(cli.build_true_model, "true_model", cfg)
+    return cfg, truth, cli._described(cli.build_learned_model, "model", cfg, truth)
+
+
+class TestLocalCurvesOffTheFit:
+    """`calibrate-local` steps its base's lattice once, and reads both drift curves off the fit's problem.
+
+    The curves are bitwise ``drift_curve_exact``'s seeded walks of the
+    base and of the tilt, at every block size and alpha.
+    """
+
+    def test_pipeline_steps_each_level_of_the_lattice_once(self):
+        # The benchmark's exact-perstep config: the learned drift model's
+        # lattice steps, counted by their prefixes, are levels 1..T-1 of
+        # its lattice, (4**8 - 1) / 3 prefixes.  Before, the fit's build
+        # stepped it twice per level and each curve walked it again.
+        cfg, truth, model = _pipeline_models({**_PER_STEP, "pipeline": "calibrate-local", "seed": 7})
+        prefixes, step = [0], model.step
+
+        def counted(state, tokens):
+            prefixes[0] += state[1].shape[0]
+            return step(state, tokens)
+
+        model.step = counted
+        cli._pipeline_calibrate_local(cfg, truth, model, cfg.enumeration_budget())
+        assert prefixes[0] == 21_845
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("M, T", [(2, 5), (3, 4)])
+    def test_curves_are_bitwise_the_seeded_walks(self, monkeypatch, kind, M, T):
+        rng = np.random.default_rng(10 * M + T)
+        truth = random_markov(rng, M, T, 1, concentration=0.5)
+        base = model_of_kind(kind, rng, M, T)
+        problem = sc.LocalTiltModel(base, 0.0)._problem(truth)
+        # A tilt past 2**9 / (max f - min f) takes the log-space branch.
+        for alpha in (0.0, 0.6, -1.3, 3000.0):
+            tilt = base if alpha == 0.0 else sc.LocalTiltModel(base, alpha)
+            for prefix_len in range(T - 1):
+                expected = sc.drift_curve_exact(tilt, seed_model=truth, prefix_len=prefix_len, t_max=T - 1)
+                for block in (1, 5, 2**14):
+                    monkeypatch.setattr(sc.exact, "_TAIL_BLOCK", block)
+                    levels = problem.forward(alpha, prefix_len + 1, T - 1)
+                    got = _exact_drift_curve(tilt, levels, prefix_len, T - 1)
+                    assert got.to_dict() == expected.to_dict(), (alpha, prefix_len, block)
+
+    @pytest.mark.parametrize("prefix_len", [0, 1, 2, 3])
+    def test_pipeline_curves_at_every_prefix_length(self, prefix_len):
+        # At prefix_len = T - 1 the curves reach the folded step T, whose
+        # rows the problem does not keep, so they walk the lattice.
+        config = {**_PER_STEP, "M": 3, "T": 4, "prefix_len": prefix_len, "pipeline": "calibrate-local", "seed": 3}
+        cfg, truth, model = _pipeline_models(config)
+        _, artifacts = cli._pipeline_calibrate_local(cfg, truth, model, cfg.enumeration_budget())
+        doc = json.loads(artifacts["calibration_local.json"])
+        tilted = sc.LocalTiltModel(model, doc["alpha_star"])
+        t_max = max(3, prefix_len + 1)
+        for key, curve_model in (("drift_before", model), ("drift_after", tilted)):
+            expected = sc.drift_curve_exact(curve_model, seed_model=truth, prefix_len=prefix_len, t_max=t_max)
+            assert doc[key] == json.loads(cli._json_bytes(expected.to_dict())), key
 
 
 class TestAmplificationBound:

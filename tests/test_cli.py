@@ -26,6 +26,7 @@ from seqcal.cli import (
     ConfigError,
     ExperimentConfig,
     _add_common_flags,
+    _json_bytes,
     _sample_prefixes,
     build_learned_model,
     build_true_model,
@@ -295,6 +296,40 @@ class TestModelFileBudget:
         doc = json.loads((tmp_path / "i" / "inspect.json").read_text())
         assert doc["model"]["kind"] == "global_tilt"
         assert math.isfinite(doc["model"]["entropy_rate"])
+
+
+class TestStrictJson:
+    """Artifacts are strict JSON: a float that is not finite is a string that keeps its sign."""
+
+    def test_infinite_estimates_are_named(self, tmp_path):
+        # The model has a zero on the truth's support, so its cross entropy
+        # on real data and the measured regret are +inf; both runs exit 0.
+        spec = make_spec(3, 4)
+        truth = MarkovModel(spec, 1, [[[0.2, 0.3, 0.5]], [[0.6, 0.3, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]])
+        model = MarkovModel(spec, 1, [[[0.5, 0.5, 0.0]], [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]])
+        cfg = write_config(tmp_path, {
+            "M": 3, "T": 4, "seed": 3, "n_gen": 64, "n_samples": 256, "n_prefixes": 8, "prefix_len": 1,
+            "true_model": {"kind": "inline", "model": seqcal.model_to_dict(truth)},
+            "model": {"kind": "inline", "model": seqcal.model_to_dict(model)},
+        })
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        docs = {}
+        for pipeline, name in (("drift", "ent_rate_gap.json"), ("bounds", "bounds.json")):
+            assert main([pipeline, "--config", str(cfg), "--out", str(tmp_path / pipeline)]) == 0
+            docs[pipeline] = json.loads((tmp_path / pipeline / name).read_text(), parse_constant=strict)
+        gap = docs["drift"]
+        assert (gap["start"], gap["gap"], gap["start_source"]) == ("Infinity", "-Infinity", "cross_entropy_mc")
+        assert docs["bounds"]["measured_epsilon"] == "Infinity"
+
+    def test_only_non_finite_floats_change(self):
+        finite = {"b": [1.5, -0.0, 2], "a": {"x": 1e-300, "s": "Infinity"}}
+        assert _json_bytes(finite) == (json.dumps(finite, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        doc = {"v": [math.inf, -math.inf, math.nan, 1.0], "t": (math.inf,), "n": {"m": -math.inf}}
+        assert json.loads(_json_bytes(doc)) == {"v": ["Infinity", "-Infinity", "NaN", 1.0], "t": ["Infinity"],
+                                                "n": {"m": "-Infinity"}}
 
 
 class TestMainEntry:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from seqcal.exact import (
     sample_expansion,
     sequence_log_probs,
 )
-from seqcal.memory import _joint, _WindowMass
+from seqcal.memory import _add_by_period, _joint, _WindowMass
 from seqcal.models import row_entropies
 
 from conftest import (
@@ -550,6 +551,45 @@ class TestSampleModeZeroComparator:
         assert est.per_step[3]["ce"] == math.inf
         assert est.ce_comparator == math.inf
         assert not est.valid
+
+
+class TestWindowMassByPeriod:
+    """On a truth's lattice the window-mass tables are filled by block sums, bitwise ``np.add.at``."""
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 9])
+    def test_pieces_add_as_add_at_does(self, M):
+        # Context c goes to row c mod P, whatever the pieces: cuts off the
+        # periods leave a partial head and tail, or a piece inside one period.
+        rng = np.random.default_rng(M)
+        for ell in range(5 if M < 9 else 4):
+            P = M**ell
+            for _ in range(10):
+                n = int(rng.integers(1, 5)) * P + int(rng.integers(0, 2 * P + 1))
+                mass = rng.random((n, M)) * 10.0 ** rng.integers(-9, 9, (n, 1))
+                cuts = sorted({0, n, *rng.integers(0, n + 1, size=int(rng.integers(0, 6))).tolist()})
+                got = rng.random((P, M))
+                want, cells = got.copy(), (np.arange(n) % P)[:, None] * M + np.arange(M)
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    _add_by_period(got, mass[lo:hi], lo)
+                    np.add.at(want.reshape(-1), cells[lo:hi].reshape(-1), mass[lo:hi].reshape(-1))
+                assert np.array_equal(got, want), (ell, cuts)
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_only_sample_mode_adds_by_add_at(self, rng, few_samples, sample):
+        truth = random_markov(rng, 3, 5, 2)
+        target = truth.sample_batch(50, rng) if sample else truth
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__self__", None) is np.add and arg.__name__ == "at":
+                calls.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            sc.memory_bounds(target, truth.perturbed(rng, 0.3), [1, 2])
+        finally:
+            sys.setprofile(None)
+        assert bool(calls) == sample
 
 
 class TestComparatorWalks:
