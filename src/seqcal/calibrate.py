@@ -747,12 +747,14 @@ class _StepTiltProblem:
         problem.fit_extras = extras or {}
         return problem
 
-    def _blocks(self, t: int, alpha: float, unit: int = 1, scratch: bool = False):
+    def _blocks(self, t: int, alpha: float, unit: int = 1, scratch: bool = False, tiles=None):
         """Yield (lo, base rows, features, tilt factors, work) of tilted step t's contexts lo.., in blocks.
 
         A block is a multiple of `unit` contexts and of a periodic table's
         width, about `_TAIL_BLOCK` values.  A table and its factors are tiled
-        once, per-context factors made per block; `scratch` asks for `work`.
+        once into one block, kept in `tiles` (if given) for the other steps
+        that read the same table; per-context factors are made per block.
+        `scratch` asks for `work`.
         """
         rows, table = self.rows[t], self.feats[t]
         (M, n), P = rows.shape, table.shape[1]
@@ -760,7 +762,11 @@ class _StepTiltProblem:
         step = max(1, exact._TAIL_BLOCK // (M * width)) * width
         work = np.empty((1 + (P < n) if scratch else 0, M, min(step, n)))
         if P < n:
-            tiled = [np.tile(x, min(step, n) // P) for x in (table, *_tilt_factors(table, alpha))]
+            tiled = {} if tiles is None else tiles
+            key = id(table), step
+            if key not in tiled:
+                tiled[key] = [np.tile(x, step // P) for x in (table, *_tilt_factors(table, alpha))]
+            tiled = tiled[key]
         for lo in range(0, n, step):
             cols = slice(lo, min(lo + step, n))
             if P < n:
@@ -773,13 +779,14 @@ class _StepTiltProblem:
     def evaluate(self, alpha: float) -> dict:
         sums = [0.0, 0.0, 0.0]  # weights times each context's m, var and log Z
         per_seq = None if self.obs_feats is None else np.zeros(self.n_seqs)
+        tiles = {}  # each periodic table's tiled features and factors at alpha
         for t, span in self.spans.items():
             weights = self.weights[span]
             if t in self.log_z0:  # a folded step's moments and realized features are 0; its log Z is kept
                 sums[2] += _dot(weights, self.log_z0[t])
                 continue
             moments = self._moments[:, :weights.shape[0]]
-            for lo, rows, feats, factors, work in self._blocks(t, alpha, scratch=True):
+            for lo, rows, feats, factors, work in self._blocks(t, alpha, scratch=True, tiles=tiles):
                 _tilt_columns(rows, feats, factors, alpha, moments[:, lo:lo + rows.shape[1]], work)
                 del rows, feats, factors, work  # before the next block's are built
             for k in range(3):
@@ -806,17 +813,17 @@ class _StepTiltProblem:
             out.update(gradient_stderr=info["g_stderr"], n_sequences=self.n_seqs)
         return out
 
-    def tilted_rows(self, alpha: float, t: int, unit: int):
+    def tilted_rows(self, alpha: float, t: int, unit: int, tiles=None):
         """Tilted step t's context weights and (M, n) rows tilted by alpha, in blocks.
 
         Each block is a multiple of `unit` contexts, about `_TAIL_BLOCK`
         values; the last one too if `unit` divides the step's context
         count.  The rows are bitwise the tilt model's rows at alpha on an
         active step: both are :func:`_tilt_columns` of the same base rows
-        and features.
+        and features.  `tiles` is :meth:`_blocks`'.
         """
         weights = self.weights[self.spans[t]]
-        for lo, rows, feats, factors, _ in self._blocks(t, alpha, unit):
+        for lo, rows, feats, factors, _ in self._blocks(t, alpha, unit, tiles=tiles):
             tilted = _tilt_columns(rows, feats, factors, alpha)
             del rows, feats, factors
             yield weights[lo:lo + tilted.shape[1]], tilted

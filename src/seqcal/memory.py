@@ -304,14 +304,16 @@ class _WindowMass:
         the tables' products.
         """
         M, T = self.spec.M, self.spec.T
-        feats, target_feat_sum = {}, 0.0
+        feats, target_feat_sum, by_table = {}, 0.0, {}
         obs_feats = None if self.samples is None else np.zeros((T, self.samples.shape[0]))
         for t in sorted(_active_steps(tilt)):
             mass, table, cells = self._tables(tilt.comparator, t)
             log_table = np.log(np.maximum(table, P_MIN))
             target_feat_sum += _fsum(mass * log_table)
             if cells is None:
-                feats[t] = np.ascontiguousarray(log_table.T)
+                # Steps reading one comparator table share its features, so a
+                # probe exponentiates and tiles them once.
+                feats[t] = by_table.setdefault(id(table), np.ascontiguousarray(log_table.T))
             else:
                 feats[t] = np.take(log_table.T, cells // M, axis=1)
                 obs_feats[t - 1] = log_table.reshape(-1)[cells]
@@ -459,7 +461,7 @@ def _bound(walk, tilt, tau, t_policy, tolerance, attach_exact_mi, provenance) ->
     _, calibration = _fit_step(problem, tolerance, provenance)
     steps, M = sorted(problem.active), tilt.spec.M
     exact_mode = walk.samples is None
-    per_step, ce_parts, h_parts = {}, [], []
+    per_step, ce_parts, h_parts, tiles = {}, [], [], {}
     for t in steps:
         ce, ce_terms = walk.cross_entropy(tilt.comparator, t)
         recent = M ** min(tau, t - 1)
@@ -468,7 +470,7 @@ def _bound(walk, tilt, tau, t_policy, tolerance, attach_exact_mi, provenance) ->
         # Each block is a range of deep pasts X; the (Z, Y) marginal adds
         # them one at a time, in order.  Only sample mode keeps per-context
         # terms, for its stderrs.
-        for weights, rows in problem.tilted_rows(calibration.alpha_star, t, recent):
+        for weights, rows in problem.tilted_rows(calibration.alpha_star, t, recent, tiles):
             h = weights * row_entropies(rows.T)
             h_sum.add(h)
             if not exact_mode:
