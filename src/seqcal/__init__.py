@@ -61,7 +61,6 @@ from .memory import (
     fit_limited_memory,
     memory_bound,
     memory_bounds,
-    memory_table_csv,
 )
 from .rng import named_stream
 
@@ -107,7 +106,6 @@ __all__ = [
     "mean_var_exact",
     "memory_bound",
     "memory_bounds",
-    "memory_table_csv",
     "model_from_dict",
     "model_hash",
     "model_to_dict",

@@ -1,8 +1,10 @@
 """Experiment orchestration.
 
-Builds models from a flat JSON config, runs one of the pipelines
+Builds models from a flat JSON config and runs one of the pipelines
 (calibrate-global, calibrate-local, drift, memory, bounds, verify, gen,
-inspect), and writes plot-ready tables plus a run manifest.  Consumers
+inspect).  A pipeline returns JSON documents, in nats, and plot-ready
+CSV tables, in the run's units; :func:`run` alone encodes and writes
+them, the tables only in csv format, with a run manifest.  Consumers
 are scripts and people reading files; there is no interactive mode.
 
 Reproducibility contract: every result artifact is a pure function of
@@ -43,7 +45,6 @@ from .calibrate import (
 )
 from .estimate import (
     _exact_drift_curve,
-    _unit_scale,
     cross_entropy_mc,
     drift_curve,
     drift_curve_exact,
@@ -58,7 +59,7 @@ from .exact import (
     entropy_rate_exact,
     sequence_log_probs,
 )
-from .memory import memory_bounds, memory_table_csv
+from .memory import memory_bounds
 from .models import (
     ConditionalModel,
     DriftModel,
@@ -166,8 +167,15 @@ def _described(build, key: str, *args) -> ConditionalModel:
 
 
 # ---------------------------------------------------------------------------
-# Pipelines.
+# Pipelines.  Each returns (exit_code, docs, tables), both keyed by artifact
+# stem: docs are JSON-able documents, tables are CSV tables as (header, rows),
+# their rows lazy.
 # ---------------------------------------------------------------------------
+
+
+# Internal values are nats.  A pipeline multiplies the information values
+# of its tables by the run's scale, never alpha_star, t, n, tau, T or M.
+_UNITS = {"nats": 1.0, "bits": 1.0 / math.log(2.0)}
 
 
 def _json_bytes(doc) -> bytes:
@@ -188,6 +196,21 @@ def _finite_json(doc):
     if isinstance(doc, (list, tuple)):
         return [_finite_json(value) for value in doc]
     return doc
+
+
+def _csv(header, rows) -> bytes:
+    """A CSV table: None is an empty cell, a float its repr and anything else its str."""
+    lines = [",".join(header)]
+    lines.extend(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _curve_table(curve, scale: float):
+    """A drift curve's table: step t, mean and stderr in the run's units, and the generation count n."""
+    rows = ((int(t), float(m) * scale, float(s) * scale, curve.n_generations)
+            for t, m, s in zip(curve.steps, curve.means, curve.stderrs))
+    return ("t", "mean", "stderr", "n"), rows
 
 
 def _seed_prov(cfg: ExperimentConfig, stream: str) -> dict:
@@ -211,32 +234,17 @@ def _pipeline_drift(cfg, truth, model, budget):
         provenance=_seed_prov(cfg, "drift"),
     )
     ce = cross_entropy_mc(truth, model, cfg.n_samples, named_stream(cfg.seed, "ent-rate-gap"))
-    artifacts = {
-        "drift_curve.json": _json_bytes(curve.to_dict()),
-        "ent_rate_gap.json": _json_bytes(ent_rate_gap(curve, ce).to_dict()),
-    }
-    if cfg.format == "csv":
-        artifacts["drift_curve.csv"] = curve.to_csv_text(cfg.units).encode("utf-8")
-    return 0, artifacts
+    docs = {"drift_curve": curve.to_dict(), "ent_rate_gap": ent_rate_gap(curve, ce).to_dict()}
+    return 0, docs, {"drift_curve": _curve_table(curve, _UNITS[cfg.units])}
 
 
-def _calibration_artifacts(cfg, name, model, result, extra_doc=None):
-    doc = result.to_dict()
-    if extra_doc:
-        doc.update(extra_doc)
-    artifacts = {
-        f"{name}.json": _json_bytes(doc),
-        "calibrated_model.json": _json_bytes(model_to_dict(model)),
-    }
-    if cfg.format == "csv":
-        scale = _unit_scale(cfg.units)
-        rows = ["quantity,value"]
-        rows.append(f"alpha_star,{result.alpha_star!r}")
-        rows.append(f"objective,{result.objective * scale!r}")
-        rows.append(f"baseline_objective,{result.baseline_objective * scale!r}")
-        rows.append(f"improvement,{result.improvement * scale!r}")
-        artifacts[f"{name}.csv"] = ("\n".join(rows) + "\n").encode("utf-8")
-    return artifacts
+def _calibration_output(cfg, name, model, result, extra):
+    """The documents and table of a fit: its report with `extra`, the tilted model, and its quantities."""
+    scale = _UNITS[cfg.units]
+    docs = {name: {**result.to_dict(), **extra}, "calibrated_model": model_to_dict(model)}
+    rows = ((key, float(getattr(result, key)) * (1.0 if key == "alpha_star" else scale))
+            for key in ("alpha_star", "objective", "baseline_objective", "improvement"))
+    return docs, {name: (("quantity", "value"), rows)}
 
 
 def _pipeline_calibrate_global(cfg, truth, model, budget):
@@ -255,7 +263,7 @@ def _pipeline_calibrate_global(cfg, truth, model, budget):
         "entropy_rate_tilted": _entropy_from_log_probs(tilted._problem.tilt(tilted.alpha)) / cfg.T,
         "cross_entropy_tilted": result.objective,
     }
-    return 0, _calibration_artifacts(cfg, "calibration_global", tilted, result, extra)
+    return 0, *_calibration_output(cfg, "calibration_global", tilted, result, extra)
 
 
 def _pipeline_calibrate_local(cfg, truth, model, budget):
@@ -274,29 +282,25 @@ def _pipeline_calibrate_local(cfg, truth, model, budget):
     else:
         before, after = (drift_curve_exact(m, budget, seed_model=truth, prefix_len=P, t_max=t_max)
                          for m in (model, tilted))
-    artifacts = _calibration_artifacts(
-        cfg,
-        "calibration_local",
-        tilted,
-        result,
-        {
-            "drift_before": before.to_dict(),
-            "drift_after": after.to_dict(),
-        },
-    )
-    if cfg.format == "csv":
-        artifacts["drift_before.csv"] = before.to_csv_text(cfg.units).encode("utf-8")
-        artifacts["drift_after.csv"] = after.to_csv_text(cfg.units).encode("utf-8")
-    return 0, artifacts
+    extra = {"drift_before": before.to_dict(), "drift_after": after.to_dict()}
+    docs, tables = _calibration_output(cfg, "calibration_local", tilted, result, extra)
+    scale = _UNITS[cfg.units]
+    tables.update(drift_before=_curve_table(before, scale), drift_after=_curve_table(after, scale))
+    return 0, docs, tables
 
 
 def _pipeline_memory(cfg, truth, model, budget):
     estimates = memory_bounds(truth, model, cfg.tau, t_policy=cfg.t_policy, budget=budget,
                               tolerance=cfg.tolerance, provenance=_seed_prov(cfg, "memory"))
-    artifacts = {"memory.json": _json_bytes([e.to_dict() for e in estimates])}
-    if cfg.format == "csv":
-        artifacts["memory.csv"] = memory_table_csv(estimates, cfg.units).encode("utf-8")
-    return 0, artifacts
+    scale = _UNITS[cfg.units]
+
+    def scaled(value):
+        return None if value is None else float(value) * scale
+
+    header = ("tau", "ce_comparator", "bound", "alpha_star", "exact_mi", "ce_stderr", "bound_stderr")
+    rows = ((e.tau, scaled(e.ce_comparator), scaled(e.bound), float(e.alpha_star), scaled(e.exact_mi),
+             scaled(e.ce_stderr), scaled(e.bound_stderr)) for e in estimates)
+    return 0, {"memory": [e.to_dict() for e in estimates]}, {"memory": (header, rows)}
 
 
 def _pipeline_bounds(cfg, truth, model, budget):
@@ -321,17 +325,10 @@ def _pipeline_bounds(cfg, truth, model, budget):
             doc["gap_at_measured"] = abs(ce_m - _entropy_from_log_probs(lp_mix_m) / T)
     except BudgetExceededError:
         doc["measured_epsilon"] = None
-    artifacts = {"bounds.json": _json_bytes(doc)}
-    if cfg.format == "csv":
-        scale = _unit_scale(cfg.units)
-        rows = ["quantity,value"]
-        for key, value in sorted(doc.items()):
-            if isinstance(value, dict) or value is None:
-                continue
-            converted = value * scale if key not in ("T", "M") else value
-            rows.append(f"{key},{converted!r}")
-        artifacts["bounds.csv"] = ("\n".join(rows) + "\n").encode("utf-8")
-    return 0, artifacts
+    scale = _UNITS[cfg.units]
+    rows = ((key, value if key in ("T", "M") else float(value) * scale)
+            for key, value in sorted(doc.items()) if value is not None and not isinstance(value, dict))
+    return 0, {"bounds": doc}, {"bounds": (("quantity", "value"), rows)}
 
 
 def _pipeline_gen(cfg, truth, model, budget):
@@ -341,12 +338,8 @@ def _pipeline_gen(cfg, truth, model, budget):
         "provenance": _seed_prov(cfg, "gen"),
         "model_hash": model_hash(model),
     }
-    artifacts = {"sequences.json": _json_bytes(doc)}
-    if cfg.format == "csv":
-        header = ",".join(f"w{t}" for t in range(1, cfg.T + 1))
-        lines = [header] + [",".join(str(int(x)) for x in row) for row in seqs]
-        artifacts["sequences.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
-    return 0, artifacts
+    header = [f"w{t}" for t in range(1, cfg.T + 1)]
+    return 0, {"sequences": doc}, {"sequences": (header, doc["sequences"])}
 
 
 def _pipeline_inspect(cfg, truth, model, budget):
@@ -363,16 +356,14 @@ def _pipeline_inspect(cfg, truth, model, budget):
             doc["entropy_rate"] = None
         return doc
 
-    doc = {"true_model": summary(truth), "model": summary(model)}
-    return 0, {"inspect.json": _json_bytes(doc)}
+    return 0, {"inspect": {"true_model": summary(truth), "model": summary(model)}}, {}
 
 
 def _pipeline_verify(cfg, truth, model, budget):
     from .verify import verify_suite  # deferred: only this pipeline needs it
 
     report = verify_suite(cfg)
-    code = 0 if report["passed"] else 4
-    return code, {"verify_report.json": _json_bytes(report)}
+    return 0 if report["passed"] else 4, {"verify_report": report}, {}
 
 
 PIPELINES = {
@@ -419,7 +410,7 @@ class ExperimentConfig:
     prefix_len: int = field(default=0, metadata={"minimum": 0})
     n_prefixes: int = field(default=128, metadata={"minimum": 1})
     instances: int = field(default=50, metadata={"minimum": 1})
-    units: str = field(default="nats", metadata={"choices": ("nats", "bits")})
+    units: str = field(default="nats", metadata={"choices": _UNITS})
 
     def spec(self):
         return make_spec(self.M, self.T)
@@ -515,7 +506,10 @@ def run(cfg: ExperimentConfig, overrides: dict | None = None) -> tuple[int, Path
     truth = _described(build_true_model, "true_model", cfg)
     model = _described(build_learned_model, "model", cfg, truth)
 
-    code, artifacts = PIPELINES[cfg.pipeline](cfg, truth, model, budget)
+    code, docs, tables = PIPELINES[cfg.pipeline](cfg, truth, model, budget)
+    artifacts = {f"{stem}.json": _json_bytes(doc) for stem, doc in docs.items()}
+    if cfg.format == "csv":
+        artifacts.update((f"{stem}.csv", _csv(*table)) for stem, table in tables.items())
 
     if cfg.out:
         outdir = Path(cfg.out)

@@ -28,15 +28,6 @@ from .exact import EnumerationBudget, _Fsum, prefix_expansion
 from .models import ConditionalModel, _try_model_hash, check_tokens, row_entropies
 
 
-def _unit_scale(units: str) -> float:
-    """Internal values are nats; tables may be emitted in bits."""
-    if units == "nats":
-        return 1.0
-    if units == "bits":
-        return 1.0 / math.log(2.0)
-    raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-
-
 @dataclass
 class McEstimate:
     """A Monte-Carlo estimate with its standard error and provenance."""
@@ -76,15 +67,6 @@ class DriftCurve:
         if not first <= t <= int(self.steps[-1]):
             raise ValueError(f"step {t} outside measured range {first}..{int(self.steps[-1])}")
         return float(self.means[t - first])
-
-    def to_csv_text(self, units: str = "nats") -> str:
-        scale = _unit_scale(units)
-        lines = ["t,mean,stderr,n"]
-        for t, m, s in zip(self.steps, self.means, self.stderrs):
-            lines.append(
-                f"{int(t)},{float(m) * scale!r},{float(s) * scale!r},{self.n_generations}"
-            )
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         return {

@@ -49,7 +49,6 @@ from .calibrate import (
     _StepTiltProblem,
     _tilt_rows,
 )
-from .estimate import _unit_scale
 from .exact import (
     P_MIN,
     EnumerationBudget,
@@ -360,25 +359,6 @@ class MemoryEstimate:
             "t_policy": str(self.t_policy),
             "per_step": {str(t): v for t, v in self.per_step.items()},
         }
-
-
-def memory_table_csv(estimates, units: str = "nats") -> str:
-    """CSV table of bounds across gaps (one estimate per row).
-
-    Information-valued columns honor `units`; the tilt exponent is
-    dimensionless and is never converted.
-    """
-    scale = _unit_scale(units)
-    lines = ["tau,ce_comparator,bound,alpha_star,exact_mi,ce_stderr,bound_stderr"]
-    for est in estimates:
-        mi = "" if est.exact_mi is None else repr(float(est.exact_mi) * scale)
-        ce_se = "" if est.ce_stderr is None else repr(float(est.ce_stderr) * scale)
-        b_se = "" if est.bound_stderr is None else repr(float(est.bound_stderr) * scale)
-        lines.append(
-            f"{est.tau},{float(est.ce_comparator) * scale!r},{float(est.bound) * scale!r},"
-            f"{float(est.alpha_star)!r},{mi},{ce_se},{b_se}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _joint(weights: np.ndarray, rows: np.ndarray, tau: int, t: int) -> np.ndarray:

@@ -30,8 +30,12 @@ Scoring makes one step per token, so a table or floored model builds no
 (n, M) row to score a token; sampling reads ``rows`` and then
 ``advance``, the step's state alone.  States are tuples of ints and
 arrays and are never mutated; models are immutable after construction
-and safe to share across threads; sampling consumes an externally owned
-generator.
+and safe to share across threads, with two exceptions that cache what
+they read.  ``calibrate._LookaheadWalk``, the private walker of one
+per-step problem build, keeps its last lookahead, so one walk at a time
+may use it.  ``calibrate.GlobalTiltModel._levels`` is built on the
+first read of the tilt's rows; two threads may both build it, to the
+same values.  Sampling consumes an externally owned generator.
 
 This is the bottom layer, importing no other seqcal module.  It holds
 the rules the layers above share: the short-axis sum and log-partition

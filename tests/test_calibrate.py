@@ -1324,8 +1324,8 @@ class TestLocalCurvesOffTheFit:
         # rows the problem does not keep, so they walk the lattice.
         config = {**_PER_STEP, "M": 3, "T": 4, "prefix_len": prefix_len, "pipeline": "calibrate-local", "seed": 3}
         cfg, truth, model = _pipeline_models(config)
-        _, artifacts = cli._pipeline_calibrate_local(cfg, truth, model, cfg.enumeration_budget())
-        doc = json.loads(artifacts["calibration_local.json"])
+        _, docs, _ = cli._pipeline_calibrate_local(cfg, truth, model, cfg.enumeration_budget())
+        doc = json.loads(cli._json_bytes(docs["calibration_local"]))
         tilted = sc.LocalTiltModel(model, doc["alpha_star"])
         t_max = max(3, prefix_len + 1)
         for key, curve_model in (("drift_before", model), ("drift_after", tilted)):

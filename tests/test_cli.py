@@ -207,6 +207,27 @@ class TestPipelines:
         for est in doc:
             assert est["bound"] >= est["exact_mi"] - 1e-9
 
+    def test_drift_curve_csv_is_the_json_curve(self, tmp_path):
+        # repr round-trips a float exactly, so the table's cells are the document's values.
+        code, outdir = run(parse_config({**BASE_CONFIG, "out": str(tmp_path / "d")}))
+        assert code == 0
+        lines = (outdir / "drift_curve.csv").read_text().strip().split("\n")
+        assert lines[0] == "t,mean,stderr,n"
+        rows = [line.split(",") for line in lines[1:]]
+        doc = json.loads((outdir / "drift_curve.json").read_text())
+        assert [float(row[1]) for row in rows] == doc["means"]
+        assert [float(row[2]) for row in rows] == doc["stderrs"]
+
+    def test_memory_csv_is_the_json_bounds(self, tmp_path):
+        code, outdir = run(parse_config({**BASE_CONFIG, "pipeline": "memory", "out": str(tmp_path / "m")}))
+        assert code == 0
+        lines = (outdir / "memory.csv").read_text().strip().split("\n")
+        assert lines[0].startswith("tau,ce_comparator,bound,alpha_star")
+        rows = [line.split(",") for line in lines[1:]]
+        doc = json.loads((outdir / "memory.json").read_text())
+        assert [int(row[0]) for row in rows] == [est["tau"] for est in doc] == [1, 2]
+        assert [float(row[2]) for row in rows] == [est["bound"] for est in doc]
+
     def test_bounds(self, tmp_path):
         cfg = parse_config({**BASE_CONFIG, "pipeline": "bounds",
                             "out": str(tmp_path / "b")})
@@ -279,6 +300,104 @@ class TestPipelines:
         doc = json.loads((outdir / "inspect.json").read_text())
         assert doc["true_model"]["kind"] == "markov"
         assert doc["model"]["kind"] == "drift"
+
+
+class TestTables:
+    """Tables are written in csv format only, and bits scale their information values only."""
+
+    # Dimensionless columns (a quantity table's names, the tilt exponent, steps,
+    # counts, gaps and the spec), which no unit scales.
+    UNSCALED = {"quantity", "alpha_star", "t", "n", "tau", "T", "M"}
+
+    @pytest.mark.parametrize("pipeline", ["memory", "calibrate-local", "calibrate-global", "bounds"])
+    def test_bits_scale_information_only(self, tmp_path, pipeline):
+        outs = {}
+        for units in ("nats", "bits"):
+            code, outs[units] = run(parse_config({**BASE_CONFIG, "pipeline": pipeline, "units": units,
+                                                  "out": str(tmp_path / units)}))
+            assert code == 0
+        names = sorted(path.name for path in outs["nats"].glob("*.csv"))
+        assert names and names == sorted(path.name for path in outs["bits"].glob("*.csv"))
+        for name in names:
+            nats, bits = ([line.split(",") for line in (outs[units] / name).read_text().splitlines()]
+                          for units in ("nats", "bits"))
+            assert nats[0] == bits[0] and len(nats) == len(bits) > 1
+            for row_n, row_b in zip(nats[1:], bits[1:]):
+                # A quantity table names each row's quantity in its first cell.
+                columns = ["quantity", row_n[0]] if nats[0] == ["quantity", "value"] else nats[0]
+                for column, a, b in zip(columns, row_n, row_b, strict=True):
+                    if column in self.UNSCALED or a == "":
+                        assert a == b, (name, column)
+                    else:
+                        assert math.isclose(float(b), float(a) / math.log(2), rel_tol=1e-12), (name, column)
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_a_json_run_makes_no_table(self, tmp_path, monkeypatch, pipeline):
+        def no_table(header, rows):
+            raise AssertionError("a json run encodes no table")
+
+        monkeypatch.setattr("seqcal.cli._csv", no_table)
+        overrides = {"T": 4, "instances": 4} if pipeline == "verify" else {}
+        cfg = parse_config({**BASE_CONFIG, **overrides, "pipeline": pipeline, "format": "json",
+                            "out": str(tmp_path / "j")})
+        code, outdir = run(cfg)
+        assert code == 0
+        written = sorted(path.name for path in outdir.iterdir())
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert listed and not [name for name in [*written, *listed] if name.endswith(".csv")]
+
+
+_EDGE_SPEC = make_spec(2, 3)
+_ONE_HOT = {"kind": "inline", "model": seqcal.model_to_dict(
+    MarkovModel(_EDGE_SPEC, 1, [[[1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]))}
+_FULL = {"kind": "inline", "model": seqcal.model_to_dict(
+    MarkovModel(_EDGE_SPEC, 1, [[[0.5, 0.5]], [[0.3, 0.7], [0.6, 0.4]]]))}
+_EDGE_BASE = {"M": 2, "T": 3, "tau": [1, 2], "n_gen": 8, "n_samples": 16, "n_prefixes": 4}
+# (case, config overrides of BASE_CONFIG and _EDGE_BASE, the exit code of each pipeline that does not exit 0).
+_EDGE_CASES = [
+    ("T1", {"T": 1, "prefix_len": 0}, {"memory": 2}),
+    ("drift_p0", {"model": {"recipe": "drift", "p": 0.0}}, {}),
+    ("drift_p1", {"model": {"recipe": "drift", "p": 1.0}}, {}),
+    ("mixture_gamma0", {"model": {"recipe": "mixture", "gamma": 0.0}}, {}),
+    ("mixture_gamma1", {"model": {"recipe": "mixture", "gamma": 1.0}}, {}),
+    ("per_token_gamma1", {"model": {"recipe": "per_token_mixture", "gamma": 1.0}}, {}),
+    # The global fit runs out along its saturating tail (checked below).
+    ("one_hot_truth", {"true_model": _ONE_HOT, "model": _FULL}, {}),
+    # A zero of the model on the truth's support: per-step fits are refused.
+    ("one_hot_model", {"true_model": _FULL, "model": _ONE_HOT}, {"calibrate-local": 3, "memory": 3}),
+    ("budget_M_to_T", {"budget": 8}, {}),
+    ("budget_below_M_to_T", {"budget": 7}, {"calibrate-global": 3, "calibrate-local": 3, "memory": 3}),
+]
+
+
+@pytest.mark.parametrize("pipeline", [name for name in PIPELINES if name != "verify"])
+@pytest.mark.parametrize("case, overrides, codes", _EDGE_CASES, ids=[case[0] for case in _EDGE_CASES])
+def test_edge_grid(tmp_path, capsys, case, overrides, codes, pipeline):
+    """Aim 3's edge cases through the CLI: a truthful exit code and one line of stderr, or strict artifacts.
+
+    Budget exactly M**T runs and one state less refuses; M = 2 throughout.
+    """
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    cfg = write_config(tmp_path, {**_EDGE_BASE, **overrides})
+    outdir = tmp_path / "out"
+    code = main([pipeline, "--config", str(cfg), "--out", str(outdir)])
+    out, err = capsys.readouterr()
+    assert code == codes.get(pipeline, 0), err
+    assert "Traceback" not in out + err
+    if code:
+        prefix = "config error: " if code == 2 else ("resource error: ", "calibration failed: ")
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+        assert not outdir.exists()
+        return
+    assert err == "" and out == f"wrote {outdir} (exit 0)\n"
+    docs = {path.name: json.loads(path.read_text(), parse_constant=strict) for path in outdir.glob("*.json")}
+    for path in outdir.glob("*.csv"):
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+    if case == "one_hot_truth" and pipeline == "calibrate-global":
+        assert docs["calibration_global.json"]["alpha_star"] >= 64.0
 
 
 class TestModelFileBudget:

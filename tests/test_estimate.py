@@ -265,14 +265,6 @@ class TestDriftCurve:
         with pytest.raises(ValueError, match="prefix pool is empty"):
             sc.drift_curve(model, 8, sc.named_stream(1, "drift"), prefixes=np.empty((0, 2), int))
 
-    def test_csv_round_trip_values(self, rng):
-        model, _ = random_pair(rng, M=2, T=3, order=0)
-        curve = sc.drift_curve(model, 32, sc.named_stream(10, "drift"))
-        lines = curve.to_csv_text().strip().split("\n")
-        assert lines[0] == "t,mean,stderr,n"
-        first = lines[1].split(",")
-        assert float(first[1]) == curve.means[0]  # repr round-trips exactly
-
 
 class TestDriftCurveExact:
     @pytest.mark.parametrize("M, T, wrap", [

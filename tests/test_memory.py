@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 
@@ -417,21 +416,6 @@ class TestMemoryBound:
         means = bounds.mean(axis=0)
         assert np.all(np.diff(means) <= 1e-9)
 
-    def test_csv_table(self, rng):
-        truth = random_markov(rng, 2, 5, 2)
-        full = truth.perturbed(rng, 0.3)
-        ests = [
-            sc.memory_bound(truth, full, sc.fit_limited_memory(truth, tau))
-            for tau in (1, 2)
-        ]
-        text = sc.memory_table_csv(ests)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("tau,ce_comparator,bound,alpha_star")
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        assert float(first[2]) == pytest.approx(ests[0].bound, abs=1e-15)
-
 
 def _decode(code, length, M):
     out = []
@@ -622,8 +606,8 @@ class TestComparatorWalks:
         truth = random_markov(rng, 2, 6, 3)
         full = truth.perturbed(rng, 0.3)
         calls = count_calls(truth, "step", "advance")
-        code, artifacts = _pipeline_memory(cfg, truth, full, None)
-        assert code == 0 and len(json.loads(artifacts["memory.json"])) == 3
+        code, docs, _ = _pipeline_memory(cfg, truth, full, None)
+        assert code == 0 and len(docs["memory"]) == 3
         assert calls == [truth.spec.T - 1]
 
     @staticmethod
